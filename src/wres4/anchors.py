@@ -9,11 +9,8 @@ never patched.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .clifford import CliffordElem
 from .scalars import (
-    GaussianRational,
     HP,
     OMEGA,
     PI_SYM,
@@ -24,7 +21,7 @@ from .scalars import (
     half,
     xi,
 )
-from .symbols import OFF, ON, BoundarySymbol, XinPoly
+from .symbols import OFF, ON, BoundarySymbol, XinPoly, jet_mid
 
 _I = ScalarExpr.i_unit()
 
@@ -44,15 +41,6 @@ def _cdf() -> CliffordElem:
 def _dxn_cxp() -> CliffordElem:
     """The normal derivative of c(xi') at the base point: (h'(0)/2) c(xi')."""
     return _cxp().scale(half() * HP)
-
-
-def _jet_mid() -> CliffordElem:
-    """sum_j c(dx_j) * 2 d_{x_j}(f^-1)."""
-    out = CliffordElem.zero()
-    for j in range(1, 5):
-        dj = ScalarExpr.f_inverse().x_derivative(j)
-        out = out + CliffordElem.gen(j).scale(ScalarExpr.const(2) * dj)
-    return out
 
 
 def _on(terms) -> BoundarySymbol:
@@ -103,7 +91,7 @@ def _sandwich_xin_derivative(mid: CliffordElem) -> BoundarySymbol:
 
 def _build_anchors() -> dict:
     cxp, c4, cdf = _cxp(), _c4(), _cdf()
-    mid = _jet_mid()
+    mid = jet_mid()
     anchors: dict = {}
 
     # ---- case (a)(I) intermediates ------------------------------------

@@ -22,12 +22,12 @@ from typing import Dict, List, Optional
 
 from . import anchors
 from .clifford import CliffordElem
-from .errors import DecayViolation, UnsupportedOrder
 from .halfplane import line_integral, pi_plus, trace_symbol
 from .scalars import (
     GAUSS_I,
     GaussianRational,
     NAMES,
+    Poly,
     ScalarExpr,
     _INDEX,
 )
@@ -35,10 +35,10 @@ from .sphere import integrate_sphere
 from .symbols import (
     OFF,
     BoundarySymbol,
-    XinPoly,
     build_sigma,
     c_xi_poly,
     derive,
+    jet_mid,
     restrict_on_shell,
 )
 
@@ -160,14 +160,6 @@ def _sandwich(mid: CliffordElem) -> BoundarySymbol:
     return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
 
 
-def _jet_mid() -> CliffordElem:
-    out = CliffordElem.zero()
-    for j in range(1, 5):
-        dj = ScalarExpr.f_inverse().x_derivative(j)
-        out = out + CliffordElem.gen(j).scale(ScalarExpr.const(2) * dj)
-    return out
-
-
 def _intermediates(label: str):
     """Engine-computed named intermediates for one case, with verdicts."""
     inter: Dict[str, object] = {}
@@ -206,7 +198,7 @@ def _intermediates(label: str):
     elif label == "b":
         e31 = pi_plus(restrict_on_shell(_sandwich(CliffordElem.c_df())))
         e32 = derive(restrict_on_shell(build_sigma("Dtilde", -1)), "xi_n")
-        e35 = pi_plus(restrict_on_shell(_sandwich(_jet_mid())))
+        e35 = pi_plus(restrict_on_shell(_sandwich(jet_mid())))
         inter["4.31"] = e31
         inter["4.32"] = e32
         inter["4.33"] = trace_symbol(e31.mul(e32))
@@ -217,7 +209,7 @@ def _intermediates(label: str):
         e42 = restrict_on_shell(derive(_sandwich(CliffordElem.c_df()),
                                        "xi_n"))
         e43 = restrict_on_shell(derive(build_sigma("D", -2), "xi_n"))
-        e48 = restrict_on_shell(derive(_sandwich(_jet_mid()), "xi_n"))
+        e48 = restrict_on_shell(derive(_sandwich(jet_mid()), "xi_n"))
         inter["4.40"] = e40
         inter["4.42"] = e42
         inter["4.43"] = e43
@@ -241,7 +233,6 @@ _FJET_IDX = tuple(_INDEX[n] for n in NAMES if n.startswith("FI"))
 
 def hp_part(e: ScalarExpr) -> ScalarExpr:
     """The h'(0)-carrying monomials of an expression."""
-    from .scalars import Poly
     keep = {m: c for m, c in e.num.terms.items()
             if any(idx == _HP_IDX for idx, _ in m)}
     return ScalarExpr(Poly(keep), e.fpow)

@@ -82,12 +82,6 @@ class CliffordElem:
         return CliffordElem({(i,): ScalarExpr.one()})
 
     @staticmethod
-    def vector(coeffs) -> "CliffordElem":
-        """sum_i coeffs[i-1] * c(e_i)."""
-        return CliffordElem({(i,): _coerce_scalar(c)
-                             for i, c in enumerate(coeffs, start=1)})
-
-    @staticmethod
     def c_xi_prime() -> "CliffordElem":
         """c(xi') = sum_{i<4} xi_i c(e_i)."""
         return CliffordElem({(i,): xi(i) for i in (1, 2, 3)})

@@ -153,82 +153,47 @@ def partial_fractions(s: BoundarySymbol) -> PoleDecomposition:
 def pi_plus(s: BoundarySymbol) -> BoundarySymbol:
     """Principal part at +i; the projection onto functions analytic in the
     lower half-plane.  Idempotent."""
-    _check_on_shell(s)
-    canon = s.canonical()
-    for (a, b), num in canon.terms.items():
-        if num.degree() > a + b - 1:
-            raise DecayViolation(
-                "pi_plus requires deg(num) <= deg(den) - 1"
-            )
     dec = partial_fractions(s)
-    out = BoundarySymbol.zero(ON)
-    for k, elem in dec.principal_plus.items():
-        out = out + BoundarySymbol.on_shell_term(XinPoly.const(elem), k, 0,
-                                                 xder=s.xder)
-    return BoundarySymbol(ON, out.terms, s.xder)
+    if not dec.polynomial_part.is_zero():
+        raise DecayViolation(
+            "pi_plus requires deg(num) <= deg(den) - 1"
+        )
+    return BoundarySymbol(ON, {(k, 0): XinPoly.const(elem)
+                               for k, elem in dec.principal_plus.items()},
+                          s.xder)
 
 
-def pi_minus_functional(s: BoundarySymbol) -> CliffordElem:
-    """(1/2pi) * integral over the upper contour: the sum of upper residues
-    times i."""
-    res = _upper_residue(s)
-    return res.scale(ScalarExpr.i_unit())
-
-
-def _upper_residue(s: BoundarySymbol) -> CliffordElem:
+def _contour_integral(s: BoundarySymbol,
+                      pole: GaussianRational) -> ScalarExpr:
+    """Real-line integral of a scalar on-shell symbol from its residue at
+    `pole`: 2*pi*pole times the residue, since the contour closes above
+    +i counterclockwise and below -i clockwise.  Convergence needs a
+    numerator degree at least 2 below the denominator degree."""
     _check_on_shell(s)
-    total = CliffordElem.zero()
+    res = CliffordElem.zero()
     for (a, b), num in s.canonical().terms.items():
-        if a == 0:
-            continue
-        parts = _principal_part(num, a, b, GAUSS_I, -GAUSS_I)
-        first = parts.get(1)
-        if first is not None:
-            total = total + first
-    return total
-
-
-def _lower_residue(s: BoundarySymbol) -> CliffordElem:
-    _check_on_shell(s)
-    total = CliffordElem.zero()
-    for (a, b), num in s.canonical().terms.items():
-        if b == 0:
-            continue
-        parts = _principal_part(num, b, a, -GAUSS_I, GAUSS_I)
-        first = parts.get(1)
-        if first is not None:
-            total = total + first
-    return total
-
-
-def _check_decay(s: BoundarySymbol, gap: int = 2):
-    for (a, b), num in s.canonical().terms.items():
-        if num.degree() > a + b - gap:
+        if num.degree() > a + b - 2:
             raise DecayViolation(
-                f"integrand needs degree gap >= {gap} for convergence"
+                "integrand needs degree gap >= 2 for convergence"
             )
+        here, other = (a, b) if pole == GAUSS_I else (b, a)
+        if here:
+            res = res + _principal_part(num, here, other, pole, -pole)[1]
+    if set(res.terms) - {()}:
+        raise ValueError("line_integral expects a scalar integrand")
+    return ScalarExpr.const(2 * pole) * PI_SYM * res.scalar_part()
 
 
 def line_integral(s: BoundarySymbol) -> ScalarExpr:
     """Integral over the real line of a decaying on-shell rational:
     2*pi*i times the sum of residues in the upper half-plane."""
-    _check_decay(s, 2)
-    res = _upper_residue(s)
-    if set(res.terms) - {()}:
-        raise ValueError("line_integral expects a scalar integrand")
-    two_pi_i = ScalarExpr.const(2) * PI_SYM * ScalarExpr.i_unit()
-    return two_pi_i * res.scalar_part()
+    return _contour_integral(s, GAUSS_I)
 
 
 def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
     """Same integral computed by closing the contour below: -2*pi*i times
     the lower residues.  Used as an exactness cross-check."""
-    _check_decay(s, 2)
-    res = _lower_residue(s)
-    if set(res.terms) - {()}:
-        raise ValueError("line_integral expects a scalar integrand")
-    two_pi_i = ScalarExpr.const(-2) * PI_SYM * ScalarExpr.i_unit()
-    return two_pi_i * res.scalar_part()
+    return _contour_integral(s, -GAUSS_I)
 
 
 def trace_symbol(s: BoundarySymbol) -> BoundarySymbol:

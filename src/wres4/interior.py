@@ -174,23 +174,25 @@ def trace_interior(E: CliffordElem | None = None) -> InteriorResult:
     return InteriorResult(E, engine, paper)
 
 
+def _bridge() -> ScalarExpr:
+    """The heat-kernel bridge 32 pi^2 (n = 4) times the conformal scaling
+    factor 4 f^-2."""
+    return ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4) * _FINV(2)
+
+
 def theorem32_value(result: InteriorResult | None = None) -> ScalarExpr:
-    """Apply the heat-kernel bridge (32 pi^2 for n = 4) and the conformal
-    scaling factor 4 f^-2, yielding the interior residue integrand."""
+    """Apply the bridge to the engine trace, yielding the interior residue
+    integrand."""
     if result is None:
         result = trace_interior()
-    bridge = ScalarExpr.const(32) * PI_SYM ** 2
-    return bridge * ScalarExpr.const(4) * _FINV(2) * result.trace_value
+    return _bridge() * result.trace_value
 
 
 def theorem32_prefactor() -> ScalarExpr:
     """The -512 pi^2 / f^2 normalization in front of the braces."""
-    return (ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4)
-            * _FINV(2) * ScalarExpr.const(-4))
+    return _bridge() * ScalarExpr.const(-4)
 
 
 def paper_theorem32_value() -> ScalarExpr:
     """The printed integrand: -512 pi^2/f^2 times the printed braces."""
-    res = trace_interior()
-    return (ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4)
-            * _FINV(2) * res.paper_value)
+    return _bridge() * trace_interior().paper_value

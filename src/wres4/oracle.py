@@ -21,8 +21,7 @@ from scipy.integrate import quad
 from .clifford import CliffordElem
 from .errors import MissingBinding, NonConvergence
 from .scalars import NAMES, ScalarExpr
-from .symbols import OFF, ON, BoundarySymbol
-from .sphere import moment  # noqa: F401  (re-exported referee target)
+from .symbols import OFF, BoundarySymbol
 
 _POINT_NAMES = ("XI1", "XI2", "XI3", "XIN", "U", "W")
 _RANDOM_NAMES = tuple(n for n in NAMES
@@ -127,20 +126,7 @@ def eval_symbol(s: BoundarySymbol, ctx: NumericContext,
                 point) -> np.ndarray:
     if point is None or point[1] is None:
         raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
-    xi_n = point[1]
-    out = np.zeros((4, 4), dtype=complex)
-    for key, poly in s.terms.items():
-        acc = np.zeros((4, 4), dtype=complex)
-        for deg, coeff in poly.coeffs.items():
-            acc += xi_n ** deg * eval_clifford(coeff, ctx, point)
-        if s.shell == OFF:
-            w = _point_bindings(point)["W"]
-            acc /= w ** key
-        else:
-            a, b = key
-            acc /= (xi_n - 1j) ** a * (xi_n + 1j) ** b
-        out += acc
-    return out
+    return CompiledSymbol(s, ctx, point[0])(point[1])
 
 
 def evaluate(sym, ctx: NumericContext, point=None):

@@ -9,7 +9,7 @@ unique canonical form and equality is syntactic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .errors import (
     DivisionByZero,
@@ -38,7 +38,6 @@ NAMES = (
 )
 
 _INDEX = {name: k for k, name in enumerate(NAMES)}
-_F = _INDEX["F"]
 
 IntLike = Union[int, Fraction]
 
@@ -175,10 +174,6 @@ def _mono_exp(m: Monomial, idx: int) -> int:
         if j == idx:
             return e
     return 0
-
-
-def _mono_without(m: Monomial, idx: int) -> Monomial:
-    return tuple((j, e) for j, e in m if j != idx)
 
 
 def _mono_set(m: Monomial, idx: int, exp: int) -> Monomial:
@@ -384,16 +379,6 @@ class ScalarExpr:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.fpow == 0 and (
-            self.num.is_zero() or set(self.num.terms) <= {MONOMIAL_ONE}
-        )
-
-    def as_gaussian(self) -> GaussianRational:
-        if not self.is_constant():
-            raise ValueError("not a constant expression")
-        return self.num.terms.get(MONOMIAL_ONE, GAUSS_ZERO)
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
         other = _coerce_scalar(other)
@@ -577,38 +562,12 @@ def _coerce_scalar(x) -> ScalarExpr:
     raise TypeError(f"cannot coerce {x!r} to ScalarExpr")
 
 
-def normalize(e: ScalarExpr) -> ScalarExpr:
-    """Canonical form; the constructor already enforces it, so this is
-    idempotent by construction."""
-    if e.num.is_zero() and e.fpow != 0:
-        raise ZeroDenominator("denominator normalization of zero/zero")
-    return ScalarExpr(e.num, e.fpow)
-
-
-def arith(a: ScalarExpr, b: ScalarExpr, op: str) -> ScalarExpr:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def substitute(e: ScalarExpr, binding: Mapping[str, ScalarExpr]) -> ScalarExpr:
-    return e.substitute(binding)
-
-
 # Shorthand constants used across the engine.
 HP = ScalarExpr.var("HP")
-F = ScalarExpr.var("F")
 S_CURV = ScalarExpr.var("S")
 OMEGA = ScalarExpr.var("OMEGA")
 PI_SYM = ScalarExpr.var("PI")
 U_VAR = ScalarExpr.var("U")
-XIN = ScalarExpr.var("XIN")
 
 
 def xi(i: int) -> ScalarExpr:

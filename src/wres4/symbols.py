@@ -15,7 +15,7 @@ x-derivatives are rejected; the computation never needs them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple
+from typing import Mapping
 
 from .clifford import CliffordElem, cmul
 from .errors import (
@@ -38,26 +38,6 @@ from .scalars import (
 
 OFF = "off"
 ON = "on"
-
-# First-order derivative behaviour of every tracked atom at the base point.
-# Directions: x_1..x_3 tangential, x_n normal, xi_1..xi_3 tangential
-# cotangent, xi_n normal cotangent.  This table is the single source of the
-# jet rules; the derive() implementation realizes exactly these entries.
-DERIVATION_TABLE: Dict[Tuple[str, str], str] = {
-    ("W", "x_i"): "0",
-    ("W", "x_n"): "HP*U",
-    ("W", "xi_i"): "2*XI_i",
-    ("W", "xi_n"): "2*XIN",
-    ("U", "x_i"): "0",
-    ("U", "x_n"): "0",
-    ("U", "xi_i"): "2*XI_i",
-    ("c(e_i), i<n", "x_i"): "0",
-    ("c(e_i), i<n", "x_n"): "(HP/2)*c(e_i)",
-    ("c(e_4)", "x_n"): "0",
-    ("F", "x_j"): "FI_j",
-    ("FI_k", "x_j"): "FIJ_{j,k}",
-}
-
 
 class XinPoly:
     """Polynomial in xi_n with CliffordElem coefficients."""
@@ -247,23 +227,6 @@ class BoundarySymbol:
                               {k: p.scale(s) for k, p in self.terms.items()},
                               self.xder)
 
-    def lmul(self, elem: CliffordElem) -> "BoundarySymbol":
-        left = XinPoly.const(elem)
-        return BoundarySymbol(self.shell,
-                              {k: left.mul(p) for k, p in self.terms.items()},
-                              self.xder)
-
-    def rmul(self, elem: CliffordElem) -> "BoundarySymbol":
-        right = XinPoly.const(elem)
-        return BoundarySymbol(self.shell,
-                              {k: p.mul(right) for k, p in self.terms.items()},
-                              self.xder)
-
-    def map_coeffs(self, fn) -> "BoundarySymbol":
-        return BoundarySymbol(self.shell,
-                              {k: p.map_coeffs(fn) for k, p in self.terms.items()},
-                              self.xder)
-
     # -- canonical form and equality ---------------------------------------
     def canonical(self) -> "BoundarySymbol":
         """Single-term form over the common denominator.
@@ -303,9 +266,6 @@ class BoundarySymbol:
     def __repr__(self):
         return f"BoundarySymbol({self.shell!r}, {self.terms!r})"
 
-    def substitute(self, binding) -> "BoundarySymbol":
-        return self.map_coeffs(lambda e: e.substitute(binding))
-
 
 # -- derivatives -----------------------------------------------------------
 
@@ -314,7 +274,25 @@ _TANGENT_XI = ("xi_1", "xi_2", "xi_3")
 
 
 def derive(s: BoundarySymbol, direction: str, order: int = 1) -> BoundarySymbol:
-    """Apply d^order along one direction, per the derivation table."""
+    """Apply d^order along one direction.
+
+    Directions: x_1..x_3 tangential, x_n normal, xi_1..xi_3 tangential
+    cotangent, xi_n normal cotangent.  These are the first-order jet rules
+    at the base point; every other first derivative of a tracked atom
+    vanishes (W and U along x_i, U along x_n, c(e_i) along x_i, c(e_4)
+    along x_n):
+
+        atom             direction   derivative
+        W = U + xi_n^2   x_n         HP*U
+                         xi_i        2*XI_i
+                         xi_n        2*XIN
+        U                xi_i        2*XI_i
+        c(e_i), i < n    x_n         (HP/2)*c(e_i)
+        F                x_j         FI_j
+        FI_k             x_j         FIJ_{j,k}
+
+    A second x-derivative raises UnsupportedOrder.
+    """
     out = s
     for _ in range(order):
         out = _derive_once(out, direction)
@@ -340,63 +318,50 @@ def _derive_once(s: BoundarySymbol, direction: str) -> BoundarySymbol:
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _acc(t: dict, key, poly: XinPoly) -> None:
+    """Add poly to t[key], skipping zero contributions."""
+    if poly.is_zero():
+        return
+    cur = t.get(key)
+    t[key] = poly if cur is None else cur + poly
+
+
 def _d_xin(s: BoundarySymbol) -> BoundarySymbol:
     t: dict = {}
-
-    def acc(key, poly):
-        if poly.is_zero():
-            return
-        cur = t.get(key)
-        t[key] = poly if cur is None else cur + poly
-
     for key, poly in s.terms.items():
         if s.shell == OFF:
             p = key
-            acc(p, poly.d_xin())
+            _acc(t, p, poly.d_xin())
             if p:
                 # d(W^-p) = -p * 2 xi_n / W^(p+1)
-                acc(p + 1, poly.shift(1).scale(ScalarExpr.const(-2 * p)))
+                _acc(t, p + 1, poly.shift(1).scale(ScalarExpr.const(-2 * p)))
         else:
             a, b = key
-            acc((a, b), poly.d_xin())
+            _acc(t, (a, b), poly.d_xin())
             if a:
                 # d (xi_n - i)^-a = -a (xi_n - i)^-(a+1)
-                acc((a + 1, b), poly.scale(ScalarExpr.const(-a)))
+                _acc(t, (a + 1, b), poly.scale(ScalarExpr.const(-a)))
             if b:
-                acc((a, b + 1), poly.scale(ScalarExpr.const(-b)))
+                _acc(t, (a, b + 1), poly.scale(ScalarExpr.const(-b)))
     return BoundarySymbol(s.shell, t, s.xder)
 
 
 def _d_xi_tangent(s: BoundarySymbol, i: int) -> BoundarySymbol:
     t: dict = {}
-
-    def acc(key, poly):
-        if poly.is_zero():
-            return
-        cur = t.get(key)
-        t[key] = poly if cur is None else cur + poly
-
     for p, poly in s.terms.items():
-        acc(p, poly.map_coeffs(lambda e: e.xi_derivative(i)))
+        _acc(t, p, poly.map_coeffs(lambda e: e.xi_derivative(i)))
         if p:
-            acc(p + 1, poly.scale(ScalarExpr.const(-2 * p) * xi(i)))
+            _acc(t, p + 1, poly.scale(ScalarExpr.const(-2 * p) * xi(i)))
     return BoundarySymbol(OFF, t, s.xder)
 
 
 def _d_x(s: BoundarySymbol, j: int) -> BoundarySymbol:
     t: dict = {}
-
-    def acc(key, poly):
-        if poly.is_zero():
-            return
-        cur = t.get(key)
-        t[key] = poly if cur is None else cur + poly
-
     for p, poly in s.terms.items():
-        acc(p, poly.map_coeffs(lambda e: e.x_derivative(j)))
+        _acc(t, p, poly.map_coeffs(lambda e: e.x_derivative(j)))
         if p and j == 4:
             # d_{x_n} W = HP * U
-            acc(p + 1, poly.scale(ScalarExpr.const(-p) * HP * U_VAR))
+            _acc(t, p + 1, poly.scale(ScalarExpr.const(-p) * HP * U_VAR))
     return BoundarySymbol(OFF, t, s.xder + 1)
 
 
@@ -405,13 +370,12 @@ def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
     if s.shell == ON:
         raise ShellViolation("symbol is already on-shell")
     binding = {"U": ScalarExpr.one()}
-    t: dict = {}
-    for p, poly in s.terms.items():
-        poly = poly.map_coeffs(lambda e: e.substitute(binding))
-        key = (p, p)
-        cur = t.get(key)
-        t[key] = poly if cur is None else cur + poly
-    return BoundarySymbol(ON, t, s.xder)
+    return BoundarySymbol(
+        ON,
+        {(p, p): poly.map_coeffs(lambda e: e.substitute(binding))
+         for p, poly in s.terms.items()},
+        s.xder,
+    )
 
 
 # -- closed-form symbols and the parametrix recursion ----------------------
@@ -419,6 +383,16 @@ def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
 def c_xi_poly() -> XinPoly:
     """c(xi) = c(xi') + xi_n c(dx_n) as a XinPoly."""
     return XinPoly({0: CliffordElem.c_xi_prime(), 1: CliffordElem.c_dxn()})
+
+
+def jet_mid() -> CliffordElem:
+    """sum_j c(dx_j) * 2 d_{x_j}(f^-1), the f-jet middle factor of
+    sigma_-2(Dtilde^-1)."""
+    out = CliffordElem.zero()
+    for j in range(1, 5):
+        dj = ScalarExpr.f_inverse().x_derivative(j)
+        out = out + CliffordElem.gen(j).scale(ScalarExpr.const(2) * dj)
+    return out
 
 
 def sigma0_dirac() -> CliffordElem:
@@ -488,14 +462,8 @@ def _sigma_minus2_closed(op: str) -> BoundarySymbol:
     out = out + _shift_w(cxi.mul(cdf).mul(cxi), 2).scale(
         ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
     )
-    jet_mid = BoundarySymbol.zero()
-    for j in range(1, 5):
-        dj_finv = ScalarExpr.f_inverse().x_derivative(j)
-        mid = BoundarySymbol.from_clifford(
-            CliffordElem.gen(j).scale(ScalarExpr.const(2) * dj_finv)
-        )
-        jet_mid = jet_mid + cxi.mul(mid).mul(cxi)
-    out = out + _shift_w(jet_mid, 2)
+    mid = BoundarySymbol.from_clifford(jet_mid())
+    out = out + _shift_w(cxi.mul(mid).mul(cxi), 2)
     return BoundarySymbol(OFF, out.terms, xder=1)
 
 
@@ -550,27 +518,11 @@ def parametrix(op: str, depth: int = 2):
     s1 = build_sigma(op, 1)
     s0 = build_sigma(op, 0)
     r1 = _invert_leading(s1)
-    # order -1 coefficient of the composed symbol must vanish:
-    # s1*r2 + s0*r1 + sum_j (-i) d_{xi_j} s1 * d_{x_j} r1 = 0
-    correction = s0.mul(r1)
-    minus_i = ScalarExpr.const(-GAUSS_I)
-    for j in range(1, 5):
-        xi_dir = "xi_n" if j == 4 else f"xi_{j}"
-        x_dir = "x_n" if j == 4 else f"x_{j}"
-        d_xi_s1 = derive(s1, xi_dir)
-        d_x_r1 = derive(r1, x_dir)
-        correction = correction + d_xi_s1.mul(d_x_r1).scale(minus_i)
-    r2 = _neg_lmul(r1, correction)
-    return r1, r2
-
-
-def _neg_lmul(r1: BoundarySymbol, corr: BoundarySymbol) -> BoundarySymbol:
-    """-(sigma_1)^-1 * corr, with (sigma_1)^-1 = r1."""
-    return BoundarySymbol(
-        OFF,
-        (-(r1.mul(corr))).terms,
-        corr.xder,
-    )
+    # the order -1 coefficient of the composed symbol must vanish:
+    # s1*r2 + [s0*r1 + sum_j (-i) d_{xi_j} s1 * d_{x_j} r1] = 0, and r1 is
+    # the inverse of s1
+    correction = compose_orders({1: s1, 0: s0}, {-1: r1}, -1)
+    return r1, -(r1.mul(correction))
 
 
 def compose_orders(a_parts, b_parts, target: int) -> BoundarySymbol:

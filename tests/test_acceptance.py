@@ -54,6 +54,7 @@ from wres4.symbols import (
     XinPoly,
     build_sigma,
     derive,
+    jet_mid,
     parametrix,
     restrict_on_shell,
 )
@@ -137,10 +138,10 @@ def test_criterion3_projection_anchors():
         "4.31": None,
         "4.35": None,
     }
-    from wres4.boundary import _jet_mid, _sandwich
+    from wres4.boundary import _sandwich
     checks["4.31"] = pi_plus(restrict_on_shell(
         _sandwich(CliffordElem.c_df())))
-    checks["4.35"] = pi_plus(restrict_on_shell(_sandwich(_jet_mid())))
+    checks["4.35"] = pi_plus(restrict_on_shell(_sandwich(jet_mid())))
     for label, engine in checks.items():
         assert anchors.compare(engine, anchors.anchor(label)) == "match"
 

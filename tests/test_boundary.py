@@ -7,13 +7,14 @@ import pytest
 
 from wres4.boundary import (
     assemble_phi,
+    compute_case,
     enumerate_cases,
     fjet_monomials_only,
     hp_part,
     theorem42_report,
 )
 from wres4.interior import trace_interior
-from wres4.scalars import GaussianRational, ScalarExpr
+from wres4.scalars import NAMES, GaussianRational, ScalarExpr
 
 OMEGA = ScalarExpr.var("OMEGA")
 PI = ScalarExpr.var("PI")
@@ -88,6 +89,20 @@ class TestCaseValues:
         assert diff == expected
         assert phi.cases["a2"].verdict == "mismatch"
         assert phi.cases["a3"].verdict == "mismatch"
+
+
+class TestMetamorphic:
+    def test_constant_f_reduces_dtilde_to_four_times_d(self):
+        # with f = 1 and every f-jet 0, Dtilde = D/2, so each case (two
+        # inverse symbols) scales by exactly 2 * 2
+        binding = {name: ScalarExpr.zero() for name in NAMES
+                   if name.startswith("FI")}
+        binding["F"] = ScalarExpr.one()
+        for spec in enumerate_cases():
+            dtilde = compute_case(spec, "Dtilde").symbolic_value
+            d = compute_case(spec, "D").symbolic_value
+            assert (dtilde.substitute(binding)
+                    == ScalarExpr.const(4) * d), spec.label
 
 
 class TestIntermediates:

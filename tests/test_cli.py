@@ -1,6 +1,7 @@
 """Command-line entry point: exit codes, report formats, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +76,14 @@ class TestFormats:
         out = capsys.readouterr().out
         assert out.startswith("\\begin{tabular}")
         assert "\\end{tabular}" in out
+
+    def test_report_json_matches_golden_bytes(self, tmp_path):
+        # regression oracle for refactors: a change to these bytes must be
+        # deliberate, with the golden file regenerated alongside it
+        golden = Path(__file__).parent / "golden" / "report.json"
+        target = tmp_path / "report.json"
+        assert run(["report", "--format", "json", "--out", str(target)]) == 0
+        assert target.read_bytes() == golden.read_bytes()
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"

@@ -97,6 +97,15 @@ class TestPiPlus:
         s = restrict_on_shell(build_sigma("Dtilde", -1))
         assert derive(pi_plus(s), "xi_n") == pi_plus(derive(s, "xi_n"))
 
+    @pytest.mark.parametrize("coeffs,a,b", [
+        ({1: 1}, 1, 0),
+        ({0: 1}, 0, 0),
+        ({2: 1}, 1, 1),
+    ])
+    def test_decay_violation_rejected(self, coeffs, a, b):
+        with pytest.raises(DecayViolation):
+            pi_plus(scalar_term(coeffs, a, b))
+
 
 class TestLineIntegral:
     def test_cauchy_kernel(self):
@@ -114,6 +123,11 @@ class TestLineIntegral:
             line_integral(scalar_term({0: 1}, 1, 0))
         with pytest.raises(DecayViolation):
             line_integral(scalar_term({1: 1}, 1, 1))
+
+    @pytest.mark.parametrize("integral", [line_integral, line_integral_lower])
+    def test_off_shell_rejected(self, integral):
+        with pytest.raises(ShellViolation):
+            integral(build_sigma("D", -1))
 
     def test_non_scalar_rejected(self):
         poly = XinPoly({0: CliffordElem.gen(1)})

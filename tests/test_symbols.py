@@ -16,6 +16,7 @@ from wres4.symbols import (
     c_xi_poly,
     compose_orders,
     derive,
+    jet_mid,
     parametrix,
     restrict_on_shell,
     sigma0_dirac,
@@ -110,14 +111,14 @@ class TestGoldenForms:
         assert sexpr.loads(text) == value
 
     def test_case_c_factor_goldens(self):
-        from wres4.boundary import _jet_mid, _sandwich
+        from wres4.boundary import _sandwich
         builders = {
             "4.42": restrict_on_shell(
                 derive(_sandwich(CliffordElem.c_df()), "xi_n")),
             "4.43": restrict_on_shell(
                 derive(build_sigma("D", -2), "xi_n")),
             "4.48": restrict_on_shell(
-                derive(_sandwich(_jet_mid()), "xi_n")),
+                derive(_sandwich(jet_mid()), "xi_n")),
         }
         for name, value in builders.items():
             text = golden(name)
