@@ -18,7 +18,7 @@ kept, never patched.
 from __future__ import annotations
 
 from math import factorial
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from . import anchors
 from .clifford import CliffordElem
@@ -139,12 +139,18 @@ def _right_factor(op: str, l: int, alpha_dir: int, k: int,
     return derive(t, "xi_n", j + 1)
 
 
+def case_factors(spec: CaseSpec,
+                 op: str) -> Iterator[Tuple[BoundarySymbol, BoundarySymbol]]:
+    """The (left, right) factor pair of each term of one case: one per
+    tangential direction 1, 2, 3 when |alpha| = 1, a single pair else."""
+    for d in ((1, 2, 3) if spec.alpha else (0,)):
+        yield (_left_factor(op, spec.r, spec.j, d, spec.k),
+               _right_factor(op, spec.l, d, spec.k, spec.j))
+
+
 def compute_case(spec: CaseSpec, op: str = "Dtilde") -> CaseResult:
-    directions = (1, 2, 3) if spec.alpha else (0,)
     total = ScalarExpr.zero()
-    for d in directions:
-        left = _left_factor(op, spec.r, spec.j, d, spec.k)
-        right = _right_factor(op, spec.l, d, spec.k, spec.j)
+    for left, right in case_factors(spec, op):
         traced = trace_symbol(left.mul(right))
         total = total + integrate_sphere(line_integral(traced))
     total = total * ScalarExpr.const(spec.coefficient)
@@ -233,15 +239,15 @@ _FJET_IDX = tuple(_INDEX[n] for n in NAMES if n.startswith("FI"))
 
 def hp_part(e: ScalarExpr) -> ScalarExpr:
     """The h'(0)-carrying monomials of an expression."""
-    keep = {m: c for m, c in e.num.terms.items()
+    keep = {m: c for m, c in e.poly.terms.items()
             if any(idx == _HP_IDX for idx, _ in m)}
-    return ScalarExpr(Poly(keep), e.fpow)
+    return ScalarExpr(Poly(keep))
 
 
 def fjet_monomials_only(e: ScalarExpr) -> bool:
     """True when every monomial carries a first- or second-order f-jet."""
     return all(any(idx in _FJET_IDX for idx, _ in m)
-               for m in e.num.terms)
+               for m in e.poly.terms)
 
 
 class PhiReport:
@@ -263,10 +269,10 @@ class PhiReport:
         self.fjet_only = fjet_monomials_only(self.total)
 
 
-def assemble_phi(op: str = "Dtilde") -> PhiReport:
+def assemble_phi() -> PhiReport:
     cases = {}
     for spec in enumerate_cases():
-        cases[spec.label] = compute_case(spec, op)
+        cases[spec.label] = compute_case(spec)
     return PhiReport(cases)
 
 

@@ -26,6 +26,7 @@ from .symbols import OFF, BoundarySymbol
 _POINT_NAMES = ("XI1", "XI2", "XI3", "XIN", "U", "W")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
+_F_IDX = NAMES.index("F")
 
 
 class GammaRep:
@@ -99,12 +100,30 @@ def eval_scalar(e: ScalarExpr, ctx: NumericContext,
                 point=None) -> complex:
     bindings = dict(ctx.assignment)
     bindings.update(_point_bindings(point))
+    fpow = e.fpow
     total = sum(
-        complex(coeff) * math.prod(
-            _lookup(bindings, NAMES[idx]) ** exp for idx, exp in mono)
-        for mono, coeff in e.num.terms.items()
+        complex(coeff) * math.prod(_num_factors(bindings, mono, fpow))
+        for mono, coeff in e.poly.terms.items()
     )
-    return total / bindings["F"] ** e.fpow
+    return total / bindings["F"] ** fpow
+
+
+def _num_factors(bindings: Dict[str, complex], mono, fpow: int):
+    """Bound powers of the numerator monomial mono * F**fpow of the
+    num / F**fpow view, in variable order, without building the view."""
+    for idx, exp in mono:
+        if fpow and idx >= _F_IDX:
+            if idx == _F_IDX:
+                exp += fpow
+                fpow = 0
+                if not exp:
+                    continue
+            else:
+                yield bindings["F"] ** fpow
+                fpow = 0
+        yield _lookup(bindings, NAMES[idx]) ** exp
+    if fpow:
+        yield bindings["F"] ** fpow
 
 
 def _lookup(bindings: Dict[str, complex], name: str) -> complex:
@@ -229,8 +248,7 @@ class CompiledSymbol:
         return out
 
 
-def crosscheck_case(spec, ctx: NumericContext,
-                    op: str = "Dtilde") -> Dict[str, complex]:
+def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     """Recompute one boundary case fully numerically: evaluate the left
     and right factors as matrices, multiply, matrix-trace, quadrature over
     xi_n, then quadrature over the sphere, times the case coefficient.
@@ -238,13 +256,10 @@ def crosscheck_case(spec, ctx: NumericContext,
     Returns the numeric value, the evaluated symbolic value, and their
     absolute difference.
     """
-    from .boundary import _left_factor, _right_factor, compute_case
+    from .boundary import case_factors, compute_case
 
-    directions = (1, 2, 3) if spec.alpha else (0,)
     total = 0j
-    for d in directions:
-        left = _left_factor(op, spec.r, spec.j, d, spec.k)
-        right = _right_factor(op, spec.l, d, spec.k, spec.j)
+    for left, right in case_factors(spec, "Dtilde"):
 
         def p(x1: float, x2: float, x3: float) -> complex:
             lc = CompiledSymbol(left, ctx, (x1, x2, x3))
@@ -254,7 +269,7 @@ def crosscheck_case(spec, ctx: NumericContext,
 
         total += quad_sphere(p, ctx)
     total *= complex(spec.coefficient)
-    symbolic = compute_case(spec, op).symbolic_value
+    symbolic = compute_case(spec).symbolic_value
     sym_val = eval_scalar(symbolic, ctx)
     return {
         "numeric": total,

@@ -1,9 +1,11 @@
 """Exact scalar coefficient field.
 
 Gaussian rationals (a + b*i with arbitrary-precision rational a, b) and
-multivariate rational functions in a fixed alphabet of formal indeterminates.
-Denominators are restricted to monomials in F, so every expression has a
-unique canonical form and equality is syntactic.
+sparse polynomials in a fixed alphabet of formal indeterminates, where F
+(the conformal factor f) alone may carry a negative exponent.  A scalar is
+one such Laurent polynomial in F, so every expression has a unique
+canonical form, equality is syntactic, and powers of 1/f need no quotient
+rule.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ NAMES = (
 )
 
 _INDEX = {name: k for k, name in enumerate(NAMES)}
+_F_IDX = _INDEX["F"]
 
 IntLike = Union[int, Fraction]
 
@@ -152,7 +155,8 @@ GAUSS_ZERO = GaussianRational(0)
 GAUSS_ONE = GaussianRational(1)
 GAUSS_I = GaussianRational(0, 1)
 
-# A monomial is a sorted tuple of (variable index, positive exponent).
+# A monomial is a sorted tuple of (variable index, nonzero exponent); only
+# F's exponent may be negative.
 Monomial = tuple
 
 MONOMIAL_ONE: Monomial = ()
@@ -205,8 +209,8 @@ class Poly:
     def var(name: str, exp: int = 1) -> "Poly":
         if name not in _INDEX:
             raise KeyError(f"unknown indeterminate {name!r}")
-        if exp < 0:
-            raise ValueError("negative exponent in Poly.var")
+        if exp < 0 and name != "F":
+            raise ValueError("only F may carry a negative exponent")
         if exp == 0:
             return Poly.const(1)
         return Poly({((_INDEX[name], exp),): GAUSS_ONE})
@@ -270,26 +274,6 @@ class Poly:
             k >>= 1
         return out
 
-    def min_exp(self, name: str) -> int:
-        """Minimum exponent of `name` over all monomials (0 for empty poly)."""
-        if not self.terms:
-            return 0
-        idx = _INDEX[name]
-        return min(_mono_exp(m, idx) for m in self.terms)
-
-    def shift_down(self, name: str, k: int) -> "Poly":
-        """Divide by name**k; every monomial must be divisible."""
-        if k == 0:
-            return self
-        idx = _INDEX[name]
-        t = {}
-        for m, c in self.terms.items():
-            e = _mono_exp(m, idx)
-            if e < k:
-                raise ValueError(f"monomial not divisible by {name}^{k}")
-            t[_mono_set(m, idx, e - k)] = c
-        return Poly(t)
-
     def derivative(self, name: str) -> "Poly":
         idx = _INDEX[name]
         t: dict = {}
@@ -320,35 +304,25 @@ class Poly:
         for m in sorted(self.terms):
             c = self.terms[m]
             mono = "*".join(
-                f"{NAMES[j]}^{e}" if e > 1 else NAMES[j] for j, e in m
+                f"{NAMES[j]}^{e}" if e != 1 else NAMES[j] for j, e in m
             )
             bits.append(f"{c}*{mono}" if mono else str(c))
         return "Poly<" + " + ".join(bits) + ">"
 
 
 class ScalarExpr:
-    """Canonical rational function num / F**fpow.
+    """Exact coefficient: a Poly in which F, and only F, may carry a
+    negative exponent (a Laurent polynomial in F).
 
-    The denominator alphabet is restricted to powers of F; all other
-    denominator structure (|xi|^2 powers, xi_n pole factors) is owned by the
-    boundary-symbol layer.
+    Every other denominator (|xi|^2 powers, xi_n pole factors) is owned by
+    the boundary-symbol layer.  The printed forms read the derived
+    num / F**fpow view, in which num shares no factor of F with F**fpow.
     """
 
-    __slots__ = ("num", "fpow")
+    __slots__ = ("poly",)
 
-    def __init__(self, num: Poly, fpow: int = 0):
-        if fpow < 0:
-            raise ValueError("fpow must be nonnegative")
-        if num.is_zero():
-            self.num = num
-            self.fpow = 0
-            return
-        k = min(num.min_exp("F"), fpow)
-        if k:
-            num = num.shift_down("F", k)
-            fpow -= k
-        self.num = num
-        self.fpow = fpow
+    def __init__(self, poly: Poly):
+        self.poly = poly
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -373,24 +347,32 @@ class ScalarExpr:
 
     @staticmethod
     def f_inverse(k: int = 1) -> "ScalarExpr":
-        return ScalarExpr(Poly.const(1), k)
+        return ScalarExpr(Poly.var("F", -k))
+
+    # -- the num / F**fpow view --------------------------------------------
+    @property
+    def fpow(self) -> int:
+        """Exponent of the F-power denominator."""
+        return max(0, -min([e for m in self.poly.terms
+                            for idx, e in m if idx == _F_IDX], default=0))
+
+    @property
+    def num(self) -> Poly:
+        """The polynomial numerator self * F**fpow."""
+        return self.poly * Poly.var("F", self.fpow)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self.poly.is_zero()
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
-        other = _coerce_scalar(other)
-        k = max(self.fpow, other.fpow)
-        a = self.num * Poly.var("F", k - self.fpow)
-        b = other.num * Poly.var("F", k - other.fpow)
-        return ScalarExpr(a + b, k)
+        return ScalarExpr(self.poly + _coerce_scalar(other).poly)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(-self.num, self.fpow)
+        return ScalarExpr(-self.poly)
 
     def __sub__(self, other):
         return self + (-_coerce_scalar(other))
@@ -399,8 +381,7 @@ class ScalarExpr:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce_scalar(other)
-        return ScalarExpr(self.num * other.num, self.fpow + other.fpow)
+        return ScalarExpr(self.poly * _coerce_scalar(other).poly)
 
     __rmul__ = __mul__
 
@@ -408,26 +389,21 @@ class ScalarExpr:
         other = _coerce_scalar(other)
         if other.is_zero():
             raise DivisionByZero("division by zero ScalarExpr")
-        if len(other.num.terms) != 1:
+        if len(other.poly.terms) != 1:
             raise NonMonomialDenominator(
                 "division only by single-term expressions"
             )
-        (mono, coeff), = other.num.terms.items()
-        num = self.num.scale(GAUSS_ONE / coeff)
-        fpow = self.fpow
-        # F part of the divisor monomial moves into the denominator; any
-        # other variable must divide the numerator exactly.
-        for idx, e in mono:
-            name = NAMES[idx]
-            if name == "F":
-                fpow += e
-            else:
-                if num.min_exp(name) < e:
+        (mono, coeff), = other.poly.terms.items()
+        inverse = tuple((idx, -e) for idx, e in mono)
+        q = self.poly * Poly({inverse: GAUSS_ONE / coeff})
+        # Only F may be left with a negative exponent.
+        for m in q.terms:
+            for idx, e in m:
+                if e < 0 and idx != _F_IDX:
                     raise NonMonomialDenominator(
-                        f"cannot divide exactly by {name}^{e}"
+                        f"cannot divide exactly by {NAMES[idx]}"
                     )
-                num = num.shift_down(name, e)
-        return ScalarExpr(num * Poly.var("F", other.fpow), fpow)
+        return ScalarExpr(q)
 
     def __rtruediv__(self, other):
         return _coerce_scalar(other) / self
@@ -447,43 +423,38 @@ class ScalarExpr:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational, ScalarExpr)):
             other = _coerce_scalar(other)
-            return self.fpow == other.fpow and self.num == other.num
+            return self.poly == other.poly
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.fpow, self.num))
+        return hash(self.poly)
 
     def __repr__(self):
-        if self.fpow == 0:
-            return f"ScalarExpr({self.num!r})"
-        return f"ScalarExpr({self.num!r} / F^{self.fpow})"
+        k = self.fpow
+        if k == 0:
+            return f"ScalarExpr({self.poly!r})"
+        return f"ScalarExpr({self.num!r} / F^{k})"
 
     # -- calculus ----------------------------------------------------------
     def derivative(self, name: str) -> "ScalarExpr":
         """Formal partial derivative treating every name as independent."""
-        d_num = ScalarExpr(self.num.derivative(name), self.fpow)
-        if name == "F" and self.fpow:
-            d_num = d_num - ScalarExpr(
-                self.num.scale(self.fpow), self.fpow + 1
-            )
-        return d_num
+        return ScalarExpr(self.poly.derivative(name))
 
     def x_derivative(self, j: int) -> "ScalarExpr":
         """Spatial derivative at the base point through the jet table.
 
         F -> FI{j}, FI{k} -> FIJ{j,k}; everything else in the alphabet is
-        constant in x.  The F-power denominator follows the quotient rule.
+        constant in x.  Negative powers of F follow the same power rule.
         """
         if j not in (1, 2, 3, 4):
             raise ValueError("direction must be 1..4")
         out = ScalarExpr.zero()
-        dF = ScalarExpr.var(fi(j))
-        # numerator: term-by-term product rule over jet atoms
-        for m, c in self.num.terms.items():
+        # term-by-term product rule over jet atoms
+        for m, c in self.poly.terms.items():
             for idx, e in m:
                 name = NAMES[idx]
                 if name == "F":
-                    datom = dF
+                    datom = ScalarExpr.var(fi(j))
                 elif name.startswith("FIJ"):
                     raise UnsupportedOrder(
                         "third-order jets of f are not tracked"
@@ -498,11 +469,7 @@ class ScalarExpr:
                 else:
                     continue
                 rest = Poly({_mono_set(m, idx, e - 1): c * e})
-                out = out + ScalarExpr(rest, self.fpow) * datom
-        if self.fpow:
-            out = out - ScalarExpr(
-                self.num.scale(self.fpow), self.fpow + 1
-            ) * dF
+                out = out + ScalarExpr(rest) * datom
         return out
 
     def xi_derivative(self, i: int) -> "ScalarExpr":
@@ -527,7 +494,7 @@ class ScalarExpr:
         if "F" in bind and bind["F"].is_zero():
             raise ZeroDenominator("substitution maps F to zero")
         out = ScalarExpr.zero()
-        for m, c in self.num.terms.items():
+        for m, c in self.poly.terms.items():
             term = ScalarExpr.const(c)
             for idx, e in m:
                 name = NAMES[idx]
@@ -537,21 +504,10 @@ class ScalarExpr:
                 else:
                     term = term * rep ** e
             out = out + term
-        if self.fpow:
-            den = bind.get("F", ScalarExpr.var("F")) ** self.fpow
-            if den.is_zero():
-                raise ZeroDenominator("substitution annihilates a denominator")
-            out = out / den
         return out
 
     def free_names(self) -> set:
-        ns = set()
-        for m in self.num.terms:
-            for idx, _ in m:
-                ns.add(NAMES[idx])
-        if self.fpow:
-            ns.add("F")
-        return ns
+        return {NAMES[idx] for m in self.poly.terms for idx, _ in m}
 
 
 def _coerce_scalar(x) -> ScalarExpr:
@@ -586,10 +542,10 @@ def reduce_sphere(e: ScalarExpr) -> ScalarExpr:
     rel = (ScalarExpr.one() - ScalarExpr.var("XI1", 2)
            - ScalarExpr.var("XI2", 2))
     out = ScalarExpr.zero()
-    for m, c in e.num.terms.items():
+    for m, c in e.poly.terms.items():
         e3 = _mono_exp(m, idx3)
         q, r = divmod(e3, 2)
-        base = ScalarExpr(Poly({_mono_set(m, idx3, r): c}), e.fpow)
+        base = ScalarExpr(Poly({_mono_set(m, idx3, r): c}))
         out = out + base * rel ** q
     return out
 

@@ -56,8 +56,8 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         raise ResidualXiN("an off-shell denominator survived on the sphere")
     if "U" in names:
         e = e.substitute({"U": ScalarExpr.one()})
-    out_num = Poly()
-    for m, coeff in e.num.terms.items():
+    out = Poly()
+    for m, coeff in e.poly.terms.items():
         exps = []
         rest = m
         for name in _XI_NAMES:
@@ -71,5 +71,5 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         w = moment(*exps)
         if w == 0:
             continue
-        out_num = out_num + Poly({rest: coeff * w})
-    return ScalarExpr(out_num, e.fpow) * OMEGA
+        out = out + Poly({rest: coeff * w})
+    return ScalarExpr(out) * OMEGA

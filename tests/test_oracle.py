@@ -18,7 +18,7 @@ from wres4.oracle import (
     quad_line,
     quad_sphere,
 )
-from wres4.scalars import ScalarExpr
+from wres4.scalars import NAMES, ScalarExpr
 from wres4.sphere import moment
 from wres4.symbols import build_sigma, restrict_on_shell
 
@@ -68,6 +68,25 @@ class TestEvaluate:
             rhs = evaluate(a, ctx, pt) @ evaluate(b, ctx, pt)
             scale = max(1.0, float(np.abs(lhs).max()))
             assert np.abs(lhs - rhs).max() / scale < 1e-12
+
+    def test_scalar_follows_num_over_f_power(self, ctx):
+        # eval_scalar walks the Laurent terms, yet must perform exactly the
+        # float operations of sum(num terms) / F**fpow.
+        rng = random.Random(73)
+        pt = ((0.3, -0.5, 0.7), None)
+        bind = dict(ctx.assignment, XI1=0.3, XI2=-0.5, XI3=0.7,
+                    U=0.3 * 0.3 + -0.5 * -0.5 + 0.7 * 0.7)
+        for _ in range(100):
+            e = ScalarExpr.zero()
+            for _ in range(4):
+                term = ScalarExpr.const(rng.randint(-9, 9))
+                for name in ("HP", "F", "FI4", "XI1", "U"):
+                    term = term * ScalarExpr.var(name, rng.randint(0, 2))
+                e = e + term * ScalarExpr.var("F", rng.randint(-3, 1))
+            expected = sum(
+                complex(c) * math.prod(bind[NAMES[i]] ** k for i, k in m)
+                for m, c in e.num.terms.items()) / bind["F"] ** e.fpow
+            assert evaluate(e, ctx, pt) == expected
 
     def test_spin_trace_consistency(self, ctx):
         rng = random.Random(71)

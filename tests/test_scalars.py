@@ -1,10 +1,12 @@
 """Exact scalar arithmetic: Gaussian rationals, sparse polynomials, and
-the F-denominator normal form."""
+scalars as Laurent polynomials in F."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres4.errors import (
     DivisionByZero,
@@ -14,8 +16,8 @@ from wres4.errors import (
 )
 from wres4.scalars import (
     GAUSS_I,
+    NAMES,
     GaussianRational,
-    Poly,
     ScalarExpr,
     frac,
     reduce_sphere,
@@ -87,11 +89,6 @@ class TestPoly:
             rhs = a.derivative("XI1") * b + a * b.derivative("XI1")
             assert lhs == rhs
 
-    def test_shift_down(self):
-        p = Poly.var("F", 3)
-        assert p.min_exp("F") == 3
-        assert p.shift_down("F", 2) == Poly.var("F", 1)
-
 
 class TestScalarExpr:
     def test_f_power_normalization(self):
@@ -103,6 +100,10 @@ class TestScalarExpr:
         e = ScalarExpr.var("HP") * ScalarExpr.var("F", 2)
         q = e / ScalarExpr.var("F", 3)
         assert q == ScalarExpr.var("HP") * ScalarExpr.f_inverse(1)
+        # zero divided by any nonzero monomial is zero
+        zero = ScalarExpr.zero()
+        assert zero / ScalarExpr.var("XI1") == zero
+        assert zero / (ScalarExpr.var("HP") * ScalarExpr.var("F", 2)) == zero
 
     def test_division_errors(self):
         e = ScalarExpr.var("HP")
@@ -119,10 +120,13 @@ class TestScalarExpr:
         assert f.x_derivative(1) == ScalarExpr.var("FI1")
         assert (ScalarExpr.var("FI4").x_derivative(1)
                 == ScalarExpr.var("FIJ14"))
-        # quotient rule on the denominator slot
-        finv = ScalarExpr.f_inverse()
-        assert finv.x_derivative(4) == (-ScalarExpr.var("FI4")
-                                        * ScalarExpr.f_inverse(2))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_x_derivative_f_inverse(self, k):
+        # quotient rule: d_4 f^-k = -k f_4 f^-(k+1)
+        assert ScalarExpr.f_inverse(k).x_derivative(4) == (
+            ScalarExpr.const(-k) * ScalarExpr.var("FI4")
+            * ScalarExpr.f_inverse(k + 1))
 
     def test_x_derivative_order_guard(self):
         with pytest.raises(UnsupportedOrder):
@@ -183,3 +187,73 @@ class TestReduceSphere:
 
     def test_frac_helper(self):
         assert frac(1, 2) + frac(1, 2) == GaussianRational(1)
+
+
+# -- property tests over Laurent polynomials in F ------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=40,
+                    deadline=None)
+
+_small = st.integers(-4, 4)
+_gauss = st.builds(GaussianRational,
+                   st.builds(Fraction, _small, st.integers(1, 3)),
+                   st.builds(Fraction, _small, st.integers(1, 3)))
+_nonzero_gauss = _gauss.filter(lambda c: not c.is_zero())
+_f_exp = st.integers(-3, 3)
+
+
+@st.composite
+def monomials(draw, coeff=_gauss):
+    """c * F^k * HP^a * FI4^b * XI1^d * U^g with k in -3..3."""
+    out = ScalarExpr.const(draw(coeff)) * ScalarExpr.var("F", draw(_f_exp))
+    for name in ("HP", "FI4", "XI1", "U"):
+        out = out * ScalarExpr.var(name, draw(st.integers(0, 2)))
+    return out
+
+
+laurent_scalars = st.lists(monomials(), max_size=4).map(
+    lambda ms: sum(ms, ScalarExpr.zero()))
+
+
+class TestScalarExprProperties:
+    @PROPERTY
+    @given(laurent_scalars, laurent_scalars, laurent_scalars)
+    def test_ring_axioms(self, a, b, c):
+        zero, one = ScalarExpr.zero(), ScalarExpr.one()
+        assert a + b == b + a
+        assert a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a + zero == a
+        assert a * one == a
+        assert (a - a).is_zero()
+
+    @PROPERTY
+    @given(laurent_scalars, laurent_scalars, st.integers(1, 4))
+    def test_leibniz_x_derivative(self, a, b, j):
+        lhs = (a * b).x_derivative(j)
+        assert lhs == a.x_derivative(j) * b + a * b.x_derivative(j)
+
+    @PROPERTY
+    @given(laurent_scalars, laurent_scalars)
+    def test_leibniz_f_derivative(self, a, b):
+        lhs = (a * b).derivative("F")
+        assert lhs == a.derivative("F") * b + a * b.derivative("F")
+
+    @PROPERTY
+    @given(laurent_scalars, monomials(coeff=_nonzero_gauss))
+    def test_division_undoes_monomial_product(self, a, m):
+        assert (a * m) / m == a
+
+    @PROPERTY
+    @given(laurent_scalars)
+    def test_num_fpow_view(self, e):
+        num, k = e.num, e.fpow
+        assert k >= 0
+        assert all(exp > 0 for mono in num.terms for _, exp in mono)
+        f_exps = [dict(mono).get(NAMES.index("F"), 0) for mono in num.terms]
+        # num shares no factor of F with F**fpow ...
+        assert k == 0 or 0 in f_exps
+        # ... and rebuilds the value exactly
+        assert ScalarExpr(num) * ScalarExpr.f_inverse(k) == e
