@@ -27,7 +27,6 @@ from .scalars import (
     GAUSS_I,
     GaussianRational,
     NAMES,
-    Poly,
     ScalarExpr,
     _INDEX,
 )
@@ -239,15 +238,15 @@ _FJET_IDX = tuple(_INDEX[n] for n in NAMES if n.startswith("FI"))
 
 def hp_part(e: ScalarExpr) -> ScalarExpr:
     """The h'(0)-carrying monomials of an expression."""
-    keep = {m: c for m, c in e.poly.terms.items()
+    keep = {m: c for m, c in e.terms.items()
             if any(idx == _HP_IDX for idx, _ in m)}
-    return ScalarExpr(Poly(keep))
+    return ScalarExpr(keep)
 
 
 def fjet_monomials_only(e: ScalarExpr) -> bool:
     """True when every monomial carries a first- or second-order f-jet."""
     return all(any(idx in _FJET_IDX for idx, _ in m)
-               for m in e.poly.terms)
+               for m in e.terms)
 
 
 class PhiReport:

@@ -49,6 +49,10 @@ def _entry(ident: str, engine, reference, verdict: str) -> Dict:
     }
 
 
+def _re_im(z: complex) -> List[float]:
+    return [float(z.real), float(z.imag)]
+
+
 # -- suites ------------------------------------------------------------------
 
 def trace_suite() -> List[Dict]:
@@ -79,7 +83,7 @@ def lemma41_suite() -> List[Dict]:
     """Closed symbol forms against the order-by-order parametrix."""
     out = []
     for op in ("D", "Dtilde"):
-        r1, r2 = parametrix(op, 2)
+        r1, r2 = parametrix(op)
         for order, computed in ((-1, r1), (-2, r2)):
             closed = build_sigma(op, order)
             verdict = ("match" if computed.canonical() == closed.canonical()
@@ -145,8 +149,8 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
         ok = rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
         out.append({
             "id": f"crosscheck[{spec.label}]",
-            "engine": repr(rec["symbolic"]),
-            "reference": repr(rec["numeric"]),
+            "engine": _re_im(rec["symbolic"]),
+            "reference": _re_im(rec["numeric"]),
             "abs_error": rec["abs_error"],
             "verdict": "match" if ok else "mismatch",
         })

@@ -103,7 +103,7 @@ def eval_scalar(e: ScalarExpr, ctx: NumericContext,
     fpow = e.fpow
     total = sum(
         complex(coeff) * math.prod(_num_factors(bindings, mono, fpow))
-        for mono, coeff in e.poly.terms.items()
+        for mono, coeff in e.terms.items()
     )
     return total / bindings["F"] ** fpow
 

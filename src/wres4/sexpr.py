@@ -1,12 +1,13 @@
-"""S-expression serialization for the symbolic value types.
+"""S-expression printing for the symbolic value types.
 
 Scalar expressions print as fully parenthesized s-expressions whose atoms
 are integer literals, the imaginary unit `i`, and indeterminate names, and
 whose heads are `+ * / ^`.  Clifford elements print as a `clifford` form
 holding (index-set, scalar) pairs, and boundary symbols as a `symbol` form
 recording the shell state, the x_n-derivative count, and the per-pole
-xi_n-polynomials.  Printing is deterministic and parse/print round-trips
-are bit-exact, which is the contract the golden-file tests rely on.
+xi_n-polynomials.  There is no reader: printing is deterministic and
+distinct values print differently, and the golden-file tests compare the
+printed bytes.
 """
 
 from __future__ import annotations
@@ -15,20 +16,11 @@ from fractions import Fraction
 from typing import List, Tuple, Union
 
 from .clifford import CliffordElem
-from .scalars import (
-    NAMES,
-    GaussianRational,
-    Poly,
-    ScalarExpr,
-)
-from .symbols import OFF, ON, BoundarySymbol, XinPoly
+from .scalars import NAMES, GaussianRational, ScalarExpr
+from .symbols import BoundarySymbol, XinPoly
 
 SExpr = Union[int, str, Tuple["SExpr", ...]]
 
-_NAME_SET = frozenset(NAMES)
-
-
-# -- printing ----------------------------------------------------------------
 
 def _fraction_sexpr(q: Fraction) -> SExpr:
     if q.denominator == 1:
@@ -61,7 +53,7 @@ def _term_sexpr(mono, coeff: GaussianRational) -> SExpr:
     return ("*", *factors)
 
 
-def _poly_sexpr(p: Poly) -> SExpr:
+def _poly_sexpr(p: ScalarExpr) -> SExpr:
     if p.is_zero():
         return 0
     terms = sorted(p.terms.items(), key=lambda kv: kv[0])
@@ -114,109 +106,3 @@ def dumps(value) -> str:
         return _render(symbol_sexpr(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
-
-# -- parsing -----------------------------------------------------------------
-
-def _tokenize(text: str) -> List[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def _read(tokens: List[str], pos: int) -> Tuple[SExpr, int]:
-    if pos >= len(tokens):
-        raise ValueError("unbalanced parenthesis")
-    tok = tokens[pos]
-    if tok == "(":
-        items: List[SExpr] = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _read(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise ValueError("unbalanced parenthesis")
-        return tuple(items), pos + 1
-    if tok == ")":
-        raise ValueError("unbalanced parenthesis")
-    try:
-        return int(tok), pos + 1
-    except ValueError:
-        return tok, pos + 1
-
-
-def parse(text: str) -> SExpr:
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ValueError("empty s-expression")
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in s-expression")
-    return node
-
-
-def _eval_scalar(node: SExpr) -> ScalarExpr:
-    if isinstance(node, int):
-        return ScalarExpr.const(node)
-    if isinstance(node, str):
-        if node == "i":
-            return ScalarExpr.i_unit()
-        if node in _NAME_SET:
-            return ScalarExpr.var(node)
-        raise ValueError(f"unknown atom {node!r}")
-    head, *args = node
-    if head == "+":
-        out = ScalarExpr.zero()
-        for a in args:
-            out = out + _eval_scalar(a)
-        return out
-    if head == "*":
-        out = ScalarExpr.one()
-        for a in args:
-            out = out * _eval_scalar(a)
-        return out
-    if head == "/":
-        if len(args) != 2:
-            raise ValueError("/ takes two arguments")
-        return _eval_scalar(args[0]) / _eval_scalar(args[1])
-    if head == "^":
-        if len(args) != 2 or not isinstance(args[1], int):
-            raise ValueError("^ takes a base and an integer exponent")
-        return _eval_scalar(args[0]) ** args[1]
-    raise ValueError(f"unknown head {head!r}")
-
-
-def _eval_clifford(node: SExpr) -> CliffordElem:
-    if not (isinstance(node, tuple) and node and node[0] == "clifford"):
-        raise ValueError("expected a clifford form")
-    terms = {}
-    for pair in node[1:]:
-        basis, scalar = pair
-        terms[tuple(basis)] = _eval_scalar(scalar)
-    return CliffordElem(terms)
-
-
-def _eval_xin(node: SExpr) -> XinPoly:
-    return XinPoly({deg: _eval_clifford(c) for deg, c in node})
-
-
-def _eval_symbol(node: SExpr) -> BoundarySymbol:
-    if not (isinstance(node, tuple) and len(node) >= 3
-            and node[0] == "symbol"):
-        raise ValueError("expected a symbol form")
-    shell, xder = node[1], node[2]
-    if shell not in (OFF, ON):
-        raise ValueError(f"unknown shell state {shell!r}")
-    terms = {}
-    for key, poly in node[3:]:
-        tkey = key if isinstance(key, int) else tuple(key)
-        terms[tkey] = _eval_xin(poly)
-    return BoundarySymbol(shell, terms, xder)
-
-
-def loads(text: str):
-    """Parse a serialized ScalarExpr, CliffordElem, or BoundarySymbol."""
-    node = parse(text)
-    if isinstance(node, tuple) and node:
-        if node[0] == "clifford":
-            return _eval_clifford(node)
-        if node[0] == "symbol":
-            return _eval_symbol(node)
-    return _eval_scalar(node)

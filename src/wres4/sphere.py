@@ -18,7 +18,6 @@ from .errors import ResidualXiN
 from .scalars import (
     NAMES,
     OMEGA,
-    Poly,
     ScalarExpr,
     _mono_set,
 )
@@ -56,8 +55,8 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         raise ResidualXiN("an off-shell denominator survived on the sphere")
     if "U" in names:
         e = e.substitute({"U": ScalarExpr.one()})
-    out = Poly()
-    for m, coeff in e.poly.terms.items():
+    out = ScalarExpr.zero()
+    for m, coeff in e.terms.items():
         exps = []
         rest = m
         for name in _XI_NAMES:
@@ -71,5 +70,5 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         w = moment(*exps)
         if w == 0:
             continue
-        out = out + Poly({rest: coeff * w})
-    return ScalarExpr(out) * OMEGA
+        out = out + ScalarExpr({rest: coeff * w})
+    return out * OMEGA

@@ -114,10 +114,9 @@ class XinPoly:
         return XinPoly({d - 1: e.scale(ScalarExpr.const(d))
                         for d, e in self.coeffs.items() if d})
 
-    def mul_w(self, k: int, u: ScalarExpr | None = None) -> "XinPoly":
-        """Multiply by W**k = (U + xi_n^2)**k."""
-        if u is None:
-            u = U_VAR
+    def mul_w(self, k: int) -> "XinPoly":
+        """Multiply by W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
+        u = usq()
         out = self
         for _ in range(k):
             out = out.scale(u) + out.shift(2)
@@ -242,7 +241,7 @@ class BoundarySymbol:
             total = XinPoly()
             for p, poly in self.terms.items():
                 poly = poly.map_coeffs(lambda e: e.substitute(expand))
-                total = total + poly.mul_w(pmax - p, usq())
+                total = total + poly.mul_w(pmax - p)
             return BoundarySymbol(OFF, {pmax: total}, self.xder)
         amax = max(a for a, _ in self.terms)
         bmax = max(b for _, b in self.terms)
@@ -507,14 +506,12 @@ def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:
     return inv
 
 
-def parametrix(op: str, depth: int = 2):
+def parametrix(op: str):
     """Order-by-order inversion of the symbol expansion.
 
     Returns (sigma_-1, sigma_-2) of op**-1 obtained from the composition
     identity; must agree with the closed forms of build_sigma.
     """
-    if depth != 2:
-        raise ValueError("recursion depth is fixed at 2")
     s1 = build_sigma(op, 1)
     s0 = build_sigma(op, 0)
     r1 = _invert_leading(s1)

@@ -120,7 +120,7 @@ def test_criterion1_trace_suite():
 def test_criterion2_parametrix_equivalence():
     start = time.monotonic()
     for op in ("D", "Dtilde"):
-        r1, r2 = parametrix(op, 2)
+        r1, r2 = parametrix(op)
         assert r1.canonical() == build_sigma(op, -1).canonical()
         # exact agreement; the factor-bookkeeping question resolved with
         # no residual, so no numeric adjudication is required

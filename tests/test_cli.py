@@ -99,3 +99,16 @@ class TestCrosscheck:
         out = capsys.readouterr().out
         assert "crosscheck[b]" in out
         assert "gamma.relations" in out
+
+    def test_json_values_are_float_pairs(self, capsys):
+        assert run(["crosscheck", "--seed", "42", "--case", "b",
+                    "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert "np." not in out
+        (rec,) = [r for r in json.loads(out)["results"]
+                  if r["id"] == "crosscheck[b]"]
+        for field in ("engine", "reference"):
+            assert len(rec[field]) == 2
+            assert all(type(x) is float for x in rec[field])
+        gap = abs(complex(*rec["engine"]) - complex(*rec["reference"]))
+        assert gap == pytest.approx(rec["abs_error"])

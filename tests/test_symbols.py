@@ -8,7 +8,7 @@ import pytest
 from wres4 import sexpr
 from wres4.clifford import CliffordElem
 from wres4.errors import UnsupportedOrder
-from wres4.scalars import ScalarExpr
+from wres4.scalars import ScalarExpr, usq
 from wres4.symbols import (
     BoundarySymbol,
     XinPoly,
@@ -45,13 +45,9 @@ class TestClosedForms:
 
     def test_parametrix_matches_closed_forms(self):
         for op in ("D", "Dtilde"):
-            r1, r2 = parametrix(op, 2)
+            r1, r2 = parametrix(op)
             assert r1.canonical() == build_sigma(op, -1).canonical()
             assert r2.canonical() == build_sigma(op, -2).canonical()
-
-    def test_parametrix_depth_guard(self):
-        with pytest.raises(ValueError):
-            parametrix("D", 3)
 
     def test_composition_is_identity(self):
         for op in ("D", "Dtilde"):
@@ -108,7 +104,6 @@ class TestGoldenForms:
         text = golden(name)
         value = builder()
         assert sexpr.dumps(value) + "\n" == text
-        assert sexpr.loads(text) == value
 
     def test_case_c_factor_goldens(self):
         from wres4.boundary import _sandwich
@@ -123,7 +118,6 @@ class TestGoldenForms:
         for name, value in builders.items():
             text = golden(name)
             assert sexpr.dumps(value) + "\n" == text
-            assert sexpr.loads(text) == value
 
 
 class TestXinPoly:
@@ -139,4 +133,4 @@ class TestXinPoly:
         p = XinPoly.const(CliffordElem.one())
         q = p.mul_w(1)
         assert q.coeffs[2] == CliffordElem.one()
-        assert q.coeffs[0] == CliffordElem.scalar(ScalarExpr.var("U"))
+        assert q.coeffs[0] == CliffordElem.scalar(usq())
