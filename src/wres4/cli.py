@@ -122,14 +122,17 @@ def interior_suite() -> List[Dict]:
     prefactor = theorem32_prefactor()
     expected_prefactor = (ScalarExpr.const(-512) * ScalarExpr.var("PI") ** 2
                           * ScalarExpr.f_inverse(2))
+    value = theorem32_value(res)
+    expected_value = (ScalarExpr.const(128) * ScalarExpr.var("PI") ** 2
+                      * ScalarExpr.f_inverse(2) * res.trace_value)
     return [
         _entry("3.19", "raw route E (mixed term -1/2)",
                "closed form with mixed term +1/2", closed_form_verdict()),
         _entry("3.22", res.trace_value, res.paper_value, res.verdict),
         _entry("theorem32.prefactor", prefactor, expected_prefactor,
                "match" if prefactor == expected_prefactor else "mismatch"),
-        _entry("theorem32.value", theorem32_value(res),
-               "engine trace times 128 pi^2 / f^2", "match"),
+        _entry("theorem32.value", value, "engine trace times 128 pi^2 / f^2",
+               "match" if value == expected_value else "mismatch"),
     ]
 
 

@@ -27,6 +27,8 @@ _POINT_NAMES = ("XI1", "XI2", "XI3", "XIN", "U", "W")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
 _F_IDX = NAMES.index("F")
+_LOWERED_POINT = {NAMES.index(n): j
+                  for j, n in enumerate(("XI1", "XI2", "XI3", "U"))}
 
 
 class GammaRep:
@@ -145,7 +147,7 @@ def eval_symbol(s: BoundarySymbol, ctx: NumericContext,
                 point) -> np.ndarray:
     if point is None or point[1] is None:
         raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
-    return CompiledSymbol(s, ctx, point[0])(point[1])
+    return CompiledSymbol(LoweredSymbol(s, ctx), point[0])(point[1])
 
 
 def evaluate(sym, ctx: NumericContext, point=None):
@@ -218,34 +220,70 @@ def quad_sphere(p: Callable[[float, float, float], complex],
 
 # -- compiled symbols and the end-to-end referee -----------------------------
 
-class CompiledSymbol:
-    """A boundary symbol frozen at a context and a tangential covector:
-    numeric matrix coefficients per (pole-structure, xi_n-degree), so each
-    xi_n evaluation is a handful of numpy operations."""
+class LoweredSymbol:
+    """A boundary symbol bound to a numeric context, as arrays.
 
-    def __init__(self, s: BoundarySymbol, ctx: NumericContext,
-                 xi_prime: Tuple[float, float, float]):
+    With HP, F, the f-jets, S, OMEGA and PI bound, each coefficient is a
+    polynomial in the point variables XI1, XI2, XI3, U.  `exps` holds the
+    exponents of each distinct point monomial, one row each, and `lift`
+    maps the monomial values to the flattened 4x4 matrices of all (pole
+    key, xi_n degree) entries, stacked, with the bound weights and the
+    gamma basis matrices folded in.  A coefficient holding any other name
+    (XIN, W) raises MissingBinding.
+    """
+
+    def __init__(self, s: BoundarySymbol, ctx: NumericContext):
         self.shell = s.shell
-        self.u = (xi_prime[0] ** 2 + xi_prime[1] ** 2 + xi_prime[2] ** 2)
-        self.entries = []
-        for key, poly in s.terms.items():
-            mats = {deg: eval_clifford(coeff, ctx, (xi_prime, None))
-                    for deg, coeff in poly.coeffs.items()}
-            self.entries.append((key, mats))
+        entries = [(key, deg, coeff) for key, poly in s.terms.items()
+                   for deg, coeff in poly.coeffs.items()]
+        rows: Dict[Tuple[int, ...], int] = {}
+        cols = []
+        for e, (_, _, coeff) in enumerate(entries):
+            for basis, scalar in coeff.terms.items():
+                mat = ctx.rep.basis_matrix(basis).ravel()
+                for mono, c in scalar.terms.items():
+                    exps, weight = [0, 0, 0, 0], complex(c)
+                    for idx, k in mono:
+                        if idx in _LOWERED_POINT:
+                            exps[_LOWERED_POINT[idx]] = k
+                        else:
+                            weight *= _lookup(ctx.assignment, NAMES[idx]) ** k
+                    row = rows.setdefault(tuple(exps), len(rows))
+                    cols.append((e, row, weight * mat))
+        lift = np.zeros((len(entries), 16, len(rows)), dtype=complex)
+        for e, row, col in cols:
+            lift[e, :, row] += col
+        self.lift = lift.reshape(16 * len(entries), len(rows))
+        self.exps = np.array(list(rows), dtype=int).reshape(-1, 4)
+        self.degs = np.array([deg for _, deg, _ in entries], dtype=int)
+        keys = np.array([key for key, _, _ in entries], dtype=int)
+        width = 1 if s.shell == OFF else 2
+        self.neg_keys = -keys.reshape(len(entries), width).T
+
+
+class CompiledSymbol:
+    """A lowered symbol at one tangential covector xi': the stacked 4x4
+    matrices of its entries, so each xi_n evaluation is one weight vector
+    times one matrix."""
+
+    def __init__(self, lowered: LoweredSymbol,
+                 xi_prime: Tuple[float, float, float]):
+        x1, x2, x3 = xi_prime
+        pt = np.array([x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3])
+        self.lowered = lowered
+        self.u = pt[3]
+        self.mats = (lowered.lift @ np.prod(pt ** lowered.exps, axis=1)
+                     ).reshape(-1, 16)
 
     def __call__(self, xi_n: complex) -> np.ndarray:
-        out = np.zeros((4, 4), dtype=complex)
-        for key, mats in self.entries:
-            acc = np.zeros((4, 4), dtype=complex)
-            for deg, m in mats.items():
-                acc += xi_n ** deg * m
-            if self.shell == OFF:
-                acc /= (self.u + xi_n * xi_n) ** key
-            else:
-                a, b = key
-                acc /= (xi_n - 1j) ** a * (xi_n + 1j) ** b
-            out += acc
-        return out
+        low = self.lowered
+        if low.shell == OFF:
+            (k,) = low.neg_keys
+            w = xi_n ** low.degs * (self.u + xi_n * xi_n) ** k
+        else:
+            a, b = low.neg_keys
+            w = xi_n ** low.degs * (xi_n - 1j) ** a * (xi_n + 1j) ** b
+        return (w @ self.mats).reshape(4, 4)
 
 
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
@@ -260,12 +298,15 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
 
     total = 0j
     for left, right in case_factors(spec, "Dtilde"):
+        low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
 
         def p(x1: float, x2: float, x3: float) -> complex:
-            lc = CompiledSymbol(left, ctx, (x1, x2, x3))
-            rc = CompiledSymbol(right, ctx, (x1, x2, x3))
+            lc = CompiledSymbol(low_l, (x1, x2, x3))
+            rc = CompiledSymbol(low_r, (x1, x2, x3))
+            # tr(L R) = sum_ij L_ij R_ji: R flattened column-major
             return quad_line(
-                lambda t: np.trace(lc(t) @ rc(t)), ctx, tol=1e-11)
+                lambda t: lc(t).ravel() @ rc(t).ravel(order="F"), ctx,
+                tol=1e-11)
 
         total += quad_sphere(p, ctx)
     total *= complex(spec.coefficient)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from wres4.cli import build_parser, known_ids, load_discrepancies, run
+from wres4.scalars import ScalarExpr
 
 
 class TestLedger:
@@ -56,6 +57,17 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "trace_suite", broken_suite)
         assert run(["verify-traces"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_wrong_theorem32_value_exits_one(self, capsys, monkeypatch):
+        import wres4.cli as cli
+
+        real = cli.theorem32_value
+        monkeypatch.setattr(cli, "theorem32_value",
+                            lambda res=None: ScalarExpr.const(2) * real(res))
+        assert run(["compute-interior", "--format", "json"]) == 1
+        (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
+                  if r["id"] == "theorem32.value"]
+        assert rec["verdict"] == "mismatch"
 
 
 class TestFormats:

@@ -4,6 +4,8 @@ integrals."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres4 import anchors
 from wres4.clifford import CliffordElem
@@ -17,6 +19,7 @@ from wres4.halfplane import (
 )
 from wres4.scalars import GaussianRational, ScalarExpr
 from wres4.symbols import (
+    ON,
     BoundarySymbol,
     XinPoly,
     build_sigma,
@@ -147,6 +150,44 @@ class TestLineIntegral:
                             for d, c in coeffs.items()})
             sym = BoundarySymbol.on_shell_term(poly, a, b)
             assert line_integral(sym) == line_integral_lower(sym)
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=50,
+                    deadline=None)
+
+_gauss = st.builds(GaussianRational, st.integers(-6, 6), st.integers(-6, 6))
+_factor = st.sampled_from([ScalarExpr.one(), ScalarExpr.var("HP"),
+                           ScalarExpr.f_inverse(1),
+                           ScalarExpr.var("FI4") * ScalarExpr.f_inverse(2)])
+
+
+@st.composite
+def decaying_scalar_symbols(draw):
+    """A sum of one to three scalar on-shell terms, each with a numerator
+    degree at least 2 below its denominator degree."""
+    total = BoundarySymbol.zero(ON)
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(0, 3))
+        b = draw(st.integers(max(0, 2 - a), 3))
+        top = draw(st.integers(0, a + b - 2))
+        poly = XinPoly({d: CliffordElem.scalar(
+                            ScalarExpr.const(draw(_gauss)) * draw(_factor))
+                        for d in range(top + 1)})
+        total = total + BoundarySymbol.on_shell_term(poly, a, b)
+    return total
+
+
+class TestHalfPlaneProperties:
+    @PROPERTY
+    @given(decaying_scalar_symbols())
+    def test_pi_plus_idempotent(self, s):
+        once = pi_plus(s)
+        assert pi_plus(once) == once
+
+    @PROPERTY
+    @given(decaying_scalar_symbols())
+    def test_upper_and_lower_line_integrals_agree(self, s):
+        assert line_integral(s) == line_integral_lower(s)
 
 
 class TestTraceSymbol:

@@ -11,8 +11,12 @@ from wres4.clifford import CliffordElem, spin_trace
 from wres4.errors import MissingBinding
 from wres4.halfplane import pi_plus
 from wres4.oracle import (
+    CompiledSymbol,
     GammaRep,
+    LoweredSymbol,
     NumericContext,
+    eval_clifford,
+    eval_symbol,
     evaluate,
     quad_contour_pi_plus,
     quad_line,
@@ -20,7 +24,14 @@ from wres4.oracle import (
 )
 from wres4.scalars import NAMES, ScalarExpr
 from wres4.sphere import moment
-from wres4.symbols import build_sigma, restrict_on_shell
+from wres4.symbols import (
+    OFF,
+    BoundarySymbol,
+    XinPoly,
+    build_sigma,
+    derive,
+    restrict_on_shell,
+)
 
 
 def rand_elem(rng, depth=3):
@@ -120,6 +131,112 @@ class TestEvaluate:
     def test_unknown_type(self, ctx):
         with pytest.raises(TypeError):
             evaluate("bogus", ctx)
+
+
+def reference_symbol(s, ctx, xi_prime, xi_n):
+    """eval_clifford of each coefficient times xi_n**deg over its
+    denominator, written out term by term."""
+    u = sum(x * x for x in xi_prime)
+    out = np.zeros((4, 4), dtype=complex)
+    for key, poly in s.terms.items():
+        if s.shell == OFF:
+            den = (u + xi_n * xi_n) ** key
+        else:
+            den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
+        for deg, coeff in poly.coeffs.items():
+            out += (eval_clifford(coeff, ctx, (xi_prime, None))
+                    * xi_n ** deg / den)
+    return out
+
+
+def case_factor_symbols():
+    from wres4.boundary import case_factors, enumerate_cases
+
+    return [s for spec in enumerate_cases()
+            for pair in case_factors(spec, "Dtilde") for s in pair]
+
+
+OFF_SHELL = {
+    "D,-1": lambda: build_sigma("D", -1),
+    "Dtilde,-2": lambda: build_sigma("Dtilde", -2),
+    "d_xn D,-1": lambda: derive(build_sigma("D", -1), "x_n"),
+}
+
+
+class TestLoweredEvaluator:
+    def check_against_reference(self, s, ctx, rng):
+        # three points on the unit sphere, and one off it so that U is
+        # not 1
+        for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0)):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            xp = tuple(radius * x / norm for x in v)
+            compiled = CompiledSymbol(LoweredSymbol(s, ctx), xp)
+            for xi_n in (rng.uniform(-3.0, 3.0),
+                         complex(rng.uniform(-2.0, 2.0),
+                                 rng.uniform(-0.5, 0.5))):
+                got = compiled(xi_n)
+                ref = reference_symbol(s, ctx, xp, xi_n)
+                scale = max(1.0, float(np.abs(ref).max()))
+                assert got.shape == (4, 4)
+                assert np.abs(got - ref).max() <= 1e-12 * scale
+
+    def test_case_factors_match_reference(self, ctx):
+        factors = case_factor_symbols()
+        assert len(factors) == 14
+        rng = random.Random(79)
+        for s in factors:
+            assert s.shell != OFF
+            self.check_against_reference(s, ctx, rng)
+
+    @pytest.mark.parametrize("name", sorted(OFF_SHELL))
+    def test_off_shell_symbols_match_reference(self, ctx, name):
+        s = OFF_SHELL[name]()
+        assert s.shell == OFF
+        self.check_against_reference(s, ctx, random.Random(83))
+
+    @pytest.mark.parametrize("shell", ["on", "off"])
+    def test_zero_symbol(self, ctx, shell):
+        got = eval_symbol(BoundarySymbol.zero(shell), ctx,
+                          ((0.6, 0.0, 0.8), 0.5))
+        assert np.array_equal(got, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("name", ["XIN", "W"])
+    @pytest.mark.parametrize("make", [
+        lambda c: BoundarySymbol.on_shell_term(XinPoly.const(c), 1, 1),
+        lambda c: BoundarySymbol.from_clifford(c, 1),
+    ], ids=["on", "off"])
+    def test_unbound_name_in_coefficient(self, ctx, name, make):
+        s = make(CliffordElem.scalar(ScalarExpr.var(name)))
+        with pytest.raises(MissingBinding):
+            eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
+
+
+class TestWorkGuard:
+    @pytest.mark.parametrize("label, factors", [("c", 2), ("a1", 6)])
+    def test_each_factor_lowered_once(self, monkeypatch, label, factors):
+        # the referee binds each factor to the context once, not once per
+        # sphere node; eval_scalar runs only for the symbolic value
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        counts = {"lowered": 0, "eval_scalar": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(oracle, "LoweredSymbol",
+                            counting("lowered", oracle.LoweredSymbol))
+        monkeypatch.setattr(oracle, "eval_scalar",
+                            counting("eval_scalar", oracle.eval_scalar))
+        (spec,) = [s for s in enumerate_cases() if s.label == label]
+        rec = oracle.crosscheck_case(spec, NumericContext(42))
+        assert counts["lowered"] == factors
+        assert counts["eval_scalar"] <= 1
+        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
 
 class TestDeterminism:
