@@ -1,16 +1,19 @@
 """Exact scalar coefficient field.
 
-Gaussian rationals (a + b*i with arbitrary-precision rational a, b) and one
-scalar class, ScalarExpr: a sparse polynomial over the Gaussian rationals
-in a fixed alphabet of formal indeterminates, where F (the conformal factor
-f) alone may carry a negative exponent.  A scalar is thus a Laurent
-polynomial in F, so every expression has a unique canonical form, equality
-is syntactic, and powers of 1/f need no quotient rule.
+Gaussian rationals and one scalar class, ScalarExpr.  A Gaussian rational
+(p + q*i)/d is stored as three arbitrary-precision Python ints in lowest
+terms (d > 0, gcd(p, q, d) == 1), so its arithmetic is integer arithmetic
+with one gcd per operation.  A ScalarExpr is a sparse polynomial over the
+Gaussian rationals in a fixed alphabet of formal indeterminates, where F
+(the conformal factor f) alone may carry a negative exponent.  A scalar is
+thus a Laurent polynomial in F, so every expression has a unique canonical
+form, equality is syntactic, and powers of 1/f need no quotient rule.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Union
 
 from .errors import (
@@ -56,88 +59,144 @@ def fi(j: int) -> str:
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b; i*i = -1."""
+    """(p + q*i)/d with Python ints p, q, d; i*i = -1.
 
-    __slots__ = ("re", "im")
+    The triple is canonical: d > 0 and gcd(p, q, d) == 1, and zero is
+    (0, 0, 1), so equal values have equal triples.  Each +, -, * and /
+    works on the integers and normalises its result with one gcd, never
+    building a Fraction.  `re` and `im` are read-only Fraction views.
+    """
+
+    __slots__ = ("p", "q", "d")
 
     def __init__(self, re: IntLike = 0, im: IntLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self.p, self.q, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        a, b = re.denominator, im.denominator
+        # Over the lcm of two reduced denominators no prime divides all
+        # three of p, q, d.
+        d = a * b // gcd(a, b)
+        self.p = re.numerator * (d // a)
+        self.q = im.numerator * (d // b)
+        self.d = d
 
-    @staticmethod
-    def i() -> "GaussianRational":
-        return GaussianRational(0, 1)
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.p, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.q, self.d)
 
     def __add__(self, other):
-        other = _coerce_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gadd(self, _coerce_gauss(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        return self + (-_coerce_gauss(other))
+        return _gadd(self, -_coerce_gauss(other))
 
     def __rsub__(self, other):
-        return _coerce_gauss(other) + (-self)
+        return _gadd(_coerce_gauss(other), -self)
 
     def __mul__(self, other):
-        other = _coerce_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _gmul(self, _coerce_gauss(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce_gauss(other)
-        n = other.re * other.re + other.im * other.im
+        p2, q2 = other.p, other.q
+        n = p2 * p2 + q2 * q2
         if n == 0:
             raise DivisionByZero("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / n, -other.im / n)
+        # (p1 + q1 i)/d1 * d2 (p2 - q2 i) / (p2^2 + q2^2)
+        p1, q1, d2 = self.p, self.q, other.d
+        return _reduced(d2 * (p1 * p2 + q1 * q2), d2 * (q1 * p2 - p1 * q2),
+                        self.d * n)
 
     def __rtruediv__(self, other):
         return _coerce_gauss(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return GaussianRational(1) / self ** (-k)
-        out = GaussianRational(1)
+            return GAUSS_ONE / self ** (-k)
+        out = GAUSS_ONE
         base = self
         while k:
             if k & 1:
-                out = out * base
-            base = base * base
+                out = _gmul(out, base)
+            base = _gmul(base, base)
             k >>= 1
         return out
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.p and not self.q
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = _coerce_gauss(other)
-            return self.re == other.re and self.im == other.im
+            return (self.p == other.p and self.q == other.q
+                    and self.d == other.d)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value hashes like the int or Fraction it equals.
+        if self.q:
+            return hash((self.p, self.q, self.d))
+        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(self.p / self.d, self.q / self.d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self.q == 0:
             return str(self.re)
-        if self.re == 0:
+        if self.p == 0:
             return f"{self.im}*i"
         return f"({self.re}+{self.im}*i)"
+
+
+_new = object.__new__
+
+
+def _raw(p: int, q: int, d: int) -> GaussianRational:
+    """(p + q*i)/d from a triple that is already canonical."""
+    out = _new(GaussianRational)
+    out.p = p
+    out.q = q
+    out.d = d
+    return out
+
+
+def _reduced(p: int, q: int, d: int) -> GaussianRational:
+    """(p + q*i)/d for d > 0, normalised by one three-argument gcd."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    return _raw(p, q, d)
+
+
+def _gadd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    da, db = a.d, b.d
+    if da == db:
+        return _reduced(a.p + b.p, a.q + b.q, da)
+    return _reduced(a.p * db + b.p * da, a.q * db + b.q * da, da * db)
+
+
+def _gmul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
+    pa, qa, pb, qb = a.p, a.q, b.p, b.q
+    return _reduced(pa * pb - qa * qb, pa * qb + qa * pb, a.d * b.d)
 
 
 def _coerce_gauss(x) -> GaussianRational:
@@ -148,7 +207,6 @@ def _coerce_gauss(x) -> GaussianRational:
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
 
-GAUSS_ZERO = GaussianRational(0)
 GAUSS_ONE = GaussianRational(1)
 GAUSS_I = GaussianRational(0, 1)
 
@@ -251,9 +309,13 @@ class ScalarExpr:
     def __add__(self, other):
         t = dict(self.terms)
         for m, c in _coerce_scalar(other).terms.items():
-            s = t.get(m, GAUSS_ZERO) + c
+            s = t.get(m)
+            if s is None:
+                t[m] = c
+                continue
+            s = _gadd(s, c)
             if s.is_zero():
-                t.pop(m, None)
+                del t[m]
             else:
                 t[m] = s
         return _wrap(t)
@@ -275,11 +337,14 @@ class ScalarExpr:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                c = c1 * c2
+                c = _gmul(c1, c2)
                 s = t.get(m)
-                s = c if s is None else s + c
+                if s is None:
+                    t[m] = c
+                    continue
+                s = _gadd(s, c)
                 if s.is_zero():
-                    t.pop(m, None)
+                    del t[m]
                 else:
                     t[m] = s
         return _wrap(t)
@@ -354,9 +419,14 @@ class ScalarExpr:
             if e == 0:
                 continue
             m2 = _mono_set(m, idx, e - 1)
-            s = t.get(m2, GAUSS_ZERO) + c * e
+            c = _reduced(c.p * e, c.q * e, c.d)
+            s = t.get(m2)
+            if s is None:
+                t[m2] = c
+                continue
+            s = _gadd(s, c)
             if s.is_zero():
-                t.pop(m2, None)
+                del t[m2]
             else:
                 t[m2] = s
         return _wrap(t)

@@ -151,3 +151,24 @@ class TestHelpers:
     def test_fjet_monomials_only(self):
         assert fjet_monomials_only(ScalarExpr.var("FI4") * PI)
         assert not fjet_monomials_only(ScalarExpr.var("FI4") + PI)
+
+
+class TestWorkGuard:
+    def test_assemble_phi_builds_few_fractions(self, monkeypatch):
+        # Gaussian rationals are integer triples, so the exact engine's
+        # arithmetic builds no Fraction; the few left come from printing.
+        # Routing the products back through Fraction pairs costs ~170,000.
+        built = [0]
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        Fraction(1, 3)
+        assert built == [1]
+        built[0] = 0
+        assemble_phi()
+        assert built[0] <= 10_000
+

@@ -2,9 +2,14 @@
 collar-frame derivative rule."""
 
 import random
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres4.clifford import CliffordElem, cmul, spin_trace
-from wres4.scalars import ScalarExpr, reduce_sphere
+from wres4.scalars import GaussianRational, ScalarExpr, reduce_sphere
 
 
 def rand_elem(rng, depth=3):
@@ -112,3 +117,43 @@ class TestDerivatives:
             lhs = (a * cxp).xi_derivative(2)
             rhs = (a.xi_derivative(2) * cxp + a * cxp.xi_derivative(2))
             assert lhs == rhs
+
+
+# -- ring axioms over random sparse elements ----------------------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=50,
+                    deadline=None)
+
+_BASES = [m for k in range(5) for m in combinations((1, 2, 3, 4), k)]
+_small = st.integers(-3, 3)
+_coeff = st.builds(
+    lambda re, im, f, hp: (ScalarExpr.const(GaussianRational(re, im))
+                           * ScalarExpr.var("F", f) * ScalarExpr.var("HP", hp)),
+    st.builds(Fraction, _small, st.integers(1, 3)), _small,
+    st.integers(-2, 2), st.integers(0, 1))
+elements = st.dictionaries(st.sampled_from(_BASES), _coeff,
+                           max_size=3).map(CliffordElem)
+
+
+class TestCliffordProperties:
+    @PROPERTY
+    @given(elements, elements, elements)
+    def test_ring_axioms(self, a, b, c):
+        one = CliffordElem.one()
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert one * a == a == a * one
+        assert (a - a).is_zero()
+
+    @PROPERTY
+    @given(st.lists(_coeff, min_size=4, max_size=4))
+    def test_clifford_relation(self, v):
+        # c(dx_i)^2 = -1, and so c(v)^2 = -|v|^2 for v = sum v_i dx_i
+        minus_one = CliffordElem.scalar(-1)
+        for i in range(1, 5):
+            assert CliffordElem.gen(i) * CliffordElem.gen(i) == minus_one
+        cv = CliffordElem({(i,): v[i - 1] for i in range(1, 5)})
+        norm = sum((x * x for x in v), ScalarExpr.zero())
+        assert cv * cv == CliffordElem.scalar(-norm)
+

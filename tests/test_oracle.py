@@ -280,10 +280,11 @@ class TestQuadrature:
         full = restrict_on_shell(build_sigma("Dtilde", -1))
         proj = pi_plus(full)
         xp = (0.6, 0.0, 0.8)
+        # bound to ctx and xp once; each contour node is then one call
+        compiled = CompiledSymbol(LoweredSymbol(full, ctx), xp)
         for k in range(10):
             xi0 = -2.0 + 0.45 * k
-            num = quad_contour_pi_plus(
-                lambda z: evaluate(full, ctx, (xp, z)), xi0, ctx)
+            num = quad_contour_pi_plus(compiled, xi0, ctx)
             sym = evaluate(proj, ctx, (xp, xi0))
             assert np.abs(num - sym).max() < 1e-8
 

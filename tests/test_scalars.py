@@ -3,6 +3,7 @@ scalars as Laurent polynomials in F."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +64,22 @@ class TestGaussianRational:
             assert (a + b) + c == a + (b + c)
             if not b.is_zero():
                 assert (a / b) * b == a
+
+    @pytest.mark.parametrize("value", [0, 3, -7, Fraction(1, 2),
+                                       Fraction(-5, 3)], ids=str)
+    def test_real_value_hashes_like_the_number_it_equals(self, value):
+        g = GaussianRational(value)
+        assert g == value and hash(g) == hash(value)
+        assert {g: "g"}.get(value) == "g"
+        assert {value: "v"}.get(g) == "v"
+
+    def test_nonreal_hash_follows_equality(self):
+        a = GaussianRational(Fraction(1, 2), 3)
+        b = GaussianRational(Fraction(2, 4), Fraction(6, 2))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}.get(b) == 1
+        assert {GAUSS_I: 1}.get(GaussianRational(0, 1)) == 1
+        assert {GAUSS_I: 1}.get(1) is None
 
 
 class TestScalarExpr:
@@ -243,3 +260,113 @@ class TestScalarExprProperties:
         assert k == 0 or 0 in f_exps
         # ... and rebuilds the value exactly
         assert num * ScalarExpr.f_inverse(k) == e
+
+
+# -- the integer triple behind GaussianRational -------------------------------
+#
+# The reference is the same arithmetic on the pair of Fractions (re, im);
+# every operation must agree with it and leave a canonical triple.
+
+_frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_pairs = st.tuples(_frac, _frac)
+_scalar_operand = st.one_of(st.integers(-6, 6), _frac)
+
+
+def _assert_canonical(g):
+    assert g.d > 0
+    assert gcd(g.p, g.q, g.d) == 1
+    if g.is_zero():
+        assert (g.p, g.q, g.d) == (0, 0, 1)
+
+
+def _check(g, pair):
+    _assert_canonical(g)
+    assert (g.re, g.im) == pair
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n,
+            (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def _ref_pow(x, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = _ref_mul(out, x)
+    return out if k >= 0 else _ref_div((Fraction(1), Fraction(0)), out)
+
+
+def _ref_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}*i"
+    return f"({re}+{im}*i)"
+
+
+class TestGaussianTriple:
+    @PROPERTY
+    @given(_pairs, _pairs)
+    def test_field_operations_match_fraction_pairs(self, x, y):
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        _assert_canonical(a)
+        _check(a + b, (x[0] + y[0], x[1] + y[1]))
+        _check(a - b, (x[0] - y[0], x[1] - y[1]))
+        _check(-a, (-x[0], -x[1]))
+        _check(a * b, _ref_mul(x, y))
+        if not b.is_zero():
+            _check(a / b, _ref_div(x, y))
+
+    @PROPERTY
+    @given(_pairs, _scalar_operand)
+    def test_mixed_operands_coerce(self, x, r):
+        a, y = GaussianRational(*x), (Fraction(r), Fraction(0))
+        _check(a + r, (x[0] + r, x[1]))
+        _check(r + a, (x[0] + r, x[1]))
+        _check(a - r, (x[0] - r, x[1]))
+        _check(r - a, (r - x[0], -x[1]))
+        _check(a * r, _ref_mul(x, y))
+        _check(r * a, _ref_mul(x, y))
+        if r:
+            _check(a / r, _ref_div(x, y))
+        if not a.is_zero():
+            _check(r / a, _ref_div(y, x))
+
+    @PROPERTY
+    @given(_pairs, st.integers(-4, 4))
+    def test_powers_match_repeated_products(self, x, k):
+        a = GaussianRational(*x)
+        if a.is_zero() and k < 0:
+            with pytest.raises(DivisionByZero):
+                a ** k
+        else:
+            _check(a ** k, _ref_pow(x, k))
+
+    @PROPERTY
+    @given(_pairs)
+    def test_printed_forms_match_fraction_pairs(self, x):
+        a, (re, im) = GaussianRational(*x), x
+        assert str(a) == _ref_str(re, im)
+        assert repr(a) == f"GaussianRational({re!r}, {im!r})"
+        assert complex(a) == complex(float(re), float(im))
+
+    @PROPERTY
+    @given(_pairs)
+    def test_division_by_zero_raises(self, x):
+        a = GaussianRational(*x)
+        for zero in (GaussianRational(0), 0, Fraction(0)):
+            with pytest.raises(DivisionByZero):
+                a / zero
+        with pytest.raises(DivisionByZero):
+            1 / GaussianRational(0)
+
+    def test_zero_is_one_triple(self):
+        a = GaussianRational(Fraction(2, 3), Fraction(-1, 2))
+        for zero in (a - a, a * 0, GaussianRational(Fraction(0, 5)),
+                     GaussianRational(0) / a):
+            assert (zero.p, zero.q, zero.d) == (0, 0, 1)
