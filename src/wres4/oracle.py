@@ -13,10 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from typing import Callable, Dict, Optional, Sequence, Tuple
+import sys
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 
 from .clifford import CliffordElem
 from .errors import MissingBinding, NonConvergence
@@ -164,19 +164,132 @@ def evaluate(sym, ctx: NumericContext, point=None):
 
 # -- quadrature --------------------------------------------------------------
 
+# QUADPACK dqk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
+# Kronrod abscissae on [0, 1], descending, with the embedded 10-point Gauss
+# abscissae at the odd indices; the last Kronrod node is the centre.
+_XGK = (0.995657163025808080735527280689003,
+        0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508,
+        0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042,
+        0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694,
+        0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866,
+        0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192,
+        0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580,
+        0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366,
+        0.109387158802297641899210590325805,
+        0.123491976262065851077208573829919,
+        0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717,
+        0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332,
+       0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163,
+       0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _qk21(f: Callable[[float], float], a: float, b: float):
+    """dqk21 on [a, b]: the Kronrod value, its error estimate, the
+    integral of |f| and the integral of |f - mean|, in dqk21's order of
+    evaluations and operations."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = f(centr)
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1: List[float] = [0.0] * 10
+    fv2: List[float] = [0.0] * 10
+    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
+        absc = hlgth * _XGK[j]
+        fval1, fval2 = f(centr - absc), f(centr + absc)
+        fv1[j], fv2[j] = fval1, fval2
+        fsum = fval1 + fval2
+        if j % 2:
+            resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh)
+                                     + abs(fv2[j] - reskh))
+    resabs *= abs(hlgth)
+    resasc *= abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return resk * hlgth, abserr, resabs, resasc
+
+
+def _qags21(f: Callable[[float], float], a: float, b: float,
+            epsabs: float, epsrel: float, limit: int):
+    """QUADPACK dqagse without its epsilon-algorithm extrapolation:
+    returns (value, error estimate)."""
+    result, abserr, defabs, resasc = _qk21(f, a, b)
+    errbnd = max(epsabs, epsrel * abs(result))
+    if ((abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
+            or limit == 1 or (abserr <= errbnd and abserr != resasc)
+            or abserr == 0.0):
+        return result, abserr
+    # (left, right, area, error) per interval, in dqagse's storage order
+    ivals = [(a, b, result, abserr)]
+    area, errsum, maxerr = result, abserr, 0
+    for last in range(2, limit + 1):
+        a1, b2, rmax, errmax = ivals[maxerr]
+        b1 = 0.5 * (a1 + b2)
+        area1, error1, _, _ = _qk21(f, a1, b1)
+        area2, error2, _, _ = _qk21(f, b1, b2)
+        errsum = errsum + (error1 + error2) - errmax
+        area = area + (area1 + area2) - rmax
+        lo, hi = (a1, b1, area1, error1), (b1, b2, area2, error2)
+        # the half with the larger error keeps the bisected slot
+        ivals[maxerr], new = (hi, lo) if error2 > error1 else (lo, hi)
+        ivals.append(new)
+        if errsum <= max(epsabs, epsrel * abs(area)):
+            break
+        maxerr = max(range(last), key=lambda i: ivals[i][3])
+    return sum(iv[2] for iv in ivals), errsum
+
+
 def quad_line(f: Callable[[float], complex], ctx: NumericContext,
               tol: float = 1e-10) -> complex:
-    """Adaptive quadrature of f over the real line via xi_n = tan(theta)."""
+    """Adaptive quadrature of f over the real line via xi_n = tan(theta),
+    real and imaginary parts as two separate integrals over
+    (-pi/2, pi/2).
 
-    def wrapped(theta: float, part) -> float:
+    Each integral is a port of QUADPACK's dqagse with the 21-point
+    Gauss-Kronrod rule dqk21 (Piessens et al., QUADPACK, Springer 1983),
+    keeping its node order, arithmetic, error estimate and early exits, and
+    bisecting the interval of largest error until the summed error meets
+    max(tol, tol*|value|) or 200 intervals.  It omits dqagse's
+    epsilon-algorithm extrapolation, which starts only at the third
+    interval, and its roundoff and tiny-interval abort flags; up to two
+    intervals it gives scipy.integrate.quad's value, error and node count
+    exactly.
+    """
+
+    def wrapped(theta: float, part: int) -> float:
         t = math.tan(theta)
         val = f(t) * (1.0 + t * t)
-        return val.real if part == 0 else val.imag
+        return float(val.real if part == 0 else val.imag)
 
     out = 0j
     for part, unit in ((0, 1.0), (1, 1j)):
-        val, err = quad(wrapped, -math.pi / 2, math.pi / 2, args=(part,),
-                        epsabs=tol, epsrel=tol, limit=200)
+        val, err = _qags21(lambda theta: wrapped(theta, part),
+                           -math.pi / 2, math.pi / 2, tol, tol, 200)
         if err > 100 * max(tol, 1e-13 * abs(val)) + 1e-8:
             raise NonConvergence(f"line quadrature error estimate {err}")
         out += unit * val
@@ -206,8 +319,9 @@ def quad_sphere(p: Callable[[float, float, float], complex],
                 ctx: NumericContext, n_theta: int = 12,
                 n_phi: int = 24) -> complex:
     """Product Gauss-Legendre (polar) x trapezoid (azimuthal) quadrature
-    of p over the unit sphere; exact for polynomials of degree <= 8 at the
-    default orders."""
+    of p over the unit sphere; exact for polynomials of degree <= 23 at the
+    default orders (12 Gauss-Legendre nodes in cos(theta), 24 equispaced
+    azimuths)."""
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
     total = 0j
     for c, w in zip(nodes, weights):
@@ -224,12 +338,16 @@ class LoweredSymbol:
     """A boundary symbol bound to a numeric context, as arrays.
 
     With HP, F, the f-jets, S, OMEGA and PI bound, each coefficient is a
-    polynomial in the point variables XI1, XI2, XI3, U.  `exps` holds the
-    exponents of each distinct point monomial, one row each, and `lift`
-    maps the monomial values to the flattened 4x4 matrices of all (pole
-    key, xi_n degree) entries, stacked, with the bound weights and the
-    gamma basis matrices folded in.  A coefficient holding any other name
-    (XIN, W) raises MissingBinding.
+    polynomial in the point variables XI1, XI2, XI3, U.  The entries, each
+    xi_n**deg over its pole key, are put over one common denominator
+    (xi_n - r)**A (xi_n + r)**B with r = i on shell and r = i*sqrt(U) off
+    shell (where A = B and the denominator is (U + xi_n**2)**A), so the
+    symbol is a polynomial in xi_n over that one scalar.  `exps` holds the
+    exponents of each point monomial, one row each, and `lift` maps the
+    monomial values to the flattened 4x4 matrix coefficients of xi_n**0,
+    xi_n**1, ..., stacked, with the bound weights, the gamma basis
+    matrices and the numerators over the common denominator folded in.
+    A coefficient holding any other name (XIN, W) raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):
@@ -253,37 +371,71 @@ class LoweredSymbol:
         lift = np.zeros((len(entries), 16, len(rows)), dtype=complex)
         for e, row, col in cols:
             lift[e, :, row] += col
-        self.lift = lift.reshape(16 * len(entries), len(rows))
-        self.exps = np.array(list(rows), dtype=int).reshape(-1, 4)
-        self.degs = np.array([deg for _, deg, _ in entries], dtype=int)
-        keys = np.array([key for key, _, _ in entries], dtype=int)
-        width = 1 if s.shell == OFF else 2
-        self.neg_keys = -keys.reshape(len(entries), width).T
+        num, self.poles = _numerators(
+            s.shell, [key for key, _, _ in entries],
+            [deg for _, deg, _ in entries])
+        n_xi, n_u = num.shape[1:]
+        # numerator term xi_n**n U**p of entry e: row r moves to (r, p)
+        self.lift = np.einsum("enp,efr->nfrp", num, lift).reshape(
+            16 * n_xi, len(rows) * n_u)
+        exps = np.array(list(rows), dtype=int).reshape(-1, 1, 4)
+        self.exps = (exps + np.outer(np.arange(n_u), (0, 0, 0, 1))
+                     ).reshape(-1, 4)
+        self.powers = np.arange(n_xi)
+
+
+def _numerators(shell: str, keys: list, degs: list):
+    """Each entry xi_n**deg / pole(key) as numerator / common denominator.
+
+    Returns num[e, n, p], the coefficient of xi_n**n U**p in entry e's
+    numerator, and the pole orders (A, B) of the common denominator.  On
+    shell the numerator of key (a, b) is xi_n**deg (xi_n - i)**(A - a)
+    (xi_n + i)**(B - b); off shell that of key k is xi_n**deg
+    (U + xi_n**2)**(A - k).
+    """
+    terms = []
+    if shell == OFF:
+        A = B = max(keys, default=0)
+        for k, deg in zip(keys, degs):
+            m = A - k
+            terms.append({(deg + 2 * j, m - j): math.comb(m, j)
+                          for j in range(m + 1)})
+    else:
+        A = max((a for a, _ in keys), default=0)
+        B = max((b for _, b in keys), default=0)
+        poly = np.polynomial.polynomial
+        for (a, b), deg in zip(keys, degs):
+            coeffs = poly.polymul(poly.polypow([-1j, 1], A - a),
+                                  poly.polypow([1j, 1], B - b))
+            terms.append({(deg + n, 0): c for n, c in enumerate(coeffs)})
+    n_xi = 1 + max((n for t in terms for n, _ in t), default=-1)
+    n_u = 1 + max((p for t in terms for _, p in t), default=0)
+    num = np.zeros((len(terms), n_xi, n_u), dtype=complex)
+    for e, t in enumerate(terms):
+        for (n, p), c in t.items():
+            num[e, n, p] = c
+    return num, (A, B)
 
 
 class CompiledSymbol:
-    """A lowered symbol at one tangential covector xi': the stacked 4x4
-    matrices of its entries, so each xi_n evaluation is one weight vector
-    times one matrix."""
+    """A lowered symbol at one tangential covector xi': the 4x4 matrix
+    coefficients of its xi_n-polynomial numerator, so each xi_n
+    evaluation is one power vector times one matrix, over one scalar."""
 
     def __init__(self, lowered: LoweredSymbol,
                  xi_prime: Tuple[float, float, float]):
         x1, x2, x3 = xi_prime
         pt = np.array([x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3])
         self.lowered = lowered
-        self.u = pt[3]
+        self.root = 1j * math.sqrt(pt[3]) if lowered.shell == OFF else 1j
         self.mats = (lowered.lift @ np.prod(pt ** lowered.exps, axis=1)
                      ).reshape(-1, 16)
 
     def __call__(self, xi_n: complex) -> np.ndarray:
-        low = self.lowered
-        if low.shell == OFF:
-            (k,) = low.neg_keys
-            w = xi_n ** low.degs * (self.u + xi_n * xi_n) ** k
-        else:
-            a, b = low.neg_keys
-            w = xi_n ** low.degs * (xi_n - 1j) ** a * (xi_n + 1j) ** b
-        return (w @ self.mats).reshape(4, 4)
+        low, r = self.lowered, self.root
+        a, b = low.poles
+        den = (xi_n - r) ** a * (xi_n + r) ** b
+        return (xi_n ** low.powers @ self.mats / den).reshape(4, 4)
 
 
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:

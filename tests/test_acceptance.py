@@ -32,7 +32,9 @@ from wres4.interior import (
     trace_interior,
 )
 from wres4.oracle import (
+    CompiledSymbol,
     GammaRep,
+    LoweredSymbol,
     NumericContext,
     crosscheck_case,
     eval_scalar,
@@ -154,10 +156,11 @@ def test_criterion3_projection_anchors():
     ctx = NumericContext(42)
     full = restrict_on_shell(build_sigma("D", -1))
     xp = (0.28, -0.96, 0.0)
+    # bound to ctx and xp once; each contour node is then one call
+    compiled = CompiledSymbol(LoweredSymbol(full, ctx), xp)
     for k in range(10):
         xi0 = -2.2 + 0.5 * k
-        num = quad_contour_pi_plus(
-            lambda z: evaluate(full, ctx, (xp, z)), xi0, ctx)
+        num = quad_contour_pi_plus(compiled, xi0, ctx)
         sym = evaluate(engine_419, ctx, (xp, xi0))
         scale = max(1.0, float(np.abs(sym).max()))
         assert np.abs(num - sym).max() / scale < 1e-8

@@ -2,11 +2,16 @@
 homomorphism, quadrature primitives, and determinism."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wres4
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.errors import MissingBinding
 from wres4.halfplane import pi_plus
@@ -18,6 +23,10 @@ from wres4.oracle import (
     eval_clifford,
     eval_symbol,
     evaluate,
+    _qags21,
+    _qk21,
+    _XGK,
+    _WG,
     quad_contour_pi_plus,
     quad_line,
     quad_sphere,
@@ -160,7 +169,14 @@ OFF_SHELL = {
     "D,-1": lambda: build_sigma("D", -1),
     "Dtilde,-2": lambda: build_sigma("Dtilde", -2),
     "d_xn D,-1": lambda: derive(build_sigma("D", -1), "x_n"),
+    # W-pole orders 1, 2, 3: the order-1 entry gains (U + xi_n**2)**2
+    "D,-1 + Dtilde,-2": lambda: (build_sigma("D", -1)
+                                 + build_sigma("Dtilde", -2)),
 }
+
+# xi_n-polynomial numerators over one denominator must agree with the
+# per-entry weights from the origin out to where the terms nearly cancel
+XI_N = (0.0, 0.3, -0.3, 1.0, -1.0, 290.0, -290.0, 1e3)
 
 
 class TestLoweredEvaluator:
@@ -174,12 +190,12 @@ class TestLoweredEvaluator:
             compiled = CompiledSymbol(LoweredSymbol(s, ctx), xp)
             for xi_n in (rng.uniform(-3.0, 3.0),
                          complex(rng.uniform(-2.0, 2.0),
-                                 rng.uniform(-0.5, 0.5))):
+                                 rng.uniform(-0.5, 0.5))) + XI_N:
                 got = compiled(xi_n)
                 ref = reference_symbol(s, ctx, xp, xi_n)
                 scale = max(1.0, float(np.abs(ref).max()))
                 assert got.shape == (4, 4)
-                assert np.abs(got - ref).max() <= 1e-12 * scale
+                assert np.abs(got - ref).max() <= 1e-13 * scale
 
     def test_case_factors_match_reference(self, ctx):
         factors = case_factor_symbols()
@@ -188,6 +204,8 @@ class TestLoweredEvaluator:
         for s in factors:
             assert s.shell != OFF
             self.check_against_reference(s, ctx, rng)
+            # a polynomial of degree at most 7 in xi_n
+            assert len(LoweredSymbol(s, ctx).powers) <= 8
 
     @pytest.mark.parametrize("name", sorted(OFF_SHELL))
     def test_off_shell_symbols_match_reference(self, ctx, name):
@@ -200,6 +218,10 @@ class TestLoweredEvaluator:
         got = eval_symbol(BoundarySymbol.zero(shell), ctx,
                           ((0.6, 0.0, 0.8), 0.5))
         assert np.array_equal(got, np.zeros((4, 4)))
+        compiled = CompiledSymbol(
+            LoweredSymbol(BoundarySymbol.zero(shell), ctx), (0.3, 0.4, 1.2))
+        for xi_n in XI_N:
+            assert np.array_equal(compiled(xi_n), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
@@ -210,6 +232,92 @@ class TestLoweredEvaluator:
         s = make(CliffordElem.scalar(ScalarExpr.var(name)))
         with pytest.raises(MissingBinding):
             eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
+
+
+class TestGaussKronrod:
+    def test_gauss_nodes_and_weights(self):
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        # descending positive half, as dqk21 stores them
+        assert tuple(nodes[:4:-1]) == _XGK[1::2]
+        assert np.abs(weights[:4:-1] - _WG).max() <= 2 * np.finfo(float).eps
+
+    def test_kronrod_exact_to_degree_30(self):
+        val, _, _, _ = _qk21(lambda t: t ** 30, -1.0, 1.0)
+        assert abs(val - 2.0 / 31.0) <= 1e-15
+
+    def test_bisects_until_tolerance(self):
+        # a kink at 0.3 needs many bisections; the summed error estimate
+        # must meet the tolerance, and each bisection costs two rules
+        calls = [0]
+
+        def f(t):
+            calls[0] += 1
+            return abs(t - 0.3) ** 0.5
+
+        exact = (2.0 / 3.0) * (1.3 ** 1.5 + 0.7 ** 1.5)
+        val, err = _qags21(f, -1.0, 1.0, 1e-10, 1e-10, 200)
+        assert err <= 1e-10 * abs(val)
+        assert abs(val - exact) <= err
+        assert calls[0] > 63 and calls[0] % 42 == 21
+        calls[0] = 0
+        val, err = _qags21(f, -1.0, 1.0, 1e-10, 1e-10, 3)
+        assert calls[0] == 5 * 21 and err > 1e-10
+
+    def test_matches_scipy_quad(self, ctx, monkeypatch):
+        # same value, error estimate and integrand calls as QUADPACK's
+        # dqagse, on the referee's own integrands at a few sphere nodes
+        scipy_integrate = pytest.importorskip("scipy.integrate")
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        port = oracle._qags21
+        compared = []
+
+        def against_scipy(f, a, b, epsabs, epsrel, limit):
+            calls = [0]
+
+            def counted(x):
+                calls[0] += 1
+                return f(x)
+
+            val, err = port(counted, a, b, epsabs, epsrel, limit)
+            ref, ref_err, info = scipy_integrate.quad(
+                f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
+                full_output=1)[:3]
+            compared.append((val, err, calls[0], ref, ref_err,
+                             info["neval"]))
+            return val, err
+
+        monkeypatch.setattr(oracle, "_qags21", against_scipy)
+        quad_line(lambda t: 1 / (1 + t * t), ctx)
+        # crosscheck_case's own integrands, at 2 x 3 sphere nodes
+        monkeypatch.setattr(
+            oracle, "quad_sphere",
+            lambda p, c: quad_sphere(p, c, n_theta=2, n_phi=3))
+        specs = {s.label: s for s in enumerate_cases()}
+        for label in ("a1", "c"):
+            oracle.crosscheck_case(specs[label], NumericContext(42))
+        # Cauchy kernel, then 3 factor pairs of a1 and 1 of c, each at 6
+        # nodes, real and imaginary parts
+        assert len(compared) == 2 + (3 + 1) * 6 * 2
+        # both the one-rule exit and one bisection are exercised
+        assert {neval for *_, neval in compared} == {21, 63}
+        for val, err, calls, ref, ref_err, neval in compared:
+            assert (val, err, calls) == (ref, ref_err, neval)
+
+
+class TestImportGuard:
+    def test_no_scipy_at_runtime(self):
+        src = str(Path(wres4.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, wres4.cli, wres4.oracle; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestWorkGuard:
