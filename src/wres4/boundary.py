@@ -35,10 +35,10 @@ from .symbols import (
     OFF,
     BoundarySymbol,
     build_sigma,
-    c_xi_poly,
     derive,
     jet_mid,
     restrict_on_shell,
+    sandwich,
 )
 
 _CASE_ORDER = ("a1", "a2", "a3", "b", "c")
@@ -78,7 +78,6 @@ class CaseResult:
         self.verdict = anchors.compare(symbolic_value, paper_value)
         self.intermediates = intermediates
         self.intermediate_verdicts = intermediate_verdicts
-        self.numeric_record = None
 
 
 def enumerate_cases() -> List[CaseSpec]:
@@ -159,12 +158,6 @@ def compute_case(spec: CaseSpec, op: str = "Dtilde") -> CaseResult:
     return CaseResult(spec, total, paper_value, inter, verdicts)
 
 
-def _sandwich(mid: CliffordElem) -> BoundarySymbol:
-    """c(xi) mid c(xi) / |xi|^4 as an off-shell symbol."""
-    cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
-    return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
-
-
 def _intermediates(label: str):
     """Engine-computed named intermediates for one case, with verdicts."""
     inter: Dict[str, object] = {}
@@ -201,9 +194,9 @@ def _intermediates(label: str):
         inter["4.25"] = trace_symbol(x23.mul(y2))
         inter["4.27"] = restrict_on_shell(derive(s1d, "xi_n"))
     elif label == "b":
-        e31 = pi_plus(restrict_on_shell(_sandwich(CliffordElem.c_df())))
+        e31 = pi_plus(restrict_on_shell(sandwich(CliffordElem.c_df())))
         e32 = derive(restrict_on_shell(build_sigma("Dtilde", -1)), "xi_n")
-        e35 = pi_plus(restrict_on_shell(_sandwich(jet_mid())))
+        e35 = pi_plus(restrict_on_shell(sandwich(jet_mid())))
         inter["4.31"] = e31
         inter["4.32"] = e32
         inter["4.33"] = trace_symbol(e31.mul(e32))
@@ -211,10 +204,10 @@ def _intermediates(label: str):
         inter["4.36"] = trace_symbol(e35.mul(e32))
     elif label == "c":
         e40 = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
-        e42 = restrict_on_shell(derive(_sandwich(CliffordElem.c_df()),
+        e42 = restrict_on_shell(derive(sandwich(CliffordElem.c_df()),
                                        "xi_n"))
         e43 = restrict_on_shell(derive(build_sigma("D", -2), "xi_n"))
-        e48 = restrict_on_shell(derive(_sandwich(jet_mid()), "xi_n"))
+        e48 = restrict_on_shell(derive(sandwich(jet_mid()), "xi_n"))
         inter["4.40"] = e40
         inter["4.42"] = e42
         inter["4.43"] = e43
@@ -279,7 +272,7 @@ def theorem42_report(phi: PhiReport, interior) -> dict:
     """Two-term statement: interior integrand plus the boundary term."""
     doc = {
         "interior": {
-            "engine_value": repr(interior.engine_value),
+            "engine_value": repr(interior.trace_value),
             "paper_value": repr(interior.paper_value),
             "verdict": interior.verdict,
         },

@@ -95,6 +95,12 @@ class CliffordElem:
         """c(df) = sum_j (d_j f) c(e_j), all four directions."""
         return CliffordElem({(j,): ScalarExpr.var(fi(j)) for j in range(1, 5)})
 
+    @staticmethod
+    def c_dfinv() -> "CliffordElem":
+        """c(d f^-1) = sum_j d_j(f^-1) c(e_j) = -f^-2 c(df)."""
+        return CliffordElem({(j,): ScalarExpr.f_inverse().x_derivative(j)
+                             for j in range(1, 5)})
+
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "CliffordElem") -> "CliffordElem":
         t = dict(self.terms)

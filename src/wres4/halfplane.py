@@ -52,32 +52,12 @@ def _check_on_shell(s: BoundarySymbol):
                     )
 
 
-def _gauss_poly_mul(a: Dict[int, GaussianRational],
-                    b: Dict[int, GaussianRational]) -> Dict[int, GaussianRational]:
-    out: Dict[int, GaussianRational] = {}
-    for da, ca in a.items():
-        for db, cb in b.items():
-            d = da + db
-            s = out.get(d, GaussianRational(0)) + ca * cb
-            out[d] = s
-    return {d: c for d, c in out.items() if not c.is_zero()}
-
-
-def _denominator_poly(a: int, b: int) -> Dict[int, GaussianRational]:
-    out = {0: GaussianRational(1)}
-    for _ in range(a):
-        out = _gauss_poly_mul(out, {1: GaussianRational(1), 0: -GAUSS_I})
-    for _ in range(b):
-        out = _gauss_poly_mul(out, {1: GaussianRational(1), 0: GAUSS_I})
-    return out
-
-
-def _poly_divmod(num: XinPoly, den: Dict[int, GaussianRational]):
-    """Long division of a Clifford-coefficient polynomial by a monic
-    Gaussian-coefficient polynomial."""
-    dd = max(den)
-    assert den[dd] == GaussianRational(1)
-    rem = {d: e for d, e in num.coeffs.items()}
+def _poly_divmod(num: XinPoly, a: int, b: int):
+    """Long division of a Clifford-coefficient polynomial by the monic
+    pole factor (xi_n - i)**a (xi_n + i)**b."""
+    den = XinPoly.const(CliffordElem.one()).mul_shell(a, b).coeffs
+    dd = a + b
+    rem = dict(num.coeffs)
     quo: Dict[int, CliffordElem] = {}
     while rem and max(rem) >= dd:
         d = max(rem)
@@ -88,7 +68,7 @@ def _poly_divmod(num: XinPoly, den: Dict[int, GaussianRational]):
             if dk == dd:
                 continue
             tgt = shift + dk
-            delta = lead.scale(ScalarExpr.const(-ck))
+            delta = lead.scale(-ck.scalar_part())
             cur = rem.get(tgt, CliffordElem.zero()) + delta
             if cur.is_zero():
                 rem.pop(tgt, None)
@@ -135,7 +115,7 @@ def partial_fractions(s: BoundarySymbol) -> PoleDecomposition:
     poly_part = XinPoly()
     for (a, b), num in s.terms.items():
         if num.degree() >= a + b and a + b > 0:
-            quo, num = _poly_divmod(num, _denominator_poly(a, b))
+            quo, num = _poly_divmod(num, a, b)
             poly_part = poly_part + quo
         elif a + b == 0:
             poly_part = poly_part + num

@@ -30,15 +30,6 @@ from .scalars import (
 _FINV = ScalarExpr.f_inverse
 
 
-def _c_df() -> CliffordElem:
-    return CliffordElem.c_df()
-
-
-def _c_dfinv() -> CliffordElem:
-    """c(df^-1) = sum_j d_j(f^-1) c(e_j) = -f^-2 c(df)."""
-    return CliffordElem({(j,): _FINV().x_derivative(j) for j in range(1, 5)})
-
-
 def df_norm_sq() -> ScalarExpr:
     """|df|^2 = sum_j (d_j f)^2."""
     out = ScalarExpr.zero()
@@ -74,10 +65,6 @@ class InteriorResult:
         self.paper_value = paper_value
         self.verdict = "match" if trace_value == paper_value else "mismatch"
 
-    @property
-    def engine_value(self) -> ScalarExpr:
-        return self.trace_value
-
 
 def build_dbar_squared_data() -> LaplaceTypeData:
     """Populate the first- and zeroth-order data of Dbar^2 at the base
@@ -87,7 +74,7 @@ def build_dbar_squared_data() -> LaplaceTypeData:
     connection terms, so they are dropped on both sides; what remains is
     the f-jet structure plus the formal scalar-curvature term.
     """
-    cdf = _c_df()
+    cdf = CliffordElem.c_df()
     A = [(cdf * CliffordElem.gen(j)).scale(_FINV()) for j in range(1, 5)]
     B = CliffordElem.scalar(frac(-1, 4) * S_CURV
                             + df_norm_sq() * _FINV(2))
@@ -115,7 +102,7 @@ def compute_E_at_x0(data: LaplaceTypeData | None = None) -> CliffordElem:
 
 
 def _closed_form(mixed_sign: int) -> CliffordElem:
-    cdf = _c_df()
+    cdf = CliffordElem.c_df()
     out = CliffordElem.scalar(frac(-1, 4) * S_CURV
                               + df_norm_sq() * _FINV(2))
     for j in range(1, 5):
@@ -124,7 +111,7 @@ def _closed_form(mixed_sign: int) -> CliffordElem:
         out = out + (hess_j * CliffordElem.gen(j)).scale(half() * _FINV())
         sq = (cdf * CliffordElem.gen(j)).scale(_FINV())
         out = out - (sq * sq).scale(frac(1, 4))
-    out = out + (cdf * _c_dfinv()).scale(frac(mixed_sign, 2))
+    out = out + (cdf * CliffordElem.c_dfinv()).scale(frac(mixed_sign, 2))
     return out
 
 

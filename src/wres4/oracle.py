@@ -264,8 +264,10 @@ def _qags21(f: Callable[[float], float], a: float, b: float,
     return sum(iv[2] for iv in ivals), errsum
 
 
-def quad_line(f: Callable[[float], complex], ctx: NumericContext,
-              tol: float = 1e-10) -> complex:
+_LINE_TOL = 1e-11  # absolute and relative tolerance of quad_line
+
+
+def quad_line(f: Callable[[float], complex]) -> complex:
     """Adaptive quadrature of f over the real line via xi_n = tan(theta),
     real and imaginary parts as two separate integrals over
     (-pi/2, pi/2).
@@ -274,7 +276,7 @@ def quad_line(f: Callable[[float], complex], ctx: NumericContext,
     Gauss-Kronrod rule dqk21 (Piessens et al., QUADPACK, Springer 1983),
     keeping its node order, arithmetic, error estimate and early exits, and
     bisecting the interval of largest error until the summed error meets
-    max(tol, tol*|value|) or 200 intervals.  It omits dqagse's
+    max(_LINE_TOL, _LINE_TOL*|value|) or 200 intervals.  It omits dqagse's
     epsilon-algorithm extrapolation, which starts only at the third
     interval, and its roundoff and tiny-interval abort flags; up to two
     intervals it gives scipy.integrate.quad's value, error and node count
@@ -289,23 +291,25 @@ def quad_line(f: Callable[[float], complex], ctx: NumericContext,
     out = 0j
     for part, unit in ((0, 1.0), (1, 1j)):
         val, err = _qags21(lambda theta: wrapped(theta, part),
-                           -math.pi / 2, math.pi / 2, tol, tol, 200)
-        if err > 100 * max(tol, 1e-13 * abs(val)) + 1e-8:
+                           -math.pi / 2, math.pi / 2, _LINE_TOL, _LINE_TOL,
+                           200)
+        if err > 100 * max(_LINE_TOL, 1e-13 * abs(val)) + 1e-8:
             raise NonConvergence(f"line quadrature error estimate {err}")
         out += unit * val
     return out
 
 
-def quad_contour_pi_plus(h: Callable[[complex], complex], xi0: float,
-                         ctx: NumericContext, radius: float = 0.8,
-                         n: int = 4096, u: float = -1e-12) -> complex:
+def quad_contour_pi_plus(h: Callable[[complex], complex],
+                         xi0: float) -> complex:
     """The half-plane projection as a contour integral: average of
-    h(xi)/(xi0 + iu - xi) over a circle around +i, with u -> 0^-.
+    h(xi)/(xi0 + iu - xi) over the circle of radius 0.8 around +i at 4096
+    trapezoid nodes, with u = -1e-12 standing for u -> 0^-.
 
     The circle encloses exactly the upper-half-plane pole at +i, so the
     trapezoid rule converges spectrally for the rational integrands at
     hand.
     """
+    radius, n, u = 0.8, 4096, -1e-12
     total = 0j
     for k in range(n):
         theta = 2.0 * math.pi * k / n
@@ -316,8 +320,7 @@ def quad_contour_pi_plus(h: Callable[[complex], complex], xi0: float,
 
 
 def quad_sphere(p: Callable[[float, float, float], complex],
-                ctx: NumericContext, n_theta: int = 12,
-                n_phi: int = 24) -> complex:
+                n_theta: int = 12, n_phi: int = 24) -> complex:
     """Product Gauss-Legendre (polar) x trapezoid (azimuthal) quadrature
     of p over the unit sphere; exact for polynomials of degree <= 23 at the
     default orders (12 Gauss-Legendre nodes in cos(theta), 24 equispaced
@@ -457,10 +460,9 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
             rc = CompiledSymbol(low_r, (x1, x2, x3))
             # tr(L R) = sum_ij L_ij R_ji: R flattened column-major
             return quad_line(
-                lambda t: lc(t).ravel() @ rc(t).ravel(order="F"), ctx,
-                tol=1e-11)
+                lambda t: lc(t).ravel() @ rc(t).ravel(order="F"))
 
-        total += quad_sphere(p, ctx)
+        total += quad_sphere(p)
     total *= complex(spec.coefficient)
     symbolic = compute_case(spec).symbolic_value
     sym_val = eval_scalar(symbolic, ctx)
@@ -470,22 +472,3 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
         "abs_error": abs(total - sym_val),
     }
 
-
-def adjudicate_phi(phi, seeds: Sequence[int] = (42,),
-                   labels: Optional[Sequence[str]] = None):
-    """Attach a numeric record to each case of an assembled boundary
-    report: the maximum absolute deviation between the symbolic total and
-    the fully numeric pipeline across the given seeds."""
-    for label, res in phi.cases.items():
-        if labels is not None and label not in labels:
-            continue
-        errors = []
-        for seed in seeds:
-            ctx = NumericContext(seed)
-            errors.append(crosscheck_case(res.spec, ctx)["abs_error"])
-        res.numeric_record = {
-            "seeds": list(seeds),
-            "samples": len(errors),
-            "max_abs_error": max(errors),
-        }
-    return phi

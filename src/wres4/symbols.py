@@ -387,11 +387,7 @@ def c_xi_poly() -> XinPoly:
 def jet_mid() -> CliffordElem:
     """sum_j c(dx_j) * 2 d_{x_j}(f^-1), the f-jet middle factor of
     sigma_-2(Dtilde^-1)."""
-    out = CliffordElem.zero()
-    for j in range(1, 5):
-        dj = ScalarExpr.f_inverse().x_derivative(j)
-        out = out + CliffordElem.gen(j).scale(ScalarExpr.const(2) * dj)
-    return out
+    return CliffordElem.c_dfinv().scale(ScalarExpr.const(2))
 
 
 def sigma0_dirac() -> CliffordElem:
@@ -434,50 +430,29 @@ def build_sigma(op: str, order: int) -> BoundarySymbol:
     raise ValueError("order must be one of 1, 0, -1, -2")
 
 
+def sandwich(mid: CliffordElem) -> BoundarySymbol:
+    """c(xi) mid c(xi) / |xi|^4 as an off-shell symbol."""
+    cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
+    return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
+
+
 def _sigma_minus2_closed(op: str) -> BoundarySymbol:
-    cxi = BoundarySymbol.from_poly(c_xi_poly())
     if op == "D":
-        s0 = build_sigma("D", 0)
-        first = _shift_w(cxi.mul(s0).mul(cxi), 2)
-        second = BoundarySymbol.zero()
+        # sigma_0(D) sandwiched, plus sum_j (c(xi)/W) c(dx_j) d_{x_j}(c(xi)/W)
+        cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
+        out = sandwich(sigma0_dirac())
         for j in range(1, 5):
-            dname = "x_n" if j == 4 else f"x_{j}"
-            dcxi = derive(cxi, dname)          # d_{x_j} c(xi)
-            dw = _dx_w(j)                      # d_{x_j} |xi|^2 as scalar
             cj = BoundarySymbol.from_clifford(CliffordElem.gen(j))
-            # c(xi) c(dx_j) [d_{x_j}c(xi) |xi|^2 - c(xi) d_{x_j}|xi|^2] / W^3
-            second = second + _shift_w(cxi.mul(cj).mul(dcxi), 2)
-            if not dw.is_zero():
-                second = second - _shift_w(
-                    cxi.mul(cj).mul(cxi).scale(dw), 3
-                )
-        out = first + second
-        return BoundarySymbol(OFF, out.terms, xder=1)
+            dname = "x_n" if j == 4 else f"x_{j}"
+            out = out + cxi.mul(cj).mul(derive(cxi, dname))
+        return out
     # Dtilde: 2/f * sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
     #         + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
     two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
-    out = _sigma_minus2_closed("D").scale(two_over_f)
-    cdf = BoundarySymbol.from_clifford(CliffordElem.c_df())
-    out = out + _shift_w(cxi.mul(cdf).mul(cxi), 2).scale(
-        ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
-    )
-    mid = BoundarySymbol.from_clifford(jet_mid())
-    out = out + _shift_w(cxi.mul(mid).mul(cxi), 2)
-    return BoundarySymbol(OFF, out.terms, xder=1)
-
-
-def _shift_w(s: BoundarySymbol, k: int) -> BoundarySymbol:
-    """Divide a symbol by W**k (raise every denominator power by k)."""
-    return BoundarySymbol(s.shell,
-                          {p + k: poly for p, poly in s.terms.items()},
-                          s.xder)
-
-
-def _dx_w(j: int) -> ScalarExpr:
-    """d_{x_j} |xi|^2 at the base point."""
-    if j == 4:
-        return HP * U_VAR
-    return ScalarExpr.zero()
+    four_over_f2 = ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
+    return (_sigma_minus2_closed("D").scale(two_over_f)
+            + sandwich(CliffordElem.c_df()).scale(four_over_f2)
+            + sandwich(jet_mid()))
 
 
 def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:

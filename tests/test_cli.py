@@ -69,6 +69,27 @@ class TestExitCodes:
                   if r["id"] == "theorem32.value"]
         assert rec["verdict"] == "mismatch"
 
+    def test_nonzero_phi_fails_theorem42(self, capsys, monkeypatch):
+        import wres4.boundary as boundary
+
+        real = boundary.compute_case
+
+        def perturbed(spec, op="Dtilde"):
+            res = real(spec, op)
+            if spec.label != "a2":
+                return res
+            value = (res.symbolic_value
+                     + ScalarExpr.var("S") * ScalarExpr.var("OMEGA"))
+            return boundary.CaseResult(res.spec, value, res.paper_value,
+                                       res.intermediates,
+                                       res.intermediate_verdicts)
+
+        monkeypatch.setattr(boundary, "compute_case", perturbed)
+        assert run(["report", "--format", "json"]) == 1
+        (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
+                  if r["id"] == "theorem42"]
+        assert rec["verdict"] == "mismatch"
+
 
 class TestFormats:
     def test_json_schema_and_determinism(self, capsys):

@@ -49,7 +49,8 @@ class TestPartialFractions:
         for _ in range(100):
             a = rng.randint(1, 3)
             b = rng.randint(1, 3)
-            coeffs = {d: rng.randint(-5, 5) for d in range(a + b)}
+            # numerator degrees up to a + b + 2 exercise the division
+            coeffs = {d: rng.randint(-5, 5) for d in range(a + b + 3)}
             sym = scalar_term(coeffs, a, b)
             dec = partial_fractions(sym)
             assert dec.recombine().canonical() == sym.canonical()

@@ -19,6 +19,7 @@ from wres4.symbols import (
     jet_mid,
     parametrix,
     restrict_on_shell,
+    sandwich,
     sigma0_dirac,
 )
 
@@ -106,14 +107,13 @@ class TestGoldenForms:
         assert sexpr.dumps(value) + "\n" == text
 
     def test_case_c_factor_goldens(self):
-        from wres4.boundary import _sandwich
         builders = {
             "4.42": restrict_on_shell(
-                derive(_sandwich(CliffordElem.c_df()), "xi_n")),
+                derive(sandwich(CliffordElem.c_df()), "xi_n")),
             "4.43": restrict_on_shell(
                 derive(build_sigma("D", -2), "xi_n")),
             "4.48": restrict_on_shell(
-                derive(_sandwich(jet_mid()), "xi_n")),
+                derive(sandwich(jet_mid()), "xi_n")),
         }
         for name, value in builders.items():
             text = golden(name)
