@@ -9,6 +9,8 @@ never patched.
 
 from __future__ import annotations
 
+import functools
+
 from .clifford import CliffordElem
 from .scalars import (
     HP,
@@ -89,6 +91,7 @@ def _sandwich_xin_derivative(mid: CliffordElem) -> BoundarySymbol:
     return _on({(2, 2): t22, (3, 3): t33})
 
 
+@functools.cache
 def _build_anchors() -> dict:
     cxp, c4, cdf = _cxp(), _c4(), _cdf()
     mid = jet_mid()
@@ -272,22 +275,13 @@ def _build_anchors() -> dict:
     return anchors
 
 
-_ANCHORS = None
-
-
 def anchor(label: str):
     """Reference value for one opaque id; KeyError when no anchor exists."""
-    global _ANCHORS
-    if _ANCHORS is None:
-        _ANCHORS = _build_anchors()
-    return _ANCHORS[label]
+    return _build_anchors()[label]
 
 
 def has_anchor(label: str) -> bool:
-    global _ANCHORS
-    if _ANCHORS is None:
-        _ANCHORS = _build_anchors()
-    return label in _ANCHORS
+    return label in _build_anchors()
 
 
 def compare(engine_value, ref) -> str:

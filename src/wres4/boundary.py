@@ -10,9 +10,10 @@ Each case is evaluated end-to-end in the fixed pipeline order: spatial and
 tangential-cotangent derivatives off-shell, restriction to |xi'| = 1, the
 half-plane projection on the left factor, xi_n-derivatives, Clifford
 multiplication, spinor trace, the xi_n line integral, and the sphere
-average.  Every engine value is compared against its golden reference and
-the verdict recorded; a mismatch is reported with the engine's own value
-kept, never patched.
+average.  Each case value is compared against its golden reference and the
+verdict recorded; a mismatch is reported with the engine's own value kept,
+never patched.  ``intermediates`` recomputes the printed steps of one case
+for the audit, which the CLI judges against their anchors.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .scalars import (
 )
 from .sphere import integrate_sphere
 from .symbols import (
-    OFF,
     BoundarySymbol,
     build_sigma,
+    d_x_parts,
     derive,
     jet_mid,
     restrict_on_shell,
@@ -66,18 +67,15 @@ class CaseSpec:
 
 
 class CaseResult:
-    """Outcome of one case: value, reference comparison, trace of steps."""
+    """Outcome of one case: its value, its anchor and the verdict between
+    them.  The printed steps are audited separately, by ``intermediates``."""
 
     def __init__(self, spec: CaseSpec, symbolic_value: ScalarExpr,
-                 paper_value: Optional[ScalarExpr],
-                 intermediates: Dict[str, object],
-                 intermediate_verdicts: Dict[str, str]):
+                 paper_value: Optional[ScalarExpr]):
         self.spec = spec
         self.symbolic_value = symbolic_value
         self.paper_value = paper_value
         self.verdict = anchors.compare(symbolic_value, paper_value)
-        self.intermediates = intermediates
-        self.intermediate_verdicts = intermediate_verdicts
 
 
 def enumerate_cases() -> List[CaseSpec]:
@@ -154,12 +152,11 @@ def compute_case(spec: CaseSpec, op: str = "Dtilde") -> CaseResult:
     total = total * ScalarExpr.const(spec.coefficient)
     paper_value = (anchors.anchor(f"case_{spec.label}")
                    if anchors.has_anchor(f"case_{spec.label}") else None)
-    inter, verdicts = _intermediates(spec.label)
-    return CaseResult(spec, total, paper_value, inter, verdicts)
+    return CaseResult(spec, total, paper_value)
 
 
-def _intermediates(label: str):
-    """Engine-computed named intermediates for one case, with verdicts."""
+def intermediates(label: str) -> Dict[str, object]:
+    """Engine values of the printed steps of one case, keyed by anchor id."""
     inter: Dict[str, object] = {}
     s1d = build_sigma("D", -1)
     if label == "a1":
@@ -179,17 +176,11 @@ def _intermediates(label: str):
         inter["4.22"] = restrict_on_shell(derive(derive(s1d, "x_n"), "xi_n"))
         x23 = derive(pi_plus(restrict_on_shell(s1d)), "xi_n")
         inter["4.23"] = x23
-        # split d_{x_n} sigma_-1(D^-1) into the numerator-jet part and the
-        # denominator-slot part; the printed lines trace each separately
-        coeff_part = BoundarySymbol(
-            OFF,
-            {p: poly.map_coeffs(lambda e: e.x_derivative(4))
-             for p, poly in s1d.terms.items()},
-            s1d.xder + 1,
-        )
-        slot_part = derive(s1d, "x_n") - coeff_part
+        # the printed lines trace the |xi|^2-slot half and the
+        # numerator-jet half of d_{x_n} sigma_-1(D^-1) separately
+        jet_part, slot_part = d_x_parts(s1d, 4)
         y1 = restrict_on_shell(derive(slot_part, "xi_n"))
-        y2 = restrict_on_shell(derive(coeff_part, "xi_n"))
+        y2 = restrict_on_shell(derive(jet_part, "xi_n"))
         inter["4.24"] = trace_symbol(x23.mul(y1))
         inter["4.25"] = trace_symbol(x23.mul(y2))
         inter["4.27"] = restrict_on_shell(derive(s1d, "xi_n"))
@@ -216,11 +207,7 @@ def _intermediates(label: str):
         inter["4.46"] = trace_symbol(e40.mul(e42))
         inter["4.48"] = e48
         inter["4.49"] = trace_symbol(e40.mul(e48))
-    verdicts = {}
-    for name, value in inter.items():
-        ref = anchors.anchor(name) if anchors.has_anchor(name) else None
-        verdicts[name] = anchors.compare(value, ref)
-    return inter, verdicts
+    return inter
 
 
 # -- assembly ----------------------------------------------------------------

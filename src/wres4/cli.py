@@ -14,7 +14,12 @@ from importlib import resources
 from typing import Dict, List, Optional
 
 from . import anchors
-from .boundary import assemble_phi, enumerate_cases, theorem42_report
+from .boundary import (
+    assemble_phi,
+    enumerate_cases,
+    intermediates,
+    theorem42_report,
+)
 from .clifford import CliffordElem, spin_trace
 from .interior import (
     closed_form_verdict,
@@ -82,12 +87,10 @@ def lemma41_suite() -> List[Dict]:
     for op in ("D", "Dtilde"):
         r1, r2 = parametrix(op)
         for order, computed in ((-1, r1), (-2, r2)):
-            closed = build_sigma(op, order)
-            verdict = ("match" if computed.canonical() == closed.canonical()
-                       else "mismatch")
-            out.append(_entry(f"parametrix[{op},{order}]",
-                              computed.canonical(), closed.canonical(),
-                              verdict))
+            computed = computed.canonical()
+            closed = build_sigma(op, order).canonical()
+            out.append(_entry(f"parametrix[{op},{order}]", computed, closed,
+                              "match" if computed == closed else "mismatch"))
     return out
 
 
@@ -99,11 +102,11 @@ def phi_suite(case_filter: str) -> List[Dict]:
         res = phi.cases[label]
         out.append(_entry(f"case_{label}", res.symbolic_value,
                           res.paper_value, res.verdict))
-        for name in sorted(res.intermediate_verdicts):
-            out.append(_entry(name, res.intermediates[name],
-                              anchors.anchor(name)
-                              if anchors.has_anchor(name) else None,
-                              res.intermediate_verdicts[name]))
+        steps = intermediates(label)
+        for name in sorted(steps):
+            ref = anchors.anchor(name) if anchors.has_anchor(name) else None
+            out.append(_entry(name, steps[name], ref,
+                              anchors.compare(steps[name], ref)))
     if case_filter == "all":
         out.append(_entry("4.52", phi.total, phi.paper_value, phi.verdict))
         out.append(_entry("phi.b_plus_c", "0" if phi.b_plus_c_zero else "!=0",

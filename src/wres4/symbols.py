@@ -354,14 +354,24 @@ def _d_xi_tangent(s: BoundarySymbol, i: int) -> BoundarySymbol:
     return BoundarySymbol(OFF, t, s.xder)
 
 
-def _d_x(s: BoundarySymbol, j: int) -> BoundarySymbol:
-    t: dict = {}
+def d_x_parts(s: BoundarySymbol,
+              j: int) -> tuple[BoundarySymbol, BoundarySymbol]:
+    """The two halves of d_{x_j} of an off-shell symbol: the numerator-jet
+    half and the |xi|^2-slot half, which is zero unless j = 4."""
+    jet: dict = {}
+    slot: dict = {}
     for p, poly in s.terms.items():
-        _acc(t, p, poly.map_coeffs(lambda e: e.x_derivative(j)))
+        _acc(jet, p, poly.map_coeffs(lambda e: e.x_derivative(j)))
         if p and j == 4:
             # d_{x_n} W = HP * U
-            _acc(t, p + 1, poly.scale(ScalarExpr.const(-p) * HP * U_VAR))
-    return BoundarySymbol(OFF, t, s.xder + 1)
+            _acc(slot, p + 1, poly.scale(ScalarExpr.const(-p) * HP * U_VAR))
+    return (BoundarySymbol(OFF, jet, s.xder + 1),
+            BoundarySymbol(OFF, slot, s.xder + 1))
+
+
+def _d_x(s: BoundarySymbol, j: int) -> BoundarySymbol:
+    jet, slot = d_x_parts(s, j)
+    return jet + slot
 
 
 def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:

@@ -80,15 +80,40 @@ class TestExitCodes:
                 return res
             value = (res.symbolic_value
                      + ScalarExpr.var("S") * ScalarExpr.var("OMEGA"))
-            return boundary.CaseResult(res.spec, value, res.paper_value,
-                                       res.intermediates,
-                                       res.intermediate_verdicts)
+            return boundary.CaseResult(res.spec, value, res.paper_value)
 
         monkeypatch.setattr(boundary, "compute_case", perturbed)
         assert run(["report", "--format", "json"]) == 1
         (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
                   if r["id"] == "theorem42"]
         assert rec["verdict"] == "mismatch"
+
+
+class TestAuditSplit:
+    def test_report_builds_each_audit_once(self, capsys, monkeypatch):
+        # the value path (compute_case, twice per case while report still
+        # assembles Phi twice) builds no audit; phi_suite builds each once
+        import wres4.boundary as boundary
+        import wres4.cli as cli
+
+        calls = {"compute_case": 0, "intermediates": []}
+        real_case = boundary.compute_case
+        real_steps = boundary.intermediates
+
+        def counting_case(spec, op="Dtilde"):
+            calls["compute_case"] += 1
+            return real_case(spec, op)
+
+        def counting_steps(label):
+            calls["intermediates"].append(label)
+            return real_steps(label)
+
+        monkeypatch.setattr(boundary, "compute_case", counting_case)
+        monkeypatch.setattr(boundary, "intermediates", counting_steps)
+        monkeypatch.setattr(cli, "intermediates", counting_steps)
+        assert run(["report", "--format", "json"]) == 0
+        assert calls["compute_case"] == 10
+        assert sorted(calls["intermediates"]) == ["a1", "a2", "a3", "b", "c"]
 
 
 class TestFormats:
@@ -117,6 +142,18 @@ class TestFormats:
         target = tmp_path / "report.json"
         assert run(["report", "--format", "json", "--out", str(target)]) == 0
         assert target.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("label", ["a1", "a2", "a3", "b", "c"])
+    def test_single_case_phi_matches_report_slice(self, capsys, label):
+        golden = Path(__file__).parent / "golden" / "report.json"
+        report = json.loads(golden.read_text())["results"]
+        ids = [r["id"] for r in report]
+        start = ids.index(f"case_{label}")
+        end = next(i for i in range(start + 1, len(ids))
+                   if ids[i].startswith("case_") or ids[i] == "4.52")
+        assert run(["compute-phi", "--case", label, "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == report[start:end]
 
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"

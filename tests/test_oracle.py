@@ -346,6 +346,19 @@ class TestWorkGuard:
         assert counts["eval_scalar"] <= 1
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
+    def test_crosscheck_builds_no_audit(self, monkeypatch):
+        # the referee needs only the case value, never the printed steps
+        import wres4.boundary as boundary
+        import wres4.oracle as oracle
+
+        def forbidden(label):
+            raise AssertionError(f"audit of case {label} built")
+
+        monkeypatch.setattr(boundary, "intermediates", forbidden)
+        (spec,) = [s for s in boundary.enumerate_cases() if s.label == "c"]
+        rec = oracle.crosscheck_case(spec, NumericContext(42))
+        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):

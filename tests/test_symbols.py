@@ -15,6 +15,7 @@ from wres4.symbols import (
     build_sigma,
     c_xi_poly,
     compose_orders,
+    d_x_parts,
     derive,
     jet_mid,
     parametrix,
@@ -90,6 +91,21 @@ class TestDerivation:
         ab = derive(derive(s, "xi_1"), "xi_n")
         ba = derive(derive(s, "xi_n"), "xi_1")
         assert ab.canonical() == ba.canonical()
+
+    @pytest.mark.parametrize("symbol", [
+        lambda: build_sigma("D", -1),
+        lambda: build_sigma("Dtilde", -1),
+        lambda: sandwich(CliffordElem.c_df()),
+    ], ids=["sigma_-1(D)", "sigma_-1(Dtilde)", "sandwich(c(df))"])
+    def test_x_derivative_halves_sum_to_derive(self, symbol):
+        s = symbol()
+        for j in (1, 2, 3, 4):
+            jet, slot = d_x_parts(s, j)
+            full = derive(s, "x_n" if j == 4 else f"x_{j}")
+            assert jet + slot == full, j
+            assert jet.xder == slot.xder == full.xder == s.xder + 1
+            # only d_{x_n} reaches the |xi|^2 slot, through h'(0)
+            assert slot.is_zero() == (j < 4), j
 
 
 class TestGoldenForms:
