@@ -18,6 +18,7 @@ for the audit, which the CLI judges against their anchors.
 
 from __future__ import annotations
 
+import functools
 from math import factorial
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -57,13 +58,17 @@ class CaseSpec:
         self.j = j
         self.k = k
         self.alpha = alpha
-        power = alpha + j + k + 1
-        self.coefficient = ((-GAUSS_I) ** power
-                            / GaussianRational(factorial(j + k + 1)))
+        self.coefficient = _coefficient(j, k, alpha)
 
     def __repr__(self):
         return (f"CaseSpec({self.label}: r={self.r}, l={self.l}, "
                 f"j={self.j}, k={self.k}, |alpha|={self.alpha})")
+
+
+def _coefficient(j: int, k: int, alpha: int) -> GaussianRational:
+    """(-i)^(|alpha|+j+k+1) / (j+k+1)!, the case's prefactor."""
+    return ((-GAUSS_I) ** (alpha + j + k + 1)
+            / GaussianRational(factorial(j + k + 1)))
 
 
 class CaseResult:
@@ -107,6 +112,11 @@ def enumerate_cases() -> List[CaseSpec]:
     return specs
 
 
+# The factors and case values below are pure functions of their str/int
+# arguments, so each is computed once per process and shared: no caller
+# may mutate them.
+
+@functools.cache
 def _left_factor(op: str, r: int, j: int, alpha_dir: int,
                  k: int) -> BoundarySymbol:
     """d^j_{x_n} d^alpha_{xi'} d^k_{xi_n} of the projected symbol of order r.
@@ -123,6 +133,7 @@ def _left_factor(op: str, r: int, j: int, alpha_dir: int,
     return derive(s, "xi_n", k)
 
 
+@functools.cache
 def _right_factor(op: str, l: int, alpha_dir: int, k: int,
                   j: int) -> BoundarySymbol:
     """d^alpha_{x'} d^{j+1}_{xi_n} d^k_{x_n} of the symbol of order l."""
@@ -135,21 +146,32 @@ def _right_factor(op: str, l: int, alpha_dir: int, k: int,
     return derive(t, "xi_n", j + 1)
 
 
+def _factor_pairs(op: str, r: int, l: int, j: int, k: int,
+                  alpha: int) -> Iterator[Tuple[BoundarySymbol,
+                                                BoundarySymbol]]:
+    for d in ((1, 2, 3) if alpha else (0,)):
+        yield _left_factor(op, r, j, d, k), _right_factor(op, l, d, k, j)
+
+
 def case_factors(spec: CaseSpec,
                  op: str) -> Iterator[Tuple[BoundarySymbol, BoundarySymbol]]:
     """The (left, right) factor pair of each term of one case: one per
     tangential direction 1, 2, 3 when |alpha| = 1, a single pair else."""
-    for d in ((1, 2, 3) if spec.alpha else (0,)):
-        yield (_left_factor(op, spec.r, spec.j, d, spec.k),
-               _right_factor(op, spec.l, d, spec.k, spec.j))
+    return _factor_pairs(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
+
+
+@functools.cache
+def _case_value(op: str, r: int, l: int, j: int, k: int,
+                alpha: int) -> ScalarExpr:
+    total = ScalarExpr.zero()
+    for left, right in _factor_pairs(op, r, l, j, k, alpha):
+        traced = trace_symbol(left.mul(right))
+        total = total + integrate_sphere(line_integral(traced))
+    return total * ScalarExpr.const(_coefficient(j, k, alpha))
 
 
 def compute_case(spec: CaseSpec, op: str = "Dtilde") -> CaseResult:
-    total = ScalarExpr.zero()
-    for left, right in case_factors(spec, op):
-        traced = trace_symbol(left.mul(right))
-        total = total + integrate_sphere(line_integral(traced))
-    total = total * ScalarExpr.const(spec.coefficient)
+    total = _case_value(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
     paper_value = (anchors.anchor(f"case_{spec.label}")
                    if anchors.has_anchor(f"case_{spec.label}") else None)
     return CaseResult(spec, total, paper_value)

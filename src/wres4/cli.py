@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 from . import anchors
 from .boundary import (
     assemble_phi,
+    compute_case,
     enumerate_cases,
     intermediates,
     theorem42_report,
@@ -95,11 +96,14 @@ def lemma41_suite() -> List[Dict]:
 
 
 def phi_suite(case_filter: str) -> List[Dict]:
-    phi = assemble_phi()
+    if case_filter == "all":
+        phi = assemble_phi()
+        cases = phi.cases
+    else:
+        cases = {spec.label: compute_case(spec) for spec in enumerate_cases()
+                 if spec.label == case_filter}
     out = []
-    labels = _CASES if case_filter == "all" else (case_filter,)
-    for label in labels:
-        res = phi.cases[label]
+    for label, res in cases.items():
         out.append(_entry(f"case_{label}", res.symbolic_value,
                           res.paper_value, res.verdict))
         steps = intermediates(label)
@@ -140,11 +144,10 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
     from .oracle import NumericContext, crosscheck_case
 
     ctx = NumericContext(seed)
-    rep = ctx.rep
-    out = [_entry("gamma.relations", f"max defect {rep.max_relation_defect()}",
+    defect = ctx.rep.max_relation_defect()
+    out = [_entry("gamma.relations", f"max defect {defect}",
                   "0 to machine precision",
-                  "match" if rep.max_relation_defect() < 1e-14
-                  else "mismatch")]
+                  "match" if defect < 1e-14 else "mismatch")]
     for spec in enumerate_cases():
         if case_filter != "all" and spec.label != case_filter:
             continue

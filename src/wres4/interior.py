@@ -14,6 +14,7 @@ closed form; their exact agreement is the decomposition theorem.
 
 from __future__ import annotations
 
+import functools
 from typing import List
 
 from .clifford import CliffordElem, spin_trace
@@ -148,9 +149,20 @@ def trace_interior(E: CliffordElem | None = None) -> InteriorResult:
 
         -4 * { s/12 + Delta f/(2f) + (1/2) g(df, df^-1) + 2|df|^2/f^2 }
 
-    with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2."""
+    with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2.
+
+    The default E's result is computed once per process and shared."""
     if E is None:
-        E = compute_E_at_x0()
+        return _default_trace()
+    return _trace_with(E)
+
+
+@functools.cache
+def _default_trace() -> InteriorResult:
+    return _trace_with(compute_E_at_x0())
+
+
+def _trace_with(E: CliffordElem) -> InteriorResult:
     engine = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV) + E)
     g_df_dfinv = -df_norm_sq() * _FINV(2)
     braces = (frac(1, 12) * S_CURV

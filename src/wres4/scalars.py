@@ -12,6 +12,7 @@ form, equality is syntactic, and powers of 1/f need no quotient rule.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
@@ -542,15 +543,21 @@ def reduce_sphere(e: ScalarExpr) -> ScalarExpr:
     """Reduce modulo the unit-sphere relation XI1^2 + XI2^2 + XI3^2 = 1 by
     eliminating even powers of XI3.  Valid only for on-shell data."""
     idx3 = _INDEX["XI3"]
-    rel = (ScalarExpr.one() - ScalarExpr.var("XI1", 2)
-           - ScalarExpr.var("XI2", 2))
     out = ScalarExpr.zero()
     for m, c in e.terms.items():
         e3 = _mono_exp(m, idx3)
         q, r = divmod(e3, 2)
         base = ScalarExpr({_mono_set(m, idx3, r): c})
-        out = out + base * rel ** q
+        out = out + base * _xi3_squared_power(q)
     return out
+
+
+@functools.cache
+def _xi3_squared_power(q: int) -> ScalarExpr:
+    """(1 - XI1^2 - XI2^2)^q, the value of XI3^(2q) on the unit sphere."""
+    rel = (ScalarExpr.one() - ScalarExpr.var("XI1", 2)
+           - ScalarExpr.var("XI2", 2))
+    return rel ** q
 
 
 def half(x=1) -> ScalarExpr:

@@ -14,6 +14,7 @@ x-derivatives are rejected; the computation never needs them.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Mapping
 
@@ -415,7 +416,15 @@ def sigma0_dirac() -> CliffordElem:
 
 
 def build_sigma(op: str, order: int) -> BoundarySymbol:
-    """Closed-form symbols of D, Dtilde and their inverses."""
+    """Closed-form symbols of D, Dtilde and their inverses.
+
+    Each (op, order) is built once per process; the returned symbol is
+    shared between callers, so it must not be mutated."""
+    return _closed_form(op, order)
+
+
+@functools.cache
+def _closed_form(op: str, order: int) -> BoundarySymbol:
     if op not in ("D", "Dtilde"):
         raise ValueError("op must be 'D' or 'Dtilde'")
     i_unit = ScalarExpr.i_unit()
@@ -460,7 +469,7 @@ def _sigma_minus2_closed(op: str) -> BoundarySymbol:
     #         + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
     two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
     four_over_f2 = ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
-    return (_sigma_minus2_closed("D").scale(two_over_f)
+    return (_closed_form("D", -2).scale(two_over_f)
             + sandwich(CliffordElem.c_df()).scale(four_over_f2)
             + sandwich(jet_mid()))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wres4 import anchors
+from wres4 import anchors, boundary, interior, scalars, symbols
 from wres4.boundary import (
     assemble_phi,
     compute_case,
@@ -158,11 +158,23 @@ class TestHelpers:
         assert not fjet_monomials_only(ScalarExpr.var("FI4") + PI)
 
 
+def _clear_engine_caches():
+    """Forget every value the exact engine keeps per process, so that the
+    next assembly computes each stage from scratch."""
+    for cached in (symbols._closed_form, scalars._xi3_squared_power,
+                   boundary._left_factor, boundary._right_factor,
+                   boundary._case_value, interior._default_trace,
+                   anchors._build_anchors):
+        cached.cache_clear()
+
+
 class TestWorkGuard:
     def test_assemble_phi_builds_few_fractions(self, monkeypatch):
         # Gaussian rationals are integer triples, so the exact engine's
         # arithmetic builds no Fraction; the few left come from printing.
         # Routing the products back through Fraction pairs costs ~170,000.
+        # The caches are cleared first, so the assembly measured is cold.
+        _clear_engine_caches()
         built = [0]
         new = Fraction.__new__
 
@@ -176,4 +188,27 @@ class TestWorkGuard:
         built[0] = 0
         assemble_phi()
         assert built[0] <= 10_000
+
+    def test_second_assembly_repeats_no_case_work(self, monkeypatch):
+        # each case value is a pure function of its indices, so a second
+        # assembly in the same process traces and integrates nothing
+        calls = {"trace_symbol": 0, "line_integral": 0}
+
+        def counting(name):
+            real = getattr(boundary, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        _clear_engine_caches()
+        for name in calls:
+            monkeypatch.setattr(boundary, name, counting(name))
+        first = assemble_phi()
+        assert calls == {"trace_symbol": 7, "line_integral": 7}
+        calls.update(trace_symbol=0, line_integral=0)
+        second = assemble_phi()
+        assert calls == {"trace_symbol": 0, "line_integral": 0}
+        assert repr(second.total) == repr(first.total)
 

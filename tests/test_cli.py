@@ -115,6 +115,45 @@ class TestAuditSplit:
         assert calls["compute_case"] == 10
         assert sorted(calls["intermediates"]) == ["a1", "a2", "a3", "b", "c"]
 
+    def test_single_case_phi_computes_only_that_case(self, capsys,
+                                                     monkeypatch):
+        import wres4.boundary as boundary
+        import wres4.cli as cli
+
+        calls = {"compute_case": [], "assemble_phi": 0}
+        real_case = boundary.compute_case
+        real_phi = boundary.assemble_phi
+
+        def counting_case(spec, op="Dtilde"):
+            calls["compute_case"].append(spec.label)
+            return real_case(spec, op)
+
+        def counting_phi():
+            calls["assemble_phi"] += 1
+            return real_phi()
+
+        for module in (boundary, cli):
+            monkeypatch.setattr(module, "compute_case", counting_case)
+            monkeypatch.setattr(module, "assemble_phi", counting_phi)
+        assert run(["compute-phi", "--case", "a1", "--format", "json"]) == 0
+        assert calls == {"compute_case": ["a1"], "assemble_phi": 0}
+
+
+class TestSharedValues:
+    def test_cached_values_survive_every_consumer(self, capsys):
+        # the exact engine hands the same case values, factors and symbols
+        # to every caller in a process; a consumer that mutated one would
+        # change the second report
+        golden = (Path(__file__).parent / "golden" / "report.json").read_text()
+        assert run(["report", "--format", "json"]) == 0
+        first = capsys.readouterr().out
+        assert run(["compute-phi", "--case", "b"]) == 0
+        capsys.readouterr()
+        assert run(["report", "--format", "json"]) == 0
+        second = capsys.readouterr().out
+        assert first == golden
+        assert second == golden
+
 
 class TestFormats:
     def test_json_schema_and_determinism(self, capsys):
