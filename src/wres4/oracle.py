@@ -313,8 +313,9 @@ def quad_contour_pi_plus(h: Callable[[complex], complex],
     total = 0j
     for k in range(n):
         theta = 2.0 * math.pi * k / n
-        z = 1j + radius * cmath.exp(1j * theta)
-        dz = radius * 1j * cmath.exp(1j * theta)
+        e = cmath.exp(1j * theta)
+        z = 1j + radius * e
+        dz = radius * 1j * e
         total += h(z) / (xi0 + 1j * u - z) * dz
     return total * (2.0 * math.pi / n) / (2j * math.pi)
 
@@ -423,7 +424,14 @@ def _numerators(shell: str, keys: list, degs: list):
 class CompiledSymbol:
     """A lowered symbol at one tangential covector xi': the 4x4 matrix
     coefficients of its xi_n-polynomial numerator, so each xi_n
-    evaluation is one power vector times one matrix, over one scalar."""
+    evaluation is one power vector times one matrix, over one scalar.
+
+    Each instance computes its matrix at a given xi_n once and returns
+    that same read-only array on every later call at an equal xi_n
+    (quad_line's imaginary-part pass revisits the real-part pass's
+    nodes).  The memo lives only as long as the instance, which is one
+    sphere node of one factor in crosscheck_case.
+    """
 
     def __init__(self, lowered: LoweredSymbol,
                  xi_prime: Tuple[float, float, float]):
@@ -433,12 +441,21 @@ class CompiledSymbol:
         self.root = 1j * math.sqrt(pt[3]) if lowered.shell == OFF else 1j
         self.mats = (lowered.lift @ np.prod(pt ** lowered.exps, axis=1)
                      ).reshape(-1, 16)
+        self._memo: Dict[complex, np.ndarray] = {}
 
     def __call__(self, xi_n: complex) -> np.ndarray:
+        mat = self._memo.get(xi_n)
+        if mat is None:
+            mat = self._memo[xi_n] = self._evaluate(xi_n)
+        return mat
+
+    def _evaluate(self, xi_n: complex) -> np.ndarray:
         low, r = self.lowered, self.root
         a, b = low.poles
         den = (xi_n - r) ** a * (xi_n + r) ** b
-        return (xi_n ** low.powers @ self.mats / den).reshape(4, 4)
+        mat = (xi_n ** low.powers @ self.mats / den).reshape(4, 4)
+        mat.flags.writeable = False
+        return mat
 
 
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:

@@ -1,6 +1,7 @@
 """The floating-point referee: gamma representation, evaluation
 homomorphism, quadrature primitives, and determinism."""
 
+import itertools
 import math
 import os
 import random
@@ -223,6 +224,25 @@ class TestLoweredEvaluator:
         for xi_n in XI_N:
             assert np.array_equal(compiled(xi_n), np.zeros((4, 4)))
 
+    @pytest.mark.parametrize("make", [
+        lambda: case_factor_symbols()[-1],
+        OFF_SHELL["D,-1 + Dtilde,-2"],
+    ], ids=["case factor", "off shell"])
+    def test_shared_matrix_is_read_only_and_fresh(self, ctx, make):
+        # a repeated xi_n returns the first call's array; its bytes are
+        # those of a fresh evaluation, and no caller can write into it
+        low = LoweredSymbol(make(), ctx)
+        xp = (0.36, -0.48, 0.8)
+        compiled = CompiledSymbol(low, xp)
+        for xi_n in (0.7, complex(0.4, -0.3)):
+            first = compiled(xi_n)
+            assert compiled(xi_n) is first
+            assert CompiledSymbol(low, xp)(xi_n).tobytes() == first.tobytes()
+            with pytest.raises(ValueError):
+                first[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                first *= 2.0
+
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
         lambda c: BoundarySymbol.on_shell_term(XinPoly.const(c), 1, 1),
@@ -346,6 +366,52 @@ class TestWorkGuard:
         assert counts["eval_scalar"] <= 1
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
+    def test_one_evaluation_per_factor_and_xi_n(self, monkeypatch):
+        # quad_line's imaginary-part pass revisits the real-part pass's
+        # nodes; each (factor at a sphere node, xi_n) is computed once
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        cls = oracle.CompiledSymbol
+        init, call, compute = cls.__init__, cls.__call__, cls._evaluate
+        serials = itertools.count()
+        calls, pairs, evaluations = [0], set(), [0]
+
+        def counting_init(self, *args):
+            init(self, *args)
+            # a serial, not id(): instances die with their sphere node
+            self.serial = next(serials)
+
+        def counting_call(self, xi_n):
+            calls[0] += 1
+            pairs.add((self.serial, xi_n))
+            return call(self, xi_n)
+
+        def counting_evaluate(self, xi_n):
+            evaluations[0] += 1
+            return compute(self, xi_n)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+        monkeypatch.setattr(cls, "__call__", counting_call)
+        monkeypatch.setattr(cls, "_evaluate", counting_evaluate)
+        (spec,) = [s for s in enumerate_cases() if s.label == "c"]
+        rec = oracle.crosscheck_case(spec, NumericContext(42))
+        assert evaluations[0] == len(pairs)
+        assert 2 * evaluations[0] <= calls[0]
+        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+    def test_no_matrix_outlives_its_sphere_node(self, capsys):
+        # a case run between two runs of another must not change its bytes
+        from wres4.cli import run
+
+        outputs = []
+        for label in ("c", "b", "c"):
+            assert run(["crosscheck", "--seed", "42", "--case", label,
+                        "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[2]
+        assert outputs[0] != outputs[1]
+
     def test_crosscheck_builds_no_audit(self, monkeypatch):
         # the referee needs only the case value, never the printed steps
         import wres4.boundary as boundary
@@ -358,6 +424,64 @@ class TestWorkGuard:
         (spec,) = [s for s in boundary.enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+
+def random_unitary(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def close(a, b):
+    # 1e-10 relative, on the max(1, |value|) scale of the crosscheck bound
+    return abs(a - b) <= 1e-10 * max(1.0, abs(a))
+
+
+class TestMetamorphic:
+    """The referee's result is a trace and a sphere integral, so it must
+    not move under a change of gamma representation or a rotation of the
+    sphere grid."""
+
+    def test_gamma_conjugation(self, monkeypatch):
+        # tr(U L U^-1 U R U^-1) = tr(L R) node by node, so a coarse 2 x 3
+        # sphere grid shows it
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        u = random_unitary(np.random.default_rng(97), 4)
+        rep = GammaRep([u @ g @ u.conj().T for g in GammaRep().gamma])
+        assert rep.max_relation_defect() < 1e-14
+        monkeypatch.setattr(oracle, "quad_sphere",
+                            lambda p: quad_sphere(p, n_theta=2, n_phi=3))
+        for spec in enumerate_cases():
+            ref = oracle.crosscheck_case(spec, NumericContext(42))
+            got = oracle.crosscheck_case(spec, NumericContext(42, rep))
+            assert close(ref["numeric"], got["numeric"])
+
+    def test_sphere_rotation(self, monkeypatch):
+        # the 12 x 24 rule is exact for the case integrand, so it must
+        # give the same value at rotated nodes
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        (spec,) = [s for s in enumerate_cases() if s.label == "b"]
+        ref = oracle.crosscheck_case(spec, NumericContext(42))
+        rot = random_rotation(np.random.default_rng(89))
+        assert np.abs(rot @ rot.T - np.eye(3)).max() < 1e-15
+        monkeypatch.setattr(
+            oracle, "quad_sphere",
+            lambda p: quad_sphere(lambda x, y, z: p(*(rot @ (x, y, z)))))
+        got = oracle.crosscheck_case(spec, NumericContext(42))
+        assert got["numeric"] != ref["numeric"]
+        assert close(ref["numeric"], got["numeric"])
 
 
 class TestDeterminism:
