@@ -45,12 +45,12 @@ def _dxn_cxp() -> CliffordElem:
     return _cxp().scale(half() * HP)
 
 
-def _on(terms) -> BoundarySymbol:
-    return BoundarySymbol(ON, terms)
+def _on(terms, xder: int = 0) -> BoundarySymbol:
+    return BoundarySymbol(ON, terms, xder)
 
 
-def _off(terms) -> BoundarySymbol:
-    return BoundarySymbol(OFF, terms)
+def _off(terms, xder: int = 0) -> BoundarySymbol:
+    return BoundarySymbol(OFF, terms, xder)
 
 
 def d_finv(j: int) -> ScalarExpr:
@@ -138,12 +138,12 @@ def _build_anchors() -> dict:
         1: XinPoly({0: _dxn_cxp().scale(_I)}),
         2: XinPoly({0: cxp.scale(-_I * HP * U_VAR),
                     1: c4.scale(-_I * HP * U_VAR)}),
-    })
+    }, xder=1)
     anchors["4.16"] = _on({
         (1, 0): XinPoly({0: _dxn_cxp().scale(half())
                          + cxp.scale(frac(-1, 4) * HP)}),
         (2, 0): XinPoly({0: (cxp.scale(_I) - c4).scale(frac(1, 4) * HP)}),
-    })
+    }, xder=1)
     # known tension: the sign convention below disagrees with the engine's
     # half-plane projection and with 4.23/4.40
     anchors["4.19"] = _on({(1, 0): XinPoly({
@@ -155,16 +155,16 @@ def _build_anchors() -> dict:
                          1: _dxn_cxp().scale(ScalarExpr.const(-2) * _I)}),
         (3, 3): XinPoly({1: cxp.scale(ScalarExpr.const(4) * _I * HP),
                          2: c4.scale(ScalarExpr.const(4) * _I * HP)}),
-    })
+    }, xder=1)
     anchors["4.23"] = _on({(2, 0): XinPoly({
         0: (cxp + c4.scale(_I)).scale(-half())})})
     anchors["4.24"] = _on({(4, 3): XinPoly({
         0: CliffordElem.scalar(ScalarExpr.const(2) * _I * HP),
         1: CliffordElem.scalar(ScalarExpr.const(-6) * HP),
-    })})
+    })}, xder=1)
     anchors["4.25"] = _on({(4, 2): XinPoly({
         1: CliffordElem.scalar(ScalarExpr.const(-2) * _I * HP),
-    })})
+    })}, xder=1)
 
     # ---- case (b) intermediates ---------------------------------------
     anchors["4.31"] = _sandwich_pi_plus(cdf)
@@ -213,7 +213,7 @@ def _build_anchors() -> dict:
         }),
         (4, 4): XinPoly({d + 1: e.scale(ScalarExpr.const(6) * HP)
                          for d, e in sand.items()}),
-    })
+    }, xder=1)
     anchors["4.44"] = _on({
         (3, 3): XinPoly({
             0: CliffordElem.scalar(ScalarExpr.const(-24) * _I * HP
@@ -225,7 +225,7 @@ def _build_anchors() -> dict:
         }),
         (3, 4): XinPoly({1: CliffordElem.scalar(
             ScalarExpr.const(48) * _I * HP * ScalarExpr.f_inverse(2))}),
-    })
+    }, xder=1)
     two_f = ScalarExpr.const(2) * finv
 
     def _poly_a():

@@ -10,10 +10,10 @@ Each case is evaluated end-to-end in the fixed pipeline order: spatial and
 tangential-cotangent derivatives off-shell, restriction to |xi'| = 1, the
 half-plane projection on the left factor, xi_n-derivatives, Clifford
 multiplication, spinor trace, the xi_n line integral, and the sphere
-average.  Each case value is compared against its golden reference and the
-verdict recorded; a mismatch is reported with the engine's own value kept,
-never patched.  ``intermediates`` recomputes the printed steps of one case
-for the audit, which the CLI judges against their anchors.
+average.  Each case value is kept next to its golden reference, which the
+CLI judges; a mismatch is reported with the engine's own value kept, never
+patched.  ``intermediates`` recomputes the printed steps of one case for
+the audit, which the CLI judges against their anchors too.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from . import anchors
 from .clifford import CliffordElem
 from .halfplane import line_integral, pi_plus, trace_symbol
-from .scalars import (
-    GAUSS_I,
-    GaussianRational,
-    NAMES,
-    ScalarExpr,
-    _INDEX,
-)
+from .scalars import GAUSS_I, GaussianRational, ScalarExpr, _INDEX
 from .sphere import integrate_sphere
 from .symbols import (
     BoundarySymbol,
@@ -43,7 +37,7 @@ from .symbols import (
     sandwich,
 )
 
-_CASE_ORDER = ("a1", "a2", "a3", "b", "c")
+CASE_LABELS = ("a1", "a2", "a3", "b", "c")
 
 
 class CaseSpec:
@@ -72,15 +66,14 @@ def _coefficient(j: int, k: int, alpha: int) -> GaussianRational:
 
 
 class CaseResult:
-    """Outcome of one case: its value, its anchor and the verdict between
-    them.  The printed steps are audited separately, by ``intermediates``."""
+    """Outcome of one case: its value and its anchor.  The printed steps
+    are audited separately, by ``intermediates``."""
 
     def __init__(self, spec: CaseSpec, symbolic_value: ScalarExpr,
                  paper_value: Optional[ScalarExpr]):
         self.spec = spec
         self.symbolic_value = symbolic_value
         self.paper_value = paper_value
-        self.verdict = anchors.compare(symbolic_value, paper_value)
 
 
 def enumerate_cases() -> List[CaseSpec]:
@@ -108,7 +101,7 @@ def enumerate_cases() -> List[CaseSpec]:
         else:
             labels[combo] = "a3"
     specs = [CaseSpec(labels[c], *c) for c in found]
-    specs.sort(key=lambda s: _CASE_ORDER.index(s.label))
+    specs.sort(key=lambda s: CASE_LABELS.index(s.label))
     return specs
 
 
@@ -235,7 +228,6 @@ def intermediates(label: str) -> Dict[str, object]:
 # -- assembly ----------------------------------------------------------------
 
 _HP_IDX = _INDEX["HP"]
-_FJET_IDX = tuple(_INDEX[n] for n in NAMES if n.startswith("FI"))
 
 
 def hp_part(e: ScalarExpr) -> ScalarExpr:
@@ -245,29 +237,16 @@ def hp_part(e: ScalarExpr) -> ScalarExpr:
     return ScalarExpr(keep)
 
 
-def fjet_monomials_only(e: ScalarExpr) -> bool:
-    """True when every monomial carries a first- or second-order f-jet."""
-    return all(any(idx in _FJET_IDX for idx, _ in m)
-               for m in e.terms)
-
-
 class PhiReport:
-    """The assembled boundary term and its certification flags."""
+    """The assembled boundary term, its cases and its anchor."""
 
     def __init__(self, cases: Dict[str, CaseResult]):
         self.cases = cases
         total = ScalarExpr.zero()
-        for label in _CASE_ORDER:
+        for label in CASE_LABELS:
             total = total + cases[label].symbolic_value
         self.total = total
-        bc = (cases["b"].symbolic_value + cases["c"].symbolic_value)
-        self.b_plus_c_zero = bc.is_zero()
-        hp_sum = hp_part(cases["a2"].symbolic_value
-                         + cases["a3"].symbolic_value)
-        self.hp_cancellation = hp_sum.is_zero()
         self.paper_value = anchors.anchor("4.52")
-        self.verdict = anchors.compare(self.total, self.paper_value)
-        self.fjet_only = fjet_monomials_only(self.total)
 
 
 def assemble_phi() -> PhiReport:
@@ -275,31 +254,3 @@ def assemble_phi() -> PhiReport:
     for spec in enumerate_cases():
         cases[spec.label] = compute_case(spec)
     return PhiReport(cases)
-
-
-def theorem42_report(phi: PhiReport, interior) -> dict:
-    """Two-term statement: interior integrand plus the boundary term."""
-    doc = {
-        "interior": {
-            "engine_value": repr(interior.trace_value),
-            "paper_value": repr(interior.paper_value),
-            "verdict": interior.verdict,
-        },
-        "boundary": {
-            "engine_phi": repr(phi.total),
-            "paper_phi": repr(phi.paper_value),
-            "verdict": phi.verdict,
-            "b_plus_c_zero": phi.b_plus_c_zero,
-            "hp_cancellation": phi.hp_cancellation,
-            "fjet_only": phi.fjet_only,
-        },
-        "cases": {
-            label: {
-                "coefficient": str(res.spec.coefficient),
-                "symbolic_value": repr(res.symbolic_value),
-                "verdict": res.verdict,
-            }
-            for label, res in phi.cases.items()
-        },
-    }
-    return doc

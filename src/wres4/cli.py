@@ -15,15 +15,17 @@ from typing import Dict, List, Optional
 
 from . import anchors
 from .boundary import (
+    CASE_LABELS,
     assemble_phi,
     compute_case,
     enumerate_cases,
+    hp_part,
     intermediates,
-    theorem42_report,
 )
 from .clifford import CliffordElem, spin_trace
 from .interior import (
-    closed_form_verdict,
+    E_closed_form,
+    compute_E_at_x0,
     theorem32_prefactor,
     theorem32_value,
     trace_interior,
@@ -33,7 +35,6 @@ from .sexpr import dumps as sexpr_dumps
 from .symbols import build_sigma, parametrix
 
 SCHEMA_VERSION = 1
-_CASES = ("a1", "a2", "a3", "b", "c")
 
 
 def load_discrepancies() -> Dict:
@@ -45,13 +46,14 @@ def known_ids() -> frozenset:
     return frozenset(d["id"] for d in load_discrepancies()["discrepancies"])
 
 
-def _entry(ident: str, engine, reference, verdict: str) -> Dict:
+def _entry(ident: str, engine, reference) -> Dict:
+    """One exact row: both values printed, the verdict from the anchors'
+    rule.  A missing reference prints as null."""
     return {
         "id": ident,
-        "engine": engine if isinstance(engine, str) else sexpr_dumps(engine),
-        "reference": (reference if isinstance(reference, (str, type(None)))
-                      else sexpr_dumps(reference)),
-        "verdict": verdict,
+        "engine": sexpr_dumps(engine),
+        "reference": None if reference is None else sexpr_dumps(reference),
+        "verdict": anchors.compare(engine, reference),
     }
 
 
@@ -77,9 +79,7 @@ def trace_suite() -> List[Dict]:
         ("trace[5]", reduce_sphere(spin_trace(dcxp * cxp)),
          ScalarExpr.const(-2) * hp),
     ]
-    return [_entry(ident, eng, ref,
-                   "match" if eng == ref else "mismatch")
-            for ident, eng, ref in checks]
+    return [_entry(ident, eng, ref) for ident, eng, ref in checks]
 
 
 def lemma41_suite() -> List[Dict]:
@@ -88,10 +88,9 @@ def lemma41_suite() -> List[Dict]:
     for op in ("D", "Dtilde"):
         r1, r2 = parametrix(op)
         for order, computed in ((-1, r1), (-2, r2)):
-            computed = computed.canonical()
-            closed = build_sigma(op, order).canonical()
-            out.append(_entry(f"parametrix[{op},{order}]", computed, closed,
-                              "match" if computed == closed else "mismatch"))
+            out.append(_entry(f"parametrix[{op},{order}]",
+                              computed.canonical(),
+                              build_sigma(op, order).canonical()))
     return out
 
 
@@ -105,38 +104,31 @@ def phi_suite(case_filter: str) -> List[Dict]:
     out = []
     for label, res in cases.items():
         out.append(_entry(f"case_{label}", res.symbolic_value,
-                          res.paper_value, res.verdict))
+                          res.paper_value))
         steps = intermediates(label)
         for name in sorted(steps):
             ref = anchors.anchor(name) if anchors.has_anchor(name) else None
-            out.append(_entry(name, steps[name], ref,
-                              anchors.compare(steps[name], ref)))
+            out.append(_entry(name, steps[name], ref))
     if case_filter == "all":
-        out.append(_entry("4.52", phi.total, phi.paper_value, phi.verdict))
-        out.append(_entry("phi.b_plus_c", "0" if phi.b_plus_c_zero else "!=0",
-                          "0", "match" if phi.b_plus_c_zero else "mismatch"))
+        value = {label: res.symbolic_value for label, res in cases.items()}
+        zero = ScalarExpr.zero()
+        out.append(_entry("4.52", phi.total, phi.paper_value))
+        out.append(_entry("phi.b_plus_c", value["b"] + value["c"], zero))
         out.append(_entry("phi.hp_cancellation",
-                          "0" if phi.hp_cancellation else "!=0", "0",
-                          "match" if phi.hp_cancellation else "mismatch"))
+                          hp_part(value["a2"] + value["a3"]), zero))
     return out
 
 
 def interior_suite() -> List[Dict]:
     res = trace_interior()
-    prefactor = theorem32_prefactor()
-    expected_prefactor = (ScalarExpr.const(-512) * ScalarExpr.var("PI") ** 2
-                          * ScalarExpr.f_inverse(2))
-    value = theorem32_value(res)
-    expected_value = (ScalarExpr.const(128) * ScalarExpr.var("PI") ** 2
-                      * ScalarExpr.f_inverse(2) * res.trace_value)
+    pi2_f2 = ScalarExpr.var("PI") ** 2 * ScalarExpr.f_inverse(2)
     return [
-        _entry("3.19", "raw route E (mixed term -1/2)",
-               "closed form with mixed term +1/2", closed_form_verdict()),
-        _entry("3.22", res.trace_value, res.paper_value, res.verdict),
-        _entry("theorem32.prefactor", prefactor, expected_prefactor,
-               "match" if prefactor == expected_prefactor else "mismatch"),
-        _entry("theorem32.value", value, "engine trace times 128 pi^2 / f^2",
-               "match" if value == expected_value else "mismatch"),
+        _entry("3.19", compute_E_at_x0(), E_closed_form()),
+        _entry("3.22", res.trace_value, res.paper_value),
+        _entry("theorem32.prefactor", theorem32_prefactor(),
+               ScalarExpr.const(-512) * pi2_f2),
+        _entry("theorem32.value", theorem32_value(res),
+               ScalarExpr.const(128) * pi2_f2 * res.trace_value),
     ]
 
 
@@ -145,9 +137,9 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
 
     ctx = NumericContext(seed)
     defect = ctx.rep.max_relation_defect()
-    out = [_entry("gamma.relations", f"max defect {defect}",
-                  "0 to machine precision",
-                  "match" if defect < 1e-14 else "mismatch")]
+    out = [{"id": "gamma.relations", "engine": f"max defect {defect}",
+            "reference": "0 to machine precision",
+            "verdict": "match" if defect < 1e-14 else "mismatch"}]
     for spec in enumerate_cases():
         if case_filter != "all" and spec.label != case_filter:
             continue
@@ -164,15 +156,11 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
 
 
 def report_suite() -> List[Dict]:
-    results = (trace_suite() + lemma41_suite() + phi_suite("all")
-               + interior_suite())
-    phi = assemble_phi()
-    doc = theorem42_report(phi, trace_interior())
-    # the headline statement: the boundary term Phi vanishes
-    results.append({"id": "theorem42", "engine": json.dumps(doc, sort_keys=True),
-                    "reference": None,
-                    "verdict": anchors.compare(phi.total, ScalarExpr.zero())})
-    return results
+    # the headline statement closes the report: the boundary term Phi
+    # vanishes
+    return (trace_suite() + lemma41_suite() + phi_suite("all")
+            + interior_suite()
+            + [_entry("theorem42", assemble_phi().total, ScalarExpr.zero())])
 
 
 # -- rendering ---------------------------------------------------------------
@@ -218,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in ("verify-traces", "verify-lemma41", "compute-phi",
                  "compute-interior", "crosscheck", "report"):
         sp = sub.add_parser(verb)
-        sp.add_argument("--case", choices=_CASES + ("all",), default="all")
+        sp.add_argument("--case", choices=CASE_LABELS + ("all",), default="all")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("text", "json", "latex"),
                         default="text")

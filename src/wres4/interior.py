@@ -59,12 +59,9 @@ class LaplaceTypeData:
 
 
 class InteriorResult:
-    def __init__(self, E_at_x0: CliffordElem, trace_value: ScalarExpr,
-                 paper_value: ScalarExpr):
-        self.E_at_x0 = E_at_x0
+    def __init__(self, trace_value: ScalarExpr, paper_value: ScalarExpr):
         self.trace_value = trace_value
         self.paper_value = paper_value
-        self.verdict = "match" if trace_value == paper_value else "mismatch"
 
 
 def build_dbar_squared_data() -> LaplaceTypeData:
@@ -95,11 +92,9 @@ def compute_E_raw(A: List[CliffordElem], B: CliffordElem,
     return E
 
 
-def compute_E_at_x0(data: LaplaceTypeData | None = None) -> CliffordElem:
-    """E at the base point from the raw data; equals the closed form."""
-    if data is None:
-        data = build_dbar_squared_data()
-    return data.E
+def compute_E_at_x0() -> CliffordElem:
+    """E at the base point from the raw (A, B) data."""
+    return build_dbar_squared_data().E
 
 
 def _closed_form(mixed_sign: int) -> CliffordElem:
@@ -138,39 +133,28 @@ def E_closed_form_engine() -> CliffordElem:
     return _closed_form(-1)
 
 
-def closed_form_verdict() -> str:
-    """Compare the raw-route E against the reference closed form."""
-    return ("match" if compute_E_at_x0() == E_closed_form()
-            else "mismatch")
-
-
-def trace_interior(E: CliffordElem | None = None) -> InteriorResult:
-    """spin_trace(s/6 + E), compared against the printed braces value
+def trace_interior() -> InteriorResult:
+    """spin_trace(s/6 + E), next to the printed braces value
 
         -4 * { s/12 + Delta f/(2f) + (1/2) g(df, df^-1) + 2|df|^2/f^2 }
 
     with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2.
 
-    The default E's result is computed once per process and shared."""
-    if E is None:
-        return _default_trace()
-    return _trace_with(E)
+    The result is computed once per process and shared."""
+    return _default_trace()
 
 
 @functools.cache
 def _default_trace() -> InteriorResult:
-    return _trace_with(compute_E_at_x0())
-
-
-def _trace_with(E: CliffordElem) -> InteriorResult:
-    engine = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV) + E)
+    engine = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
+                        + compute_E_at_x0())
     g_df_dfinv = -df_norm_sq() * _FINV(2)
     braces = (frac(1, 12) * S_CURV
               + laplacian_f() * half() * _FINV()
               + half() * g_df_dfinv
               + ScalarExpr.const(2) * df_norm_sq() * _FINV(2))
     paper = ScalarExpr.const(-4) * braces
-    return InteriorResult(E, engine, paper)
+    return InteriorResult(engine, paper)
 
 
 def _bridge() -> ScalarExpr:
@@ -179,19 +163,12 @@ def _bridge() -> ScalarExpr:
     return ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4) * _FINV(2)
 
 
-def theorem32_value(result: InteriorResult | None = None) -> ScalarExpr:
+def theorem32_value(result: InteriorResult) -> ScalarExpr:
     """Apply the bridge to the engine trace, yielding the interior residue
     integrand."""
-    if result is None:
-        result = trace_interior()
     return _bridge() * result.trace_value
 
 
 def theorem32_prefactor() -> ScalarExpr:
     """The -512 pi^2 / f^2 normalization in front of the braces."""
     return _bridge() * ScalarExpr.const(-4)
-
-
-def paper_theorem32_value() -> ScalarExpr:
-    """The printed integrand: -512 pi^2/f^2 times the printed braces."""
-    return _bridge() * trace_interior().paper_value

@@ -26,7 +26,6 @@ from .symbols import OFF, BoundarySymbol
 _POINT_NAMES = ("XI1", "XI2", "XI3", "XIN", "U", "W")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
-_F_IDX = NAMES.index("F")
 _LOWERED_POINT = {NAMES.index(n): j
                   for j, n in enumerate(("XI1", "XI2", "XI3", "U"))}
 
@@ -102,30 +101,12 @@ def eval_scalar(e: ScalarExpr, ctx: NumericContext,
                 point=None) -> complex:
     bindings = dict(ctx.assignment)
     bindings.update(_point_bindings(point))
-    fpow = e.fpow
     total = sum(
-        complex(coeff) * math.prod(_num_factors(bindings, mono, fpow))
-        for mono, coeff in e.terms.items()
+        complex(coeff) * math.prod(_lookup(bindings, NAMES[idx]) ** exp
+                                   for idx, exp in mono)
+        for mono, coeff in e.num.terms.items()
     )
-    return total / bindings["F"] ** fpow
-
-
-def _num_factors(bindings: Dict[str, complex], mono, fpow: int):
-    """Bound powers of the numerator monomial mono * F**fpow of the
-    num / F**fpow view, in variable order, without building the view."""
-    for idx, exp in mono:
-        if fpow and idx >= _F_IDX:
-            if idx == _F_IDX:
-                exp += fpow
-                fpow = 0
-                if not exp:
-                    continue
-            else:
-                yield bindings["F"] ** fpow
-                fpow = 0
-        yield _lookup(bindings, NAMES[idx]) ** exp
-    if fpow:
-        yield bindings["F"] ** fpow
+    return total / bindings["F"] ** e.fpow
 
 
 def _lookup(bindings: Dict[str, complex], name: str) -> complex:

@@ -258,7 +258,7 @@ class BoundarySymbol:
 
     def __eq__(self, other):
         if isinstance(other, BoundarySymbol):
-            if self.shell != other.shell:
+            if self.shell != other.shell or self.xder != other.xder:
                 return False
             return (self - other).is_zero()
         return NotImplemented

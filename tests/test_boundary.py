@@ -10,18 +10,19 @@ from wres4.boundary import (
     assemble_phi,
     compute_case,
     enumerate_cases,
-    fjet_monomials_only,
     hp_part,
     intermediates,
-    theorem42_report,
 )
-from wres4.interior import trace_interior
 from wres4.scalars import NAMES, GaussianRational, ScalarExpr
 
 OMEGA = ScalarExpr.var("OMEGA")
 PI = ScalarExpr.var("PI")
 HP = ScalarExpr.var("HP")
 FINV = ScalarExpr.f_inverse
+
+
+def _verdict(res) -> str:
+    return anchors.compare(res.symbolic_value, res.paper_value)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,7 @@ class TestEnumeration:
 class TestCaseValues:
     def test_a1_vanishes(self, phi):
         assert phi.cases["a1"].symbolic_value.is_zero()
-        assert phi.cases["a1"].verdict == "match"
+        assert _verdict(phi.cases["a1"]) == "match"
 
     def test_a2_value(self, phi):
         expected = (ScalarExpr.const(-3) / 2 * HP * PI * OMEGA * FINV(2)
@@ -74,10 +75,10 @@ class TestCaseValues:
                     - ScalarExpr.const(4) * ScalarExpr.var("FI4") * PI
                     * OMEGA * FINV(3))
         assert phi.cases["b"].symbolic_value == expected
-        assert phi.cases["b"].verdict == "match"
+        assert _verdict(phi.cases["b"]) == "match"
 
     def test_c_value_matches_reference(self, phi):
-        assert phi.cases["c"].verdict == "match"
+        assert _verdict(phi.cases["c"]) == "match"
         assert (phi.cases["b"].symbolic_value
                 + phi.cases["c"].symbolic_value).is_zero()
 
@@ -89,8 +90,8 @@ class TestCaseValues:
         expected = (ScalarExpr.const(-2) * ScalarExpr.var("FI4") * PI
                     * OMEGA * FINV(3))
         assert diff == expected
-        assert phi.cases["a2"].verdict == "mismatch"
-        assert phi.cases["a3"].verdict == "mismatch"
+        assert _verdict(phi.cases["a2"]) == "mismatch"
+        assert _verdict(phi.cases["a3"]) == "mismatch"
 
 
 class TestMetamorphic:
@@ -127,9 +128,14 @@ class TestPhi:
         assert phi.total.is_zero()
 
     def test_certification_flags(self, phi):
-        assert phi.b_plus_c_zero
-        assert phi.hp_cancellation
-        assert phi.fjet_only  # vacuously true for the zero sum
+        value = {label: res.symbolic_value for label, res in phi.cases.items()}
+        zero = ScalarExpr.zero()
+        assert anchors.compare(value["b"] + value["c"], zero) == "match"
+        assert anchors.compare(hp_part(value["a2"] + value["a3"]),
+                               zero) == "match"
+        # every monomial carries an f-jet: vacuously true for the zero sum
+        assert all(any(NAMES[idx].startswith("FI") for idx, _ in m)
+                   for m in phi.total.terms)
 
     def test_no_hp_term_in_total(self, phi):
         assert hp_part(phi.total).is_zero()
@@ -139,23 +145,13 @@ class TestPhi:
         # documented discrepancy, never patched
         assert phi.paper_value is not None
         assert not phi.paper_value.is_zero()
-        assert phi.verdict == "mismatch"
-
-    def test_report_assembly(self, phi):
-        doc = theorem42_report(phi, trace_interior())
-        assert doc["boundary"]["b_plus_c_zero"] is True
-        assert set(doc["cases"]) == {"a1", "a2", "a3", "b", "c"}
-        assert doc["interior"]["verdict"] == "mismatch"
+        assert anchors.compare(phi.total, phi.paper_value) == "mismatch"
 
 
 class TestHelpers:
     def test_hp_part_extraction(self):
         e = HP * PI + ScalarExpr.var("FI4")
         assert hp_part(e) == HP * PI
-
-    def test_fjet_monomials_only(self):
-        assert fjet_monomials_only(ScalarExpr.var("FI4") * PI)
-        assert not fjet_monomials_only(ScalarExpr.var("FI4") + PI)
 
 
 def _clear_engine_caches():

@@ -5,8 +5,33 @@ from pathlib import Path
 
 import pytest
 
+from wres4 import anchors
 from wres4.cli import build_parser, known_ids, load_discrepancies, run
 from wres4.scalars import ScalarExpr
+from wres4.sexpr import dumps
+from wres4.symbols import BoundarySymbol
+
+
+def _row(capsys, ident):
+    (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
+              if r["id"] == ident]
+    return rec
+
+
+def _perturb_case(monkeypatch, label, extra):
+    """Add ``extra`` to one case value on the value path."""
+    import wres4.boundary as boundary
+
+    real = boundary.compute_case
+
+    def perturbed(spec, op="Dtilde"):
+        res = real(spec, op)
+        if spec.label != label:
+            return res
+        return boundary.CaseResult(res.spec, res.symbolic_value + extra,
+                                   res.paper_value)
+
+    monkeypatch.setattr(boundary, "compute_case", perturbed)
 
 
 class TestLedger:
@@ -63,30 +88,51 @@ class TestExitCodes:
 
         real = cli.theorem32_value
         monkeypatch.setattr(cli, "theorem32_value",
-                            lambda res=None: ScalarExpr.const(2) * real(res))
+                            lambda res: ScalarExpr.const(2) * real(res))
         assert run(["compute-interior", "--format", "json"]) == 1
-        (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
-                  if r["id"] == "theorem32.value"]
-        assert rec["verdict"] == "mismatch"
+        assert _row(capsys, "theorem32.value")["verdict"] == "mismatch"
 
     def test_nonzero_phi_fails_theorem42(self, capsys, monkeypatch):
-        import wres4.boundary as boundary
-
-        real = boundary.compute_case
-
-        def perturbed(spec, op="Dtilde"):
-            res = real(spec, op)
-            if spec.label != "a2":
-                return res
-            value = (res.symbolic_value
-                     + ScalarExpr.var("S") * ScalarExpr.var("OMEGA"))
-            return boundary.CaseResult(res.spec, value, res.paper_value)
-
-        monkeypatch.setattr(boundary, "compute_case", perturbed)
+        _perturb_case(monkeypatch, "a2",
+                      ScalarExpr.var("S") * ScalarExpr.var("OMEGA"))
         assert run(["report", "--format", "json"]) == 1
-        (rec,) = [r for r in json.loads(capsys.readouterr().out)["results"]
-                  if r["id"] == "theorem42"]
-        assert rec["verdict"] == "mismatch"
+        assert _row(capsys, "theorem42")["verdict"] == "mismatch"
+
+    def test_theorem42_prints_phi_against_zero(self, capsys):
+        assert run(["report", "--format", "json"]) == 0
+        rec = _row(capsys, "theorem42")
+        assert (rec["engine"], rec["reference"], rec["verdict"]) == (
+            "0", "0", "match")
+
+    def test_nonzero_b_plus_c_prints_the_sum(self, capsys, monkeypatch):
+        extra = ScalarExpr.var("S") * ScalarExpr.var("OMEGA")
+        _perturb_case(monkeypatch, "b", extra)
+        assert run(["report", "--format", "json"]) == 1
+        rec = _row(capsys, "phi.b_plus_c")
+        assert (rec["engine"], rec["reference"], rec["verdict"]) == (
+            dumps(extra), "0", "mismatch")
+
+    def test_engine_closed_form_matches_3_19(self, capsys, monkeypatch):
+        # the 3.19 row compares the raw-route E with the closed form, so a
+        # closed form equal to the engine's E turns it into a match
+        import wres4.cli as cli
+
+        monkeypatch.setattr(cli, "E_closed_form", cli.compute_E_at_x0)
+        assert run(["compute-interior", "--format", "json"]) == 0
+        rec = _row(capsys, "3.19")
+        assert rec["verdict"] == "match"
+        assert rec["engine"] == rec["reference"]
+
+    def test_anchor_without_xn_derivative_exits_one(self, capsys,
+                                                    monkeypatch):
+        # 4.15 carries one x_n-derivative; an anchor rebuilt without it
+        # must not match
+        table = dict(anchors._build_anchors())
+        ref = table["4.15"]
+        table["4.15"] = BoundarySymbol(ref.shell, ref.terms, 0)
+        monkeypatch.setattr(anchors, "_build_anchors", lambda: table)
+        assert run(["compute-phi", "--format", "json"]) == 1
+        assert _row(capsys, "4.15")["verdict"] == "mismatch"
 
 
 class TestAuditSplit:

@@ -10,6 +10,7 @@ from wres4.clifford import CliffordElem
 from wres4.errors import UnsupportedOrder
 from wres4.scalars import ScalarExpr, usq
 from wres4.symbols import (
+    OFF,
     BoundarySymbol,
     XinPoly,
     build_sigma,
@@ -134,6 +135,17 @@ class TestGoldenForms:
         for name, value in builders.items():
             text = golden(name)
             assert sexpr.dumps(value) + "\n" == text
+
+
+class TestEquality:
+    def test_xn_derivative_count_is_compared(self):
+        # two symbols that differ only in their x_n-derivative count print
+        # differently, so they must not compare equal
+        one = XinPoly.const(CliffordElem.one())
+        assert (BoundarySymbol(OFF, {0: one}, 0)
+                != BoundarySymbol(OFF, {0: one}, 1))
+        assert (BoundarySymbol(OFF, {0: one}, 1)
+                == BoundarySymbol(OFF, {0: one}, 1))
 
 
 class TestXinPoly:
