@@ -6,6 +6,10 @@ can be evaluated to a complex matrix or scalar, and every integral in the
 pipeline can be recomputed by adaptive or spectral quadrature, so any
 symbolic/reference mismatch is adjudicated numerically rather than by
 fiat.
+
+The per-case referee walks the sphere rule one polar ring at a time: each
+factor is evaluated at all of a ring's nodes at once, one matrix stack per
+xi_n node, and each node's line integral reads its own row of the stack.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import cmath
 import math
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -301,19 +305,30 @@ def quad_contour_pi_plus(h: Callable[[complex], complex],
     return total * (2.0 * math.pi / n) / (2j * math.pi)
 
 
-def quad_sphere(p: Callable[[float, float, float], complex],
+def quad_sphere(p: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                             np.ndarray],
                 n_theta: int = 12, n_phi: int = 24) -> complex:
     """Product Gauss-Legendre (polar) x trapezoid (azimuthal) quadrature
     of p over the unit sphere; exact for polynomials of degree <= 23 at the
     default orders (12 Gauss-Legendre nodes in cos(theta), 24 equispaced
-    azimuths)."""
+    azimuths).
+
+    p is called once per polar ring, with three arrays holding the x, y
+    and z of that ring's n_phi nodes, and returns the n_phi values (a
+    scalar stands for n_phi equal values).  The nodes are built and the
+    weighted values summed node by node in ring order, so a p that works
+    point by point gives the sum of a point-by-point rule.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(n_theta)
+    phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
+    cos_phi = np.array([math.cos(phi) for phi in phis])
+    sin_phi = np.array([math.sin(phi) for phi in phis])
     total = 0j
     for c, w in zip(nodes, weights):
         s = math.sqrt(1.0 - c * c)
-        for k in range(n_phi):
-            phi = 2.0 * math.pi * k / n_phi
-            total += w * p(s * math.cos(phi), s * math.sin(phi), c)
+        values = p(s * cos_phi, s * sin_phi, np.full(n_phi, c))
+        for v in np.broadcast_to(values, (n_phi,)):
+            total += w * v
     return total * (2.0 * math.pi / n_phi)
 
 
@@ -403,25 +418,36 @@ def _numerators(shell: str, keys: list, degs: list):
 
 
 class CompiledSymbol:
-    """A lowered symbol at one tangential covector xi': the 4x4 matrix
-    coefficients of its xi_n-polynomial numerator, so each xi_n
-    evaluation is one power vector times one matrix, over one scalar.
+    """A lowered symbol at one tangential covector xi', or at a stack of
+    them: the 4x4 matrix coefficients of its xi_n-polynomial numerator, so
+    each xi_n evaluation is one power vector times one matrix stack, over
+    one scalar per point.
 
-    Each instance computes its matrix at a given xi_n once and returns
-    that same read-only array on every later call at an equal xi_n
-    (quad_line's imaginary-part pass revisits the real-part pass's
+    xi_prime is one point (x1, x2, x3) or an (N, 3) array of points; a
+    call at xi_n returns the 4x4 matrix or the (N, 4, 4) stack, through
+    the same arithmetic.  Each instance computes its matrices at a given
+    xi_n once and returns that same read-only array on every later call at
+    an equal xi_n (quad_line's imaginary-part pass revisits the real-part
+    pass's nodes, and the sphere nodes of one ring share their xi_n
     nodes).  The memo lives only as long as the instance, which is one
-    sphere node of one factor in crosscheck_case.
+    polar ring of the sphere rule for one factor in crosscheck_case.
     """
 
     def __init__(self, lowered: LoweredSymbol,
-                 xi_prime: Tuple[float, float, float]):
-        x1, x2, x3 = xi_prime
-        pt = np.array([x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3])
+                 xi_prime: Union[Tuple[float, float, float], np.ndarray]):
+        pts = np.asarray(xi_prime, dtype=float)
+        self.shape = pts.shape[:-1] + (4, 4)
+        x1, x2, x3 = pts.reshape(-1, 3).T
+        u = x1 * x1 + x2 * x2 + x3 * x3
+        pt = np.stack((x1, x2, x3, u), axis=1)
         self.lowered = lowered
-        self.root = 1j * math.sqrt(pt[3]) if lowered.shell == OFF else 1j
-        self.mats = (lowered.lift @ np.prod(pt ** lowered.exps, axis=1)
-                     ).reshape(-1, 16)
+        self.root = (1j * np.sqrt(u)[:, None] if lowered.shell == OFF
+                     else 1j)
+        # one matrix-vector product per point, stacked: the same float
+        # operations as lowering each point on its own
+        monomials = np.prod(pt[:, None, :] ** lowered.exps, axis=2)
+        self.mats = (lowered.lift @ monomials[:, :, None]).reshape(
+            len(pt), -1, 16)
         self._memo: Dict[complex, np.ndarray] = {}
 
     def __call__(self, xi_n: complex) -> np.ndarray:
@@ -434,7 +460,7 @@ class CompiledSymbol:
         low, r = self.lowered, self.root
         a, b = low.poles
         den = (xi_n - r) ** a * (xi_n + r) ** b
-        mat = (xi_n ** low.powers @ self.mats / den).reshape(4, 4)
+        mat = (xi_n ** low.powers @ self.mats / den).reshape(self.shape)
         mat.flags.writeable = False
         return mat
 
@@ -453,12 +479,15 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     for left, right in case_factors(spec, "Dtilde"):
         low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
 
-        def p(x1: float, x2: float, x3: float) -> complex:
-            lc = CompiledSymbol(low_l, (x1, x2, x3))
-            rc = CompiledSymbol(low_r, (x1, x2, x3))
+        def p(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray) -> list:
+            # both factors at every node of one polar ring, then one
+            # line integral per node, each reading its row k
+            ring = np.stack((x1, x2, x3), axis=1)
+            lc, rc = CompiledSymbol(low_l, ring), CompiledSymbol(low_r, ring)
             # tr(L R) = sum_ij L_ij R_ji: R flattened column-major
-            return quad_line(
-                lambda t: lc(t).ravel() @ rc(t).ravel(order="F"))
+            return [quad_line(
+                lambda t: lc(t)[k].ravel() @ rc(t)[k].ravel(order="F"))
+                for k in range(len(ring))]
 
         total += quad_sphere(p)
     total *= complex(spec.coefficient)

@@ -249,6 +249,32 @@ class TestFormats:
 
 
 class TestCrosscheck:
+    def test_seed42_matches_golden(self, capsys):
+        # regression oracle for the referee: every field but the numeric
+        # reference and its error prints the same bytes as the golden run,
+        # and those two move at most by rounding
+        golden = json.loads((Path(__file__).parent / "golden"
+                             / "crosscheck_seed42.json").read_text())
+        code = run(["crosscheck", "--seed", "42", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        numeric = ("reference", "abs_error")
+
+        def exact_part(d):
+            rows = [{k: v for k, v in r.items()
+                     if not (r["id"].startswith("crosscheck[")
+                             and k in numeric)} for r in d["results"]]
+            return json.dumps(dict(d, results=rows), sort_keys=True)
+
+        assert code == golden["exit"]
+        assert exact_part(doc) == exact_part(golden)
+        for got, want in zip(doc["results"], golden["results"]):
+            if got["id"].startswith("crosscheck["):
+                bound = 1e-12 * max(1.0, abs(complex(*got["engine"])))
+                assert len(got["reference"]) == 2
+                for x, y in zip(got["reference"], want["reference"]):
+                    assert abs(x - y) <= bound
+                assert got["abs_error"] <= bound
+
     def test_single_case_crosscheck(self, capsys):
         assert run(["crosscheck", "--seed", "42", "--case", "b"]) == 0
         out = capsys.readouterr().out

@@ -214,6 +214,45 @@ class TestLoweredEvaluator:
         assert s.shell == OFF
         self.check_against_reference(s, ctx, random.Random(83))
 
+    def check_stack_against_points(self, s, ctx, rng):
+        # an (N, 3) stack, three points on the unit sphere and two off
+        # it, against one single-point instance per row
+        low = LoweredSymbol(s, ctx)
+        points = []
+        for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0),
+                       rng.uniform(0.5, 2.0)):
+            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+            norm = math.sqrt(sum(x * x for x in v))
+            points.append(tuple(radius * x / norm for x in v))
+        stack = CompiledSymbol(low, np.array(points))
+        singles = [CompiledSymbol(low, xp) for xp in points]
+        for xi_n in (rng.uniform(-3.0, 3.0),
+                     complex(rng.uniform(-2.0, 2.0),
+                             rng.uniform(-0.5, 0.5))) + XI_N:
+            got = stack(xi_n)
+            assert got.shape == (len(points), 4, 4)
+            with pytest.raises(ValueError):
+                got[0, 0, 0] = 1.0
+            with pytest.raises(ValueError):
+                got *= 2.0
+            for row, single in zip(got, singles):
+                one = single(xi_n)
+                assert one.shape == (4, 4)
+                assert (np.abs(row - one)
+                        <= 1e-14 * np.maximum(1.0, np.abs(one))).all()
+
+    def test_case_factor_stacks_match_points(self, ctx):
+        factors = case_factor_symbols()
+        assert len(factors) == 14
+        rng = random.Random(89)
+        for s in factors:
+            self.check_stack_against_points(s, ctx, rng)
+
+    @pytest.mark.parametrize("name", sorted(OFF_SHELL))
+    def test_off_shell_stacks_match_points(self, ctx, name):
+        self.check_stack_against_points(OFF_SHELL[name](), ctx,
+                                        random.Random(97))
+
     @pytest.mark.parametrize("shell", ["on", "off"])
     def test_zero_symbol(self, ctx, shell):
         got = eval_symbol(BoundarySymbol.zero(shell), ctx,
@@ -379,7 +418,7 @@ class TestWorkGuard:
 
         def counting_init(self, *args):
             init(self, *args)
-            # a serial, not id(): instances die with their sphere node
+            # a serial, not id(): instances die with their ring
             self.serial = next(serials)
 
         def counting_call(self, xi_n):
@@ -398,6 +437,49 @@ class TestWorkGuard:
         rec = oracle.crosscheck_case(spec, NumericContext(42))
         assert evaluations[0] == len(pairs)
         assert 2 * evaluations[0] <= calls[0]
+        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+    def test_one_batch_per_factor_ring_and_xi_n(self, monkeypatch):
+        # case c has one factor pair; each factor is built once per polar
+        # ring of the 12 x 24 sphere rule and computes its ring's matrices
+        # once per xi_n node (63 of them), and nothing built for a ring is
+        # alive when the next ring starts
+        import weakref
+
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        cls = oracle.CompiledSymbol
+        init, compute, sphere = cls.__init__, cls._evaluate, oracle.quad_sphere
+        built, rings, evaluations = [], [], [0]
+
+        def tracking_init(self, *args):
+            init(self, *args)
+            built.append(weakref.ref(self))
+
+        def counting_evaluate(self, xi_n):
+            evaluations[0] += 1
+            return compute(self, xi_n)
+
+        def watched_sphere(p):
+            sizes = []
+            rings.append(sizes)
+
+            def ring(x, y, z):
+                assert [r for r in built if r() is not None] == []
+                sizes.append((len(x), len(y), len(z)))
+                return p(x, y, z)
+
+            return sphere(ring)
+
+        monkeypatch.setattr(cls, "__init__", tracking_init)
+        monkeypatch.setattr(cls, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
+        (spec,) = [s for s in enumerate_cases() if s.label == "c"]
+        rec = oracle.crosscheck_case(spec, NumericContext(42))
+        assert evaluations[0] == 2 * 12 * 63
+        assert len(built) == 2 * 12
+        assert rings == [[(24, 24, 24)] * 12]
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_no_matrix_outlives_its_sphere_node(self, capsys):
@@ -536,6 +618,32 @@ class TestQuadrature:
     def test_sphere_constant(self):
         val = quad_sphere(lambda x, y, z: 1.0)
         assert abs(val - 4 * math.pi) < 1e-10
+
+    def test_sphere_rings_sum_the_node_by_node_rule(self):
+        # the ring-vectorised rule against the same 12 x 24 rule written
+        # as a loop over single nodes; numpy's array power and Python's
+        # scalar power may differ in the last bit, so the bound is
+        # rounding, not bit equality
+        nodes, weights = np.polynomial.legendre.leggauss(12)
+        # exponents up to 16 pass the rule's exactness (azimuthal
+        # frequency 24, degree 24), so a misplaced node shows
+        rng = random.Random(103)
+        for _ in range(60):
+            a, b, c = (rng.randint(0, 16) for _ in range(3))
+
+            def monomial(x, y, z):
+                return x ** a * y ** b * z ** c
+
+            ref = 0j
+            for zc, w in zip(nodes, weights):
+                s = math.sqrt(1.0 - zc * zc)
+                for k in range(24):
+                    phi = 2.0 * math.pi * k / 24
+                    ref += w * monomial(s * math.cos(phi),
+                                        s * math.sin(phi), zc)
+            ref *= 2.0 * math.pi / 24
+            got = quad_sphere(monomial)
+            assert abs(got - ref) <= 1e-14 * max(1.0, abs(ref))
 
     def test_sphere_matches_moments(self):
         rng = random.Random(73)
