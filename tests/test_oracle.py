@@ -21,6 +21,7 @@ from wres4.oracle import (
     GammaRep,
     LoweredSymbol,
     NumericContext,
+    _ring_traces,
     eval_clifford,
     eval_symbol,
     evaluate,
@@ -282,6 +283,31 @@ class TestLoweredEvaluator:
             with pytest.raises(ValueError):
                 first *= 2.0
 
+    def test_ring_traces_match_per_node_dot(self, ctx):
+        # the batched tr(L_k R_k) of one polar ring against each node's
+        # 16-term dot, for every factor pair of every case
+        from wres4.boundary import case_factors, enumerate_cases
+
+        c = np.polynomial.legendre.leggauss(12)[0][4]
+        s = math.sqrt(1.0 - c * c)
+        ring = np.array([(s * math.cos(2.0 * math.pi * k / 24),
+                          s * math.sin(2.0 * math.pi * k / 24), c)
+                         for k in range(24)])
+        pairs = [pair for spec in enumerate_cases()
+                 for pair in case_factors(spec, "Dtilde")]
+        assert len(pairs) == 7
+        for left, right in pairs:
+            lc = CompiledSymbol(LoweredSymbol(left, ctx), ring)
+            rc = CompiledSymbol(LoweredSymbol(right, ctx), ring)
+            for xi_n in (0.7, complex(0.4, -0.3)):
+                lt, rt = lc(xi_n), rc(xi_n)
+                got = _ring_traces(lt, rt)
+                assert len(got) == len(ring)
+                for k, value in enumerate(got):
+                    assert type(value) is complex
+                    ref = lt[k].ravel() @ rt[k].ravel(order="F")
+                    assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
         lambda c: BoundarySymbol.on_shell_term(XinPoly.const(c), 1, 1),
@@ -480,6 +506,57 @@ class TestWorkGuard:
         assert evaluations[0] == 2 * 12 * 63
         assert len(built) == 2 * 12
         assert rings == [[(24, 24, 24)] * 12]
+        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+    def test_one_trace_batch_per_ring_and_xi_n(self, monkeypatch):
+        # case c: the traces of a ring's 24 products are taken once per
+        # xi_n node (63 per ring), while each sphere node keeps its own
+        # line integral and both factor lookups per evaluation, and no
+        # trace vector of a ring is alive when the next ring starts
+        import weakref
+
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        class Traces(list):
+            pass  # a list that takes weak references
+
+        cls = oracle.CompiledSymbol
+        call, compute = cls.__call__, cls._evaluate
+        ring_traces, line = oracle._ring_traces, oracle.quad_line
+        sphere = oracle.quad_sphere
+        counts = dict.fromkeys(("traces", "call", "evaluate", "line"), 0)
+        vectors = []
+
+        def counting(key, fn):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def tracked_traces(left, right):
+            counts["traces"] += 1
+            vec = Traces(ring_traces(left, right))
+            vectors.append(weakref.ref(vec))
+            return vec
+
+        def watched_sphere(p):
+            def ring(x, y, z):
+                assert [v for v in vectors if v() is not None] == []
+                return p(x, y, z)
+
+            return sphere(ring)
+
+        monkeypatch.setattr(cls, "__call__", counting("call", call))
+        monkeypatch.setattr(cls, "_evaluate", counting("evaluate", compute))
+        monkeypatch.setattr(oracle, "_ring_traces", tracked_traces)
+        monkeypatch.setattr(oracle, "quad_line", counting("line", line))
+        monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
+        (spec,) = [s for s in enumerate_cases() if s.label == "c"]
+        rec = oracle.crosscheck_case(spec, NumericContext(42))
+        assert counts == {"traces": 12 * 63, "call": 72576,
+                          "evaluate": 1512, "line": 288}
+        assert [v for v in vectors if v() is not None] == []
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_no_matrix_outlives_its_sphere_node(self, capsys):
