@@ -1,10 +1,9 @@
 """Golden reference values for the boundary computation.
 
 Each entry rebuilds a printed reference expression inside the engine's own
-IR, keyed by an opaque id.  The engine never consumes these values in its
-own pipeline; they exist solely so that every independently computed
-intermediate can be compared and given a verdict.  A mismatch is reported,
-never patched.
+IR, keyed by an opaque id.  No engine module imports this one: only the
+CLI looks a reference up, so that every independently computed value can
+be compared and given a verdict.  A mismatch is reported, never patched.
 """
 
 from __future__ import annotations

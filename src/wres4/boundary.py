@@ -10,19 +10,18 @@ Each case is evaluated end-to-end in the fixed pipeline order: spatial and
 tangential-cotangent derivatives off-shell, restriction to |xi'| = 1, the
 half-plane projection on the left factor, xi_n-derivatives, Clifford
 multiplication, spinor trace, the xi_n line integral, and the sphere
-average.  Each case value is kept next to its golden reference, which the
-CLI judges; a mismatch is reported with the engine's own value kept, never
-patched.  ``intermediates`` recomputes the printed steps of one case for
-the audit, which the CLI judges against their anchors too.
+average.  The functions here return plain engine values; the CLI pairs
+each with its golden reference and judges it, so a mismatch is reported
+with the engine's own value kept, never patched.  ``intermediates``
+recomputes the printed steps of one case for the audit.
 """
 
 from __future__ import annotations
 
 import functools
 from math import factorial
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from . import anchors
 from .clifford import CliffordElem
 from .halfplane import line_integral, pi_plus, trace_symbol
 from .scalars import GAUSS_I, GaussianRational, ScalarExpr, _INDEX
@@ -63,17 +62,6 @@ def _coefficient(j: int, k: int, alpha: int) -> GaussianRational:
     """(-i)^(|alpha|+j+k+1) / (j+k+1)!, the case's prefactor."""
     return ((-GAUSS_I) ** (alpha + j + k + 1)
             / GaussianRational(factorial(j + k + 1)))
-
-
-class CaseResult:
-    """Outcome of one case: its value and its anchor.  The printed steps
-    are audited separately, by ``intermediates``."""
-
-    def __init__(self, spec: CaseSpec, symbolic_value: ScalarExpr,
-                 paper_value: Optional[ScalarExpr]):
-        self.spec = spec
-        self.symbolic_value = symbolic_value
-        self.paper_value = paper_value
 
 
 def enumerate_cases() -> List[CaseSpec]:
@@ -163,11 +151,10 @@ def _case_value(op: str, r: int, l: int, j: int, k: int,
     return total * ScalarExpr.const(_coefficient(j, k, alpha))
 
 
-def compute_case(spec: CaseSpec, op: str = "Dtilde") -> CaseResult:
-    total = _case_value(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
-    paper_value = (anchors.anchor(f"case_{spec.label}")
-                   if anchors.has_anchor(f"case_{spec.label}") else None)
-    return CaseResult(spec, total, paper_value)
+def compute_case(spec: CaseSpec, op: str = "Dtilde") -> ScalarExpr:
+    """The value of one case.  The printed steps are audited separately,
+    by ``intermediates``."""
+    return _case_value(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
 
 
 def intermediates(label: str) -> Dict[str, object]:
@@ -237,20 +224,7 @@ def hp_part(e: ScalarExpr) -> ScalarExpr:
     return ScalarExpr(keep)
 
 
-class PhiReport:
-    """The assembled boundary term, its cases and its anchor."""
-
-    def __init__(self, cases: Dict[str, CaseResult]):
-        self.cases = cases
-        total = ScalarExpr.zero()
-        for label in CASE_LABELS:
-            total = total + cases[label].symbolic_value
-        self.total = total
-        self.paper_value = anchors.anchor("4.52")
-
-
-def assemble_phi() -> PhiReport:
-    cases = {}
-    for spec in enumerate_cases():
-        cases[spec.label] = compute_case(spec)
-    return PhiReport(cases)
+def assemble_phi() -> Dict[str, ScalarExpr]:
+    """The five case values, keyed by label in ``CASE_LABELS`` order; the
+    boundary term is their sum."""
+    return {spec.label: compute_case(spec) for spec in enumerate_cases()}

@@ -28,6 +28,7 @@ from .interior import (
     compute_E_at_x0,
     theorem32_prefactor,
     theorem32_value,
+    trace_braces,
     trace_interior,
 )
 from .scalars import ScalarExpr, reduce_sphere
@@ -44,6 +45,11 @@ def load_discrepancies() -> Dict:
 
 def known_ids() -> frozenset:
     return frozenset(d["id"] for d in load_discrepancies()["discrepancies"])
+
+
+def _reference(ident: str):
+    """The stored reference of one id, or None when no anchor exists."""
+    return anchors.anchor(ident) if anchors.has_anchor(ident) else None
 
 
 def _entry(ident: str, engine, reference) -> Dict:
@@ -96,39 +102,36 @@ def lemma41_suite() -> List[Dict]:
 
 def phi_suite(case_filter: str) -> List[Dict]:
     if case_filter == "all":
-        phi = assemble_phi()
-        cases = phi.cases
+        cases = assemble_phi()
     else:
         cases = {spec.label: compute_case(spec) for spec in enumerate_cases()
                  if spec.label == case_filter}
     out = []
-    for label, res in cases.items():
-        out.append(_entry(f"case_{label}", res.symbolic_value,
-                          res.paper_value))
+    for label, value in cases.items():
+        out.append(_entry(f"case_{label}", value, _reference(f"case_{label}")))
         steps = intermediates(label)
         for name in sorted(steps):
-            ref = anchors.anchor(name) if anchors.has_anchor(name) else None
-            out.append(_entry(name, steps[name], ref))
+            out.append(_entry(name, steps[name], _reference(name)))
     if case_filter == "all":
-        value = {label: res.symbolic_value for label, res in cases.items()}
         zero = ScalarExpr.zero()
-        out.append(_entry("4.52", phi.total, phi.paper_value))
-        out.append(_entry("phi.b_plus_c", value["b"] + value["c"], zero))
+        out.append(_entry("4.52", sum(cases.values(), zero),
+                          _reference("4.52")))
+        out.append(_entry("phi.b_plus_c", cases["b"] + cases["c"], zero))
         out.append(_entry("phi.hp_cancellation",
-                          hp_part(value["a2"] + value["a3"]), zero))
+                          hp_part(cases["a2"] + cases["a3"]), zero))
     return out
 
 
 def interior_suite() -> List[Dict]:
-    res = trace_interior()
+    trace = trace_interior()
     pi2_f2 = ScalarExpr.var("PI") ** 2 * ScalarExpr.f_inverse(2)
     return [
         _entry("3.19", compute_E_at_x0(), E_closed_form()),
-        _entry("3.22", res.trace_value, res.paper_value),
+        _entry("3.22", trace, trace_braces()),
         _entry("theorem32.prefactor", theorem32_prefactor(),
                ScalarExpr.const(-512) * pi2_f2),
-        _entry("theorem32.value", theorem32_value(res),
-               ScalarExpr.const(128) * pi2_f2 * res.trace_value),
+        _entry("theorem32.value", theorem32_value(trace),
+               ScalarExpr.const(128) * pi2_f2 * trace),
     ]
 
 
@@ -158,9 +161,10 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
 def report_suite() -> List[Dict]:
     # the headline statement closes the report: the boundary term Phi
     # vanishes
+    zero = ScalarExpr.zero()
     return (trace_suite() + lemma41_suite() + phi_suite("all")
             + interior_suite()
-            + [_entry("theorem42", assemble_phi().total, ScalarExpr.zero())])
+            + [_entry("theorem42", sum(assemble_phi().values(), zero), zero)])
 
 
 # -- rendering ---------------------------------------------------------------
@@ -206,7 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     for verb in ("verify-traces", "verify-lemma41", "compute-phi",
                  "compute-interior", "crosscheck", "report"):
         sp = sub.add_parser(verb)
-        sp.add_argument("--case", choices=CASE_LABELS + ("all",), default="all")
+        if verb in ("compute-phi", "crosscheck"):
+            sp.add_argument("--case", choices=CASE_LABELS + ("all",),
+                            default="all")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("text", "json", "latex"),
                         default="text")

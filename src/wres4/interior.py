@@ -9,7 +9,10 @@ scaling).  The operator under study is the conjugated square
 
 a Laplace-type operator whose endomorphism E is computed twice: once from
 the raw (A, B) data through the canonical connection, and once from the
-closed form; their exact agreement is the decomposition theorem.
+closed form; their exact agreement is the decomposition theorem.  The
+functions here return plain engine values; the reference forms
+(``E_closed_form``, ``trace_braces``) are built only for the CLI, which
+judges each engine value against its reference.
 """
 
 from __future__ import annotations
@@ -56,12 +59,6 @@ class LaplaceTypeData:
         self.B = B
         self.omega = omega
         self.E = E
-
-
-class InteriorResult:
-    def __init__(self, trace_value: ScalarExpr, paper_value: ScalarExpr):
-        self.trace_value = trace_value
-        self.paper_value = paper_value
 
 
 def build_dbar_squared_data() -> LaplaceTypeData:
@@ -133,28 +130,29 @@ def E_closed_form_engine() -> CliffordElem:
     return _closed_form(-1)
 
 
-def trace_interior() -> InteriorResult:
-    """spin_trace(s/6 + E), next to the printed braces value
-
-        -4 * { s/12 + Delta f/(2f) + (1/2) g(df, df^-1) + 2|df|^2/f^2 }
-
-    with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2.
-
-    The result is computed once per process and shared."""
+def trace_interior() -> ScalarExpr:
+    """spin_trace(s/6 + E), computed once per process and shared."""
     return _default_trace()
 
 
 @functools.cache
-def _default_trace() -> InteriorResult:
-    engine = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
-                        + compute_E_at_x0())
+def _default_trace() -> ScalarExpr:
+    return spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
+                      + compute_E_at_x0())
+
+
+def trace_braces() -> ScalarExpr:
+    """The printed value of the trace,
+
+        -4 * { s/12 + Delta f/(2f) + (1/2) g(df, df^-1) + 2|df|^2/f^2 },
+
+    with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2."""
     g_df_dfinv = -df_norm_sq() * _FINV(2)
     braces = (frac(1, 12) * S_CURV
               + laplacian_f() * half() * _FINV()
               + half() * g_df_dfinv
               + ScalarExpr.const(2) * df_norm_sq() * _FINV(2))
-    paper = ScalarExpr.const(-4) * braces
-    return InteriorResult(engine, paper)
+    return ScalarExpr.const(-4) * braces
 
 
 def _bridge() -> ScalarExpr:
@@ -163,10 +161,10 @@ def _bridge() -> ScalarExpr:
     return ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4) * _FINV(2)
 
 
-def theorem32_value(result: InteriorResult) -> ScalarExpr:
+def theorem32_value(trace: ScalarExpr) -> ScalarExpr:
     """Apply the bridge to the engine trace, yielding the interior residue
     integrand."""
-    return _bridge() * result.trace_value
+    return _bridge() * trace
 
 
 def theorem32_prefactor() -> ScalarExpr:

@@ -524,8 +524,7 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
 
         total += quad_sphere(p)
     total *= complex(spec.coefficient)
-    symbolic = compute_case(spec).symbolic_value
-    sym_val = eval_scalar(symbolic, ctx)
+    sym_val = eval_scalar(compute_case(spec), ctx)
     return {
         "numeric": total,
         "symbolic": sym_val,

@@ -16,13 +16,13 @@ from fractions import Fraction
 
 from .errors import ResidualXiN
 from .scalars import (
-    NAMES,
     OMEGA,
     ScalarExpr,
-    _mono_set,
+    _INDEX,
+    _mono_exp,
 )
 
-_XI_NAMES = ("XI1", "XI2", "XI3")
+_XI_IDX = tuple(_INDEX[name] for name in ("XI1", "XI2", "XI3"))
 
 
 def _double_factorial(k: int) -> int:
@@ -57,18 +57,9 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         e = e.substitute({"U": ScalarExpr.one()})
     out = ScalarExpr.zero()
     for m, coeff in e.terms.items():
-        exps = []
-        rest = m
-        for name in _XI_NAMES:
-            idx = NAMES.index(name)
-            exp = 0
-            for j, k in m:
-                if j == idx:
-                    exp = k
-            exps.append(exp)
-            rest = _mono_set(rest, idx, 0)
-        w = moment(*exps)
+        w = moment(*(_mono_exp(m, idx) for idx in _XI_IDX))
         if w == 0:
             continue
+        rest = tuple(p for p in m if p[0] not in _XI_IDX)
         out = out + ScalarExpr({rest: coeff * w})
     return out * OMEGA

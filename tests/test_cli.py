@@ -25,11 +25,8 @@ def _perturb_case(monkeypatch, label, extra):
     real = boundary.compute_case
 
     def perturbed(spec, op="Dtilde"):
-        res = real(spec, op)
-        if spec.label != label:
-            return res
-        return boundary.CaseResult(res.spec, res.symbolic_value + extra,
-                                   res.paper_value)
+        value = real(spec, op)
+        return value + extra if spec.label == label else value
 
     monkeypatch.setattr(boundary, "compute_case", perturbed)
 
@@ -72,6 +69,15 @@ class TestExitCodes:
             build_parser().parse_args(["compute-phi", "--case", "z9"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["report", "--case", "a1"],
+                                      ["verify-traces", "--case", "b"]])
+    def test_case_is_a_usage_error_outside_its_verbs(self, argv):
+        # only compute-phi and crosscheck read --case; elsewhere it would
+        # be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
     def test_new_mismatch_exits_one(self, capsys, monkeypatch):
         import wres4.cli as cli
 
@@ -88,7 +94,7 @@ class TestExitCodes:
 
         real = cli.theorem32_value
         monkeypatch.setattr(cli, "theorem32_value",
-                            lambda res: ScalarExpr.const(2) * real(res))
+                            lambda trace: ScalarExpr.const(2) * real(trace))
         assert run(["compute-interior", "--format", "json"]) == 1
         assert _row(capsys, "theorem32.value")["verdict"] == "mismatch"
 

@@ -12,6 +12,7 @@ from wres4.interior import (
     laplacian_f,
     theorem32_prefactor,
     theorem32_value,
+    trace_braces,
     trace_interior,
 )
 from wres4.scalars import S_CURV, ScalarExpr, frac
@@ -62,16 +63,15 @@ class TestEndomorphism:
 
 class TestTrace:
     def test_engine_trace_value(self):
-        res = trace_interior()
         expected = (ScalarExpr.const(-1) / 3 * S_CURV
                     + ScalarExpr.const(2) * laplacian_f() * FINV()
                     + ScalarExpr.const(4) * df_norm_sq() * FINV(2))
-        assert res.trace_value == expected
+        assert trace_interior() == expected
 
     def test_reference_braces_mismatch_is_documented_shape(self):
-        res = trace_interior()
-        assert anchors.compare(res.trace_value, res.paper_value) == "mismatch"
-        diff = res.trace_value - res.paper_value
+        trace, braces = trace_interior(), trace_braces()
+        assert anchors.compare(trace, braces) == "mismatch"
+        diff = trace - braces
         expected = (ScalarExpr.const(4) * laplacian_f() * FINV()
                     + ScalarExpr.const(10) * df_norm_sq() * FINV(2))
         assert diff == expected
@@ -79,7 +79,7 @@ class TestTrace:
     def test_trace_is_scalar_extraction(self):
         E = compute_E_at_x0()
         s6 = CliffordElem.scalar(frac(1, 6) * S_CURV)
-        assert trace_interior().trace_value == spin_trace(s6 + E)
+        assert trace_interior() == spin_trace(s6 + E)
 
 
 class TestResidueBridge:
@@ -89,7 +89,7 @@ class TestResidueBridge:
         assert theorem32_prefactor() == expected
 
     def test_value_factorization(self):
-        res = trace_interior()
+        trace = trace_interior()
         bridge = (ScalarExpr.const(128) * ScalarExpr.var("PI") ** 2
                   * FINV(2))
-        assert theorem32_value(res) == bridge * res.trace_value
+        assert theorem32_value(trace) == bridge * trace
