@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 from math import factorial
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .clifford import CliffordElem
 from .halfplane import line_integral, pi_plus, trace_symbol
@@ -39,29 +39,22 @@ from .symbols import (
 CASE_LABELS = ("a1", "a2", "a3", "b", "c")
 
 
-class CaseSpec:
-    """One index combination of the boundary sum."""
+class CaseSpec(NamedTuple):
+    """One index combination of the boundary sum; the engine's cache key
+    for that case's factors and value."""
 
-    __slots__ = ("label", "r", "l", "j", "k", "alpha", "coefficient")
+    label: str
+    r: int
+    l: int
+    j: int
+    k: int
+    alpha: int
 
-    def __init__(self, label: str, r: int, l: int, j: int, k: int, alpha: int):
-        self.label = label
-        self.r = r
-        self.l = l
-        self.j = j
-        self.k = k
-        self.alpha = alpha
-        self.coefficient = _coefficient(j, k, alpha)
-
-    def __repr__(self):
-        return (f"CaseSpec({self.label}: r={self.r}, l={self.l}, "
-                f"j={self.j}, k={self.k}, |alpha|={self.alpha})")
-
-
-def _coefficient(j: int, k: int, alpha: int) -> GaussianRational:
-    """(-i)^(|alpha|+j+k+1) / (j+k+1)!, the case's prefactor."""
-    return ((-GAUSS_I) ** (alpha + j + k + 1)
-            / GaussianRational(factorial(j + k + 1)))
+    @property
+    def coefficient(self) -> GaussianRational:
+        """(-i)^(|alpha|+j+k+1) / (j+k+1)!, the case's prefactor."""
+        return ((-GAUSS_I) ** (self.alpha + self.j + self.k + 1)
+                / GaussianRational(factorial(self.j + self.k + 1)))
 
 
 def enumerate_cases() -> List[CaseSpec]:
@@ -93,11 +86,6 @@ def enumerate_cases() -> List[CaseSpec]:
     return specs
 
 
-# The factors and case values below are pure functions of their str/int
-# arguments, so each is computed once per process and shared: no caller
-# may mutate them.
-
-@functools.cache
 def _left_factor(op: str, r: int, j: int, alpha_dir: int,
                  k: int) -> BoundarySymbol:
     """d^j_{x_n} d^alpha_{xi'} d^k_{xi_n} of the projected symbol of order r.
@@ -114,7 +102,6 @@ def _left_factor(op: str, r: int, j: int, alpha_dir: int,
     return derive(s, "xi_n", k)
 
 
-@functools.cache
 def _right_factor(op: str, l: int, alpha_dir: int, k: int,
                   j: int) -> BoundarySymbol:
     """d^alpha_{x'} d^{j+1}_{xi_n} d^k_{x_n} of the symbol of order l."""
@@ -127,34 +114,33 @@ def _right_factor(op: str, l: int, alpha_dir: int, k: int,
     return derive(t, "xi_n", j + 1)
 
 
-def _factor_pairs(op: str, r: int, l: int, j: int, k: int,
-                  alpha: int) -> Iterator[Tuple[BoundarySymbol,
-                                                BoundarySymbol]]:
-    for d in ((1, 2, 3) if alpha else (0,)):
-        yield _left_factor(op, r, j, d, k), _right_factor(op, l, d, k, j)
+# A case's factors and value are computed once per process and shared, so
+# no caller may mutate them.  Callers pass op positionally, so that every
+# call for one case hits the same cache entry.
 
-
+@functools.cache
 def case_factors(spec: CaseSpec,
-                 op: str) -> Iterator[Tuple[BoundarySymbol, BoundarySymbol]]:
+                 op: str) -> Tuple[Tuple[BoundarySymbol, BoundarySymbol], ...]:
     """The (left, right) factor pair of each term of one case: one per
     tangential direction 1, 2, 3 when |alpha| = 1, a single pair else."""
-    return _factor_pairs(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
+    return tuple((_left_factor(op, spec.r, spec.j, d, spec.k),
+                  _right_factor(op, spec.l, d, spec.k, spec.j))
+                 for d in ((1, 2, 3) if spec.alpha else (0,)))
 
 
 @functools.cache
-def _case_value(op: str, r: int, l: int, j: int, k: int,
-                alpha: int) -> ScalarExpr:
+def _case_value(spec: CaseSpec, op: str) -> ScalarExpr:
     total = ScalarExpr.zero()
-    for left, right in _factor_pairs(op, r, l, j, k, alpha):
+    for left, right in case_factors(spec, op):
         traced = trace_symbol(left.mul(right))
         total = total + integrate_sphere(line_integral(traced))
-    return total * ScalarExpr.const(_coefficient(j, k, alpha))
+    return total * ScalarExpr.const(spec.coefficient)
 
 
 def compute_case(spec: CaseSpec, op: str = "Dtilde") -> ScalarExpr:
     """The value of one case.  The printed steps are audited separately,
     by ``intermediates``."""
-    return _case_value(op, spec.r, spec.l, spec.j, spec.k, spec.alpha)
+    return _case_value(spec, op)
 
 
 def intermediates(label: str) -> Dict[str, object]:

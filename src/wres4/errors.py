@@ -21,16 +21,8 @@ class ShellViolation(ValueError):
     """An operation was applied on the wrong side of the shell restriction."""
 
 
-class UnsupportedPole(ValueError):
-    """A rational function has a pole outside {+i, -i}."""
-
-
 class DecayViolation(ValueError):
     """Integrand does not decay fast enough for absolute convergence."""
-
-
-class ResidualXiN(ValueError):
-    """A normal cotangent variable survived into a sphere integrand."""
 
 
 class NonInvertibleLeadingSymbol(ArithmeticError):

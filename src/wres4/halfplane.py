@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict
 
 from .clifford import CliffordElem, spin_trace
-from .errors import DecayViolation, ShellViolation, UnsupportedPole
+from .errors import DecayViolation, ShellViolation
 from .scalars import GAUSS_I, GaussianRational, PI_SYM, ScalarExpr
 from .symbols import ON, BoundarySymbol, XinPoly
 
@@ -43,13 +43,6 @@ class PoleDecomposition:
 def _check_on_shell(s: BoundarySymbol):
     if s.shell != ON:
         raise ShellViolation("operation requires an on-shell symbol")
-    for poly in s.terms.values():
-        for elem in poly.coeffs.values():
-            for coeff in elem.terms.values():
-                if "XIN" in coeff.free_names():
-                    raise UnsupportedPole(
-                        "xi_n leaked into a coefficient slot"
-                    )
 
 
 def _poly_divmod(num: XinPoly, a: int, b: int):

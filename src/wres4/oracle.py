@@ -1,11 +1,11 @@
-"""Independent floating-point referee for the symbolic engine.
+"""Floating-point referee for the symbolic engine.
 
 Explicit 4x4 gamma matrices, seeded random parameter assignments, and
 quadrature for line, contour, and sphere integrals.  Every symbolic value
-can be evaluated to a complex matrix or scalar, and every integral in the
-pipeline can be recomputed by adaptive or spectral quadrature, so any
-symbolic/reference mismatch is adjudicated numerically rather than by
-fiat.
+can be evaluated to a complex matrix or scalar.  The per-case referee
+takes each case's factors and prefactor from the engine, so derivatives,
+restriction and pi+ are the engine's own; it recomputes the product, the
+trace and the two integrals.  Only the tests use `quad_contour_pi_plus`.
 
 The per-case referee walks the sphere rule one polar ring at a time: each
 factor is evaluated at all of a ring's nodes at once, one matrix stack per
@@ -29,11 +29,10 @@ from .errors import MissingBinding, NonConvergence
 from .scalars import NAMES, ScalarExpr
 from .symbols import OFF, BoundarySymbol
 
-_POINT_NAMES = ("XI1", "XI2", "XI3", "XIN", "U", "W")
+_POINT_NAMES = ("XI1", "XI2", "XI3", "U")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
-_LOWERED_POINT = {NAMES.index(n): j
-                  for j, n in enumerate(("XI1", "XI2", "XI3", "U"))}
+_LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES)}
 
 
 class GammaRep:
@@ -91,16 +90,11 @@ class NumericContext:
 
 
 def _point_bindings(point) -> Dict[str, complex]:
+    """xi' and U = |xi'|^2 of a (xi', xi_n) point; no scalar holds xi_n."""
     if point is None:
         return {}
-    xi_prime, xi_n = point
-    x1, x2, x3 = xi_prime
-    u = x1 * x1 + x2 * x2 + x3 * x3
-    out = {"XI1": x1, "XI2": x2, "XI3": x3, "U": u}
-    if xi_n is not None:
-        out["XIN"] = xi_n
-        out["W"] = u + xi_n * xi_n
-    return out
+    x1, x2, x3 = point[0]
+    return {"XI1": x1, "XI2": x2, "XI3": x3, "U": x1 * x1 + x2 * x2 + x3 * x3}
 
 
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
@@ -351,7 +345,7 @@ class LoweredSymbol:
     monomial values to the flattened 4x4 matrix coefficients of xi_n**0,
     xi_n**1, ..., stacked, with the bound weights, the gamma basis
     matrices and the numerators over the common denominator folded in.
-    A coefficient holding any other name (XIN, W) raises MissingBinding.
+    A coefficient holding an unbound name raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):
@@ -487,9 +481,9 @@ def _ring_traces(left: np.ndarray, right: np.ndarray) -> List[complex]:
 
 
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
-    """Recompute one boundary case fully numerically: evaluate the left
-    and right factors as matrices, multiply, matrix-trace, quadrature over
-    xi_n, then quadrature over the sphere, times the case coefficient.
+    """Recompute one boundary case from the engine's factors: evaluate them
+    as matrices, multiply, matrix-trace, quadrature over xi_n, then over
+    the sphere, times the engine's case coefficient.
 
     Returns the numeric value, the evaluated symbolic value, and their
     absolute difference.

@@ -36,9 +36,7 @@ NAMES = (
     "FIJ44",
     "S",
     "XI1", "XI2", "XI3",
-    "XIN",
     "U",
-    "W",
     "OMEGA",
     "PI",
 )
@@ -454,10 +452,6 @@ class ScalarExpr:
                 elif name.startswith("FI"):
                     k = int(name[2:])
                     datom = ScalarExpr.var(fij(j, k))
-                elif name == "W":
-                    raise UnsupportedOrder(
-                        "W must live in the symbol denominator slot"
-                    )
                 else:
                     continue
                 rest = ScalarExpr({_mono_set(m, idx, e - 1): c * e})
@@ -465,15 +459,12 @@ class ScalarExpr:
         return out
 
     def xi_derivative(self, i: int) -> "ScalarExpr":
-        """Derivative along xi_i.
-
-        Tangential directions (i < 4) see both the explicit XI{i} dependence
-        and the chain rule through U = |xi'|^2; direction 4 is d/d xi_n.
+        """Derivative along xi_i, i in 1..3: the explicit XI{i} dependence
+        plus the chain rule through U = |xi'|^2.  No scalar holds xi_n;
+        the symbol layer keeps it in xi_n degrees and pole keys.
         """
-        if i == 4:
-            return self.derivative("XIN")
         if i not in (1, 2, 3):
-            raise ValueError("direction must be 1..4")
+            raise ValueError("direction must be 1..3")
         d = self.derivative(f"XI{i}")
         dU = self.derivative("U")
         if not dU.is_zero():

@@ -285,7 +285,7 @@ def derive(s: BoundarySymbol, direction: str, order: int = 1) -> BoundarySymbol:
         atom             direction   derivative
         W = U + xi_n^2   x_n         HP*U
                          xi_i        2*XI_i
-                         xi_n        2*XIN
+                         xi_n        2*xi_n
         U                xi_i        2*XI_i
         c(e_i), i < n    x_n         (HP/2)*c(e_i)
         F                x_j         FI_j

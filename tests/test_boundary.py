@@ -159,9 +159,8 @@ def _clear_engine_caches():
     """Forget every value the exact engine keeps per process, so that the
     next assembly computes each stage from scratch."""
     for cached in (symbols._closed_form, scalars._xi3_squared_power,
-                   boundary._left_factor, boundary._right_factor,
-                   boundary._case_value, interior._default_trace,
-                   anchors._build_anchors):
+                   boundary.case_factors, boundary._case_value,
+                   interior._default_trace, anchors._build_anchors):
         cached.cache_clear()
 
 

@@ -246,6 +246,20 @@ class TestFormats:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results == report[start:end]
 
+    @pytest.mark.parametrize("verb, first, last", [
+        ("verify-traces", "trace[1]", "trace[5]"),
+        ("verify-lemma41", "parametrix[D,-1]", "parametrix[Dtilde,-2]"),
+        ("compute-interior", "3.19", "theorem32.value"),
+    ], ids=["verify-traces", "verify-lemma41", "compute-interior"])
+    def test_quick_verb_matches_report_slice(self, capsys, verb, first,
+                                             last):
+        golden = Path(__file__).parent / "golden" / "report.json"
+        report = json.loads(golden.read_text())["results"]
+        ids = [r["id"] for r in report]
+        assert run([verb, "--format", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results == report[ids.index(first):ids.index(last) + 1]
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "report.json"
         assert run(["verify-traces", "--format", "json",

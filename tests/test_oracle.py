@@ -126,11 +126,11 @@ class TestEvaluate:
         x1, x2 = 0.6, -0.48
         x3 = math.sqrt(1 - x1 * x1 - x2 * x2)
         xi_n = 0.9
-        cxi = (CliffordElem.c_xi_prime()
-               + CliffordElem.c_dxn().scale(ScalarExpr.var("XIN")))
-        expected = (2j * evaluate(cxi, ctx, ((x1, x2, x3), xi_n))
-                    / (ctx.assignment["F"] * (1 + xi_n ** 2)))
-        got = evaluate(s, ctx, ((x1, x2, x3), xi_n))
+        pt = ((x1, x2, x3), xi_n)
+        cxi = (evaluate(CliffordElem.c_xi_prime(), ctx, pt)
+               + xi_n * evaluate(CliffordElem.c_dxn(), ctx, pt))
+        expected = 2j * cxi / (ctx.assignment["F"] * (1 + xi_n ** 2))
+        got = evaluate(s, ctx, pt)
         assert np.abs(got - expected).max() < 1e-12
 
     def test_missing_binding(self, ctx):
@@ -310,13 +310,25 @@ class TestLoweredEvaluator:
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
-        lambda c: BoundarySymbol.on_shell_term(XinPoly.const(c), 1, 1),
-        lambda c: BoundarySymbol.from_clifford(c, 1),
+        lambda poly, k: BoundarySymbol.on_shell_term(poly, k, k),
+        lambda poly, k: BoundarySymbol.from_poly(poly, k),
     ], ids=["on", "off"])
-    def test_unbound_name_in_coefficient(self, ctx, name, make):
-        s = make(CliffordElem.scalar(ScalarExpr.var(name)))
-        with pytest.raises(MissingBinding):
-            eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
+    def test_unbound_name_in_coefficient(self, name, make):
+        # xi_n and |xi|^2 are no scalar names: xi_n is the XinPoly degree
+        # and |xi|^2 the term key. A coefficient that holds HP, under a
+        # context that leaves HP unbound, must name it wherever it sits,
+        # not read a stale or default value
+        partial = NumericContext(42)
+        del partial.assignment["HP"]
+        c = CliffordElem.scalar(ScalarExpr.var("HP"))
+        if name == "XIN":
+            s = make(XinPoly({1: c}), 0)
+        else:
+            s = make(XinPoly.const(c), 1)
+        with pytest.raises(MissingBinding, match="HP"):
+            eval_symbol(s, partial, ((0.6, 0.0, 0.8), 0.5))
+        # the same symbol lowers once HP is bound
+        eval_symbol(s, NumericContext(42), ((0.6, 0.0, 0.8), 0.5))
 
 
 class TestGaussKronrod:

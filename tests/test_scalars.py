@@ -137,10 +137,19 @@ class TestScalarExpr:
         u = ScalarExpr.var("U")
         assert u.xi_derivative(1) == (ScalarExpr.const(2)
                                       * ScalarExpr.var("XI1"))
-        assert u.xi_derivative(4) == ScalarExpr.zero()
         e = ScalarExpr.var("XI2") * u
         expected = (u + ScalarExpr.const(2) * ScalarExpr.var("XI2") ** 2)
         assert e.xi_derivative(2) == expected
+
+    def test_no_scalar_holds_xi_n_or_its_norm(self):
+        # xi_n and |xi|^2 live only in the symbol layer's xi_n degrees
+        # and pole keys, so the alphabet has no name for either and no
+        # scalar has a xi_n-derivative
+        for name in ("XIN", "W"):
+            with pytest.raises(KeyError):
+                ScalarExpr.var(name)
+        with pytest.raises(ValueError):
+            ScalarExpr.var("U").xi_derivative(4)
 
     def test_substitute_homomorphism(self):
         rng = random.Random(17)

@@ -3,9 +3,6 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from wres4.errors import ResidualXiN
 from wres4.sphere import integrate_sphere, moment
 from wres4.scalars import ScalarExpr
 
@@ -53,12 +50,6 @@ class TestIntegrateSphere:
     def test_u_substituted_to_one(self):
         e = ScalarExpr.var("U", 2) * ScalarExpr.var("HP")
         assert integrate_sphere(e) == ScalarExpr.var("HP") * OMEGA
-
-    def test_residual_xi_n_rejected(self):
-        with pytest.raises(ResidualXiN):
-            integrate_sphere(ScalarExpr.var("XIN"))
-        with pytest.raises(ResidualXiN):
-            integrate_sphere(ScalarExpr.var("W"))
 
     def test_sum_of_squares_partition(self):
         # sum_i integral(xi_i^2 p) = integral(p) on the unit sphere
