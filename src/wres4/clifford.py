@@ -151,9 +151,6 @@ class CliffordElem:
             return self.terms == other.terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "CliffordElem<0>"
@@ -173,18 +170,16 @@ class CliffordElem:
     def xi_derivative(self, i: int) -> "CliffordElem":
         return self.map_scalars(lambda c: c.xi_derivative(i))
 
-    def x_derivative(self, j: int, scale_frame: bool = True) -> "CliffordElem":
-        """Spatial derivative at the base point.
-
-        With scale_frame, the boundary collar rule applies: the tangential
+    def x_derivative(self, j: int) -> "CliffordElem":
+        """Spatial derivative at the base point under the boundary collar
+        rule: the coefficients follow the jet table, and the tangential
         coframe scales, d_{x_n} c(e_i) = (h'(0)/2) c(e_i) for i < 4, while
-        c(e_4) is constant.  Interior normal coordinates pass
-        scale_frame=False (all frame derivatives vanish).
+        c(e_4) is constant.  Where the frame is constant (interior normal
+        coordinates), map ScalarExpr.x_derivative over the coefficients.
         """
-        out = CliffordElem.zero()
-        for m, c in self.terms.items():
-            out = out + CliffordElem({m: c.x_derivative(j)})
-            if scale_frame and j == 4:
+        out = self.map_scalars(lambda c: c.x_derivative(j))
+        if j == 4:
+            for m, c in self.terms.items():
                 n_tangential = sum(1 for i in m if i < 4)
                 if n_tangential:
                     out = out + CliffordElem({m: c * half() * HP * n_tangential})

@@ -18,7 +18,6 @@ judges each engine value against its reference.
 from __future__ import annotations
 
 import functools
-from typing import List
 
 from .clifford import CliffordElem, spin_trace
 from .scalars import (
@@ -50,48 +49,27 @@ def laplacian_f() -> ScalarExpr:
     return out
 
 
-class LaplaceTypeData:
-    """(A, B) of the second-order form plus the derived connection data."""
+def compute_E_at_x0() -> CliffordElem:
+    """E = B - sum_j (d_j(omega_j) + omega_j^2) at the base point from the
+    raw data of Dbar^2: the coefficient of d_j, A_j = c(df) c(e_j) f^-1,
+    the connection omega_j = -A_j/2, and
 
-    def __init__(self, A: List[CliffordElem], B: CliffordElem,
-                 omega: List[CliffordElem], E: CliffordElem):
-        self.A = A
-        self.B = B
-        self.omega = omega
-        self.E = E
-
-
-def build_dbar_squared_data() -> LaplaceTypeData:
-    """Populate the first- and zeroth-order data of Dbar^2 at the base
-    point.
+        B = -s/4 + |df|^2/f^2 - sum_j c(df) c(e_j) d_j(f^-1).
 
     The spin-connection contributions cancel identically between B and the
     connection terms, so they are dropped on both sides; what remains is
-    the f-jet structure plus the formal scalar-curvature term.
+    the f-jet structure plus the formal scalar-curvature term.  The frame
+    is constant in normal coordinates, so d_j(omega_j) differentiates the
+    coefficients only.
     """
     cdf = CliffordElem.c_df()
-    A = [(cdf * CliffordElem.gen(j)).scale(_FINV()) for j in range(1, 5)]
-    B = CliffordElem.scalar(frac(-1, 4) * S_CURV
-                            + df_norm_sq() * _FINV(2))
+    E = CliffordElem.scalar(frac(-1, 4) * S_CURV + df_norm_sq() * _FINV(2))
     for j in range(1, 5):
-        B = B - (cdf * CliffordElem.gen(j)).scale(_FINV().x_derivative(j))
-    omega = [a.scale(-half()) for a in A]
-    E = compute_E_raw(A, B, omega)
-    return LaplaceTypeData(A, B, omega, E)
-
-
-def compute_E_raw(A: List[CliffordElem], B: CliffordElem,
-                  omega: List[CliffordElem]) -> CliffordElem:
-    """E = B - sum_j (d_j(omega_j) + omega_j^2) in normal coordinates."""
-    E = B
-    for j, w in enumerate(omega, start=1):
-        E = E - w.x_derivative(j, scale_frame=False) - w * w
+        cdf_ej = cdf * CliffordElem.gen(j)
+        E = E - cdf_ej.scale(_FINV().x_derivative(j))
+        w = cdf_ej.scale(-half() * _FINV())
+        E = E - w.map_scalars(lambda c: c.x_derivative(j)) - w * w
     return E
-
-
-def compute_E_at_x0() -> CliffordElem:
-    """E at the base point from the raw (A, B) data."""
-    return build_dbar_squared_data().E
 
 
 def _closed_form(mixed_sign: int) -> CliffordElem:
@@ -155,18 +133,14 @@ def trace_braces() -> ScalarExpr:
     return ScalarExpr.const(-4) * braces
 
 
-def _bridge() -> ScalarExpr:
-    """The heat-kernel bridge 32 pi^2 (n = 4) times the conformal scaling
-    factor 4 f^-2."""
-    return ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4) * _FINV(2)
-
-
 def theorem32_value(trace: ScalarExpr) -> ScalarExpr:
-    """Apply the bridge to the engine trace, yielding the interior residue
-    integrand."""
-    return _bridge() * trace
+    """Apply the heat-kernel bridge 32 pi^2 (n = 4) times the conformal
+    scaling factor 4 f^-2 to the engine trace, yielding the interior
+    residue integrand."""
+    return (ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4)
+            * _FINV(2) * trace)
 
 
 def theorem32_prefactor() -> ScalarExpr:
     """The -512 pi^2 / f^2 normalization in front of the braces."""
-    return _bridge() * ScalarExpr.const(-4)
+    return theorem32_value(ScalarExpr.const(-4))

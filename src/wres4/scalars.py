@@ -394,9 +394,6 @@ class ScalarExpr:
             return self.terms == _coerce_scalar(other).terms
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         terms, k = self.num.terms, self.fpow
         bits = []
@@ -431,31 +428,26 @@ class ScalarExpr:
         return _wrap(t)
 
     def x_derivative(self, j: int) -> "ScalarExpr":
-        """Spatial derivative at the base point through the jet table.
-
-        F -> FI{j}, FI{k} -> FIJ{j,k}; everything else in the alphabet is
-        constant in x.  Negative powers of F follow the same power rule.
+        """Spatial derivative at the base point: the chain rule over
+        ``derivative`` through the jet table F -> FI{j}, FI{k} -> FIJ{j,k};
+        everything else in the alphabet is constant in x.
         """
         if j not in (1, 2, 3, 4):
             raise ValueError("direction must be 1..4")
         out = ScalarExpr.zero()
-        # term-by-term product rule over jet atoms
-        for m, c in self.terms.items():
-            for idx, e in m:
-                name = NAMES[idx]
-                if name == "F":
-                    datom = ScalarExpr.var(fi(j))
-                elif name.startswith("FIJ"):
-                    raise UnsupportedOrder(
-                        "third-order jets of f are not tracked"
-                    )
-                elif name.startswith("FI"):
-                    k = int(name[2:])
-                    datom = ScalarExpr.var(fij(j, k))
-                else:
-                    continue
-                rest = ScalarExpr({_mono_set(m, idx, e - 1): c * e})
-                out = out + rest * datom
+        # alphabet order: the same sum under any string-hash seed
+        for name in sorted(self.free_names(), key=_INDEX.__getitem__):
+            if name == "F":
+                datom = fi(j)
+            elif name.startswith("FIJ"):
+                raise UnsupportedOrder(
+                    "third-order jets of f are not tracked"
+                )
+            elif name.startswith("FI"):
+                datom = fij(j, int(name[2:]))
+            else:
+                continue
+            out = out + self.derivative(name) * ScalarExpr.var(datom)
         return out
 
     def xi_derivative(self, i: int) -> "ScalarExpr":

@@ -26,7 +26,6 @@ from wres4.halfplane import (
 )
 from wres4.interior import (
     E_closed_form,
-    build_dbar_squared_data,
     compute_E_at_x0,
     theorem32_prefactor,
     trace_braces,
@@ -270,13 +269,12 @@ def test_criterion6_phi_assembly(phi, crosschecks):
 
 
 def test_criterion7_interior():
-    data = build_dbar_squared_data()
     # pure-Dirac limit: E = -s/4 and braces value s/12
     binding = {f"FI{j}": ScalarExpr.zero() for j in range(1, 5)}
     binding.update({f"FIJ{j}{k}": ScalarExpr.zero()
                     for j in range(1, 5) for k in range(j, 5)})
     binding["F"] = ScalarExpr.one()
-    E0 = data.E.substitute(binding)
+    E0 = compute_E_at_x0().substitute(binding)
     assert E0 == CliffordElem.scalar(frac(-1, 4) * S_CURV)
     braces0 = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV) + E0)
     assert braces0 == ScalarExpr.const(-4) * (frac(1, 12) * S_CURV)

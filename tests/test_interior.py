@@ -6,7 +6,6 @@ from wres4.clifford import CliffordElem, spin_trace
 from wres4.interior import (
     E_closed_form,
     E_closed_form_engine,
-    build_dbar_squared_data,
     compute_E_at_x0,
     df_norm_sq,
     laplacian_f,
@@ -34,13 +33,12 @@ class TestEndomorphism:
 
     def test_pure_dirac_limit(self):
         # all f-jets zero and f = 1: E collapses to -s/4
-        data = build_dbar_squared_data()
         names = [n for n in ("FI1", "FI2", "FI3", "FI4")]
         binding = {n: ScalarExpr.zero() for n in names}
         binding.update({f"FIJ{j}{k}": ScalarExpr.zero()
                         for j in range(1, 5) for k in range(j, 5)})
         binding["F"] = ScalarExpr.one()
-        E = data.E.substitute(binding)
+        E = compute_E_at_x0().substitute(binding)
         assert E == CliffordElem.scalar(frac(-1, 4) * S_CURV)
 
     def test_mixed_clifford_square_identity(self):
@@ -51,14 +49,6 @@ class TestEndomorphism:
             total = total + a * a
         assert total == CliffordElem.scalar(
             ScalarExpr.const(-2) * df_norm_sq())
-
-    def test_connection_coefficients(self):
-        data = build_dbar_squared_data()
-        for j in range(1, 5):
-            expected = (CliffordElem.c_df()
-                        * CliffordElem.gen(j)).scale(
-                            ScalarExpr.const(-1) / 2 * FINV())
-            assert data.omega[j - 1] == expected
 
 
 class TestTrace:
