@@ -287,8 +287,4 @@ def compare(engine_value, ref) -> str:
     """Verdict for an engine value against a reference value."""
     if ref is None:
         return "no_anchor"
-    try:
-        same = engine_value == ref
-    except Exception:
-        return "mismatch"
-    return "match" if same else "mismatch"
+    return "match" if engine_value == ref else "mismatch"

@@ -17,8 +17,6 @@ judges each engine value against its reference.
 
 from __future__ import annotations
 
-import functools
-
 from .clifford import CliffordElem, spin_trace
 from .scalars import (
     S_CURV,
@@ -109,12 +107,7 @@ def E_closed_form_engine() -> CliffordElem:
 
 
 def trace_interior() -> ScalarExpr:
-    """spin_trace(s/6 + E), computed once per process and shared."""
-    return _default_trace()
-
-
-@functools.cache
-def _default_trace() -> ScalarExpr:
+    """spin_trace(s/6 + E)."""
     return spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
                       + compute_E_at_x0())
 

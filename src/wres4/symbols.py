@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scalars import (
     GAUSS_I,
-    GaussianRational,
     HP,
     ScalarExpr,
     U_VAR,
@@ -130,12 +129,6 @@ class XinPoly:
             out = out.shift(1) + out.scale(ScalarExpr.const(-GAUSS_I))
         for _ in range(db):
             out = out.shift(1) + out.scale(ScalarExpr.const(GAUSS_I))
-        return out
-
-    def eval_at(self, z: GaussianRational) -> CliffordElem:
-        out = CliffordElem.zero()
-        for d, e in self.coeffs.items():
-            out = out + e.scale(ScalarExpr.const(z ** d))
         return out
 
     def __eq__(self, other):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from wres4 import anchors, boundary, interior, scalars, symbols
+from wres4 import anchors, boundary, scalars, symbols
 from wres4.boundary import (
     assemble_phi,
     compute_case,
@@ -160,7 +160,7 @@ def _clear_engine_caches():
     next assembly computes each stage from scratch."""
     for cached in (symbols._closed_form, scalars._xi3_squared_power,
                    boundary.case_factors, boundary._case_value,
-                   interior._default_trace, anchors._build_anchors):
+                   anchors._build_anchors):
         cached.cache_clear()
 
 

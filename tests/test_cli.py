@@ -44,6 +44,17 @@ class TestLedger:
             assert ident in ids
 
 
+class TestCompare:
+    def test_engine_error_is_not_a_verdict(self):
+        # a crash while comparing must surface, never read as "mismatch"
+        class Broken:
+            def __eq__(self, other):
+                raise RuntimeError("engine value cannot be compared")
+
+        with pytest.raises(RuntimeError):
+            anchors.compare(Broken(), ScalarExpr.one())
+
+
 class TestExitCodes:
     def test_verify_traces_clean(self, capsys):
         assert run(["verify-traces"]) == 0
@@ -232,6 +243,15 @@ class TestFormats:
         golden = Path(__file__).parent / "golden" / "report.json"
         target = tmp_path / "report.json"
         assert run(["report", "--format", "json", "--out", str(target)]) == 0
+        assert target.read_bytes() == golden.read_bytes()
+
+    @pytest.mark.parametrize("fmt, name", [("text", "report.txt"),
+                                           ("latex", "report.tex")])
+    def test_report_renderings_match_golden_bytes(self, tmp_path, fmt, name):
+        # the same oracle for the two human-readable renderings
+        golden = Path(__file__).parent / "golden" / name
+        target = tmp_path / name
+        assert run(["report", "--format", fmt, "--out", str(target)]) == 0
         assert target.read_bytes() == golden.read_bytes()
 
     @pytest.mark.parametrize("label", ["a1", "a2", "a3", "b", "c"])

@@ -191,6 +191,52 @@ class TestHalfPlaneProperties:
         assert line_integral(s) == line_integral_lower(s)
 
 
+_CLIFFORD = (CliffordElem.one(), CliffordElem.c_xi_prime(),
+             CliffordElem.c_dxn(),
+             CliffordElem.c_xi_prime() * CliffordElem.c_dxn())
+_SYMBOLIC = (ScalarExpr.one(), ScalarExpr.var("HP"), ScalarExpr.f_inverse(1),
+             ScalarExpr.var("HP") * ScalarExpr.f_inverse(2))
+POLE_ORDERS = [(a, b) for a in range(6) for b in range(6)]
+
+
+def clifford_term(rng, a, b, top):
+    """num / ((xi_n - i)^a (xi_n + i)^b) with a degree-`top` numerator whose
+    coefficients are Clifford elements times symbolic scalars."""
+    poly = XinPoly({d: rng.choice(_CLIFFORD).scale(
+                        ScalarExpr.const(GaussianRational(rng.randint(-4, 4),
+                                                          rng.randint(1, 4)))
+                        * rng.choice(_SYMBOLIC))
+                    for d in range(top + 1)})
+    return BoundarySymbol.on_shell_term(poly, a, b)
+
+
+class TestHighOrderPoles:
+    """Pole orders up to 5 at each of +-i, Clifford-valued numerators."""
+
+    def test_recombine(self):
+        rng = random.Random(53)
+        for a, b in POLE_ORDERS:
+            # numerator degree a + b + 2 exercises the division
+            sym = clifford_term(rng, a, b, a + b + 2)
+            assert partial_fractions(sym).recombine() == sym
+
+    def test_pi_plus_idempotent(self):
+        rng = random.Random(59)
+        for a, b in POLE_ORDERS[1:]:
+            sym = clifford_term(rng, a, b, a + b - 1)
+            once = pi_plus(sym)
+            assert pi_plus(once) == once
+            assert pi_plus(sym - once).is_zero()
+
+    def test_upper_and_lower_line_integrals_agree(self):
+        rng = random.Random(61)
+        for a, b in POLE_ORDERS[1:]:
+            s = clifford_term(rng, a, b, a + b - 1)
+            t = clifford_term(rng, b, a, a + b - 1)
+            traced = trace_symbol(s.mul(t))
+            assert line_integral(traced) == line_integral_lower(traced)
+
+
 class TestTraceSymbol:
     def test_scalarizes_coefficients(self):
         s = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
