@@ -109,16 +109,17 @@ def _contour_integral(s: BoundarySymbol,
     """Real-line integral of a scalar on-shell symbol from its residue at
     `pole`: 2*pi*pole times the residue, since the contour closes above
     +i counterclockwise and below -i clockwise.  Convergence needs a
-    numerator degree at least 2 below the denominator degree."""
+    numerator degree at least 2 below the denominator degree, and every
+    numerator coefficient must be scalar."""
     num, a, b = _canonical_term(s)
     if not num.is_zero() and num.degree() > a + b - 2:
         raise DecayViolation(
             "integrand needs degree gap >= 2 for convergence"
         )
+    if any(set(e.terms) - {()} for e in num.coeffs.values()):
+        raise ValueError("line_integral expects a scalar integrand")
     here, other = (a, b) if pole == GAUSS_I else (b, a)
     res = _principal_part(num, here, other, pole).get(1, CliffordElem.zero())
-    if set(res.terms) - {()}:
-        raise ValueError("line_integral expects a scalar integrand")
     return ScalarExpr.const(2 * pole) * PI_SYM * res.scalar_part()
 
 

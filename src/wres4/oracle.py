@@ -1,28 +1,29 @@
-"""Floating-point referee for the symbolic engine.
+"""Floating-point referee for the symbolic engine, in pure Python.
 
-Explicit 4x4 gamma matrices, seeded random parameter assignments, and
-quadrature for line, contour, and sphere integrals.  Every symbolic value
-can be evaluated to a complex matrix or scalar.  The per-case referee
-takes each case's factors and prefactor from the engine, so derivatives,
-restriction and pi+ are the engine's own; it recomputes the product, the
-trace and the two integrals.  Only the tests use `quad_contour_pi_plus`.
+Explicit 4x4 gamma matrices (tuples of Python complex), seeded random
+parameter assignments, and quadrature for line, contour, and sphere
+integrals.  Every symbolic value can be evaluated to a 4x4 complex matrix
+or a complex scalar.  The per-case referee takes each case's factors and
+prefactor from the engine, so derivatives, restriction and pi+ are the
+engine's own; it recomputes the product, the trace and the two integrals.
+Only the tests use `quad_contour_pi_plus`.
 
-The per-case referee walks the sphere rule one polar ring at a time: each
-factor is evaluated at all of a ring's nodes at once, one matrix stack per
-xi_n node; the traces tr(L R) of all the ring's products at that xi_n node
-are taken in one batched product, and each node's line integral reads its
-own entry of that trace vector.
+Each factor is a xi_n-polynomial numerator over one scalar denominator, so
+at a sphere node tr(L R) is one scalar xi_n-polynomial over the product of
+the two denominators.  The per-case referee contracts that trace once per
+factor pair, in point-monomial space; at each sphere node this gives the
+polynomial's coefficients, and each line-quadrature node costs one Horner
+evaluation times the two factors' reciprocal denominators.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElem
 from .errors import MissingBinding, NonConvergence
@@ -34,37 +35,54 @@ _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
 _LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES)}
 
+Matrix = Tuple[Tuple[complex, ...], ...]
+_IDENTITY: Matrix = tuple(tuple(complex(i == j) for j in range(4))
+                          for i in range(4))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(4))
+                       for j in range(4)) for i in range(4))
+
+
+def _kron_i(a, b) -> Matrix:
+    """i times the Kronecker product of two 2x2 matrices."""
+    return tuple(tuple(1j * a[i // 2][j // 2] * b[i % 2][j % 2]
+                       for j in range(4)) for i in range(4))
+
 
 class GammaRep:
     """Four skew 4x4 complex matrices with gamma_i gamma_j + gamma_j
-    gamma_i = -2 delta_ij."""
+    gamma_i = -2 delta_ij, each a 4x4 tuple of Python complex."""
 
-    def __init__(self, matrices: Optional[Sequence[np.ndarray]] = None):
+    def __init__(self, matrices: Optional[Sequence[Sequence]] = None):
         if matrices is None:
-            s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-            s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-            s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-            eye = np.eye(2, dtype=complex)
-            matrices = [1j * np.kron(s1, s1), 1j * np.kron(s1, s2),
-                        1j * np.kron(s1, s3), 1j * np.kron(s2, eye)]
-        self.gamma = [np.asarray(m, dtype=complex) for m in matrices]
+            s1 = ((0, 1), (1, 0))
+            s2 = ((0, -1j), (1j, 0))
+            s3 = ((1, 0), (0, -1))
+            eye = ((1, 0), (0, 1))
+            matrices = [_kron_i(s1, s1), _kron_i(s1, s2), _kron_i(s1, s3),
+                        _kron_i(s2, eye)]
+        self.gamma = [tuple(tuple(complex(x) for x in row) for row in m)
+                      for m in matrices]
         if len(self.gamma) != 4:
             raise ValueError("need exactly four gamma matrices")
 
-    def basis_matrix(self, basis: Tuple[int, ...]) -> np.ndarray:
-        out = np.eye(4, dtype=complex)
+    def basis_matrix(self, basis: Tuple[int, ...]) -> Matrix:
+        out = _IDENTITY
         for i in basis:
-            out = out @ self.gamma[i - 1]
+            out = _matmul(out, self.gamma[i - 1])
         return out
 
     def max_relation_defect(self) -> float:
         worst = 0.0
-        for i in range(4):
-            for j in range(4):
-                anti = (self.gamma[i] @ self.gamma[j]
-                        + self.gamma[j] @ self.gamma[i])
-                target = -2 * np.eye(4) if i == j else np.zeros((4, 4))
-                worst = max(worst, float(np.abs(anti - target).max()))
+        for i, gi in enumerate(self.gamma):
+            for j, gj in enumerate(self.gamma):
+                for r, (x, y) in enumerate(zip(_matmul(gi, gj),
+                                               _matmul(gj, gi))):
+                    for c in range(4):
+                        target = -2.0 if i == j and r == c else 0.0
+                        worst = max(worst, abs(x[c] + y[c] - target))
         return worst
 
 
@@ -89,12 +107,16 @@ class NumericContext:
         self.rep = rep if rep is not None else GammaRep()
 
 
+def _with_norm(x1, x2, x3) -> Tuple[float, float, float, float]:
+    """The values of XI1, XI2, XI3 and U = |xi'|^2 at xi' = (x1, x2, x3)."""
+    return (x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3)
+
+
 def _point_bindings(point) -> Dict[str, complex]:
     """xi' and U = |xi'|^2 of a (xi', xi_n) point; no scalar holds xi_n."""
     if point is None:
         return {}
-    x1, x2, x3 = point[0]
-    return {"XI1": x1, "XI2": x2, "XI3": x3, "U": x1 * x1 + x2 * x2 + x3 * x3}
+    return dict(zip(_POINT_NAMES, _with_norm(*point[0])))
 
 
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
@@ -117,23 +139,26 @@ def _lookup(bindings: Dict[str, complex], name: str) -> complex:
 
 
 def eval_clifford(a: CliffordElem, ctx: NumericContext,
-                  point=None) -> np.ndarray:
-    out = np.zeros((4, 4), dtype=complex)
+                  point=None) -> Matrix:
+    out = [[0j] * 4 for _ in range(4)]
     for basis, coeff in a.terms.items():
-        out += eval_scalar(coeff, ctx, point) * ctx.rep.basis_matrix(basis)
-    return out
+        w = eval_scalar(coeff, ctx, point)
+        for row, mat_row in zip(out, ctx.rep.basis_matrix(basis)):
+            for j, m in enumerate(mat_row):
+                row[j] += w * m
+    return tuple(map(tuple, out))
 
 
 def eval_symbol(s: BoundarySymbol, ctx: NumericContext,
-                point) -> np.ndarray:
+                point) -> Matrix:
     if point is None or point[1] is None:
         raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
-    return CompiledSymbol(LoweredSymbol(s, ctx), point[0])(point[1])
+    return CompiledSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
 
 
 def evaluate(sym, ctx: NumericContext, point=None):
-    """Dispatch on the symbolic type; matrices for Clifford-valued data,
-    complex scalars for ScalarExpr."""
+    """Dispatch on the symbolic type; 4x4 matrices (tuples of rows of
+    complex) for Clifford-valued data, complex scalars for ScalarExpr."""
     if isinstance(sym, ScalarExpr):
         return eval_scalar(sym, ctx, point)
     if isinstance(sym, CliffordElem):
@@ -303,60 +328,100 @@ def quad_contour_pi_plus(h: Callable[[complex], complex],
     return total * (2.0 * math.pi / n) / (2j * math.pi)
 
 
-def quad_sphere(p: Callable[[np.ndarray, np.ndarray, np.ndarray],
-                             np.ndarray],
+def _legendre(n: int, x: float) -> Tuple[float, float]:
+    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1)."""
+    prev, cur = 1.0, x
+    for k in range(2, n + 1):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+    return cur, n * (prev - x * cur) / ((1.0 - x) * (1.0 + x))
+
+
+def _gauss_legendre(n: int) -> Tuple[List[float], List[float]]:
+    """The n Gauss-Legendre nodes on [-1, 1], ascending, and their weights
+    2 / ((1 - x) (1 + x) P_n'(x)^2).  Each positive root comes from Newton's
+    iteration on P_n, started at cos(pi (k + 3/4) / (n + 1/2)); the
+    negative roots are their mirror images, and an odd n adds 0."""
+    half = []
+    for k in range(n // 2):
+        x = math.cos(math.pi * (k + 0.75) / (n + 0.5))
+        for _ in range(100):
+            value, slope = _legendre(n, x)
+            step = value / slope
+            x -= step
+            if abs(step) <= 2.0 * _EPMACH:
+                break
+        slope = _legendre(n, x)[1]
+        half.append((x, 2.0 / ((1.0 - x) * (1.0 + x) * slope * slope)))
+    middle = [(0.0, 2.0 / _legendre(n, 0.0)[1] ** 2)] if n % 2 else []
+    rule = ([(-x, w) for x, w in half] + middle
+            + [(x, w) for x, w in reversed(half)])
+    return [x for x, _ in rule], [w for _, w in rule]
+
+
+def quad_sphere(p: Callable[[float, float, float], complex],
                 n_theta: int = 12, n_phi: int = 24) -> complex:
     """Product Gauss-Legendre (polar) x trapezoid (azimuthal) quadrature
     of p over the unit sphere; exact for polynomials of degree <= 23 at the
     default orders (12 Gauss-Legendre nodes in cos(theta), 24 equispaced
     azimuths).
 
-    p is called once per polar ring, with three arrays holding the x, y
-    and z of that ring's n_phi nodes, and returns the n_phi values (a
-    scalar stands for n_phi equal values).  The nodes are built and the
-    weighted values summed node by node in ring order, so a p that works
-    point by point gives the sum of a point-by-point rule.
+    p is called once per node, p(x, y, z) with floats, polar ring by ring
+    and in azimuth order within a ring, and the weighted values are summed
+    in that order.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_theta)
-    phis = [2.0 * math.pi * k / n_phi for k in range(n_phi)]
-    cos_phi = np.array([math.cos(phi) for phi in phis])
-    sin_phi = np.array([math.sin(phi) for phi in phis])
+    nodes, weights = _gauss_legendre(n_theta)
+    azimuths = [(math.cos(phi), math.sin(phi))
+                for phi in (2.0 * math.pi * k / n_phi for k in range(n_phi))]
     total = 0j
     for c, w in zip(nodes, weights):
         s = math.sqrt(1.0 - c * c)
-        values = p(s * cos_phi, s * sin_phi, np.full(n_phi, c))
-        for v in np.broadcast_to(values, (n_phi,)):
-            total += w * v
+        for cos_phi, sin_phi in azimuths:
+            total += w * p(s * cos_phi, s * sin_phi, c)
     return total * (2.0 * math.pi / n_phi)
 
 
 # -- compiled symbols and the end-to-end referee -----------------------------
 
+Exps = Tuple[int, int, int, int]
+
+
+def _monomial(point: Tuple[float, float, float, float], exps: Exps):
+    """XI1**a XI2**b XI3**c U**d at point = (x1, x2, x3, u)."""
+    return (point[0] ** exps[0] * point[1] ** exps[1]
+            * point[2] ** exps[2] * point[3] ** exps[3])
+
+
 class LoweredSymbol:
-    """A boundary symbol bound to a numeric context, as arrays.
+    """A boundary symbol bound to a numeric context.
 
     With HP, F, the f-jets, S, OMEGA and PI bound, each coefficient is a
     polynomial in the point variables XI1, XI2, XI3, U.  The entries, each
     xi_n**deg over its pole key, are put over one common denominator
     (xi_n - r)**A (xi_n + r)**B with r = i on shell and r = i*sqrt(U) off
     shell (where A = B and the denominator is (U + xi_n**2)**A), so the
-    symbol is a polynomial in xi_n over that one scalar.  `exps` holds the
-    exponents of each point monomial, one row each, and `lift` maps the
-    monomial values to the flattened 4x4 matrix coefficients of xi_n**0,
-    xi_n**1, ..., stacked, with the bound weights, the gamma basis
-    matrices and the numerators over the common denominator folded in.
-    A coefficient holding an unbound name raises MissingBinding.
+    symbol is a polynomial in xi_n over that one scalar.  `lift` maps each
+    (xi_n power, exponents of XI1, XI2, XI3, U) to its flattened 4x4 matrix
+    coefficient, with the bound weights, the gamma basis matrices and the
+    numerators over the common denominator folded in.  On shell the
+    reciprocal denominator depends on xi_n alone, and `recips` keeps it per
+    xi_n for every CompiledSymbol of this factor.  A coefficient holding an
+    unbound name raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):
         self.shell = s.shell
         entries = [(key, deg, coeff) for key, poly in s.terms.items()
                    for deg, coeff in poly.coeffs.items()]
-        rows: Dict[Tuple[int, ...], int] = {}
-        cols = []
-        for e, (_, _, coeff) in enumerate(entries):
+        nums, self.poles = _numerators(s.shell,
+                                       [key for key, _, _ in entries])
+        flat: Dict[Tuple[int, ...], List[Tuple[int, complex]]] = {}
+        lift: Dict[Tuple[int, Exps], List[complex]] = {}
+        for (_, deg, coeff), num in zip(entries, nums):
             for basis, scalar in coeff.terms.items():
-                mat = ctx.rep.basis_matrix(basis).ravel()
+                if basis not in flat:
+                    mat = [m for row in ctx.rep.basis_matrix(basis)
+                           for m in row]
+                    flat[basis] = [(f, m) for f, m in enumerate(mat) if m]
                 for mono, c in scalar.terms.items():
                     exps, weight = [0, 0, 0, 0], complex(c)
                     for idx, k in mono:
@@ -364,125 +429,137 @@ class LoweredSymbol:
                             exps[_LOWERED_POINT[idx]] = k
                         else:
                             weight *= _lookup(ctx.assignment, NAMES[idx]) ** k
-                    row = rows.setdefault(tuple(exps), len(rows))
-                    cols.append((e, row, weight * mat))
-        lift = np.zeros((len(entries), 16, len(rows)), dtype=complex)
-        for e, row, col in cols:
-            lift[e, :, row] += col
-        num, self.poles = _numerators(
-            s.shell, [key for key, _, _ in entries],
-            [deg for _, deg, _ in entries])
-        n_xi, n_u = num.shape[1:]
-        # numerator term xi_n**n U**p of entry e: row r moves to (r, p)
-        self.lift = np.einsum("enp,efr->nfrp", num, lift).reshape(
-            16 * n_xi, len(rows) * n_u)
-        exps = np.array(list(rows), dtype=int).reshape(-1, 1, 4)
-        self.exps = (exps + np.outer(np.arange(n_u), (0, 0, 0, 1))
-                     ).reshape(-1, 4)
-        self.powers = np.arange(n_xi)
+                    x1, x2, x3, u = exps
+                    for (n, p), c_num in num.items():
+                        vec = lift.setdefault((deg + n, (x1, x2, x3, u + p)),
+                                              [0j] * 16)
+                        w = c_num * weight
+                        for f, m in flat[basis]:
+                            vec[f] += w * m
+        self.lift = lift
+        self.recips: Dict[complex, complex] = {}
 
 
-def _numerators(shell: str, keys: list, degs: list):
-    """Each entry xi_n**deg / pole(key) as numerator / common denominator.
+def _numerators(shell: str, keys: list):
+    """Each pole key as a numerator over the common denominator.
 
-    Returns num[e, n, p], the coefficient of xi_n**n U**p in entry e's
-    numerator, and the pole orders (A, B) of the common denominator.  On
-    shell the numerator of key (a, b) is xi_n**deg (xi_n - i)**(A - a)
-    (xi_n + i)**(B - b); off shell that of key k is xi_n**deg
-    (U + xi_n**2)**(A - k).
+    Returns one dict {(n, p): c} per key, holding the nonzero terms
+    c xi_n**n U**p, and the pole orders (A, B) of the common denominator.
+    On shell the numerator of key (a, b) is (xi_n - i)**(A - a)
+    (xi_n + i)**(B - b); off shell that of key k is (U + xi_n**2)**(A - k).
     """
-    terms = []
     if shell == OFF:
-        A = B = max(keys, default=0)
-        for k, deg in zip(keys, degs):
-            m = A - k
-            terms.append({(deg + 2 * j, m - j): math.comb(m, j)
-                          for j in range(m + 1)})
-    else:
-        A = max((a for a, _ in keys), default=0)
-        B = max((b for _, b in keys), default=0)
-        poly = np.polynomial.polynomial
-        for (a, b), deg in zip(keys, degs):
-            coeffs = poly.polymul(poly.polypow([-1j, 1], A - a),
-                                  poly.polypow([1j, 1], B - b))
-            terms.append({(deg + n, 0): c for n, c in enumerate(coeffs)})
-    n_xi = 1 + max((n for t in terms for n, _ in t), default=-1)
-    n_u = 1 + max((p for t in terms for _, p in t), default=0)
-    num = np.zeros((len(terms), n_xi, n_u), dtype=complex)
-    for e, t in enumerate(terms):
-        for (n, p), c in t.items():
-            num[e, n, p] = c
-    return num, (A, B)
+        A = max(keys, default=0)
+        return [{(2 * j, A - k - j): math.comb(A - k, j)
+                 for j in range(A - k + 1)} for k in keys], (A, A)
+    A = max((a for a, _ in keys), default=0)
+    B = max((b for _, b in keys), default=0)
+    nums = []
+    for a, b in keys:
+        coeffs = [1 + 0j]
+        for root in [1j] * (A - a) + [-1j] * (B - b):
+            # times (xi_n - root), exactly: the coefficients are Gaussian
+            # integers
+            coeffs = [(coeffs[n - 1] if n else 0) - root * c
+                      for n, c in enumerate(coeffs + [0])]
+        nums.append({(n, 0): c for n, c in enumerate(coeffs) if c})
+    return nums, (A, B)
 
 
 class CompiledSymbol:
-    """A lowered symbol at one tangential covector xi', or at a stack of
-    them: the 4x4 matrix coefficients of its xi_n-polynomial numerator, so
-    each xi_n evaluation is one power vector times one matrix stack, over
-    one scalar per point.
+    """A lowered symbol at one tangential covector xi' = (x1, x2, x3).
 
-    xi_prime is one point (x1, x2, x3) or an (N, 3) array of points; a
-    call at xi_n returns the 4x4 matrix or the (N, 4, 4) stack, through
-    the same arithmetic.  Each instance computes its matrices at a given
-    xi_n once and returns that same read-only array on every later call at
-    an equal xi_n (quad_line's imaginary-part pass revisits the real-part
-    pass's nodes, and the sphere nodes of one ring share their xi_n
-    nodes).  The memo lives only as long as the instance, which is one
-    polar ring of the sphere rule for one factor in crosscheck_case; there
-    the ring's trace vector at each xi_n node is kept beside it for as long
-    (_ring_traces).
+    A call at xi_n returns 1/((xi_n - r)**A (xi_n + r)**B), the reciprocal
+    of the symbol's common denominator.  On shell r = i, so the value is
+    kept in the LoweredSymbol's `recips` and shared by all its instances;
+    off shell r = i*sqrt(U) and the instance keeps its own.  `matrix(xi_n)`
+    is the symbol's 4x4 value: the numerator's coefficients at this point
+    (computed on first use) by Horner's rule in xi_n, times that reciprocal.
     """
 
     def __init__(self, lowered: LoweredSymbol,
-                 xi_prime: Union[Tuple[float, float, float], np.ndarray]):
-        pts = np.asarray(xi_prime, dtype=float)
-        self.shape = pts.shape[:-1] + (4, 4)
-        x1, x2, x3 = pts.reshape(-1, 3).T
-        u = x1 * x1 + x2 * x2 + x3 * x3
-        pt = np.stack((x1, x2, x3, u), axis=1)
+                 xi_prime: Tuple[float, float, float]):
         self.lowered = lowered
-        self.root = (1j * np.sqrt(u)[:, None] if lowered.shell == OFF
-                     else 1j)
-        # one matrix-vector product per point, stacked: the same float
-        # operations as lowering each point on its own
-        monomials = np.prod(pt[:, None, :] ** lowered.exps, axis=2)
-        self.mats = (lowered.lift @ monomials[:, :, None]).reshape(
-            len(pt), -1, 16)
-        self._memo: Dict[complex, np.ndarray] = {}
+        self.point = _with_norm(*xi_prime)
+        if lowered.shell == OFF:
+            self.root, self._recips = 1j * math.sqrt(self.point[3]), {}
+        else:
+            self.root, self._recips = 1j, lowered.recips
 
-    def __call__(self, xi_n: complex) -> np.ndarray:
-        mat = self._memo.get(xi_n)
-        if mat is None:
-            mat = self._memo[xi_n] = self._evaluate(xi_n)
-        return mat
+    def __call__(self, xi_n: complex) -> complex:
+        recip = self._recips.get(xi_n)
+        if recip is None:
+            a, b = self.lowered.poles
+            r = self.root
+            recip = self._recips[xi_n] = 1.0 / ((xi_n - r) ** a
+                                                 * (xi_n + r) ** b)
+        return recip
 
-    def _evaluate(self, xi_n: complex) -> np.ndarray:
-        low, r = self.lowered, self.root
-        a, b = low.poles
-        den = (xi_n - r) ** a * (xi_n + r) ** b
-        mat = (xi_n ** low.powers @ self.mats / den).reshape(self.shape)
-        mat.flags.writeable = False
-        return mat
+    @functools.cached_property
+    def numerator(self) -> List[List[complex]]:
+        """The flattened 4x4 coefficients of xi_n**0, xi_n**1, ... here."""
+        coeffs: List[List[complex]] = []
+        for (n, exps), vec in self.lowered.lift.items():
+            while len(coeffs) <= n:
+                coeffs.append([0j] * 16)
+            w, row = _monomial(self.point, exps), coeffs[n]
+            for f, v in enumerate(vec):
+                row[f] += w * v
+        return coeffs
+
+    def matrix(self, xi_n: complex) -> Matrix:
+        out = [0j] * 16
+        for vec in reversed(self.numerator):
+            out = [o * xi_n + v for o, v in zip(out, vec)]
+        recip = self(xi_n)
+        return tuple(tuple(recip * v for v in out[4 * i:4 * i + 4])
+                     for i in range(4))
 
 
-def _ring_traces(left: np.ndarray, right: np.ndarray) -> List[complex]:
-    """tr(L_k R_k) for every k of two (N, 4, 4) stacks, as N Python
-    complexes.
+# flattened index of the transpose: tr(L R) = sum_f L_f R_{_TRANSPOSE[f]}
+_TRANSPOSE = tuple(4 * (f % 4) + f // 4 for f in range(16))
 
-    tr(L R) = sum_ij L_ij R_ji, so row k of L flattened meets row k of R
-    flattened column-major, as one stacked (1 x 16)(16 x 1) product.  This
-    gives the bits of the per-matrix dot L[k].ravel() @ R[k].ravel(order="F");
-    einsum("kij,kji->k") sums in another order and does not, and the
-    referee's adaptive line rule bisects on the rounding of case a1.
+
+def _trace_coefficients(left: LoweredSymbol, right: LoweredSymbol):
+    """The numerator of tr(L R) as a function of the point.
+
+    The coefficient of xi_n**j is the sum over m + n = j of tr(L_m R_n),
+    the 16-term pairing of the two numerators' matrix coefficients, so it
+    is contracted once here from the two lifts, with each pairing's point
+    monomial the product of the two.  Returns at(x1, x2, x3), the list of
+    xi_n coefficients there, ascending; tr(L R) is their polynomial times
+    both factors' reciprocal denominators.
     """
-    n = len(left)
-    return (left.reshape(n, 1, 16)
-            @ right.transpose(0, 2, 1).reshape(n, 16, 1)).ravel().tolist()
+    table: Dict[Exps, Dict[int, complex]] = {}
+    for (m, el), a in left.lift.items():
+        for (n, er), b in right.lift.items():
+            pairing = sum(a[f] * b[_TRANSPOSE[f]] for f in range(16))
+            if pairing:
+                row = table.setdefault(tuple(i + j for i, j in zip(el, er)),
+                                       {})
+                row[m + n] = row.get(m + n, 0j) + pairing
+    monos = list(table)
+    degree = max((j for row in table.values() for j in row), default=-1)
+    rows = [[table[e].get(j, 0j) for e in monos] for j in range(degree + 1)]
+
+    def at(x1: float, x2: float, x3: float) -> List[complex]:
+        point = _with_norm(x1, x2, x3)
+        values = [_monomial(point, e) for e in monos]
+        return [sum(c * v for c, v in zip(row, values)) for row in rows]
+
+    return at
+
+
+def _horner(coeffs: List[complex], t: float) -> complex:
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
 
 
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
-    """Recompute one boundary case from the engine's factors: evaluate them
-    as matrices, multiply, matrix-trace, quadrature over xi_n, then over
+    """Recompute one boundary case from the engine's factors: the trace
+    of their product, quadrature over xi_n at each sphere node, then over
     the sphere, times the engine's case coefficient.
 
     Returns the numeric value, the evaluated symbolic value, and their
@@ -493,28 +570,26 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     total = 0j
     for left, right in case_factors(spec, "Dtilde"):
         low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
+        trace_at = _trace_coefficients(low_l, low_r)
 
-        def p(x1: np.ndarray, x2: np.ndarray, x3: np.ndarray) -> list:
-            # both factors at every node of one polar ring; at each xi_n
-            # node the traces of all the ring's products at once, then one
-            # line integral per sphere node, each reading its entry k
-            ring = np.stack((x1, x2, x3), axis=1)
-            lc, rc = CompiledSymbol(low_l, ring), CompiledSymbol(low_r, ring)
-            traces: Dict[float, List[complex]] = {}
+        def p(x1: float, x2: float, x3: float) -> complex:
+            # one sphere node: tr(L R)'s numerator as one xi_n-polynomial,
+            # evaluated once per xi_n node (quad_line's imaginary-part pass
+            # revisits the real-part pass's nodes), over both factors'
+            # denominators, which each factor's call returns
+            lc = CompiledSymbol(low_l, (x1, x2, x3))
+            rc = CompiledSymbol(low_r, (x1, x2, x3))
+            coeffs = trace_at(x1, x2, x3)
+            traces: Dict[float, complex] = {}
 
-            def node(k: int) -> Callable[[float], complex]:
-                def integrand(t: float) -> complex:
-                    # both factors are asked at every evaluation (memo hits
-                    # after a ring's first node), one CompiledSymbol call
-                    # each, as perfbench's call-count pins expect
-                    lt, rt = lc(t), rc(t)
-                    vec = traces.get(t)
-                    if vec is None:
-                        vec = traces[t] = _ring_traces(lt, rt)
-                    return vec[k]
-                return integrand
+            def integrand(t: float) -> complex:
+                recips = lc(t) * rc(t)
+                trace = traces.get(t)
+                if trace is None:
+                    trace = traces[t] = _horner(coeffs, t)
+                return trace * recips
 
-            return [quad_line(node(k)) for k in range(len(ring))]
+            return quad_line(integrand)
 
         total += quad_sphere(p)
     total *= complex(spec.coefficient)
@@ -524,4 +599,3 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
         "symbolic": sym_val,
         "abs_error": abs(total - sym_val),
     }
-

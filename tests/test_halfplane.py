@@ -138,6 +138,14 @@ class TestLineIntegral:
         with pytest.raises(ValueError):
             line_integral(BoundarySymbol.on_shell_term(poly, 1, 1))
 
+    @pytest.mark.parametrize("integral", [line_integral, line_integral_lower])
+    def test_non_scalar_with_vanishing_residue_rejected(self, integral):
+        # c(e1)/(xi_n + i)^2 has residue 0 at both poles, so only the
+        # numerator shows that it is not scalar
+        poly = XinPoly({0: CliffordElem.gen(1)})
+        with pytest.raises(ValueError, match="scalar"):
+            integral(BoundarySymbol.on_shell_term(poly, 0, 2))
+
     def test_upper_lower_consistency_random(self):
         rng = random.Random(47)
         for _ in range(150):

@@ -1,7 +1,6 @@
 """The floating-point referee: gamma representation, evaluation
 homomorphism, quadrature primitives, and determinism."""
 
-import itertools
 import math
 import os
 import random
@@ -21,7 +20,9 @@ from wres4.oracle import (
     GammaRep,
     LoweredSymbol,
     NumericContext,
-    _ring_traces,
+    _gauss_legendre,
+    _horner,
+    _trace_coefficients,
     eval_clifford,
     eval_symbol,
     evaluate,
@@ -68,8 +69,22 @@ class TestGammaRep:
         rep = GammaRep()
         for g in rep.gamma:
             assert abs(np.trace(g)) < 1e-14
-        vol = rep.gamma[0] @ rep.gamma[1] @ rep.gamma[2] @ rep.gamma[3]
+        g1, g2, g3, g4 = (np.asarray(g) for g in rep.gamma)
+        vol = g1 @ g2 @ g3 @ g4
         assert abs(np.trace(vol)) < 1e-14
+
+    def test_python_complex_and_exact(self):
+        # the referee's matrices are 4x4 tuples of Python complex, and the
+        # default representation meets the relations with no rounding, as
+        # the gamma.relations row prints; any four 4x4 sequences convert
+        for rep in (GammaRep(), GammaRep([np.eye(4)] * 4)):
+            for m in rep.gamma + [rep.basis_matrix((1, 3, 4))]:
+                assert type(m) is tuple and len(m) == 4
+                for row in m:
+                    assert type(row) is tuple and len(row) == 4
+                    assert {type(x) for x in row} == {complex}
+        assert GammaRep().max_relation_defect() == 0.0
+        assert GammaRep([np.eye(4)] * 4).max_relation_defect() == 4.0
 
     def test_rejects_wrong_count(self):
         with pytest.raises(ValueError):
@@ -86,8 +101,9 @@ class TestEvaluate:
         pt = ((0.3, -0.5, 0.7), 1.3)
         for _ in range(200):
             a, b = rand_elem(rng), rand_elem(rng)
-            lhs = evaluate(a * b, ctx, pt)
-            rhs = evaluate(a, ctx, pt) @ evaluate(b, ctx, pt)
+            lhs = np.asarray(evaluate(a * b, ctx, pt))
+            rhs = np.asarray(evaluate(a, ctx, pt)) @ np.asarray(
+                evaluate(b, ctx, pt))
             scale = max(1.0, float(np.abs(lhs).max()))
             assert np.abs(lhs - rhs).max() / scale < 1e-12
 
@@ -127,8 +143,8 @@ class TestEvaluate:
         x3 = math.sqrt(1 - x1 * x1 - x2 * x2)
         xi_n = 0.9
         pt = ((x1, x2, x3), xi_n)
-        cxi = (evaluate(CliffordElem.c_xi_prime(), ctx, pt)
-               + xi_n * evaluate(CliffordElem.c_dxn(), ctx, pt))
+        cxi = (np.asarray(evaluate(CliffordElem.c_xi_prime(), ctx, pt))
+               + xi_n * np.asarray(evaluate(CliffordElem.c_dxn(), ctx, pt)))
         expected = 2j * cxi / (ctx.assignment["F"] * (1 + xi_n ** 2))
         got = evaluate(s, ctx, pt)
         assert np.abs(got - expected).max() < 1e-12
@@ -155,7 +171,7 @@ def reference_symbol(s, ctx, xi_prime, xi_n):
         else:
             den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
         for deg, coeff in poly.coeffs.items():
-            out += (eval_clifford(coeff, ctx, (xi_prime, None))
+            out += (np.asarray(eval_clifford(coeff, ctx, (xi_prime, None)))
                     * xi_n ** deg / den)
     return out
 
@@ -193,7 +209,7 @@ class TestLoweredEvaluator:
             for xi_n in (rng.uniform(-3.0, 3.0),
                          complex(rng.uniform(-2.0, 2.0),
                                  rng.uniform(-0.5, 0.5))) + XI_N:
-                got = compiled(xi_n)
+                got = np.asarray(compiled.matrix(xi_n))
                 ref = reference_symbol(s, ctx, xp, xi_n)
                 scale = max(1.0, float(np.abs(ref).max()))
                 assert got.shape == (4, 4)
@@ -207,7 +223,7 @@ class TestLoweredEvaluator:
             assert s.shell != OFF
             self.check_against_reference(s, ctx, rng)
             # a polynomial of degree at most 7 in xi_n
-            assert len(LoweredSymbol(s, ctx).powers) <= 8
+            assert max(n for n, _ in LoweredSymbol(s, ctx).lift) <= 7
 
     @pytest.mark.parametrize("name", sorted(OFF_SHELL))
     def test_off_shell_symbols_match_reference(self, ctx, name):
@@ -215,9 +231,10 @@ class TestLoweredEvaluator:
         assert s.shell == OFF
         self.check_against_reference(s, ctx, random.Random(83))
 
-    def check_stack_against_points(self, s, ctx, rng):
-        # an (N, 3) stack, three points on the unit sphere and two off
-        # it, against one single-point instance per row
+    def check_shared_against_fresh(self, s, ctx, rng):
+        # instances of one lowered symbol at five points, three on the unit
+        # sphere and two off it, called in turn so that on shell they share
+        # the reciprocal denominators, against a fresh lowering per point
         low = LoweredSymbol(s, ctx)
         points = []
         for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0),
@@ -225,34 +242,30 @@ class TestLoweredEvaluator:
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             norm = math.sqrt(sum(x * x for x in v))
             points.append(tuple(radius * x / norm for x in v))
-        stack = CompiledSymbol(low, np.array(points))
-        singles = [CompiledSymbol(low, xp) for xp in points]
+        shared = [CompiledSymbol(low, xp) for xp in points]
         for xi_n in (rng.uniform(-3.0, 3.0),
                      complex(rng.uniform(-2.0, 2.0),
                              rng.uniform(-0.5, 0.5))) + XI_N:
-            got = stack(xi_n)
-            assert got.shape == (len(points), 4, 4)
-            with pytest.raises(ValueError):
-                got[0, 0, 0] = 1.0
-            with pytest.raises(ValueError):
-                got *= 2.0
-            for row, single in zip(got, singles):
-                one = single(xi_n)
-                assert one.shape == (4, 4)
-                assert (np.abs(row - one)
-                        <= 1e-14 * np.maximum(1.0, np.abs(one))).all()
+            for xp, compiled in zip(points, shared):
+                fresh = CompiledSymbol(LoweredSymbol(s, ctx), xp)
+                assert compiled(xi_n) == fresh(xi_n)
+                assert compiled.matrix(xi_n) == fresh.matrix(xi_n)
+        return low
 
-    def test_case_factor_stacks_match_points(self, ctx):
+    def test_case_factors_share_reciprocals_across_points(self, ctx):
         factors = case_factor_symbols()
         assert len(factors) == 14
         rng = random.Random(89)
         for s in factors:
-            self.check_stack_against_points(s, ctx, rng)
+            low = self.check_shared_against_fresh(s, ctx, rng)
+            # one memo for all points: 10 xi_n values
+            assert len(low.recips) == 10
 
     @pytest.mark.parametrize("name", sorted(OFF_SHELL))
-    def test_off_shell_stacks_match_points(self, ctx, name):
-        self.check_stack_against_points(OFF_SHELL[name](), ctx,
-                                        random.Random(97))
+    def test_off_shell_reciprocals_stay_per_point(self, ctx, name):
+        low = self.check_shared_against_fresh(OFF_SHELL[name](), ctx,
+                                              random.Random(97))
+        assert low.recips == {}
 
     @pytest.mark.parametrize("shell", ["on", "off"])
     def test_zero_symbol(self, ctx, shell):
@@ -262,51 +275,56 @@ class TestLoweredEvaluator:
         compiled = CompiledSymbol(
             LoweredSymbol(BoundarySymbol.zero(shell), ctx), (0.3, 0.4, 1.2))
         for xi_n in XI_N:
-            assert np.array_equal(compiled(xi_n), np.zeros((4, 4)))
+            assert np.array_equal(compiled.matrix(xi_n), np.zeros((4, 4)))
 
     @pytest.mark.parametrize("make", [
         lambda: case_factor_symbols()[-1],
         OFF_SHELL["D,-1 + Dtilde,-2"],
     ], ids=["case factor", "off shell"])
-    def test_shared_matrix_is_read_only_and_fresh(self, ctx, make):
-        # a repeated xi_n returns the first call's array; its bytes are
-        # those of a fresh evaluation, and no caller can write into it
+    def test_shared_reciprocal_is_fresh(self, ctx, make):
+        # a repeated xi_n returns the first call's reciprocal denominator,
+        # equal to a fresh evaluation; on shell it is shared by every
+        # instance of the lowered symbol, off shell (r = i sqrt(U)) it is
+        # not, and the matrix built on it is immutable
         low = LoweredSymbol(make(), ctx)
-        xp = (0.36, -0.48, 0.8)
+        xp, other = (0.36, -0.48, 0.8), (0.6, 0.0, 1.6)
         compiled = CompiledSymbol(low, xp)
         for xi_n in (0.7, complex(0.4, -0.3)):
             first = compiled(xi_n)
             assert compiled(xi_n) is first
-            assert CompiledSymbol(low, xp)(xi_n).tobytes() == first.tobytes()
-            with pytest.raises(ValueError):
-                first[0, 0] = 1.0
-            with pytest.raises(ValueError):
-                first *= 2.0
+            assert CompiledSymbol(LoweredSymbol(make(), ctx), xp)(
+                xi_n) == first
+            shared = CompiledSymbol(low, other)(xi_n)
+            assert (shared is first) == (low.shell != OFF)
+            assert type(compiled.matrix(xi_n)) is tuple
 
-    def test_ring_traces_match_per_node_dot(self, ctx):
-        # the batched tr(L_k R_k) of one polar ring against each node's
-        # 16-term dot, for every factor pair of every case
+    def test_trace_polynomial_matches_matrix_trace(self, ctx):
+        # at each sphere node tr(L R) is one xi_n-polynomial, contracted
+        # once per factor pair, over both reciprocal denominators; against
+        # the trace of the two matrices' product, for every factor pair of
+        # every case, at real and complex xi_n
         from wres4.boundary import case_factors, enumerate_cases
 
-        c = np.polynomial.legendre.leggauss(12)[0][4]
+        c = _gauss_legendre(12)[0][4]
         s = math.sqrt(1.0 - c * c)
-        ring = np.array([(s * math.cos(2.0 * math.pi * k / 24),
-                          s * math.sin(2.0 * math.pi * k / 24), c)
-                         for k in range(24)])
+        nodes = [(s * math.cos(2.0 * math.pi * k / 24),
+                  s * math.sin(2.0 * math.pi * k / 24), c)
+                 for k in range(0, 24, 5)] + [(0.3, -1.1, 0.5)]
         pairs = [pair for spec in enumerate_cases()
                  for pair in case_factors(spec, "Dtilde")]
         assert len(pairs) == 7
         for left, right in pairs:
-            lc = CompiledSymbol(LoweredSymbol(left, ctx), ring)
-            rc = CompiledSymbol(LoweredSymbol(right, ctx), ring)
-            for xi_n in (0.7, complex(0.4, -0.3)):
-                lt, rt = lc(xi_n), rc(xi_n)
-                got = _ring_traces(lt, rt)
-                assert len(got) == len(ring)
-                for k, value in enumerate(got):
-                    assert type(value) is complex
-                    ref = lt[k].ravel() @ rt[k].ravel(order="F")
-                    assert abs(value - ref) <= 1e-15 * max(1.0, abs(ref))
+            low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
+            trace_at = _trace_coefficients(low_l, low_r)
+            for xp in nodes:
+                lc, rc = CompiledSymbol(low_l, xp), CompiledSymbol(low_r, xp)
+                coeffs = trace_at(*xp)
+                assert {type(x) for x in coeffs} == {complex}
+                for xi_n in (0.7, -2.5, complex(0.4, -0.3)):
+                    got = _horner(coeffs, xi_n) * lc(xi_n) * rc(xi_n)
+                    ref = np.trace(np.asarray(lc.matrix(xi_n))
+                                   @ np.asarray(rc.matrix(xi_n)))
+                    assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
@@ -403,18 +421,29 @@ class TestGaussKronrod:
             assert (val, err, calls) == (ref, ref_err, neval)
 
 
+def _loaded_after(code: str, package: str) -> str:
+    """The sorted names of `package`'s modules loaded in a fresh
+    interpreter after running `code`, as printed."""
+    src = str(Path(wres4.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code += (f"; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == {package!r}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 class TestImportGuard:
     def test_no_scipy_at_runtime(self):
-        src = str(Path(wres4.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        code = ("import sys, wres4.cli, wres4.oracle; "
-                "print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] == 'scipy'))")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[]"
+        assert _loaded_after("import sys, wres4.cli, wres4.oracle",
+                             "scipy") == "[]"
+
+    def test_crosscheck_loads_no_numpy(self):
+        code = ("import sys, wres4.cli; wres4.cli.run(['crosscheck', "
+                "'--seed', '42', '--case', 'c', '--format', 'json'])")
+        assert _loaded_after(code, "numpy") == "[]"
 
 
 class TestWorkGuard:
@@ -444,101 +473,102 @@ class TestWorkGuard:
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_one_evaluation_per_factor_and_xi_n(self, monkeypatch):
-        # quad_line's imaginary-part pass revisits the real-part pass's
-        # nodes; each (factor at a sphere node, xi_n) is computed once
+        # on shell a factor's reciprocal denominator depends on xi_n alone:
+        # each (factor, xi_n) is computed once and shared by all 288
+        # sphere nodes; case c bisects each line pass once, at the same 63
+        # nodes everywhere
         import wres4.oracle as oracle
         from wres4.boundary import enumerate_cases
 
-        cls = oracle.CompiledSymbol
-        init, call, compute = cls.__init__, cls.__call__, cls._evaluate
-        serials = itertools.count()
-        calls, pairs, evaluations = [0], set(), [0]
+        class CountingDict(dict):
+            stores = 0
+
+            def __setitem__(self, key, value):
+                CountingDict.stores += 1
+                super().__setitem__(key, value)
+
+        cls = oracle.LoweredSymbol
+        init, call = cls.__init__, oracle.CompiledSymbol.__call__
+        lowered, calls = [], [0]
 
         def counting_init(self, *args):
             init(self, *args)
-            # a serial, not id(): instances die with their ring
-            self.serial = next(serials)
+            self.recips = CountingDict()
+            lowered.append(self)
 
         def counting_call(self, xi_n):
             calls[0] += 1
-            pairs.add((self.serial, xi_n))
             return call(self, xi_n)
 
-        def counting_evaluate(self, xi_n):
-            evaluations[0] += 1
-            return compute(self, xi_n)
-
         monkeypatch.setattr(cls, "__init__", counting_init)
-        monkeypatch.setattr(cls, "__call__", counting_call)
-        monkeypatch.setattr(cls, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(oracle.CompiledSymbol, "__call__", counting_call)
         (spec,) = [s for s in enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
-        assert evaluations[0] == len(pairs)
-        assert 2 * evaluations[0] <= calls[0]
+        assert [len(low.recips) for low in lowered] == [63, 63]
+        assert CountingDict.stores == 2 * 63
+        assert calls[0] == 72576
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
-    def test_one_batch_per_factor_ring_and_xi_n(self, monkeypatch):
-        # case c has one factor pair; each factor is built once per polar
-        # ring of the 12 x 24 sphere rule and computes its ring's matrices
-        # once per xi_n node (63 of them), and nothing built for a ring is
-        # alive when the next ring starts
+    def test_one_trace_polynomial_per_sphere_node(self, monkeypatch):
+        # case c has one factor pair: its trace is contracted once, the
+        # sphere rule calls the node function 288 times with floats, and
+        # each node builds its two factors and its trace coefficients, none
+        # of which is alive when the next node starts
         import weakref
 
         import wres4.oracle as oracle
         from wres4.boundary import enumerate_cases
 
-        cls = oracle.CompiledSymbol
-        init, compute, sphere = cls.__init__, cls._evaluate, oracle.quad_sphere
-        built, rings, evaluations = [], [], [0]
+        class Coefficients(list):
+            pass  # a list that takes weak references
+
+        init, sphere = oracle.CompiledSymbol.__init__, oracle.quad_sphere
+        contract = oracle._trace_coefficients
+        built, nodes, contractions = [], [], [0]
 
         def tracking_init(self, *args):
             init(self, *args)
             built.append(weakref.ref(self))
 
-        def counting_evaluate(self, xi_n):
-            evaluations[0] += 1
-            return compute(self, xi_n)
+        def tracked_contraction(left, right):
+            contractions[0] += 1
+            at = contract(left, right)
+
+            def tracked_at(*xp):
+                coeffs = Coefficients(at(*xp))
+                built.append(weakref.ref(coeffs))
+                return coeffs
+
+            return tracked_at
 
         def watched_sphere(p):
-            sizes = []
-            rings.append(sizes)
-
-            def ring(x, y, z):
+            def node(x, y, z):
                 assert [r for r in built if r() is not None] == []
-                sizes.append((len(x), len(y), len(z)))
+                nodes.append({type(x), type(y), type(z)})
                 return p(x, y, z)
 
-            return sphere(ring)
+            return sphere(node)
 
-        monkeypatch.setattr(cls, "__init__", tracking_init)
-        monkeypatch.setattr(cls, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(oracle.CompiledSymbol, "__init__", tracking_init)
+        monkeypatch.setattr(oracle, "_trace_coefficients",
+                            tracked_contraction)
         monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
         (spec,) = [s for s in enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
-        assert evaluations[0] == 2 * 12 * 63
-        assert len(built) == 2 * 12
-        assert rings == [[(24, 24, 24)] * 12]
+        assert contractions[0] == 1
+        assert nodes == [{float}] * 288
+        assert len(built) == 3 * 288
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
-    def test_one_trace_batch_per_ring_and_xi_n(self, monkeypatch):
-        # case c: the traces of a ring's 24 products are taken once per
-        # xi_n node (63 per ring), while each sphere node keeps its own
-        # line integral and both factor lookups per evaluation, and no
-        # trace vector of a ring is alive when the next ring starts
-        import weakref
-
+    def test_one_horner_per_node_and_xi_n(self, monkeypatch):
+        # case c: each sphere node keeps its own line integral, whose
+        # integrand asks both factors at every evaluation, and evaluates
+        # the node's trace polynomial once per xi_n node; quad_line's
+        # imaginary-part pass revisits the real-part pass's 63 nodes
         import wres4.oracle as oracle
         from wres4.boundary import enumerate_cases
 
-        class Traces(list):
-            pass  # a list that takes weak references
-
-        cls = oracle.CompiledSymbol
-        call, compute = cls.__call__, cls._evaluate
-        ring_traces, line = oracle._ring_traces, oracle.quad_line
-        sphere = oracle.quad_sphere
-        counts = dict.fromkeys(("traces", "call", "evaluate", "line"), 0)
-        vectors = []
+        counts = dict.fromkeys(("call", "horner", "line"), 0)
 
         def counting(key, fn):
             def wrapper(*args):
@@ -546,30 +576,38 @@ class TestWorkGuard:
                 return fn(*args)
             return wrapper
 
-        def tracked_traces(left, right):
-            counts["traces"] += 1
-            vec = Traces(ring_traces(left, right))
-            vectors.append(weakref.ref(vec))
-            return vec
-
-        def watched_sphere(p):
-            def ring(x, y, z):
-                assert [v for v in vectors if v() is not None] == []
-                return p(x, y, z)
-
-            return sphere(ring)
-
-        monkeypatch.setattr(cls, "__call__", counting("call", call))
-        monkeypatch.setattr(cls, "_evaluate", counting("evaluate", compute))
-        monkeypatch.setattr(oracle, "_ring_traces", tracked_traces)
-        monkeypatch.setattr(oracle, "quad_line", counting("line", line))
-        monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
+        cls = oracle.CompiledSymbol
+        monkeypatch.setattr(cls, "__call__", counting("call", cls.__call__))
+        monkeypatch.setattr(oracle, "_horner",
+                            counting("horner", oracle._horner))
+        monkeypatch.setattr(oracle, "quad_line",
+                            counting("line", oracle.quad_line))
         (spec,) = [s for s in enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
-        assert counts == {"traces": 12 * 63, "call": 72576,
-                          "evaluate": 1512, "line": 288}
-        assert [v for v in vectors if v() is not None] == []
+        assert counts == {"call": 72576, "horner": 288 * 63, "line": 288}
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_a1_lines_take_one_rule_per_pass(self, monkeypatch, seed):
+        # a1's trace is purely imaginary in exact arithmetic; the rounding
+        # left in its real part must not make the line rule bisect, so
+        # each of its 3 x 288 line integrals is two 21-point passes
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        line, evaluations = oracle.quad_line, [0]
+
+        def counting_line(f):
+            def counted(t):
+                evaluations[0] += 1
+                return f(t)
+            return line(counted)
+
+        monkeypatch.setattr(oracle, "quad_line", counting_line)
+        (spec,) = [s for s in enumerate_cases() if s.label == "a1"]
+        rec = oracle.crosscheck_case(spec, NumericContext(seed))
+        assert evaluations[0] == 3 * 288 * 2 * 21 == 36288
+        assert rec["abs_error"] <= 1e-12
 
     def test_no_matrix_outlives_its_sphere_node(self, capsys):
         # a case run between two runs of another must not change its bytes
@@ -700,7 +738,8 @@ class TestQuadrature:
         compiled = CompiledSymbol(LoweredSymbol(full, ctx), xp)
         for k in range(10):
             xi0 = -2.0 + 0.45 * k
-            num = quad_contour_pi_plus(compiled, xi0)
+            num = quad_contour_pi_plus(
+                lambda z: np.asarray(compiled.matrix(z)), xi0)
             sym = evaluate(proj, ctx, (xp, xi0))
             assert np.abs(num - sym).max() < 1e-8
 
@@ -709,10 +748,10 @@ class TestQuadrature:
         assert abs(val - 4 * math.pi) < 1e-10
 
     def test_sphere_rings_sum_the_node_by_node_rule(self):
-        # the ring-vectorised rule against the same 12 x 24 rule written
-        # as a loop over single nodes; numpy's array power and Python's
-        # scalar power may differ in the last bit, so the bound is
-        # rounding, not bit equality
+        # the rule against the same 12 x 24 rule written as a loop over
+        # single nodes on numpy's Gauss-Legendre nodes, which may differ
+        # from the rule's own in the last bits, so the bound is rounding,
+        # not bit equality
         nodes, weights = np.polynomial.legendre.leggauss(12)
         # exponents up to 16 pass the rule's exactness (azimuthal
         # frequency 24, degree 24), so a misplaced node shows
@@ -743,3 +782,37 @@ class TestQuadrature:
             exact = 4 * math.pi * float(moment(a, b, c))
             assert abs(val - exact) < 1e-10
 
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", range(2, 25))
+    def test_matches_numpy_leggauss(self, n):
+        # Newton's iteration on P_n against numpy's rule, ascending, to a
+        # few ulp of 1: nodes to 2, weights to 8, since numpy's own weights
+        # are up to ~7 ulp of 1 from the 50-digit values at n = 24 (these
+        # are within ~1)
+        nodes, weights = _gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        ulp = np.finfo(float).eps
+        assert len(nodes) == len(weights) == n
+        assert nodes == sorted(nodes)
+        assert {type(x) for x in nodes + weights} == {float}
+        assert np.abs(np.array(nodes) - ref_nodes).max() <= 2 * ulp
+        assert np.abs(np.array(weights) - ref_weights).max() <= 8 * ulp
+        assert abs(sum(weights) - 2.0) <= 8 * ulp
+
+    def test_sphere_exact_to_degree_23(self):
+        # every monomial of degree 23 or 22 (the two parities), and every
+        # one of degree <= 5, against the exact moment
+        def monomials(degree):
+            return [(a, b, degree - a - b) for a in range(degree + 1)
+                    for b in range(degree + 1 - a)]
+
+        cases = (monomials(23) + monomials(22)
+                 + [m for d in range(6) for m in monomials(d)])
+        for a, b, c in cases:
+            val = quad_sphere(lambda x, y, z: x ** a * y ** b * z ** c)
+            exact = 4 * math.pi * float(moment(a, b, c))
+            assert abs(val - exact) <= 1e-13
+        # degree 24 is past the rule's exactness
+        val = quad_sphere(lambda x, y, z: z ** 24)
+        assert abs(val - 4 * math.pi * float(moment(0, 0, 24))) > 1e-6

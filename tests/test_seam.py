@@ -2,7 +2,7 @@
 
 Engine modules return plain values; only the CLI pairs a value with its
 stored reference, and the referee reads the engine's values without ever
-building the reference table.
+building the reference table.  No runtime module imports numpy or scipy.
 """
 
 import ast
@@ -37,6 +37,14 @@ def _imported_names(tree: ast.AST):
 def test_engine_module_imports_no_reference_cli_or_referee(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     assert FORBIDDEN.isdisjoint(_imported_names(tree))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_no_module_imports_numpy_or_scipy(path):
+    # the referee is pure Python; numpy and scipy are test-only
+    tree = ast.parse(path.read_text())
+    assert {"numpy", "scipy"}.isdisjoint(_imported_names(tree))
 
 
 def test_crosscheck_never_builds_the_anchor_table(capsys):
