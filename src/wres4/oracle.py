@@ -508,12 +508,10 @@ class CompiledSymbol:
         return coeffs
 
     def matrix(self, xi_n: complex) -> Matrix:
-        out = [0j] * 16
-        for vec in reversed(self.numerator):
-            out = [o * xi_n + v for o, v in zip(out, vec)]
         recip = self(xi_n)
-        return tuple(tuple(recip * v for v in out[4 * i:4 * i + 4])
-                     for i in range(4))
+        flat = [recip * _horner([vec[f] for vec in self.numerator], xi_n)
+                for f in range(16)]
+        return tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
 
 
 # flattened index of the transpose: tr(L R) = sum_f L_f R_{_TRANSPOSE[f]}
@@ -550,7 +548,7 @@ def _trace_coefficients(left: LoweredSymbol, right: LoweredSymbol):
     return at
 
 
-def _horner(coeffs: List[complex], t: float) -> complex:
+def _horner(coeffs: List[complex], t: complex) -> complex:
     acc = 0j
     for c in reversed(coeffs):
         acc = acc * t + c
