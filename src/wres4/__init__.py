@@ -10,6 +10,11 @@ disagreement with seeded numeric quadrature.
 
 __version__ = "0.1.0"
 
+# The five boundary cases, in the order the engine enumerates them.  They
+# live here so that the CLI can offer them as `--case` choices without
+# loading the boundary stack.
+CASE_LABELS = ("a1", "a2", "a3", "b", "c")
+
 __all__ = [
     "anchors",
     "boundary",

@@ -4,11 +4,15 @@ Each entry rebuilds a printed reference expression inside the engine's own
 IR, keyed by an opaque id.  No engine module imports this one: only the
 CLI looks a reference up, so that every independently computed value can
 be compared and given a verdict.  A mismatch is reported, never patched.
+
+The symbol layer is imported only where the table is built, so a verb
+that needs nothing but `compare` does not load it.
 """
 
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 from .clifford import CliffordElem
 from .scalars import (
@@ -22,7 +26,9 @@ from .scalars import (
     half,
     xi,
 )
-from .symbols import OFF, ON, BoundarySymbol, XinPoly, jet_mid
+
+if TYPE_CHECKING:
+    from .symbols import BoundarySymbol
 
 _I = ScalarExpr.i_unit()
 
@@ -45,10 +51,14 @@ def _dxn_cxp() -> CliffordElem:
 
 
 def _on(terms, xder: int = 0) -> BoundarySymbol:
+    from .symbols import ON, BoundarySymbol
+
     return BoundarySymbol(ON, terms, xder)
 
 
 def _off(terms, xder: int = 0) -> BoundarySymbol:
+    from .symbols import OFF, BoundarySymbol
+
     return BoundarySymbol(OFF, terms, xder)
 
 
@@ -64,6 +74,8 @@ def _sandwich_pi_plus(mid: CliffordElem) -> BoundarySymbol:
         - i/(4(xi_n-i)^2) [c(dx_n) mid c(xi') + c(xi') mid c(dx_n)]
         - i xi_n/(4(xi_n-i)^2) c(dx_n) mid c(dx_n)
     """
+    from .symbols import XinPoly
+
     a = _cxp() * mid * _cxp()
     b = _c4() * mid * _cxp() + _cxp() * mid * _c4()
     c = _c4() * mid * _c4()
@@ -77,6 +89,8 @@ def _sandwich_pi_plus(mid: CliffordElem) -> BoundarySymbol:
 
 def _sandwich_xin_derivative(mid: CliffordElem) -> BoundarySymbol:
     """Printed xi_n-derivative of c(xi) mid c(xi) / |xi|^4 on |xi'| = 1."""
+    from .symbols import XinPoly
+
     a = _cxp() * mid * _cxp()
     b = _cxp() * mid * _c4() + _c4() * mid * _cxp()
     c = _c4() * mid * _c4()
@@ -92,6 +106,8 @@ def _sandwich_xin_derivative(mid: CliffordElem) -> BoundarySymbol:
 
 @functools.cache
 def _build_anchors() -> dict:
+    from .symbols import XinPoly, jet_mid
+
     cxp, c4, cdf = _cxp(), _c4(), _cdf()
     mid = jet_mid()
     anchors: dict = {}

@@ -22,6 +22,7 @@ import functools
 from math import factorial
 from typing import Dict, List, NamedTuple, Tuple
 
+from . import CASE_LABELS
 from .clifford import CliffordElem
 from .halfplane import line_integral, pi_plus, trace_symbol
 from .scalars import GAUSS_I, GaussianRational, ScalarExpr, _INDEX
@@ -35,8 +36,6 @@ from .symbols import (
     restrict_on_shell,
     sandwich,
 )
-
-CASE_LABELS = ("a1", "a2", "a3", "b", "c")
 
 
 class CaseSpec(NamedTuple):

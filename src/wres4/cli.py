@@ -3,6 +3,16 @@
 Exit status is the contract: 0 when every executed comparison either
 matches or is a documented entry of the shipped discrepancy ledger, 1
 when a new mismatch appears, 2 on usage errors.
+
+Every call is a fresh interpreter, so each verb imports only the modules
+it runs: the suites and `_entry` import their engine names when called,
+and `verify-traces` never loads the symbol layer or the boundary stack.
+`scalars` is the one engine module imported here.  Every verb needs it,
+and building its constants (`GAUSS_ONE`, `GAUSS_I`) calls
+`GaussianRational.__init__`, which perfbench/tracer.py counts only once
+the module has loaded: imported inside `run`, those calls would be seen
+by a profiler of `run` but not by the tracer.  For the same reason no
+module imported lazily may call its own traced functions at import time.
 """
 
 from __future__ import annotations
@@ -13,27 +23,8 @@ import sys
 from importlib import resources
 from typing import Dict, List, Optional
 
-from . import anchors
-from .boundary import (
-    CASE_LABELS,
-    assemble_phi,
-    compute_case,
-    enumerate_cases,
-    hp_part,
-    intermediates,
-)
-from .clifford import CliffordElem, spin_trace
-from .interior import (
-    E_closed_form,
-    compute_E_at_x0,
-    theorem32_prefactor,
-    theorem32_value,
-    trace_braces,
-    trace_interior,
-)
+from . import CASE_LABELS
 from .scalars import ScalarExpr, reduce_sphere
-from .sexpr import dumps as sexpr_dumps
-from .symbols import build_sigma, parametrix
 
 SCHEMA_VERSION = 1
 
@@ -49,16 +40,21 @@ def known_ids() -> frozenset:
 
 def _reference(ident: str):
     """The stored reference of one id, or None when no anchor exists."""
+    from . import anchors
+
     return anchors.anchor(ident) if anchors.has_anchor(ident) else None
 
 
 def _entry(ident: str, engine, reference) -> Dict:
     """One exact row: both values printed, the verdict from the anchors'
     rule.  A missing reference prints as null."""
+    from . import anchors
+    from .sexpr import dumps
+
     return {
         "id": ident,
-        "engine": sexpr_dumps(engine),
-        "reference": None if reference is None else sexpr_dumps(reference),
+        "engine": dumps(engine),
+        "reference": None if reference is None else dumps(reference),
         "verdict": anchors.compare(engine, reference),
     }
 
@@ -72,6 +68,8 @@ def _re_im(z: complex) -> List[float]:
 def trace_suite() -> List[Dict]:
     """The five boundary trace identities, restricted to the unit
     cosphere where required."""
+    from .clifford import CliffordElem, spin_trace
+
     cxp = CliffordElem.c_xi_prime()
     cdxn = CliffordElem.c_dxn()
     dcxp = cxp.x_derivative(4)
@@ -90,6 +88,8 @@ def trace_suite() -> List[Dict]:
 
 def lemma41_suite() -> List[Dict]:
     """Closed symbol forms against the order-by-order parametrix."""
+    from .symbols import build_sigma, parametrix
+
     out = []
     for op in ("D", "Dtilde"):
         r1, r2 = parametrix(op)
@@ -101,6 +101,14 @@ def lemma41_suite() -> List[Dict]:
 
 
 def phi_suite(case_filter: str) -> List[Dict]:
+    from .boundary import (
+        assemble_phi,
+        compute_case,
+        enumerate_cases,
+        hp_part,
+        intermediates,
+    )
+
     if case_filter == "all":
         cases = assemble_phi()
     else:
@@ -123,6 +131,15 @@ def phi_suite(case_filter: str) -> List[Dict]:
 
 
 def interior_suite() -> List[Dict]:
+    from .interior import (
+        E_closed_form,
+        compute_E_at_x0,
+        theorem32_prefactor,
+        theorem32_value,
+        trace_braces,
+        trace_interior,
+    )
+
     trace = trace_interior()
     pi2_f2 = ScalarExpr.var("PI") ** 2 * ScalarExpr.f_inverse(2)
     return [
@@ -136,6 +153,7 @@ def interior_suite() -> List[Dict]:
 
 
 def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
+    from .boundary import enumerate_cases
     from .oracle import NumericContext, crosscheck_case
 
     ctx = NumericContext(seed)
@@ -161,6 +179,8 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
 def report_suite() -> List[Dict]:
     # the headline statement closes the report: the boundary term Phi
     # vanishes
+    from .boundary import assemble_phi
+
     zero = ScalarExpr.zero()
     return (trace_suite() + lemma41_suite() + phi_suite("all")
             + interior_suite()

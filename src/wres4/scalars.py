@@ -298,7 +298,16 @@ class ScalarExpr:
     @property
     def num(self) -> "ScalarExpr":
         """The polynomial numerator self * F**fpow."""
-        return self * ScalarExpr.var("F", self.fpow)
+        return self.times_f(self.fpow)
+
+    def times_f(self, k: int) -> "ScalarExpr":
+        """self * F**k, by shifting F's exponent in each monomial.  The
+        shift is injective, so no two terms merge and they keep their
+        order."""
+        if not k:
+            return self
+        f = ((_F_IDX, k),)
+        return _wrap({_mono_mul(m, f): c for m, c in self.terms.items()})
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -395,7 +404,8 @@ class ScalarExpr:
         return NotImplemented
 
     def __repr__(self):
-        terms, k = self.num.terms, self.fpow
+        k = self.fpow
+        terms = self.times_f(k).terms
         bits = []
         for m in sorted(terms):
             mono = "*".join(

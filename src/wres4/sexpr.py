@@ -13,11 +13,13 @@ printed bytes.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
 from .clifford import CliffordElem
 from .scalars import NAMES, GaussianRational, ScalarExpr
-from .symbols import BoundarySymbol, XinPoly
+
+if TYPE_CHECKING:
+    from .symbols import BoundarySymbol, XinPoly
 
 SExpr = Union[int, str, Tuple["SExpr", ...]]
 
@@ -64,10 +66,11 @@ def _poly_sexpr(p: ScalarExpr) -> SExpr:
 
 
 def scalar_sexpr(e: ScalarExpr) -> SExpr:
-    body = _poly_sexpr(e.num)
-    if e.fpow == 0:
+    k = e.fpow
+    body = _poly_sexpr(e.times_f(k))
+    if k == 0:
         return body
-    return ("/", body, ("^", "F", e.fpow))
+    return ("/", body, ("^", "F", k))
 
 
 def clifford_sexpr(a: CliffordElem) -> SExpr:
@@ -102,6 +105,8 @@ def dumps(value) -> str:
         return _render(scalar_sexpr(value))
     if isinstance(value, CliffordElem):
         return _render(clifford_sexpr(value))
+    from .symbols import BoundarySymbol
+
     if isinstance(value, BoundarySymbol):
         return _render(symbol_sexpr(value))
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -101,10 +101,10 @@ class TestExitCodes:
         assert "FAIL" in capsys.readouterr().out
 
     def test_wrong_theorem32_value_exits_one(self, capsys, monkeypatch):
-        import wres4.cli as cli
+        import wres4.interior as interior
 
-        real = cli.theorem32_value
-        monkeypatch.setattr(cli, "theorem32_value",
+        real = interior.theorem32_value
+        monkeypatch.setattr(interior, "theorem32_value",
                             lambda trace: ScalarExpr.const(2) * real(trace))
         assert run(["compute-interior", "--format", "json"]) == 1
         assert _row(capsys, "theorem32.value")["verdict"] == "mismatch"
@@ -132,9 +132,10 @@ class TestExitCodes:
     def test_engine_closed_form_matches_3_19(self, capsys, monkeypatch):
         # the 3.19 row compares the raw-route E with the closed form, so a
         # closed form equal to the engine's E turns it into a match
-        import wres4.cli as cli
+        import wres4.interior as interior
 
-        monkeypatch.setattr(cli, "E_closed_form", cli.compute_E_at_x0)
+        monkeypatch.setattr(interior, "E_closed_form",
+                            interior.compute_E_at_x0)
         assert run(["compute-interior", "--format", "json"]) == 0
         rec = _row(capsys, "3.19")
         assert rec["verdict"] == "match"
@@ -157,7 +158,6 @@ class TestAuditSplit:
         # the value path (compute_case, twice per case while report still
         # assembles Phi twice) builds no audit; phi_suite builds each once
         import wres4.boundary as boundary
-        import wres4.cli as cli
 
         calls = {"compute_case": 0, "intermediates": []}
         real_case = boundary.compute_case
@@ -173,7 +173,6 @@ class TestAuditSplit:
 
         monkeypatch.setattr(boundary, "compute_case", counting_case)
         monkeypatch.setattr(boundary, "intermediates", counting_steps)
-        monkeypatch.setattr(cli, "intermediates", counting_steps)
         assert run(["report", "--format", "json"]) == 0
         assert calls["compute_case"] == 10
         assert sorted(calls["intermediates"]) == ["a1", "a2", "a3", "b", "c"]
@@ -181,7 +180,6 @@ class TestAuditSplit:
     def test_single_case_phi_computes_only_that_case(self, capsys,
                                                      monkeypatch):
         import wres4.boundary as boundary
-        import wres4.cli as cli
 
         calls = {"compute_case": [], "assemble_phi": 0}
         real_case = boundary.compute_case
@@ -195,9 +193,8 @@ class TestAuditSplit:
             calls["assemble_phi"] += 1
             return real_phi()
 
-        for module in (boundary, cli):
-            monkeypatch.setattr(module, "compute_case", counting_case)
-            monkeypatch.setattr(module, "assemble_phi", counting_phi)
+        monkeypatch.setattr(boundary, "compute_case", counting_case)
+        monkeypatch.setattr(boundary, "assemble_phi", counting_phi)
         assert run(["compute-phi", "--case", "a1", "--format", "json"]) == 0
         assert calls == {"compute_case": ["a1"], "assemble_phi": 0}
 

@@ -3,17 +3,26 @@
 Engine modules return plain values; only the CLI pairs a value with its
 stored reference, and the referee reads the engine's values without ever
 building the reference table.  No runtime module imports numpy or scipy.
+Each CLI verb loads only the modules it runs, and behaves the same as a
+subprocess (`python -m wres4.cli`) as through `cli.run`.
 """
 
+import argparse
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wres4 import anchors
-from wres4.cli import run
+from wres4 import CASE_LABELS, anchors
+from wres4.boundary import enumerate_cases
+from wres4.cli import build_parser, run
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wres4"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "wres4"
 ENGINE = ("scalars", "clifford", "symbols", "halfplane", "sphere",
           "boundary", "interior")
 FORBIDDEN = {"anchors", "cli", "oracle"}
@@ -52,3 +61,83 @@ def test_crosscheck_never_builds_the_anchor_table(capsys):
     assert run(["crosscheck", "--seed", "42", "--case", "b"]) == 0
     capsys.readouterr()
     assert anchors._build_anchors.cache_info().misses == 0
+
+
+# -- what each verb loads ----------------------------------------------------
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with the package's sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+QUICK = {"anchors", "cli", "clifford", "data", "errors", "scalars", "sexpr"}
+PHI = QUICK | {"symbols", "boundary", "halfplane", "sphere"}
+LOADED = {
+    "verify-traces": QUICK,
+    "compute-interior": QUICK | {"interior"},
+    "verify-lemma41": QUICK | {"symbols"},
+    "compute-phi": PHI,
+    "report": PHI | {"interior"},
+    "crosscheck": {"boundary", "cli", "clifford", "data", "errors",
+                   "halfplane", "oracle", "scalars", "sphere", "symbols"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(LOADED))
+def test_each_verb_loads_only_the_modules_it_runs(verb):
+    # a module imported at the top of the CLI would be compiled on every
+    # call of every verb
+    code = ("import contextlib, io, json, sys, wres4.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    wres4.cli.run(sys.argv[1:])\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('wres4.'))))")
+    proc = _python("-c", code, verb,
+                   *(["--seed", "42", "--case", "c"]
+                     if verb == "crosscheck" else []))
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert {m[len("wres4."):] for m in loaded} == LOADED[verb]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-traces"], ["compute-interior"], ["verify-lemma41"],
+    ["crosscheck", "--seed", "42", "--case", "c"],
+], ids=lambda argv: argv[0])
+def test_subprocess_prints_what_run_prints(argv, capsys):
+    # run as `python -m`, the CLI is __main__, and its function-level
+    # relative imports must still reach the package's modules
+    argv = [*argv, "--format", "json"]
+    status = run(argv)
+    proc = _python("-m", "wres4.cli", *argv)
+    assert (proc.stdout, proc.returncode) == (capsys.readouterr().out,
+                                              status), proc.stderr
+
+
+def test_subprocess_report_matches_golden():
+    proc = _python("-m", "wres4.cli", "report", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (TESTS / "golden" / "report.json").read_text()
+
+
+# -- one home for the case labels --------------------------------------------
+
+def _case_choices(verb: str):
+    parser = build_parser()
+    (verbs,) = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+    (case,) = [a for a in verbs.choices[verb]._actions if a.dest == "case"]
+    return case.choices
+
+
+@pytest.mark.parametrize("verb", ["compute-phi", "crosscheck"])
+def test_case_choices_are_the_case_labels(verb):
+    assert _case_choices(verb) == CASE_LABELS + ("all",)
+
+
+def test_engine_enumerates_the_case_labels_in_order():
+    assert [s.label for s in enumerate_cases()] == list(CASE_LABELS)
