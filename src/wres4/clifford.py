@@ -13,7 +13,11 @@ from typing import Mapping, Tuple
 from .scalars import (
     HP,
     ScalarExpr,
+    _acc,
     _coerce_scalar,
+    _gmul,
+    _mono_mul,
+    _wrap,
     fi,
     half,
     xi,
@@ -187,21 +191,23 @@ class CliffordElem:
 
 
 def cmul(a: CliffordElem, b: CliffordElem) -> CliffordElem:
+    """a * b: each product of coefficient terms, with the blade sign
+    folded into the left factor, is added into its blade's one
+    {monomial: coefficient} dict."""
     t: dict = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             sign, m = _basis_mul(ma, mb)
-            c = ca * cb
-            if sign < 0:
-                c = -c
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
+            left = (ca if sign > 0 else -ca).terms.items()
+            right = cb.terms.items()
+            acc = t.setdefault(m, {})
+            for m1, c1 in left:
+                for m2, c2 in right:
+                    _acc(acc, _mono_mul(m1, m2), _gmul(c1, c2))
+            if not acc:
+                del t[m]
     out = CliffordElem.__new__(CliffordElem)
-    out.terms = t
+    out.terms = {m: _wrap(s) for m, s in t.items()}
     return out
 
 

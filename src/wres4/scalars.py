@@ -43,6 +43,7 @@ NAMES = (
 
 _INDEX = {name: k for k, name in enumerate(NAMES)}
 _F_IDX = _INDEX["F"]
+_XI3_IDX = _INDEX["XI3"]
 
 IntLike = Union[int, Fraction]
 
@@ -95,7 +96,7 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(-self.p, -self.q, self.d)
+        return _reduced(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
         return _gadd(self, -_coerce_gauss(other))
@@ -167,23 +168,20 @@ class GaussianRational:
 _new = object.__new__
 
 
-def _raw(p: int, q: int, d: int) -> GaussianRational:
-    """(p + q*i)/d from a triple that is already canonical."""
+def _reduced(p: int, q: int, d: int) -> GaussianRational:
+    """(p + q*i)/d for d > 0, normalised by one three-argument gcd (none
+    when d == 1)."""
+    if d != 1:
+        g = gcd(p, q, d)
+        if g != 1:
+            p //= g
+            q //= g
+            d //= g
     out = _new(GaussianRational)
     out.p = p
     out.q = q
     out.d = d
     return out
-
-
-def _reduced(p: int, q: int, d: int) -> GaussianRational:
-    """(p + q*i)/d for d > 0, normalised by one three-argument gcd."""
-    g = gcd(p, q, d)
-    if g != 1:
-        p //= g
-        q //= g
-        d //= g
-    return _raw(p, q, d)
 
 
 def _gadd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
@@ -216,6 +214,7 @@ Monomial = tuple
 MONOMIAL_ONE: Monomial = ()
 
 
+@functools.cache
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     if not a:
         return b
@@ -254,8 +253,8 @@ class ScalarExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, GaussianRational] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items()
-                      if not c.is_zero()}
+        self.terms = {m: g for m, c in (terms or {}).items()
+                      if not (g := _coerce_gauss(c)).is_zero()}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -317,15 +316,7 @@ class ScalarExpr:
     def __add__(self, other):
         t = dict(self.terms)
         for m, c in _coerce_scalar(other).terms.items():
-            s = t.get(m)
-            if s is None:
-                t[m] = c
-                continue
-            s = _gadd(s, c)
-            if s.is_zero():
-                del t[m]
-            else:
-                t[m] = s
+            _acc(t, m, c)
         return _wrap(t)
 
     __radd__ = __add__
@@ -340,21 +331,18 @@ class ScalarExpr:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other):
-        other = _coerce_scalar(other)
+        a, b = self.terms, _coerce_scalar(other).terms
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # times one fixed term is injective on monomials: nothing merges
+            (m2, c2), = b.items()
+            return _wrap({_mono_mul(m1, m2): _gmul(c1, c2)
+                          for m1, c1 in a.items()})
         t: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _mono_mul(m1, m2)
-                c = _gmul(c1, c2)
-                s = t.get(m)
-                if s is None:
-                    t[m] = c
-                    continue
-                s = _gadd(s, c)
-                if s.is_zero():
-                    del t[m]
-                else:
-                    t[m] = s
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
+                _acc(t, _mono_mul(m1, m2), _gmul(c1, c2))
         return _wrap(t)
 
     def __rmul__(self, other):
@@ -422,19 +410,9 @@ class ScalarExpr:
         t: dict = {}
         for m, c in self.terms.items():
             e = _mono_exp(m, idx)
-            if e == 0:
-                continue
-            m2 = _mono_set(m, idx, e - 1)
-            c = _reduced(c.p * e, c.q * e, c.d)
-            s = t.get(m2)
-            if s is None:
-                t[m2] = c
-                continue
-            s = _gadd(s, c)
-            if s.is_zero():
-                del t[m2]
-            else:
-                t[m2] = s
+            if e:
+                _acc(t, _mono_set(m, idx, e - 1),
+                     _reduced(c.p * e, c.q * e, c.d))
         return _wrap(t)
 
     def x_derivative(self, j: int) -> "ScalarExpr":
@@ -444,7 +422,7 @@ class ScalarExpr:
         """
         if j not in (1, 2, 3, 4):
             raise ValueError("direction must be 1..4")
-        out = ScalarExpr.zero()
+        t: dict = {}
         # alphabet order: the same sum under any string-hash seed
         for name in sorted(self.free_names(), key=_INDEX.__getitem__):
             if name == "F":
@@ -457,8 +435,10 @@ class ScalarExpr:
                 datom = fij(j, int(name[2:]))
             else:
                 continue
-            out = out + self.derivative(name) * ScalarExpr.var(datom)
-        return out
+            d = self.derivative(name) * ScalarExpr.var(datom)
+            for m, c in d.terms.items():
+                _acc(t, m, c)
+        return _wrap(t)
 
     def xi_derivative(self, i: int) -> "ScalarExpr":
         """Derivative along xi_i, i in 1..3: the explicit XI{i} dependence
@@ -474,22 +454,37 @@ class ScalarExpr:
         return d
 
     def substitute(self, binding: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
-        """Homomorphic substitution of indeterminates by expressions."""
-        bind = {k: _coerce_scalar(v) for k, v in binding.items()}
-        if "F" in bind and bind["F"].is_zero():
+        """Homomorphic substitution of indeterminates by expressions.
+
+        Each monomial splits into its unbound part and its bound names;
+        the product of the bound names' powers (each power computed once
+        per call) times the unbound part and the coefficient is added
+        term by term into one dict.
+        """
+        bind = {}
+        for name, value in binding.items():
+            if name not in _INDEX:
+                raise KeyError(f"unknown indeterminate {name!r}")
+            bind[_INDEX[name]] = _coerce_scalar(value)
+        if _F_IDX in bind and bind[_F_IDX].is_zero():
             raise ZeroDenominator("substitution maps F to zero")
-        out = ScalarExpr.zero()
+        powers: dict = {}
+        t: dict = {}
         for m, c in self.terms.items():
-            term = ScalarExpr.const(c)
-            for idx, e in m:
-                name = NAMES[idx]
-                rep = bind.get(name)
-                if rep is None:
-                    term = term * ScalarExpr.var(name, e)
-                else:
-                    term = term * rep ** e
-            out = out + term
-        return out
+            free = tuple(p for p in m if p[0] not in bind)
+            if len(free) == len(m):
+                _acc(t, m, c)
+                continue
+            rep = None
+            for p in m:
+                if p[0] in bind:
+                    r = powers.get(p)
+                    if r is None:
+                        r = powers[p] = bind[p[0]] ** p[1]
+                    rep = r if rep is None else rep * r
+            for m2, c2 in rep.terms.items():
+                _acc(t, _mono_mul(free, m2), _gmul(c, c2))
+        return _wrap(t)
 
     def free_names(self) -> set:
         return {NAMES[idx] for m in self.terms for idx, _ in m}
@@ -508,6 +503,19 @@ def _wrap(terms: dict) -> "ScalarExpr":
     out = ScalarExpr.__new__(ScalarExpr)
     out.terms = terms
     return out
+
+
+def _acc(t: dict, m: Monomial, c: GaussianRational) -> None:
+    """Add c to t[m] in place; a sum of zero drops the entry."""
+    s = t.get(m)
+    if s is None:
+        t[m] = c
+        return
+    s = _gadd(s, c)
+    if s.p or s.q:
+        t[m] = s
+    else:
+        del t[m]
 
 
 # perfbench/tracer.py counts products through scalars.Poly.__mul__ and
@@ -535,14 +543,16 @@ def usq() -> ScalarExpr:
 def reduce_sphere(e: ScalarExpr) -> ScalarExpr:
     """Reduce modulo the unit-sphere relation XI1^2 + XI2^2 + XI3^2 = 1 by
     eliminating even powers of XI3.  Valid only for on-shell data."""
-    idx3 = _INDEX["XI3"]
-    out = ScalarExpr.zero()
+    t: dict = {}
     for m, c in e.terms.items():
-        e3 = _mono_exp(m, idx3)
-        q, r = divmod(e3, 2)
-        base = ScalarExpr({_mono_set(m, idx3, r): c})
-        out = out + base * _xi3_squared_power(q)
-    return out
+        q, r = divmod(_mono_exp(m, _XI3_IDX), 2)
+        if not q:
+            _acc(t, m, c)
+            continue
+        base = _mono_set(m, _XI3_IDX, r)
+        for m2, c2 in _xi3_squared_power(q).terms.items():
+            _acc(t, _mono_mul(base, m2), _gmul(c, c2))
+    return _wrap(t)
 
 
 @functools.cache

@@ -7,13 +7,13 @@ holding (index-set, scalar) pairs, and boundary symbols as a `symbol` form
 recording the shell state, the x_n-derivative count, and the per-pole
 xi_n-polynomials.  There is no reader: printing is deterministic and
 distinct values print differently, and the golden-file tests compare the
-printed bytes.
+printed bytes.  Each value is written to a string in one pass.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import TYPE_CHECKING, List, Tuple, Union
+from math import gcd
+from typing import TYPE_CHECKING
 
 from .clifford import CliffordElem
 from .scalars import NAMES, GaussianRational, ScalarExpr
@@ -21,93 +21,75 @@ from .scalars import NAMES, GaussianRational, ScalarExpr
 if TYPE_CHECKING:
     from .symbols import BoundarySymbol, XinPoly
 
-SExpr = Union[int, str, Tuple["SExpr", ...]]
+
+def _ratio(n: int, d: int) -> str:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    if g == d:
+        return str(n // d)
+    return f"(/ {n // g} {d // g})"
 
 
-def _fraction_sexpr(q: Fraction) -> SExpr:
-    if q.denominator == 1:
-        return int(q)
-    return ("/", int(q.numerator), int(q.denominator))
-
-
-def _gauss_sexpr(c: GaussianRational) -> SExpr:
-    re, im = c.re, c.im
-    if im == 0:
-        return _fraction_sexpr(re)
-    if im == 1:
-        ipart: SExpr = "i"
-    else:
-        ipart = ("*", _fraction_sexpr(im), "i")
-    if re == 0:
+def _gauss(c: GaussianRational) -> str:
+    p, q, d = c.p, c.q, c.d
+    if not q:
+        return _ratio(p, d)
+    ipart = "i" if q == d else f"(* {_ratio(q, d)} i)"
+    if not p:
         return ipart
-    return ("+", _fraction_sexpr(re), ipart)
+    return f"(+ {_ratio(p, d)} {ipart})"
 
 
-def _term_sexpr(mono, coeff: GaussianRational) -> SExpr:
-    factors: List[SExpr] = []
-    if not (coeff.re == 1 and coeff.im == 0) or not mono:
-        factors.append(_gauss_sexpr(coeff))
+def _term(mono, c: GaussianRational) -> str:
+    # a coefficient of 1 is the canonical triple (1, 0, 1)
+    factors = [] if mono and c.p == c.d and not c.q else [_gauss(c)]
     for idx, exp in mono:
-        name = NAMES[idx]
-        factors.append(name if exp == 1 else ("^", name, exp))
+        factors.append(NAMES[idx] if exp == 1 else f"(^ {NAMES[idx]} {exp})")
     if len(factors) == 1:
         return factors[0]
-    return ("*", *factors)
+    return "(* " + " ".join(factors) + ")"
 
 
-def _poly_sexpr(p: ScalarExpr) -> SExpr:
-    if p.is_zero():
-        return 0
-    terms = sorted(p.terms.items(), key=lambda kv: kv[0])
-    parts = [_term_sexpr(m, c) for m, c in terms]
-    if len(parts) == 1:
-        return parts[0]
-    return ("+", *parts)
-
-
-def scalar_sexpr(e: ScalarExpr) -> SExpr:
+def _scalar(e: ScalarExpr) -> str:
     k = e.fpow
-    body = _poly_sexpr(e.times_f(k))
-    if k == 0:
-        return body
-    return ("/", body, ("^", "F", k))
+    terms = e.times_f(k).terms
+    parts = [_term(m, terms[m]) for m in sorted(terms)]
+    if not parts:
+        body = "0"
+    elif len(parts) == 1:
+        body = parts[0]
+    else:
+        body = "(+ " + " ".join(parts) + ")"
+    return f"(/ {body} (^ F {k}))" if k else body
 
 
-def clifford_sexpr(a: CliffordElem) -> SExpr:
-    pairs: List[SExpr] = []
-    for basis in sorted(a.terms):
-        pairs.append((tuple(basis), scalar_sexpr(a.terms[basis])))
-    return ("clifford", *pairs)
+def _clifford(a: CliffordElem) -> str:
+    return "(clifford" + "".join(
+        f" (({' '.join(map(str, basis))}) {_scalar(a.terms[basis])})"
+        for basis in sorted(a.terms)) + ")"
 
 
-def _xin_sexpr(p: XinPoly) -> SExpr:
-    return tuple((deg, clifford_sexpr(p.coeffs[deg]))
-                 for deg in sorted(p.coeffs))
+def _xin(p: XinPoly) -> str:
+    return "(" + " ".join(f"({deg} {_clifford(p.coeffs[deg])})"
+                          for deg in sorted(p.coeffs)) + ")"
 
 
-def symbol_sexpr(s: BoundarySymbol) -> SExpr:
-    entries: List[SExpr] = []
+def _symbol(s: BoundarySymbol) -> str:
+    entries = []
     for key in sorted(s.terms, key=lambda k: (k,) if isinstance(k, int) else k):
-        skey: SExpr = key if isinstance(key, int) else tuple(key)
-        entries.append((skey, _xin_sexpr(s.terms[key])))
-    return ("symbol", s.shell, s.xder, *entries)
-
-
-def _render(node: SExpr) -> str:
-    if isinstance(node, tuple):
-        return "(" + " ".join(_render(x) for x in node) + ")"
-    return str(node)
+        skey = key if isinstance(key, int) else f"({' '.join(map(str, key))})"
+        entries.append(f" ({skey} {_xin(s.terms[key])})")
+    return f"(symbol {s.shell} {s.xder}" + "".join(entries) + ")"
 
 
 def dumps(value) -> str:
     """Serialize a ScalarExpr, CliffordElem, or BoundarySymbol."""
     if isinstance(value, ScalarExpr):
-        return _render(scalar_sexpr(value))
+        return _scalar(value)
     if isinstance(value, CliffordElem):
-        return _render(clifford_sexpr(value))
+        return _clifford(value)
     from .symbols import BoundarySymbol
 
     if isinstance(value, BoundarySymbol):
-        return _render(symbol_sexpr(value))
+        return _symbol(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-

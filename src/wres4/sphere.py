@@ -18,7 +18,9 @@ from .scalars import (
     OMEGA,
     ScalarExpr,
     _INDEX,
+    _acc,
     _mono_exp,
+    _wrap,
 )
 
 _XI_IDX = tuple(_INDEX[name] for name in ("XI1", "XI2", "XI3"))
@@ -48,11 +50,11 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
     """
     if "U" in e.free_names():
         e = e.substitute({"U": ScalarExpr.one()})
-    out = ScalarExpr.zero()
+    t: dict = {}
     for m, coeff in e.terms.items():
         w = moment(*(_mono_exp(m, idx) for idx in _XI_IDX))
         if w == 0:
             continue
         rest = tuple(p for p in m if p[0] not in _XI_IDX)
-        out = out + ScalarExpr({rest: coeff * w})
-    return out * OMEGA
+        _acc(t, rest, coeff * w)
+    return _wrap(t) * OMEGA

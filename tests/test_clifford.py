@@ -4,13 +4,16 @@ collar-frame derivative rule."""
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wres4.clifford import CliffordElem, cmul, spin_trace
-from wres4.scalars import GaussianRational, ScalarExpr, reduce_sphere
+from wres4.oracle import GammaRep
+from wres4.scalars import NAMES, GaussianRational, ScalarExpr, reduce_sphere
 
 
 def rand_elem(rng, depth=3):
@@ -44,10 +47,38 @@ class TestRelations:
             assert (a * b) * c == a * (b * c)
 
     def test_cmul_matches_operator(self):
+        # Each element, its coefficients evaluated at one rational point,
+        # maps to sum_b coeff_b * gamma_b; cmul must map to the matrix
+        # product.  Coefficients have several terms, so products of
+        # coefficients merge and cancel inside a blade.
+        rep = GammaRep()
         rng = random.Random(29)
+        point = {"F": Fraction(3, 2), "HP": Fraction(-2, 5)}
+
+        def matrix(a):
+            out = np.zeros((4, 4), complex)
+            for basis, c in a.terms.items():
+                value = sum(complex(g) * float(prod(point[NAMES[i]] ** k
+                                                    for i, k in m))
+                            for m, g in c.terms.items())
+                out += value * np.array(rep.basis_matrix(basis))
+            return out
+
+        def coeff():
+            return sum((ScalarExpr.const(GaussianRational(
+                Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                rng.randint(-2, 2)))
+                * ScalarExpr.var("F", rng.randint(-2, 2))
+                * ScalarExpr.var("HP", rng.randint(0, 2))
+                for _ in range(rng.randint(1, 4))), ScalarExpr.zero())
+
         for _ in range(50):
-            a, b = rand_elem(rng), rand_elem(rng)
+            a, b = (CliffordElem({basis: coeff() for basis in
+                                  rng.sample(_BASES, rng.randint(1, 5))})
+                    for _ in range(2))
             assert cmul(a, b) == a * b
+            assert np.allclose(matrix(cmul(a, b)), matrix(a) @ matrix(b),
+                               rtol=1e-12, atol=1e-12)
 
 
 class TestTrace:

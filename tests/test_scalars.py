@@ -3,7 +3,7 @@ scalars as Laurent polynomials in F."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +165,22 @@ class TestScalarExpr:
     def test_substitute_zero_denominator(self):
         with pytest.raises(ZeroDenominator):
             ScalarExpr.f_inverse().substitute({"F": ScalarExpr.zero()})
+
+    def test_substitute_rejects_names_outside_the_alphabet(self):
+        # W and XIN left the alphabet; binding them must not pass silently
+        with pytest.raises(KeyError):
+            ScalarExpr.var("XI1").substitute({"W": ScalarExpr.one(),
+                                              "XIN": 0})
+        with pytest.raises(KeyError):
+            ScalarExpr.var("U").substitute({"U": 1, "XIN": 0})
+
+    def test_constructor_coerces_coefficients(self):
+        assert ScalarExpr({(): 1}) == ScalarExpr.one()
+        assert ScalarExpr({(): Fraction(1, 2)}) == frac(1, 2)
+        assert ScalarExpr({(): 0}).is_zero()
+        for bad in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                ScalarExpr({(): bad})
 
     def test_pow_negative(self):
         e = ScalarExpr.var("F", 2)
@@ -379,3 +395,90 @@ class TestGaussianTriple:
         for zero in (a - a, a * 0, GaussianRational(Fraction(0, 5)),
                      GaussianRational(0) / a):
             assert (zero.p, zero.q, zero.d) == (0, 0, 1)
+
+
+# -- exact evaluation at rational points ---------------------------------------
+#
+# The reference is an evaluator of `terms` that shares no code with the
+# kernel: a value at a real point is the pair (re, im) of Fractions.
+
+_POINT_NAMES = ("HP", "F", "FI4", "XI1", "XI2", "XI3", "U")
+_nonzero_frac = _frac.filter(bool)
+points = st.fixed_dictionaries({n: _nonzero_frac for n in _POINT_NAMES})
+
+
+def ev(e, point):
+    vals = [(c, prod(point[NAMES[i]] ** k for i, k in m))
+            for m, c in e.terms.items()]
+    return (sum(c.re * v for c, v in vals), sum(c.im * v for c, v in vals))
+
+
+@st.composite
+def polys(draw, names=("HP", "F", "FI4", "XI1", "U"), real=False):
+    """Sums of up to four terms c * F^k * (other names)^(0..3)."""
+    out = ScalarExpr.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(_frac) if real else GaussianRational(draw(_frac),
+                                                      draw(_frac))
+        term = ScalarExpr.const(c)
+        for name in names:
+            lo = -3 if name == "F" else 0
+            term = term * ScalarExpr.var(name, draw(st.integers(lo, 3)))
+        out = out + term
+    return out
+
+
+def _assert_canonical_terms(e):
+    for mono, c in e.terms.items():
+        assert mono == tuple(sorted(mono))
+        assert all(k for _, k in mono) and not c.is_zero()
+
+
+_SPHERE_POINTS = [(Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)),
+                  (Fraction(3, 7), Fraction(2, 7), Fraction(6, 7)),
+                  (Fraction(-2, 3), Fraction(2, 3), Fraction(-1, 3)),
+                  (Fraction(0), Fraction(3, 5), Fraction(-4, 5))]
+
+
+class TestExactEvaluation:
+    @PROPERTY
+    @given(polys(), polys(), points)
+    def test_product(self, a, b, point):
+        p = a * b
+        _assert_canonical_terms(p)
+        assert ev(p, point) == _ref_mul(ev(a, point), ev(b, point))
+
+    @PROPERTY
+    @given(polys(), _pairs.filter(any), st.integers(-3, 3),
+           st.integers(0, 2), points)
+    def test_one_term_product(self, a, c, k, hp, point):
+        # one factor with one term, on either side; with F^-k against the
+        # F^k terms of `a` many products cancel to F^0
+        one = (ScalarExpr.const(GaussianRational(*c))
+               * ScalarExpr.var("F", -k) * ScalarExpr.var("HP", hp))
+        a = a + ScalarExpr.var("F", k) * ScalarExpr.var("XI1")
+        expected = _ref_mul(ev(a, point), ev(one, point))
+        for p in (a * one, one * a):
+            _assert_canonical_terms(p)
+            assert ev(p, point) == expected
+
+    @PROPERTY
+    @given(polys(names=("HP", "F", "U", "XI1", "XI2")),
+           polys(names=("HP", "F", "XI3"), real=True),
+           polys(names=("FI4", "XI2"), real=True), points)
+    def test_substitute(self, a, u, x1, point):
+        bound = {**point, "U": ev(u, point)[0], "XI1": ev(x1, point)[0]}
+        assert ev(a.substitute({"U": u}), point) == ev(
+            a, {**point, "U": bound["U"]})
+        assert ev(a.substitute({"U": u, "XI1": x1}), point) == ev(a, bound)
+
+    @PROPERTY
+    @given(polys(names=("HP", "F", "XI1", "XI2", "XI3")),
+           st.sampled_from(_SPHERE_POINTS), points)
+    def test_reduce_sphere(self, a, xi, point):
+        point = {**point, "XI1": xi[0], "XI2": xi[1], "XI3": xi[2]}
+        r = reduce_sphere(a)
+        _assert_canonical_terms(r)
+        assert all(k < 2 for m in r.terms for i, k in m
+                   if NAMES[i] == "XI3")
+        assert ev(r, point) == ev(a, point)
