@@ -131,7 +131,7 @@ def case_factors(spec: CaseSpec,
 def _case_value(spec: CaseSpec, op: str) -> ScalarExpr:
     total = ScalarExpr.zero()
     for left, right in case_factors(spec, op):
-        traced = trace_symbol(left.mul(right))
+        traced = trace_symbol(left, right)
         total = total + integrate_sphere(line_integral(traced))
     return total * ScalarExpr.const(spec.coefficient)
 
@@ -152,7 +152,7 @@ def intermediates(label: str) -> Dict[str, object]:
         for i in (1, 2, 3):
             e9 = pi_plus(restrict_on_shell(derive(s1d, f"xi_{i}")))
             inter[f"4.9[{i}]"] = e9
-            inter[f"4.11[{i}]"] = trace_symbol(e9.mul(eng10))
+            inter[f"4.11[{i}]"] = trace_symbol(e9, eng10)
     elif label == "a2":
         inter["4.14"] = derive(s1d, "xi_n", 2)
         e15 = derive(s1d, "x_n")
@@ -168,8 +168,8 @@ def intermediates(label: str) -> Dict[str, object]:
         jet_part, slot_part = d_x_parts(s1d, 4)
         y1 = restrict_on_shell(derive(slot_part, "xi_n"))
         y2 = restrict_on_shell(derive(jet_part, "xi_n"))
-        inter["4.24"] = trace_symbol(x23.mul(y1))
-        inter["4.25"] = trace_symbol(x23.mul(y2))
+        inter["4.24"] = trace_symbol(x23, y1)
+        inter["4.25"] = trace_symbol(x23, y2)
         inter["4.27"] = restrict_on_shell(derive(s1d, "xi_n"))
     elif label == "b":
         e31 = pi_plus(restrict_on_shell(sandwich(CliffordElem.c_df())))
@@ -177,9 +177,9 @@ def intermediates(label: str) -> Dict[str, object]:
         e35 = pi_plus(restrict_on_shell(sandwich(jet_mid())))
         inter["4.31"] = e31
         inter["4.32"] = e32
-        inter["4.33"] = trace_symbol(e31.mul(e32))
+        inter["4.33"] = trace_symbol(e31, e32)
         inter["4.35"] = e35
-        inter["4.36"] = trace_symbol(e35.mul(e32))
+        inter["4.36"] = trace_symbol(e35, e32)
     elif label == "c":
         e40 = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
         e42 = restrict_on_shell(derive(sandwich(CliffordElem.c_df()),
@@ -190,10 +190,10 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.42"] = e42
         inter["4.43"] = e43
         inter["4.44"] = trace_symbol(
-            e40.mul(e43.scale(ScalarExpr.const(2) * ScalarExpr.f_inverse())))
-        inter["4.46"] = trace_symbol(e40.mul(e42))
+            e40, e43.scale(ScalarExpr.const(2) * ScalarExpr.f_inverse()))
+        inter["4.46"] = trace_symbol(e40, e42)
         inter["4.48"] = e48
-        inter["4.49"] = trace_symbol(e40.mul(e48))
+        inter["4.49"] = trace_symbol(e40, e48)
     return inter
 
 

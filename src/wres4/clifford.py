@@ -8,6 +8,7 @@ including the volume monomial, as in the irreducible 4x4 representation.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping, Tuple
 
 from .scalars import (
@@ -29,6 +30,20 @@ N_GENERATORS = 4
 TRACE_DIM = 4  # dim of the spinor space, 2^(4/2)
 
 
+def _merged(a: Mapping, b: Mapping) -> dict:
+    """a + b for {key: nonzero value} dicts; a zero sum drops its key."""
+    t = dict(a)
+    for k, v in b.items():
+        s = t.get(k)
+        s = v if s is None else s + v
+        if s.is_zero():
+            t.pop(k, None)
+        else:
+            t[k] = s
+    return t
+
+
+@functools.cache
 def _basis_mul(a: Basis, b: Basis) -> Tuple[int, Basis]:
     """Multiply two basis monomials; returns (sign, monomial).
 
@@ -58,13 +73,8 @@ class CliffordElem:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Basis, ScalarExpr] | None = None):
-        t = {}
-        if terms:
-            for m, c in terms.items():
-                c = _coerce_scalar(c)
-                if not c.is_zero():
-                    t[tuple(m)] = c
-        self.terms = t
+        self.terms = {tuple(m): s for m, c in (terms or {}).items()
+                      if not (s := _coerce_scalar(c)).is_zero()}
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -107,16 +117,8 @@ class CliffordElem:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "CliffordElem") -> "CliffordElem":
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            s = t.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                t.pop(m, None)
-            else:
-                t[m] = s
         out = CliffordElem.__new__(CliffordElem)
-        out.terms = t
+        out.terms = _merged(self.terms, other.terms)
         return out
 
     def __neg__(self) -> "CliffordElem":
@@ -190,13 +192,13 @@ class CliffordElem:
         return out
 
 
-def cmul(a: CliffordElem, b: CliffordElem) -> CliffordElem:
-    """a * b: each product of coefficient terms, with the blade sign
-    folded into the left factor, is added into its blade's one
-    {monomial: coefficient} dict."""
-    t: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+def _cmul_into(t: dict, a: Mapping, b: Mapping) -> dict:
+    """Add a * b (two elements' terms) into t, a {blade: {monomial:
+    coefficient}} accumulator, and return t: each coefficient-term product,
+    blade sign folded into the left factor, is added in place by left
+    blade, right blade, left monomial, right monomial."""
+    for ma, ca in a.items():
+        for mb, cb in b.items():
             sign, m = _basis_mul(ma, mb)
             left = (ca if sign > 0 else -ca).terms.items()
             right = cb.terms.items()
@@ -206,9 +208,27 @@ def cmul(a: CliffordElem, b: CliffordElem) -> CliffordElem:
                     _acc(acc, _mono_mul(m1, m2), _gmul(c1, c2))
             if not acc:
                 del t[m]
+    return t
+
+
+def _cscalar_into(t: dict, a: Mapping, b: Mapping) -> None:
+    """Add only the scalar blade of a * b into t, as _cmul_into does: two
+    blades multiply to a scalar only when they are equal."""
+    for m, c in a.items():
+        if m in b:
+            _cmul_into(t, {m: c}, {m: b[m]})
+
+
+def _elem(t: dict) -> CliffordElem:
+    """The element of an accumulator."""
     out = CliffordElem.__new__(CliffordElem)
     out.terms = {m: _wrap(s) for m, s in t.items()}
     return out
+
+
+def cmul(a: CliffordElem, b: CliffordElem) -> CliffordElem:
+    """a * b, formed in one accumulator."""
+    return _elem(_cmul_into({}, a.terms, b.terms))
 
 
 def spin_trace(a: CliffordElem) -> ScalarExpr:

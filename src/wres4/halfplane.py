@@ -13,7 +13,8 @@ from __future__ import annotations
 from math import comb
 from typing import Dict, NamedTuple
 
-from .clifford import CliffordElem, spin_trace
+from .clifford import (CliffordElem, _cmul_into, _cscalar_into, _elem,
+                       spin_trace)
 from .errors import DecayViolation, ShellViolation
 from .scalars import GAUSS_I, GaussianRational, PI_SYM, ScalarExpr
 from .symbols import ON, BoundarySymbol, XinPoly
@@ -48,13 +49,12 @@ def _canonical_term(s: BoundarySymbol):
 
 def _poly_divmod(num: XinPoly, a: int, b: int):
     """Long division by the monic pole factor (xi_n - i)^a (xi_n + i)^b."""
-    den = XinPoly.const(CliffordElem.one()).mul_shell(a, b)
     quo = XinPoly()
     while num.degree() >= a + b:
         d = num.degree()
         step = XinPoly({d - a - b: num.coeffs[d]})
         quo = quo + step
-        num = num - step.mul(den)
+        num = num - step.mul_shell(a, b)
     return quo, num
 
 
@@ -64,21 +64,24 @@ def _principal_part(num: XinPoly, here: int, other: int,
     num / ((xi - pole)^here (xi + pole)^other).  A_k is the z^(here - k)
     coefficient of num(pole + z) (2 pole + z)^-other."""
     # Taylor shift: num(pole + z) = sum_n c_n z^n
-    c = [CliffordElem.zero()] * here
+    sums: list = [{} for _ in range(here)]
     for d, e in num.coeffs.items():
         for n in range(min(d + 1, here)):
-            w = comb(d, n) * pole ** (d - n)
-            c[n] = c[n] + e.scale(ScalarExpr.const(w))
-    # binomial series: (2 pole + z)^-other = sum_j beta_j z^j
+            w = ScalarExpr.const(comb(d, n) * pole ** (d - n))
+            _cmul_into(sums[n], e.terms, {(): w})
+    c = [_elem(t).terms for t in sums]
+    # binomial series: (2 pole + z)^-other = sum_j beta_j z^j; a zero
+    # beta_j (every j > 0 when other = 0) adds nothing
     beta = [(2 * pole) ** -other]
     for j in range(1, here):
         beta.append(beta[-1] * -(other + j - 1) / (2 * pole * j))
     out: Dict[int, CliffordElem] = {}
     for k in range(here, 0, -1):
-        acc = CliffordElem.zero()
+        acc: dict = {}
         for n in range(here - k + 1):
-            acc = acc + c[n].scale(ScalarExpr.const(beta[here - k - n]))
-        out[k] = acc
+            w = ScalarExpr.const(beta[here - k - n])
+            _cmul_into(acc, c[n], {(): w})
+        out[k] = _elem(acc)
     return out
 
 
@@ -135,11 +138,13 @@ def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
     return _contour_integral(s, -GAUSS_I)
 
 
-def trace_symbol(s: BoundarySymbol) -> BoundarySymbol:
-    """Apply the spinor trace coefficient-wise, keeping the xi_n structure."""
-    return BoundarySymbol(
-        s.shell,
-        {key: poly.map_coeffs(lambda e: CliffordElem.scalar(spin_trace(e)))
-         for key, poly in s.terms.items()},
-        s.xder,
-    )
+def trace_symbol(left: BoundarySymbol,
+                 right: BoundarySymbol) -> BoundarySymbol:
+    """The spinor trace of left * right, coefficient-wise, keeping the xi_n
+    structure.  Only the scalar blade of each coefficient product is
+    formed."""
+    t = left.products(right, _cscalar_into)
+    return BoundarySymbol(left.shell, {
+        key: XinPoly({d: CliffordElem.scalar(spin_trace(_elem(acc)))
+                      for d, acc in c.items()})
+        for key, c in t.items()}, left.xder + right.xder)

@@ -96,7 +96,9 @@ class GaussianRational:
     __radd__ = __add__
 
     def __neg__(self):
-        return _reduced(-self.p, -self.q, self.d)
+        out = _new(GaussianRational)  # still canonical: no gcd
+        out.p, out.q, out.d = -self.p, -self.q, self.d
+        return out
 
     def __sub__(self, other):
         return _gadd(self, -_coerce_gauss(other))
@@ -178,9 +180,7 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
             q //= g
             d //= g
     out = _new(GaussianRational)
-    out.p = p
-    out.q = q
-    out.d = d
+    out.p, out.q, out.d = p, q, d
     return out
 
 

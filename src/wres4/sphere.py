@@ -13,6 +13,7 @@ formal indeterminate OMEGA; numeric evaluation binds it later.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .scalars import (
     OMEGA,
@@ -27,11 +28,7 @@ _XI_IDX = tuple(_INDEX[name] for name in ("XI1", "XI2", "XI3"))
 
 
 def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
+    return prod(range(k, 1, -2))
 
 
 def moment(a: int, b: int, c: int) -> Fraction:

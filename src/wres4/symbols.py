@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
-from .clifford import CliffordElem, cmul
+from .clifford import CliffordElem, _cmul_into, _elem, _merged
 from .errors import (
     NonInvertibleLeadingSymbol,
     ShellViolation,
@@ -26,6 +27,7 @@ from .errors import (
 )
 from .scalars import (
     GAUSS_I,
+    GAUSS_ONE,
     HP,
     ScalarExpr,
     U_VAR,
@@ -45,12 +47,8 @@ class XinPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Mapping[int, CliffordElem] | None = None):
-        c = {}
-        if coeffs:
-            for d, elem in coeffs.items():
-                if not elem.is_zero():
-                    c[d] = elem
-        self.coeffs = c
+        self.coeffs = {d: e for d, e in (coeffs or {}).items()
+                       if not e.is_zero()}
 
     @staticmethod
     def const(elem: CliffordElem) -> "XinPoly":
@@ -63,16 +61,8 @@ class XinPoly:
         return max(self.coeffs) if self.coeffs else -1
 
     def __add__(self, other: "XinPoly") -> "XinPoly":
-        c = dict(self.coeffs)
-        for d, elem in other.coeffs.items():
-            s = c.get(d)
-            s = elem if s is None else s + elem
-            if s.is_zero():
-                c.pop(d, None)
-            else:
-                c[d] = s
         out = XinPoly.__new__(XinPoly)
-        out.coeffs = c
+        out.coeffs = _merged(self.coeffs, other.coeffs)
         return out
 
     def __neg__(self) -> "XinPoly":
@@ -84,20 +74,7 @@ class XinPoly:
         return self + (-other)
 
     def mul(self, other: "XinPoly") -> "XinPoly":
-        c: dict = {}
-        for d1, e1 in self.coeffs.items():
-            for d2, e2 in other.coeffs.items():
-                p = cmul(e1, e2)
-                if p.is_zero():
-                    continue
-                d = d1 + d2
-                s = c.get(d)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    c.pop(d, None)
-                else:
-                    c[d] = s
-        return XinPoly(c)
+        return _xin(_mul_into({}, self, other, _cmul_into))
 
     def scale(self, s) -> "XinPoly":
         s = _coerce_scalar(s)
@@ -116,20 +93,11 @@ class XinPoly:
 
     def mul_w(self, k: int) -> "XinPoly":
         """Multiply by W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
-        u = usq()
-        out = self
-        for _ in range(k):
-            out = out.scale(u) + out.shift(2)
-        return out
+        return self.mul(_w_power(k))
 
     def mul_shell(self, da: int, db: int) -> "XinPoly":
         """Multiply by (xi_n - i)**da (xi_n + i)**db."""
-        out = self
-        for _ in range(da):
-            out = out.shift(1) + out.scale(ScalarExpr.const(-GAUSS_I))
-        for _ in range(db):
-            out = out.shift(1) + out.scale(ScalarExpr.const(GAUSS_I))
-        return out
+        return self.mul(_pole_factor(da, db))
 
     def __eq__(self, other):
         if isinstance(other, XinPoly):
@@ -140,6 +108,42 @@ class XinPoly:
         return f"XinPoly({self.coeffs!r})"
 
 
+def _mul_into(c: dict, p: XinPoly, q: XinPoly, kernel) -> dict:
+    """Add p * q into c, a {degree: accumulator} dict, and return c, with
+    kernel(acc, left terms, right terms) adding each coefficient product."""
+    for d1, e1 in p.coeffs.items():
+        for d2, e2 in q.coeffs.items():
+            acc = c.setdefault(d1 + d2, {})
+            kernel(acc, e1.terms, e2.terms)
+            if not acc:
+                del c[d1 + d2]
+    return c
+
+
+def _xin(c: dict) -> XinPoly:
+    """The polynomial of a {degree: accumulator} dict."""
+    return XinPoly({d: _elem(t) for d, t in c.items()})
+
+
+@functools.cache
+def _pole_factor(da: int, db: int) -> XinPoly:
+    """(xi_n - i)**da (xi_n + i)**db expanded.  Shared: never mutate."""
+    coeffs = [GAUSS_ONE]
+    for root in [GAUSS_I] * da + [-GAUSS_I] * db:
+        # times (xi_n - root)
+        coeffs = [(coeffs[n - 1] if n else 0) - root * c
+                  for n, c in enumerate(coeffs + [0])]
+    return XinPoly({n: CliffordElem.scalar(c) for n, c in enumerate(coeffs)})
+
+
+@functools.cache
+def _w_power(k: int) -> XinPoly:
+    """W**k expanded.  Shared: never mutate."""
+    u = usq()
+    return XinPoly({2 * j: CliffordElem.scalar(comb(k, j) * u ** (k - j))
+                    for j in range(k + 1)})
+
+
 class BoundarySymbol:
     """Clifford-valued rational symbol in xi_n with derivation context."""
 
@@ -148,12 +152,8 @@ class BoundarySymbol:
     def __init__(self, shell: str, terms: Mapping, xder: int = 0):
         if shell not in (OFF, ON):
             raise ValueError("shell must be 'off' or 'on'")
-        t = {}
-        for key, poly in terms.items():
-            if not poly.is_zero():
-                t[key] = poly
         self.shell = shell
-        self.terms = t
+        self.terms = {k: p for k, p in terms.items() if not p.is_zero()}
         self.xder = xder
 
     # -- constructors ------------------------------------------------------
@@ -181,15 +181,8 @@ class BoundarySymbol:
 
     def __add__(self, other: "BoundarySymbol") -> "BoundarySymbol":
         self._check_same_shell(other)
-        t = dict(self.terms)
-        for key, poly in other.terms.items():
-            s = t.get(key)
-            s = poly if s is None else s + poly
-            if s.is_zero():
-                t.pop(key, None)
-            else:
-                t[key] = s
-        return BoundarySymbol(self.shell, t, max(self.xder, other.xder))
+        return BoundarySymbol(self.shell, _merged(self.terms, other.terms),
+                              max(self.xder, other.xder))
 
     def __neg__(self) -> "BoundarySymbol":
         return BoundarySymbol(self.shell,
@@ -199,20 +192,22 @@ class BoundarySymbol:
     def __sub__(self, other: "BoundarySymbol") -> "BoundarySymbol":
         return self + (-other)
 
-    def mul(self, other: "BoundarySymbol") -> "BoundarySymbol":
+    def products(self, other: "BoundarySymbol", kernel) -> dict:
+        """{key: {degree: accumulator}} of self * other, each coefficient
+        product added by kernel(acc, left terms, right terms)."""
         self._check_same_shell(other)
+        off = self.shell == OFF
         t: dict = {}
         for k1, p1 in self.terms.items():
             for k2, p2 in other.terms.items():
-                if self.shell == OFF:
-                    key = k1 + k2
-                else:
-                    key = (k1[0] + k2[0], k1[1] + k2[1])
-                prod = p1.mul(p2)
-                s = t.get(key)
-                s = prod if s is None else s + prod
-                t[key] = s
-        return BoundarySymbol(self.shell, t, self.xder + other.xder)
+                key = k1 + k2 if off else (k1[0] + k2[0], k1[1] + k2[1])
+                _mul_into(t.setdefault(key, {}), p1, p2, kernel)
+        return t
+
+    def mul(self, other: "BoundarySymbol") -> "BoundarySymbol":
+        t = self.products(other, _cmul_into)
+        return BoundarySymbol(self.shell, {k: _xin(c) for k, c in t.items()},
+                              self.xder + other.xder)
 
     def scale(self, s) -> "BoundarySymbol":
         s = _coerce_scalar(s)
@@ -229,22 +224,20 @@ class BoundarySymbol:
         """
         if not self.terms:
             return BoundarySymbol(self.shell, {}, self.xder)
+        total: dict = {}
         if self.shell == OFF:
+            top = max(self.terms)
             expand = {"U": usq()}
-            pmax = max(self.terms)
-            total = XinPoly()
             for p, poly in self.terms.items():
                 poly = poly.map_coeffs(lambda e: e.substitute(expand))
-                total = total + poly.mul_w(pmax - p)
-            return BoundarySymbol(OFF, {pmax: total}, self.xder)
-        amax = max(a for a, _ in self.terms)
-        bmax = max(b for _, b in self.terms)
-        total = XinPoly()
-        for (a, b), poly in self.terms.items():
-            poly = poly.map_coeffs(
-                lambda e: e.map_scalars(reduce_sphere))
-            total = total + poly.mul_shell(amax - a, bmax - b)
-        return BoundarySymbol(ON, {(amax, bmax): total}, self.xder)
+                _mul_into(total, poly, _w_power(top - p), _cmul_into)
+        else:
+            top = tuple(map(max, zip(*self.terms)))
+            for (a, b), poly in self.terms.items():
+                poly = poly.map_coeffs(lambda e: e.map_scalars(reduce_sphere))
+                _mul_into(total, poly, _pole_factor(top[0] - a, top[1] - b),
+                          _cmul_into)
+        return BoundarySymbol(self.shell, {top: _xin(total)}, self.xder)
 
     def is_zero(self) -> bool:
         return not self.canonical().terms
@@ -313,10 +306,8 @@ def _derive_once(s: BoundarySymbol, direction: str) -> BoundarySymbol:
 
 def _acc(t: dict, key, poly: XinPoly) -> None:
     """Add poly to t[key], skipping zero contributions."""
-    if poly.is_zero():
-        return
-    cur = t.get(key)
-    t[key] = poly if cur is None else cur + poly
+    if not poly.is_zero():
+        t[key] = t[key] + poly if key in t else poly
 
 
 def _d_xin(s: BoundarySymbol) -> BoundarySymbol:

@@ -174,7 +174,7 @@ def test_criterion4_residue_primitives():
     s = pi_plus(restrict_on_shell(derive(build_sigma("D", -1), "x_n")))
     t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
     composite = (ScalarExpr.const(-2) * FINV(2)
-                 * integrate_sphere(line_integral(trace_symbol(s.mul(t)))))
+                 * integrate_sphere(line_integral(trace_symbol(s, t))))
     assert composite == ScalarExpr.const(-3) / 2 * FINV(2) * HP * PI * OMEGA
     # upper vs lower closed-contour consistency on 500 random rationals
     rng = random.Random(5)
@@ -195,7 +195,7 @@ def test_criterion4_residue_primitives():
 def test_criterion4_reference_cross_integral_is_zero():
     s = pi_plus(restrict_on_shell(build_sigma("D", -1)))
     t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
-    val = line_integral(trace_symbol(s.mul(t)))
+    val = line_integral(trace_symbol(s, t))
     assert val.is_zero()
 
 
@@ -203,7 +203,7 @@ def test_criterion4_cross_integral_certified_value():
     # the engine value of the 4.20 integrand, confirmed by quadrature
     s = pi_plus(restrict_on_shell(build_sigma("D", -1)))
     t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
-    val = line_integral(trace_symbol(s.mul(t)))
+    val = line_integral(trace_symbol(s, t))
     assert val == -PI
     ctx = NumericContext(42)
     xp = (0.6, 0.64, math.sqrt(1 - 0.36 - 0.4096))

@@ -2,8 +2,11 @@
 verdicts, and the assembled boundary term."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wres4 import anchors, boundary, scalars, symbols
 from wres4.boundary import (
@@ -13,7 +16,17 @@ from wres4.boundary import (
     hp_part,
     intermediates,
 )
-from wres4.scalars import NAMES, GaussianRational, ScalarExpr
+from wres4.clifford import CliffordElem
+from wres4.halfplane import line_integral, pi_plus, trace_symbol
+from wres4.scalars import GAUSS_I, NAMES, GaussianRational, ScalarExpr
+from wres4.sphere import integrate_sphere
+from wres4.symbols import (
+    BoundarySymbol,
+    build_sigma,
+    derive,
+    restrict_on_shell,
+    sandwich,
+)
 
 OMEGA = ScalarExpr.var("OMEGA")
 PI = ScalarExpr.var("PI")
@@ -208,3 +221,69 @@ class TestWorkGuard:
         assert calls == {"trace_symbol": 0, "line_integral": 0}
         assert repr(_total(second)) == repr(_total(first))
 
+
+
+_ALL_BLADES = [m for k in range(5) for m in combinations((1, 2, 3, 4), k)]
+_COEFF = st.builds(GaussianRational, st.integers(1, 4), st.integers(-4, 4))
+_JET = st.sampled_from([ScalarExpr.one(), HP, FINV(1),
+                        ScalarExpr.var("FI4") * FINV(2),
+                        ScalarExpr.var("FIJ12")])
+
+
+@st.composite
+def _twelve_blade_elems(draw):
+    """An element over 12 of the 16 blades, c(dx_n) always among them, each
+    with a nonzero rational times a rational, f-jet or h'(0) factor.  A
+    c(xi')-only element can give b = 0 by parity on the sphere."""
+    others = [m for m in _ALL_BLADES if m != (4,)]
+    blades = [(4,)] + draw(st.permutations(others))[:11]
+    return CliffordElem({m: ScalarExpr.const(draw(_COEFF)) * draw(_JET)
+                         for m in blades})
+
+
+@st.composite
+def _order_minus2_symbols(draw):
+    """q = X/|xi|^2 + c(xi) M c(xi)/|xi|^4 for random X and M."""
+    return (BoundarySymbol.from_clifford(draw(_twelve_blade_elems()), 1)
+            + sandwich(draw(_twelve_blade_elems())))
+
+
+def _case_integral(left, right) -> ScalarExpr:
+    """(-i) times the sphere integral of the line integral of tr(L R)."""
+    return (ScalarExpr.const(-GAUSS_I)
+            * integrate_sphere(line_integral(trace_symbol(left, right))))
+
+
+IDENTITY = settings(derandomize=True, database=None, max_examples=25,
+                    deadline=None)
+
+
+class TestBPlusCIdentity:
+    """b(q) + c(q) = 0 for every order -2 symbol q, with
+    b(q) = (-i) int tr[pi+ q| . d_xi_n sigma|] and
+    c(q) = (-i) int tr[pi+ sigma| . d_xi_n q|], sigma = sigma_-1(Dtilde^-1)
+    and | the restriction to |xi'| = 1: the vanishing of phi.b_plus_c does
+    not depend on sigma_-2."""
+
+    @staticmethod
+    def _b_and_c(q):
+        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        q_on = restrict_on_shell(q)
+        return (_case_integral(pi_plus(q_on), derive(sigma, "xi_n")),
+                _case_integral(pi_plus(sigma), derive(q_on, "xi_n")))
+
+    @IDENTITY
+    @given(_order_minus2_symbols())
+    def test_b_plus_c_vanishes(self, q):
+        b, c = self._b_and_c(q)
+        assert not b.is_zero()
+        assert (b + c).is_zero()
+
+    @IDENTITY
+    @given(_order_minus2_symbols())
+    def test_dropping_the_xi_n_derivative_breaks_it(self, q):
+        # negative control: c's right factor without its xi_n-derivative
+        b, _ = self._b_and_c(q)
+        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        c_underived = _case_integral(pi_plus(sigma), restrict_on_shell(q))
+        assert not (b + c_underived).is_zero()

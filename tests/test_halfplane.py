@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wres4 import anchors
-from wres4.clifford import CliffordElem
+from wres4.clifford import CliffordElem, spin_trace
 from wres4.errors import DecayViolation, ShellViolation
 from wres4.halfplane import (
     line_integral,
@@ -17,8 +17,9 @@ from wres4.halfplane import (
     pi_plus,
     trace_symbol,
 )
-from wres4.scalars import GaussianRational, ScalarExpr
+from wres4.scalars import GAUSS_I, GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
+    OFF,
     ON,
     BoundarySymbol,
     XinPoly,
@@ -241,7 +242,7 @@ class TestHighOrderPoles:
         for a, b in POLE_ORDERS[1:]:
             s = clifford_term(rng, a, b, a + b - 1)
             t = clifford_term(rng, b, a, a + b - 1)
-            traced = trace_symbol(s.mul(t))
+            traced = trace_symbol(s, t)
             assert line_integral(traced) == line_integral_lower(traced)
 
 
@@ -249,7 +250,7 @@ class TestTraceSymbol:
     def test_scalarizes_coefficients(self):
         s = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
         t = derive(restrict_on_shell(build_sigma("Dtilde", -1)), "xi_n")
-        traced = trace_symbol(s.mul(t))
+        traced = trace_symbol(s, t)
         for poly in traced.terms.values():
             for elem in poly.coeffs.values():
                 assert set(elem.terms) <= {()}
@@ -261,10 +262,111 @@ class TestTraceSymbol:
 
         s = pi_plus(restrict_on_shell(derive(build_sigma("D", -1), "x_n")))
         t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
-        val = line_integral(trace_symbol(s.mul(t)))
+        val = line_integral(trace_symbol(s, t))
         assert val == (ScalarExpr.const(3) / 4 * ScalarExpr.var("HP") * PI)
         composite = (ScalarExpr.const(-2) * ScalarExpr.f_inverse(2)
                      * integrate_sphere(val))
         expected = (ScalarExpr.const(-3) / 2 * ScalarExpr.f_inverse(2)
                     * ScalarExpr.var("HP") * PI * ScalarExpr.var("OMEGA"))
         assert composite == expected
+
+
+_BLADES = ((), (1,), (2,), (4,), (1, 2), (1, 4), (2, 3), (1, 2, 4),
+           (1, 2, 3, 4))
+
+
+@st.composite
+def clifford_elems(draw):
+    """One to four blades, each with a Gaussian times a symbolic factor."""
+    blades = draw(st.lists(st.sampled_from(_BLADES), min_size=1, max_size=4,
+                           unique=True))
+    return CliffordElem({m: ScalarExpr.const(draw(_gauss)) * draw(_factor)
+                         for m in blades})
+
+
+@st.composite
+def xin_polys(draw):
+    """A Clifford-valued numerator of degree up to 3."""
+    return XinPoly({d: draw(clifford_elems())
+                    for d in range(draw(st.integers(0, 3)) + 1)})
+
+
+@st.composite
+def clifford_symbols(draw, shell):
+    """A sum of one to three Clifford-valued terms.  On shell the pole keys
+    range over (a, b) with a, b in 0..3, one-sided (a, 0) keys included;
+    off shell over the |xi|^2 powers 0..3."""
+    key = (st.tuples(st.integers(0, 3), st.integers(0, 3)) if shell == ON
+           else st.integers(0, 3))
+    terms = {draw(key): draw(xin_polys())
+             for _ in range(draw(st.integers(1, 3)))}
+    return BoundarySymbol(shell, terms, draw(st.integers(0, 1)))
+
+
+def _trace_of_product(s, t):
+    """The two-step definition that trace_symbol(s, t) replaces: form every
+    blade of s * t, then take the spinor trace of each coefficient."""
+    prod = s.mul(t)
+    return BoundarySymbol(
+        prod.shell,
+        {key: poly.map_coeffs(lambda e: CliffordElem.scalar(spin_trace(e)))
+         for key, poly in prod.terms.items()},
+        prod.xder,
+    )
+
+
+def _linear_factor_product(p, da, db):
+    """p (xi_n - i)^da (xi_n + i)^db, one linear factor at a time."""
+    for root, times in ((GAUSS_I, da), (-GAUSS_I, db)):
+        for _ in range(times):
+            p = p.shift(1) + p.scale(ScalarExpr.const(-root))
+    return p
+
+
+def _w_factor_product(p, k):
+    """p W^k, one factor XI1^2 + XI2^2 + XI3^2 + xi_n^2 at a time."""
+    for _ in range(k):
+        p = p.scale(usq()) + p.shift(2)
+    return p
+
+
+def _stored_coefficients(s):
+    return [c for poly in s.terms.values() for e in poly.coeffs.values()
+            for scalar in e.terms.values() for c in scalar.terms.values()]
+
+
+_PAIRS = st.sampled_from([ON, OFF]).flatmap(
+    lambda shell: st.tuples(clifford_symbols(shell), clifford_symbols(shell)))
+
+
+class TestFusedProducts:
+    """The one-pass products against the definitions they replace."""
+
+    @PROPERTY
+    @given(_PAIRS)
+    def test_trace_symbol_is_the_trace_of_the_full_product(self, pair):
+        s, t = pair
+        traced, ref = trace_symbol(s, t), _trace_of_product(s, t)
+        assert (traced.shell, traced.xder) == (ref.shell, ref.xder)
+        assert traced.terms == ref.terms
+
+    @PROPERTY
+    @given(xin_polys(), st.integers(0, 4), st.integers(0, 4))
+    def test_mul_shell_is_the_linear_factor_product(self, p, da, db):
+        assert p.mul_shell(da, db) == _linear_factor_product(p, da, db)
+
+    @PROPERTY
+    @given(xin_polys(), st.integers(0, 3))
+    def test_mul_w_is_the_repeated_w_product(self, p, k):
+        assert p.mul_w(k) == _w_factor_product(p, k)
+
+    @PROPERTY
+    @given(xin_polys(), st.integers(4, 5))
+    def test_projecting_a_one_sided_pole_adds_no_zero(self, p, a):
+        # at +i the binomial series of (2i + z)^0 is zero past its first
+        # term, and a zero factor must add nothing
+        upper = BoundarySymbol.on_shell_term(p, a, 0)
+        once = pi_plus(upper)
+        assert once == upper
+        assert all(not c.is_zero() for c in _stored_coefficients(once))
+        assert pi_plus(once) == once

@@ -4,7 +4,8 @@ Engine modules return plain values; only the CLI pairs a value with its
 stored reference, and the referee reads the engine's values without ever
 building the reference table.  No runtime module imports numpy or scipy.
 Each CLI verb loads only the modules it runs, and behaves the same as a
-subprocess (`python -m wres4.cli`) as through `cli.run`.
+subprocess (`python -m wres4.cli`) as through `cli.run`.  The sources stay
+within a line budget.
 """
 
 import argparse
@@ -141,3 +142,17 @@ def test_case_choices_are_the_case_labels(verb):
 
 def test_engine_enumerates_the_case_labels_in_order():
     assert [s.label for s in enumerate_cases()] == list(CASE_LABELS)
+
+
+# -- the size of the program -------------------------------------------------
+
+LINE_BUDGET = 3250
+
+
+def test_sources_stay_within_the_line_budget():
+    # every CLI op compiles the modules it imports from source when no
+    # bytecode cache is written, so the cap bounds start-up cost as well
+    # as size
+    total = sum(len(path.read_text().splitlines())
+                for path in SRC.glob("*.py"))
+    assert total <= LINE_BUDGET
