@@ -5,8 +5,10 @@ IR, keyed by an opaque id.  No engine module imports this one: only the
 CLI looks a reference up, so that every independently computed value can
 be compared and given a verdict.  A mismatch is reported, never patched.
 
-The symbol layer is imported only where the table is built, so a verb
-that needs nothing but `compare` does not load it.
+The symbol layer is imported only where a symbol reference is built, so a
+verb that needs nothing but `compare` does not load it.  Lemma 4.1's
+closed forms (`lemma41`) are built apart from the table, which
+`verify-lemma41` never builds.
 """
 
 from __future__ import annotations
@@ -102,6 +104,32 @@ def _sandwich_xin_derivative(mid: CliffordElem) -> BoundarySymbol:
         3: c.scale(ScalarExpr.const(-4)),
     })
     return _on({(2, 2): t22, (3, 3): t33})
+
+
+def lemma41(op: str, order: int) -> BoundarySymbol:
+    """Lemma 4.1's closed form of sigma_order(op^-1), order -1 or -2, op D
+    or Dtilde: the reference of the parametrix[op,order] rows."""
+    from .symbols import (BoundarySymbol, c_xi_poly, derive, jet_mid,
+                          sandwich, sigma0_dirac)
+
+    two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
+    if order == -1:
+        s = BoundarySymbol.from_poly(c_xi_poly().scale(_I), wpow=1)
+        return s if op == "D" else s.scale(two_over_f)
+    if op == "Dtilde":
+        # 2/f sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
+        # + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
+        return (lemma41("D", -2).scale(two_over_f)
+                + sandwich(_cdf()).scale(ScalarExpr.const(4)
+                                         * ScalarExpr.f_inverse(2))
+                + sandwich(jet_mid()))
+    # sigma_0(D) sandwiched, plus sum_j (c(xi)/W) c(dx_j) d_{x_j}(c(xi)/W)
+    cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
+    out = sandwich(sigma0_dirac())
+    for j, x in enumerate(("x_1", "x_2", "x_3", "x_n"), 1):
+        cj = BoundarySymbol.from_clifford(CliffordElem.gen(j))
+        out = out + cxi.mul(cj).mul(derive(cxi, x))
+    return out
 
 
 @functools.cache

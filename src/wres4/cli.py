@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from importlib import resources
 from typing import Dict, List, Optional
 
 from . import CASE_LABELS
@@ -30,8 +30,10 @@ SCHEMA_VERSION = 1
 
 
 def load_discrepancies() -> Dict:
-    path = resources.files("wres4.data") / "known_discrepancies.json"
-    return json.loads(path.read_text())
+    path = os.path.join(os.path.dirname(__file__), "data",
+                        "known_discrepancies.json")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def known_ids() -> frozenset:
@@ -87,17 +89,15 @@ def trace_suite() -> List[Dict]:
 
 
 def lemma41_suite() -> List[Dict]:
-    """Closed symbol forms against the order-by-order parametrix."""
-    from .symbols import build_sigma, parametrix
+    """The engine's inverse symbols, from the parametrix, against Lemma
+    4.1's closed forms."""
+    from .anchors import lemma41
+    from .symbols import build_sigma
 
-    out = []
-    for op in ("D", "Dtilde"):
-        r1, r2 = parametrix(op)
-        for order, computed in ((-1, r1), (-2, r2)):
-            out.append(_entry(f"parametrix[{op},{order}]",
-                              computed.canonical(),
-                              build_sigma(op, order).canonical()))
-    return out
+    return [_entry(f"parametrix[{op},{order}]",
+                   build_sigma(op, order).canonical(),
+                   lemma41(op, order).canonical())
+            for op in ("D", "Dtilde") for order in (-1, -2)]
 
 
 def phi_suite(case_filter: str) -> List[Dict]:

@@ -372,7 +372,7 @@ def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
     )
 
 
-# -- closed-form symbols and the parametrix recursion ----------------------
+# -- operator symbols and the parametrix recursion -------------------------
 
 def c_xi_poly() -> XinPoly:
     """c(xi) = c(xi') + xi_n c(dx_n) as a XinPoly."""
@@ -399,99 +399,69 @@ def sigma0_dirac() -> CliffordElem:
     return out.scale(ScalarExpr.const(Fraction(-1, 4)))
 
 
-def build_sigma(op: str, order: int) -> BoundarySymbol:
-    """Closed-form symbols of D, Dtilde and their inverses.
-
-    Each (op, order) is built once per process; the returned symbol is
-    shared between callers, so it must not be mutated."""
-    return _closed_form(op, order)
-
-
-@functools.cache
-def _closed_form(op: str, order: int) -> BoundarySymbol:
-    if op not in ("D", "Dtilde"):
-        raise ValueError("op must be 'D' or 'Dtilde'")
-    i_unit = ScalarExpr.i_unit()
-    if order == 1:
-        lead = BoundarySymbol.from_poly(c_xi_poly().scale(i_unit))
-        if op == "Dtilde":
-            lead = lead.scale(ScalarExpr.var("F") * half())
-        return lead
-    if order == 0:
-        s0 = BoundarySymbol.from_clifford(sigma0_dirac())
-        if op == "Dtilde":
-            s0 = s0.scale(ScalarExpr.var("F") * half())
-            s0 = s0 + BoundarySymbol.from_clifford(CliffordElem.c_df())
-        return s0
-    if order == -1:
-        s = BoundarySymbol.from_poly(c_xi_poly().scale(i_unit), wpow=1)
-        if op == "Dtilde":
-            s = s.scale(ScalarExpr.const(2) * ScalarExpr.f_inverse())
-        return s
-    if order == -2:
-        return _sigma_minus2_closed(op)
-    raise ValueError("order must be one of 1, 0, -1, -2")
-
-
 def sandwich(mid: CliffordElem) -> BoundarySymbol:
     """c(xi) mid c(xi) / |xi|^4 as an off-shell symbol."""
     cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
     return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
 
 
-def _sigma_minus2_closed(op: str) -> BoundarySymbol:
+def build_sigma(op: str, order: int) -> BoundarySymbol:
+    """sigma_1 or sigma_0 of D or Dtilde, or sigma_-1 or sigma_-2 of its
+    inverse, which the parametrix derives from the first two.
+
+    Each (op, order) is built once per process, and sigma_-1 alone never
+    forms sigma_-2; the returned symbol is shared between callers, so it
+    must not be mutated."""
+    return _sigma(op, order)
+
+
+@functools.cache
+def _sigma(op: str, order: int) -> BoundarySymbol:
+    if order == -1:
+        return _invert_leading(_sigma(op, 1))
+    if order == -2:
+        return parametrix(_sigma(op, 1), _sigma(op, 0))[1]
+    if order not in (1, 0):
+        raise ValueError("order must be one of 1, 0, -1, -2")
+    return _definition(op)[1 - order]
+
+
+def _definition(op: str) -> tuple[BoundarySymbol, BoundarySymbol]:
+    """(sigma_1, sigma_0) of D, i c(xi) and the collar connection, or of
+    Dtilde = (f/2) D + c(df)."""
+    s1 = BoundarySymbol.from_poly(c_xi_poly().scale(ScalarExpr.i_unit()))
+    s0 = BoundarySymbol.from_clifford(sigma0_dirac())
     if op == "D":
-        # sigma_0(D) sandwiched, plus sum_j (c(xi)/W) c(dx_j) d_{x_j}(c(xi)/W)
-        cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
-        out = sandwich(sigma0_dirac())
-        for j in range(1, 5):
-            cj = BoundarySymbol.from_clifford(CliffordElem.gen(j))
-            dname = "x_n" if j == 4 else f"x_{j}"
-            out = out + cxi.mul(cj).mul(derive(cxi, dname))
-        return out
-    # Dtilde: 2/f * sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
-    #         + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
-    two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
-    four_over_f2 = ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
-    return (_closed_form("D", -2).scale(two_over_f)
-            + sandwich(CliffordElem.c_df()).scale(four_over_f2)
-            + sandwich(jet_mid()))
+        return s1, s0
+    if op == "Dtilde":
+        half_f = ScalarExpr.var("F") * half()
+        return (s1.scale(half_f), s0.scale(half_f)
+                + BoundarySymbol.from_clifford(CliffordElem.c_df()))
+    raise ValueError("op must be 'D' or 'Dtilde'")
 
 
 def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:
-    """Invert a leading symbol of the form (scalar) * i c(xi)."""
+    """Invert a leading symbol whose square is lam * |xi|^2 for a nonzero
+    scalar lam, as (scalar) * i c(xi) is."""
     sq = sigma1.mul(sigma1).canonical()
-    if sq.is_zero():
-        raise NonInvertibleLeadingSymbol("leading symbol squares to zero")
-    ((wpow, poly),) = sq.terms.items()
-    if wpow != 0:
-        raise NonInvertibleLeadingSymbol("unexpected denominator in square")
-    # expect lambda * (U + xi_n^2) with scalar lambda
-    lam_elem = poly.coeffs.get(2)
-    if lam_elem is None or set(lam_elem.terms) != {()}:
+    lam_elem = sq.terms.get(0, XinPoly()).coeffs.get(2)
+    lam = ScalarExpr.zero() if lam_elem is None else lam_elem.scalar_part()
+    if lam.is_zero() or sq.terms != {0: XinPoly({
+            0: CliffordElem.scalar(lam * usq()),
+            2: CliffordElem.scalar(lam)})}:
         raise NonInvertibleLeadingSymbol("square is not scalar * |xi|^2")
-    lam = lam_elem.scalar_part()
-    expected = XinPoly({0: CliffordElem.scalar(lam * usq()),
-                        2: CliffordElem.scalar(lam)})
-    if XinPoly(poly.coeffs) != expected:
-        raise NonInvertibleLeadingSymbol("square is not scalar * |xi|^2")
-    inv = BoundarySymbol(
+    return BoundarySymbol(
         OFF,
         {p + 1: q.map_coeffs(lambda e: e.map_scalars(lambda c: c / lam))
          for p, q in sigma1.terms.items()},
         sigma1.xder,
     )
-    return inv
 
 
-def parametrix(op: str):
-    """Order-by-order inversion of the symbol expansion.
-
-    Returns (sigma_-1, sigma_-2) of op**-1 obtained from the composition
-    identity; must agree with the closed forms of build_sigma.
-    """
-    s1 = build_sigma(op, 1)
-    s0 = build_sigma(op, 0)
+def parametrix(s1: BoundarySymbol, s0: BoundarySymbol):
+    """(sigma_-1, sigma_-2) of the inverse of an operator with symbols
+    s1 + s0, by order-by-order inversion of the composition identity
+    (Shubin 2001, sec. 5; Gilkey 1995, sec. 1.7)."""
     r1 = _invert_leading(s1)
     # the order -1 coefficient of the composed symbol must vanish:
     # s1*r2 + [s0*r1 + sum_j (-i) d_{xi_j} s1 * d_{x_j} r1] = 0, and r1 is

@@ -123,11 +123,12 @@ def test_criterion1_trace_suite():
 def test_criterion2_parametrix_equivalence():
     start = time.monotonic()
     for op in ("D", "Dtilde"):
-        r1, r2 = parametrix(op)
-        assert r1.canonical() == build_sigma(op, -1).canonical()
-        # exact agreement; the factor-bookkeeping question resolved with
-        # no residual, so no numeric adjudication is required
-        assert r2.canonical() == build_sigma(op, -2).canonical()
+        r1, r2 = parametrix(build_sigma(op, 1), build_sigma(op, 0))
+        assert r1.canonical() == anchors.lemma41(op, -1).canonical()
+        # exact agreement with Lemma 4.1's closed form; the
+        # factor-bookkeeping question resolved with no residual, so no
+        # numeric adjudication is required
+        assert r2.canonical() == anchors.lemma41(op, -2).canonical()
     assert time.monotonic() - start < 10.0
 
 

@@ -171,7 +171,7 @@ class TestHelpers:
 def _clear_engine_caches():
     """Forget every value the exact engine keeps per process, so that the
     next assembly computes each stage from scratch."""
-    for cached in (symbols._closed_form, scalars._xi3_squared_power,
+    for cached in (symbols._sigma, scalars._xi3_squared_power,
                    boundary.case_factors, boundary._case_value,
                    anchors._build_anchors):
         cached.cache_clear()

@@ -9,7 +9,7 @@ from wres4 import anchors
 from wres4.cli import build_parser, known_ids, load_discrepancies, run
 from wres4.scalars import ScalarExpr
 from wres4.sexpr import dumps
-from wres4.symbols import BoundarySymbol
+from wres4.symbols import BoundarySymbol, jet_mid, sandwich
 
 
 def _row(capsys, ident):
@@ -99,6 +99,29 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "trace_suite", broken_suite)
         assert run(["verify-traces"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_wrong_lemma41_reference_exits_one(self, capsys, monkeypatch):
+        # the engine side of the parametrix rows is derived from (sigma_1,
+        # sigma_0), not from the closed forms: dropping one term of a
+        # closed form must surface as a mismatch of that row alone
+        from wres4.symbols import jet_mid, sandwich
+
+        real = anchors.lemma41
+
+        def perturbed(op, order):
+            ref = real(op, order)
+            if (op, order) == ("Dtilde", -2):
+                ref = ref - sandwich(jet_mid())
+            return ref
+
+        monkeypatch.setattr(anchors, "lemma41", perturbed)
+        assert run(["verify-lemma41", "--format", "json"]) == 1
+        verdicts = {r["id"]: r["verdict"]
+                    for r in json.loads(capsys.readouterr().out)["results"]}
+        assert verdicts == {"parametrix[D,-1]": "match",
+                            "parametrix[D,-2]": "match",
+                            "parametrix[Dtilde,-1]": "match",
+                            "parametrix[Dtilde,-2]": "mismatch"}
 
     def test_wrong_theorem32_value_exits_one(self, capsys, monkeypatch):
         import wres4.interior as interior

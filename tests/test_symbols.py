@@ -1,14 +1,18 @@
-"""Boundary symbol calculus: closed symbol forms, the order-by-order
-parametrix, composition, and the golden serialized forms."""
+"""Boundary symbol calculus: operator symbols, the order-by-order
+parametrix against Lemma 4.1's closed forms, composition, and the golden
+serialized forms."""
 
 import os
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wres4 import sexpr
+from wres4 import anchors, sexpr
 from wres4.clifford import CliffordElem
-from wres4.errors import UnsupportedOrder
-from wres4.scalars import ScalarExpr, usq
+from wres4.errors import NonInvertibleLeadingSymbol, UnsupportedOrder
+from wres4.scalars import GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
     OFF,
     BoundarySymbol,
@@ -47,10 +51,12 @@ class TestClosedForms:
         assert sDt.canonical() == expected.canonical()
 
     def test_parametrix_matches_closed_forms(self):
+        # the references are Lemma 4.1's closed forms, built apart from
+        # the engine's (sigma_1, sigma_0) route
         for op in ("D", "Dtilde"):
-            r1, r2 = parametrix(op)
-            assert r1.canonical() == build_sigma(op, -1).canonical()
-            assert r2.canonical() == build_sigma(op, -2).canonical()
+            r1, r2 = parametrix(build_sigma(op, 1), build_sigma(op, 0))
+            assert r1.canonical() == anchors.lemma41(op, -1).canonical()
+            assert r2.canonical() == anchors.lemma41(op, -2).canonical()
 
     def test_composition_is_identity(self):
         for op in ("D", "Dtilde"):
@@ -61,10 +67,85 @@ class TestClosedForms:
             assert ident == one
             assert compose_orders(a, b, -1).canonical().is_zero()
 
+    @pytest.mark.parametrize("s1", [
+        BoundarySymbol.from_clifford(CliffordElem.one()),
+        BoundarySymbol.from_poly(XinPoly({1: CliffordElem.c_dxn()})),
+    ], ids=["1", "xi_n c(dx_n)"])
+    def test_parametrix_rejects_a_leading_symbol_without_inverse(self, s1):
+        # only a square lam * |xi|^2 with scalar lam != 0 has an inverse
+        with pytest.raises(NonInvertibleLeadingSymbol):
+            parametrix(s1, BoundarySymbol.zero())
+
     def test_sigma0_dirac_value(self):
         expected = CliffordElem.c_dxn().scale(
             ScalarExpr.var("HP") * ScalarExpr.const(-3) / 4)
         assert sigma0_dirac() == expected
+
+
+_BLADES = [m for k in range(5) for m in combinations((1, 2, 3, 4), k)]
+_COEFF = st.builds(GaussianRational, st.integers(1, 4), st.integers(-4, 4))
+_JET = st.sampled_from([ScalarExpr.one(), ScalarExpr.var("HP"),
+                        ScalarExpr.f_inverse(),
+                        ScalarExpr.var("FI4") * ScalarExpr.f_inverse(2),
+                        ScalarExpr.var("FIJ12")])
+
+
+@st.composite
+def _potentials(draw):
+    """V over 3 to 8 of the 16 blades, each with a nonzero rational times a
+    rational, f-jet or h'(0) factor."""
+    blades = draw(st.lists(st.sampled_from(_BLADES), min_size=3,
+                           max_size=8, unique=True))
+    return BoundarySymbol.from_clifford(CliffordElem(
+        {m: ScalarExpr.const(draw(_COEFF)) * draw(_JET) for m in blades}))
+
+
+def _s1_s0(op):
+    return build_sigma(op, 1), build_sigma(op, 0)
+
+
+POTENTIALS = settings(derandomize=True, database=None, max_examples=8,
+                      deadline=None)
+
+
+class TestLeftInverse:
+    """The parametrix is built as a right inverse, sigma o r = 1 to order
+    -1.  That it is a left inverse too, r o sigma = 1, restates none of its
+    construction, so it checks sigma_-2 for D, Dtilde and Dtilde + V."""
+
+    @staticmethod
+    def _check(s1, s0, drop_derivative_term=False):
+        """Whether the order -1 part of (r1 + r2) o (s1 + s0) vanishes;
+        its order 0 part must be 1."""
+        r1, r2 = parametrix(s1, s0)
+        if drop_derivative_term:
+            # sigma_-2 without the (-i) d_xi sigma_1 . d_x r1 term
+            r2 = -(r1.mul(s0.mul(r1)))
+        left, right = {-1: r1, -2: r2}, {1: s1, 0: s0}
+        one = BoundarySymbol.from_clifford(CliffordElem.one())
+        assert compose_orders(left, right, 0) == one
+        return compose_orders(left, right, -1).is_zero()
+
+    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    def test_parametrix_is_a_left_inverse(self, op):
+        assert self._check(*_s1_s0(op))
+
+    @POTENTIALS
+    @given(_potentials())
+    def test_left_inverse_with_a_potential(self, v):
+        s1, s0 = _s1_s0("Dtilde")
+        assert self._check(s1, s0 + v)
+
+    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    def test_dropping_the_derivative_term_breaks_it(self, op):
+        assert not self._check(*_s1_s0(op), drop_derivative_term=True)
+
+    @POTENTIALS
+    @given(_potentials())
+    def test_dropping_the_derivative_term_breaks_it_with_a_potential(
+            self, v):
+        s1, s0 = _s1_s0("Dtilde")
+        assert not self._check(s1, s0 + v, drop_derivative_term=True)
 
 
 class TestDerivation:
