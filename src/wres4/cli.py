@@ -6,7 +6,9 @@ when a new mismatch appears, 2 on usage errors.
 
 Every call is a fresh interpreter, so each verb imports only the modules
 it runs: the suites and `_entry` import their engine names when called,
-and `verify-traces` never loads the symbol layer or the boundary stack.
+`verify-traces` never loads the symbol layer or the boundary stack, the
+reference table (`anchor_table`) is compiled only by the verbs that look
+a reference up (`report`, `compute-phi`), and no verb loads `fractions`.
 `scalars` is the one engine module imported here.  Every verb needs it,
 and building its constants (`GAUSS_ONE`, `GAUSS_I`) calls
 `GaussianRational.__init__`, which perfbench/tracer.py counts only once
@@ -34,10 +36,6 @@ def load_discrepancies() -> Dict:
                         "known_discrepancies.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def known_ids() -> frozenset:
-    return frozenset(d["id"] for d in load_discrepancies()["discrepancies"])
 
 
 def _reference(ident: str):

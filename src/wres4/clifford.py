@@ -211,6 +211,17 @@ def _cmul_into(t: dict, a: Mapping, b: Mapping) -> dict:
     return t
 
 
+def _cadd_into(t: dict, a: Mapping, one: Mapping) -> dict:
+    """_cmul_into for `one` the constant 1: a's terms, with no products."""
+    for m, c in a.items():
+        acc = t.setdefault(m, {})
+        for m1, c1 in c.terms.items():
+            _acc(acc, m1, c1)
+        if not acc:
+            del t[m]
+    return t
+
+
 def _cscalar_into(t: dict, a: Mapping, b: Mapping) -> None:
     """Add only the scalar blade of a * b into t, as _cmul_into does: two
     blades multiply to a scalar only when they are equal."""

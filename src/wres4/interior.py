@@ -17,6 +17,8 @@ judges each engine value against its reference.
 
 from __future__ import annotations
 
+import functools
+
 from .clifford import CliffordElem, spin_trace
 from .scalars import (
     S_CURV,
@@ -47,6 +49,7 @@ def laplacian_f() -> ScalarExpr:
     return out
 
 
+@functools.cache
 def compute_E_at_x0() -> CliffordElem:
     """E = B - sum_j (d_j(omega_j) + omega_j^2) at the base point from the
     raw data of Dbar^2: the coefficient of d_j, A_j = c(df) c(e_j) f^-1,
@@ -58,7 +61,7 @@ def compute_E_at_x0() -> CliffordElem:
     connection terms, so they are dropped on both sides; what remains is
     the f-jet structure plus the formal scalar-curvature term.  The frame
     is constant in normal coordinates, so d_j(omega_j) differentiates the
-    coefficients only.
+    coefficients only.  Built once per process and shared: never mutate.
     """
     cdf = CliffordElem.c_df()
     E = CliffordElem.scalar(frac(-1, 4) * S_CURV + df_norm_sq() * _FINV(2))

@@ -156,18 +156,6 @@ def eval_symbol(s: BoundarySymbol, ctx: NumericContext,
     return CompiledSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
 
 
-def evaluate(sym, ctx: NumericContext, point=None):
-    """Dispatch on the symbolic type; 4x4 matrices (tuples of rows of
-    complex) for Clifford-valued data, complex scalars for ScalarExpr."""
-    if isinstance(sym, ScalarExpr):
-        return eval_scalar(sym, ctx, point)
-    if isinstance(sym, CliffordElem):
-        return eval_clifford(sym, ctx, point)
-    if isinstance(sym, BoundarySymbol):
-        return eval_symbol(sym, ctx, point)
-    raise TypeError(f"cannot evaluate {type(sym).__name__}")
-
-
 # -- quadrature --------------------------------------------------------------
 
 # QUADPACK dqk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point

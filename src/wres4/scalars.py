@@ -13,9 +13,8 @@ form, equality is syntactic, and powers of 1/f need no quotient rule.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import gcd
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import (
     DivisionByZero,
@@ -45,8 +44,6 @@ _INDEX = {name: k for k, name in enumerate(NAMES)}
 _F_IDX = _INDEX["F"]
 _XI3_IDX = _INDEX["XI3"]
 
-IntLike = Union[int, Fraction]
-
 
 def fij(j: int, k: int) -> str:
     """Canonical Hessian indeterminate name for directions j, k (1-based)."""
@@ -64,30 +61,34 @@ class GaussianRational:
     The triple is canonical: d > 0 and gcd(p, q, d) == 1, and zero is
     (0, 0, 1), so equal values have equal triples.  Each +, -, * and /
     works on the integers and normalises its result with one gcd, never
-    building a Fraction.  `re` and `im` are read-only Fraction views.
+    building a Fraction.  The parts may be ints or any rationals with
+    `numerator` and `denominator` (a Fraction among them), never floats.
+    `re` and `im` are read-only Fraction views; `fractions` is imported
+    only where one is built.
     """
 
     __slots__ = ("p", "q", "d")
 
-    def __init__(self, re: IntLike = 0, im: IntLike = 0):
+    def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
             self.p, self.q, self.d = re, im, 1
             return
-        re, im = Fraction(re), Fraction(im)
+        if not (hasattr(re, "denominator") and hasattr(im, "denominator")):
+            raise TypeError(f"not a Gaussian rational: {re!r}, {im!r}")
         a, b = re.denominator, im.denominator
-        # Over the lcm of two reduced denominators no prime divides all
-        # three of p, q, d.
-        d = a * b // gcd(a, b)
-        self.p = re.numerator * (d // a)
-        self.q = im.numerator * (d // b)
-        self.d = d
+        g = _reduced(re.numerator * b, im.numerator * a, a * b)
+        self.p, self.q, self.d = g.p, g.q, g.d
 
     @property
-    def re(self) -> Fraction:
+    def re(self):
+        from fractions import Fraction
+
         return Fraction(self.p, self.d)
 
     @property
-    def im(self) -> Fraction:
+    def im(self):
+        from fractions import Fraction
+
         return Fraction(self.q, self.d)
 
     def __add__(self, other):
@@ -141,7 +142,7 @@ class GaussianRational:
         return not self.p and not self.q
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if _exact(other):
             other = _coerce_gauss(other)
             return (self.p == other.p and self.q == other.q
                     and self.d == other.d)
@@ -151,10 +152,15 @@ class GaussianRational:
         # A real value hashes like the int or Fraction it equals.
         if self.q:
             return hash((self.p, self.q, self.d))
-        return hash(self.p) if self.d == 1 else hash(Fraction(self.p, self.d))
+        return hash(self.p) if self.d == 1 else hash(self.re)
 
     def __complex__(self):
         return complex(self.p / self.d, self.q / self.d)
+
+    def __float__(self):
+        if self.q:
+            raise TypeError(f"{self} is not real")
+        return self.p / self.d
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -168,6 +174,19 @@ class GaussianRational:
 
 
 _new = object.__new__
+
+
+def _exact(x) -> bool:
+    """Whether x is a GaussianRational or an int, Fraction or other
+    rational with `numerator` and `denominator`; a float is not."""
+    return isinstance(x, GaussianRational) or hasattr(x, "denominator")
+
+
+def rational(n: int, d: int = 1) -> GaussianRational:
+    """The real Gaussian rational n/d, in lowest terms."""
+    if not d:
+        raise DivisionByZero("zero denominator")
+    return _reduced(-n, 0, -d) if d < 0 else _reduced(n, 0, d)
 
 
 def _reduced(p: int, q: int, d: int) -> GaussianRational:
@@ -199,7 +218,7 @@ def _gmul(a: GaussianRational, b: GaussianRational) -> GaussianRational:
 def _coerce_gauss(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if _exact(x):
         return GaussianRational(x)
     raise TypeError(f"cannot coerce {x!r} to GaussianRational")
 
@@ -387,7 +406,7 @@ class ScalarExpr:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational, ScalarExpr)):
+        if isinstance(other, ScalarExpr) or _exact(other):
             return self.terms == _coerce_scalar(other).terms
         return NotImplemented
 
@@ -493,7 +512,7 @@ class ScalarExpr:
 def _coerce_scalar(x) -> ScalarExpr:
     if isinstance(x, ScalarExpr):
         return x
-    if isinstance(x, (int, Fraction, GaussianRational)):
+    if _exact(x):
         return ScalarExpr.const(x)
     raise TypeError(f"cannot coerce {x!r} to ScalarExpr")
 
@@ -563,9 +582,9 @@ def _xi3_squared_power(q: int) -> ScalarExpr:
     return rel ** q
 
 
-def half(x=1) -> ScalarExpr:
-    return ScalarExpr.const(Fraction(x, 2))
+def half(x: int = 1) -> ScalarExpr:
+    return frac(x, 2)
 
 
 def frac(a: int, b: int) -> ScalarExpr:
-    return ScalarExpr.const(Fraction(a, b))
+    return ScalarExpr.const(rational(a, b))

@@ -12,16 +12,18 @@ formal indeterminate OMEGA; numeric evaluation binds it later.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from .scalars import (
     OMEGA,
+    GaussianRational,
     ScalarExpr,
     _INDEX,
     _acc,
+    _gmul,
     _mono_exp,
     _wrap,
+    rational,
 )
 
 _XI_IDX = tuple(_INDEX[name] for name in ("XI1", "XI2", "XI3"))
@@ -31,13 +33,13 @@ def _double_factorial(k: int) -> int:
     return prod(range(k, 1, -2))
 
 
-def moment(a: int, b: int, c: int) -> Fraction:
+def moment(a: int, b: int, c: int) -> GaussianRational:
     """Average of xi_1^a xi_2^b xi_3^c over the unit sphere."""
     if a % 2 or b % 2 or c % 2:
-        return Fraction(0)
+        return rational(0)
     num = (_double_factorial(a - 1) * _double_factorial(b - 1)
            * _double_factorial(c - 1))
-    return Fraction(num, _double_factorial(a + b + c + 1))
+    return rational(num, _double_factorial(a + b + c + 1))
 
 
 def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
@@ -50,8 +52,8 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
     t: dict = {}
     for m, coeff in e.terms.items():
         w = moment(*(_mono_exp(m, idx) for idx in _XI_IDX))
-        if w == 0:
+        if w.is_zero():
             continue
         rest = tuple(p for p in m if p[0] not in _XI_IDX)
-        _acc(t, rest, coeff * w)
+        _acc(t, rest, _gmul(coeff, w))
     return _wrap(t) * OMEGA

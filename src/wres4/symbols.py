@@ -15,11 +15,10 @@ x-derivatives are rejected; the computation never needs them.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .clifford import CliffordElem, _cmul_into, _elem, _merged
+from .clifford import CliffordElem, _cadd_into, _cmul_into, _elem, _merged
 from .errors import (
     NonInvertibleLeadingSymbol,
     ShellViolation,
@@ -32,6 +31,7 @@ from .scalars import (
     ScalarExpr,
     U_VAR,
     _coerce_scalar,
+    frac,
     half,
     reduce_sphere,
     usq,
@@ -90,10 +90,6 @@ class XinPoly:
     def d_xin(self) -> "XinPoly":
         return XinPoly({d - 1: e.scale(ScalarExpr.const(d))
                         for d, e in self.coeffs.items() if d})
-
-    def mul_w(self, k: int) -> "XinPoly":
-        """Multiply by W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
-        return self.mul(_w_power(k))
 
     def mul_shell(self, da: int, db: int) -> "XinPoly":
         """Multiply by (xi_n - i)**da (xi_n + i)**db."""
@@ -169,11 +165,6 @@ class BoundarySymbol:
     def from_poly(poly: XinPoly, wpow: int = 0) -> "BoundarySymbol":
         return BoundarySymbol(OFF, {wpow: poly})
 
-    @staticmethod
-    def on_shell_term(poly: XinPoly, a: int, b: int,
-                      xder: int = 0) -> "BoundarySymbol":
-        return BoundarySymbol(ON, {(a, b): poly}, xder)
-
     # -- ring structure ----------------------------------------------------
     def _check_same_shell(self, other: "BoundarySymbol"):
         if self.shell != other.shell:
@@ -220,7 +211,8 @@ class BoundarySymbol:
         """Single-term form over the common denominator.
 
         Off-shell, the opaque U is expanded to XI1^2+XI2^2+XI3^2 so that
-        Clifford squares of c(xi') cancel exactly against W powers.
+        Clifford squares of c(xi') cancel exactly against W powers.  A key
+        already at the common denominator is added without products.
         """
         if not self.terms:
             return BoundarySymbol(self.shell, {}, self.xder)
@@ -230,13 +222,14 @@ class BoundarySymbol:
             expand = {"U": usq()}
             for p, poly in self.terms.items():
                 poly = poly.map_coeffs(lambda e: e.substitute(expand))
-                _mul_into(total, poly, _w_power(top - p), _cmul_into)
+                _mul_into(total, poly, _w_power(top - p),
+                          _cmul_into if top - p else _cadd_into)
         else:
             top = tuple(map(max, zip(*self.terms)))
             for (a, b), poly in self.terms.items():
                 poly = poly.map_coeffs(lambda e: e.map_scalars(reduce_sphere))
                 _mul_into(total, poly, _pole_factor(top[0] - a, top[1] - b),
-                          _cmul_into)
+                          _cmul_into if (a, b) != top else _cadd_into)
         return BoundarySymbol(self.shell, {top: _xin(total)}, self.xder)
 
     def is_zero(self) -> bool:
@@ -396,7 +389,7 @@ def sigma0_dirac() -> CliffordElem:
         # omega_{n,i}(e_i) = HP/2, omega_{i,n}(e_i) = -HP/2
         out = out + (ci * c4 * ci).scale(half() * HP)
         out = out + (ci * ci * c4).scale(-half() * HP)
-    return out.scale(ScalarExpr.const(Fraction(-1, 4)))
+    return out.scale(frac(-1, 4))
 
 
 def sandwich(mid: CliffordElem) -> BoundarySymbol:
@@ -420,7 +413,7 @@ def _sigma(op: str, order: int) -> BoundarySymbol:
     if order == -1:
         return _invert_leading(_sigma(op, 1))
     if order == -2:
-        return parametrix(_sigma(op, 1), _sigma(op, 0))[1]
+        return parametrix(_sigma(op, 1), _sigma(op, 0), r1=_sigma(op, -1))[1]
     if order not in (1, 0):
         raise ValueError("order must be one of 1, 0, -1, -2")
     return _definition(op)[1 - order]
@@ -458,11 +451,12 @@ def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:
     )
 
 
-def parametrix(s1: BoundarySymbol, s0: BoundarySymbol):
+def parametrix(s1: BoundarySymbol, s0: BoundarySymbol, *,
+               r1: BoundarySymbol | None = None):
     """(sigma_-1, sigma_-2) of the inverse of an operator with symbols
-    s1 + s0, by order-by-order inversion of the composition identity
-    (Shubin 2001, sec. 5; Gilkey 1995, sec. 1.7)."""
-    r1 = _invert_leading(s1)
+    s1 + s0 (r1: s1's inverse, if known), by order-by-order inversion of
+    the composition identity (Shubin 2001, sec. 5; Gilkey 1995, sec. 1.7)."""
+    r1 = _invert_leading(s1) if r1 is None else r1
     # the order -1 coefficient of the composed symbol must vanish:
     # s1*r2 + [s0*r1 + sum_j (-i) d_{xi_j} s1 * d_{x_j} r1] = 0, and r1 is
     # the inverse of s1

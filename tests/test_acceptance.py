@@ -38,7 +38,6 @@ from wres4.oracle import (
     NumericContext,
     crosscheck_case,
     eval_scalar,
-    evaluate,
     quad_contour_pi_plus,
     quad_line,
     quad_sphere,
@@ -61,6 +60,8 @@ from wres4.symbols import (
     restrict_on_shell,
     sandwich,
 )
+
+from helpers import evaluate, known_ids, on_shell_term
 
 SEEDS = (11, 23, 42, 101, 977)
 HP = ScalarExpr.var("HP")
@@ -89,7 +90,7 @@ def crosschecks():
 def scalar_term(coeffs, a, b):
     poly = XinPoly({d: CliffordElem.scalar(ScalarExpr.const(c))
                     for d, c in coeffs.items()})
-    return BoundarySymbol.on_shell_term(poly, a, b)
+    return on_shell_term(poly, a, b)
 
 
 def rand_clifford(rng, depth=3):
@@ -152,7 +153,6 @@ def test_criterion3_projection_anchors():
     # at 10 sample points
     engine_419 = pi_plus(restrict_on_shell(build_sigma("D", -1)))
     assert anchors.compare(engine_419, anchors.anchor("4.19")) == "mismatch"
-    from wres4.cli import known_ids
     assert "4.19" in known_ids()
     ctx = NumericContext(42)
     full = restrict_on_shell(build_sigma("D", -1))
@@ -225,7 +225,6 @@ def test_criterion5_case_totals(phi, crosschecks):
                                anchors.anchor(f"case_{label}")) == "match"
     # a2 and a3 are ledgered mismatches, numerically adjudicated on every
     # seed to 1e-8 relative
-    from wres4.cli import known_ids
     ids = known_ids()
     for label in ("a2", "a3"):
         assert anchors.compare(phi[label],
@@ -265,7 +264,6 @@ def test_criterion6_phi_assembly(phi, crosschecks):
                     for rec in crosschecks[seed].values())
         assert abs(numeric_phi) < 1e-8 * max(1.0, scale)
     # (iv) the relation to the stored reference total is in the ledger
-    from wres4.cli import known_ids
     assert anchors.compare(total, anchors.anchor("4.52")) == "mismatch"
     assert "4.52" in known_ids()
     assert total.is_zero()
@@ -282,7 +280,6 @@ def test_criterion7_interior():
     braces0 = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV) + E0)
     assert braces0 == ScalarExpr.const(-4) * (frac(1, 12) * S_CURV)
     # trace comparison is ledgered
-    from wres4.cli import known_ids
     assert anchors.compare(trace_interior(), trace_braces()) == "mismatch"
     assert "3.22" in known_ids()
     # residue prefactor reproduced exactly

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from wres4 import anchors
-from wres4.cli import build_parser, known_ids, load_discrepancies, run
+from wres4 import anchor_table, anchors
+from wres4.cli import build_parser, load_discrepancies, run
 from wres4.scalars import ScalarExpr
 from wres4.sexpr import dumps
 from wres4.symbols import BoundarySymbol, jet_mid, sandwich
+
+from helpers import known_ids
 
 
 def _row(capsys, ident):
@@ -168,10 +170,10 @@ class TestExitCodes:
                                                     monkeypatch):
         # 4.15 carries one x_n-derivative; an anchor rebuilt without it
         # must not match
-        table = dict(anchors._build_anchors())
+        table = dict(anchor_table._build_anchors())
         ref = table["4.15"]
         table["4.15"] = BoundarySymbol(ref.shell, ref.terms, 0)
-        monkeypatch.setattr(anchors, "_build_anchors", lambda: table)
+        monkeypatch.setattr(anchor_table, "_build_anchors", lambda: table)
         assert run(["compute-phi", "--format", "json"]) == 1
         assert _row(capsys, "4.15")["verdict"] == "mismatch"
 

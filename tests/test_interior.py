@@ -1,7 +1,7 @@
 """Interior Lichnerowicz-type data: the endomorphism E, its closed form,
 the trace, and the residue prefactor."""
 
-from wres4 import anchors
+from wres4 import anchors, interior
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.interior import (
     E_closed_form,
@@ -22,6 +22,23 @@ FINV = ScalarExpr.f_inverse
 class TestEndomorphism:
     def test_raw_equals_engine_closed_form(self):
         assert compute_E_at_x0() == E_closed_form_engine()
+
+    def test_E_is_built_once_for_the_row_and_the_trace(self, monkeypatch):
+        # row 3.19 and trace_interior share one E per process
+        real, calls = interior.df_norm_sq, [0]
+
+        def counting():
+            calls[0] += 1
+            return real()
+
+        monkeypatch.setattr(interior, "df_norm_sq", counting)
+        interior.compute_E_at_x0.cache_clear()
+        E = compute_E_at_x0()
+        trace = trace_interior()
+        assert calls == [1]
+        assert E is compute_E_at_x0()
+        assert trace == spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
+                                   + E)
 
     def test_reference_closed_form_differs_by_scalar(self):
         # documented discrepancy: the two closed forms differ by exactly

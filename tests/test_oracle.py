@@ -25,7 +25,6 @@ from wres4.oracle import (
     _trace_coefficients,
     eval_clifford,
     eval_symbol,
-    evaluate,
     _qags21,
     _qk21,
     _XGK,
@@ -44,6 +43,8 @@ from wres4.symbols import (
     derive,
     restrict_on_shell,
 )
+
+from helpers import evaluate, on_shell_term
 
 
 def rand_elem(rng, depth=3):
@@ -328,7 +329,7 @@ class TestLoweredEvaluator:
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
-        lambda poly, k: BoundarySymbol.on_shell_term(poly, k, k),
+        lambda poly, k: on_shell_term(poly, k, k),
         lambda poly, k: BoundarySymbol.from_poly(poly, k),
     ], ids=["on", "off"])
     def test_unbound_name_in_coefficient(self, name, make):

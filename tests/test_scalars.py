@@ -21,6 +21,7 @@ from wres4.scalars import (
     GaussianRational,
     ScalarExpr,
     frac,
+    rational,
     reduce_sphere,
 )
 
@@ -80,6 +81,34 @@ class TestGaussianRational:
         assert {a: 1}.get(b) == 1
         assert {GAUSS_I: 1}.get(GaussianRational(0, 1)) == 1
         assert {GAUSS_I: 1}.get(1) is None
+
+
+    def test_parts_are_exact_rationals_only(self):
+        # ints and anything with numerator/denominator; a float is rejected
+        assert GaussianRational(Fraction(2, 4), Fraction(-6, 4)) == (
+            GaussianRational(1, -3) / 2)
+        for bad in (0.5, 1j, "1", None):
+            with pytest.raises(TypeError):
+                GaussianRational(bad)
+            with pytest.raises(TypeError):
+                GaussianRational(1, bad)
+
+    @pytest.mark.parametrize("n, d", [(2, 4), (-3, -6), (3, -6), (0, 5),
+                                      (7, 1)])
+    def test_rational_is_in_lowest_terms(self, n, d):
+        g = rational(n, d)
+        assert g == Fraction(n, d) and g.q == 0
+        assert g.d > 0 and gcd(g.p, g.d) == 1
+
+    def test_rational_rejects_a_zero_denominator(self):
+        with pytest.raises(DivisionByZero):
+            rational(1, 0)
+
+    def test_float_of_a_real_value(self):
+        assert float(rational(1, 3)) == 1 / 3
+        assert float(GaussianRational(-5)) == -5.0
+        with pytest.raises(TypeError):
+            float(GAUSS_I)
 
 
 class TestScalarExpr:

@@ -3,9 +3,9 @@
 Engine modules return plain values; only the CLI pairs a value with its
 stored reference, and the referee reads the engine's values without ever
 building the reference table.  No runtime module imports numpy or scipy.
-Each CLI verb loads only the modules it runs, and behaves the same as a
-subprocess (`python -m wres4.cli`) as through `cli.run`.  The sources stay
-within a line budget.
+Each CLI verb loads only the modules it runs (never `fractions`), and
+behaves the same as a subprocess (`python -m wres4.cli`) as through
+`cli.run`.  The sources stay within a line budget.
 """
 
 import argparse
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from wres4 import CASE_LABELS, anchors
+from wres4 import CASE_LABELS, anchor_table
 from wres4.boundary import enumerate_cases
 from wres4.cli import build_parser, run
 
@@ -26,7 +26,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wres4"
 ENGINE = ("scalars", "clifford", "symbols", "halfplane", "sphere",
           "boundary", "interior")
-FORBIDDEN = {"anchors", "cli", "oracle"}
+FORBIDDEN = {"anchors", "anchor_table", "cli", "oracle"}
 
 
 def _imported_names(tree: ast.AST):
@@ -58,10 +58,10 @@ def test_no_module_imports_numpy_or_scipy(path):
 
 
 def test_crosscheck_never_builds_the_anchor_table(capsys):
-    anchors._build_anchors.cache_clear()
+    anchor_table._build_anchors.cache_clear()
     assert run(["crosscheck", "--seed", "42", "--case", "b"]) == 0
     capsys.readouterr()
-    assert anchors._build_anchors.cache_info().misses == 0
+    assert anchor_table._build_anchors.cache_info().misses == 0
 
 
 # -- what each verb loads ----------------------------------------------------
@@ -76,7 +76,8 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 QUICK = {"anchors", "cli", "clifford", "errors", "scalars", "sexpr"}
-PHI = QUICK | {"symbols", "boundary", "halfplane", "sphere"}
+# only the verbs that look a reference up by id compile the table
+PHI = QUICK | {"anchor_table", "symbols", "boundary", "halfplane", "sphere"}
 LOADED = {
     "verify-traces": QUICK,
     "compute-interior": QUICK | {"interior"},
@@ -103,6 +104,20 @@ def test_each_verb_loads_only_the_modules_it_runs(verb):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)
     assert {m[len("wres4."):] for m in loaded} == LOADED[verb]
+
+
+@pytest.mark.parametrize("verb", sorted(LOADED))
+def test_no_verb_loads_fractions_or_decimal(verb):
+    # the engine's rationals are integer triples and its constants are
+    # built as such; -S keeps a site hook from loading either module first
+    code = ("import contextlib, io, sys, wres4.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    wres4.cli.run(sys.argv[1:])\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = _python("-S", "-c", code, verb,
+                   *(["--seed", "42", "--case", "c"]
+                     if verb == "crosscheck" else []))
+    assert (proc.stdout, proc.returncode) == ("[]\n", 0), proc.stderr
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():

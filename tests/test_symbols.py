@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres4 import anchors, sexpr
+from wres4 import anchors, sexpr, symbols
 from wres4.clifford import CliffordElem
 from wres4.errors import NonInvertibleLeadingSymbol, UnsupportedOrder
 from wres4.scalars import GaussianRational, ScalarExpr, usq
@@ -28,6 +28,8 @@ from wres4.symbols import (
     sandwich,
     sigma0_dirac,
 )
+
+from helpers import mul_w
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -218,6 +220,57 @@ class TestGoldenForms:
             assert sexpr.dumps(value) + "\n" == text
 
 
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name from here on; returns the count."""
+    real, calls = getattr(module, name), [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestBuiltOnce:
+    def test_sigma_minus_two_reuses_the_cached_inverse(self, monkeypatch):
+        # sigma_-2 hands the cached sigma_-1 to the parametrix, so sigma_1
+        # is inverted once per operator for both orders
+        calls = _counting(monkeypatch, symbols, "_invert_leading")
+        symbols._sigma.cache_clear()
+        try:
+            build_sigma("Dtilde", -1)
+            r2 = build_sigma("Dtilde", -2)
+        finally:
+            symbols._sigma.cache_clear()
+        assert calls == [1]
+        _, ref = parametrix(build_sigma("Dtilde", 1),
+                            build_sigma("Dtilde", 0))
+        assert r2.canonical() == ref.canonical()
+
+    def test_each_closed_form_is_built_once(self, monkeypatch):
+        # Dtilde's sigma_-2 closed form takes D's from the cache: one
+        # sandwich for D, two more for Dtilde
+        calls = _counting(monkeypatch, symbols, "sandwich")
+        anchors.lemma41.cache_clear()
+        first = anchors.lemma41("D", -2)
+        anchors.lemma41("Dtilde", -2)
+        assert anchors.lemma41("D", -2) is first
+        assert calls == [3]
+
+    @pytest.mark.parametrize("s", [
+        build_sigma("D", -1),
+        restrict_on_shell(build_sigma("Dtilde", -1)),
+    ], ids=["off", "on"])
+    def test_canonical_forms_no_product_by_one(self, monkeypatch, s):
+        # a single key already sits at the common denominator: its terms
+        # are added as they are, with no product by the constant 1
+        calls = _counting(monkeypatch, symbols, "_cmul_into")
+        c = s.canonical()
+        assert calls == [0]
+        assert c.terms == s.terms
+
+
 class TestEquality:
     def test_xn_derivative_count_is_compared(self):
         # two symbols that differ only in their x_n-derivative count print
@@ -240,6 +293,6 @@ class TestXinPoly:
 
     def test_mul_w(self):
         p = XinPoly.const(CliffordElem.one())
-        q = p.mul_w(1)
+        q = mul_w(p, 1)
         assert q.coeffs[2] == CliffordElem.one()
         assert q.coeffs[0] == CliffordElem.scalar(usq())
