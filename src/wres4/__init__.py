@@ -14,17 +14,3 @@ __version__ = "0.1.0"
 # live here so that the CLI can offer them as `--case` choices without
 # loading the boundary stack.
 CASE_LABELS = ("a1", "a2", "a3", "b", "c")
-
-__all__ = [
-    "anchors",
-    "boundary",
-    "clifford",
-    "errors",
-    "halfplane",
-    "interior",
-    "oracle",
-    "scalars",
-    "sexpr",
-    "sphere",
-    "symbols",
-]

@@ -158,13 +158,9 @@ class CliffordElem:
         return NotImplemented
 
     def __repr__(self):
-        if not self.terms:
-            return "CliffordElem<0>"
-        bits = []
-        for m in sorted(self.terms):
-            label = "1" if not m else "".join(f"c{i}" for i in m)
-            bits.append(f"({self.terms[m]!r})*{label}")
-        return "CliffordElem<" + " + ".join(bits) + ">"
+        from .sexpr import dumps
+
+        return dumps(self)
 
     # -- calculus ----------------------------------------------------------
     def map_scalars(self, fn) -> "CliffordElem":

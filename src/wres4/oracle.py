@@ -2,8 +2,10 @@
 
 Explicit 4x4 gamma matrices (tuples of Python complex), seeded random
 parameter assignments, and quadrature for line, contour, and sphere
-integrals.  Every symbolic value can be evaluated to a 4x4 complex matrix
-or a complex scalar.  The per-case referee takes each case's factors and
+integrals.  Every scalar and Clifford value can be evaluated to a complex
+scalar or a 4x4 complex matrix, and every on-shell boundary symbol to a 4x4
+complex matrix; the referee lowers no off-shell symbol, since every factor
+it is given is on shell.  The per-case referee takes each case's factors and
 prefactor from the engine, so derivatives, restriction and pi+ are the
 engine's own; it recomputes the product, the trace and the two integrals.
 Only the tests use `quad_contour_pi_plus`.
@@ -26,14 +28,14 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .clifford import CliffordElem
-from .errors import MissingBinding, NonConvergence
+from .errors import MissingBinding, NonConvergence, ShellViolation
 from .scalars import NAMES, ScalarExpr
 from .symbols import OFF, BoundarySymbol
 
 _POINT_NAMES = ("XI1", "XI2", "XI3", "U")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
-_LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES)}
+_LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES[:3])}
 
 Matrix = Tuple[Tuple[complex, ...], ...]
 _IDENTITY: Matrix = tuple(tuple(complex(i == j) for j in range(4))
@@ -107,16 +109,12 @@ class NumericContext:
         self.rep = rep if rep is not None else GammaRep()
 
 
-def _with_norm(x1, x2, x3) -> Tuple[float, float, float, float]:
-    """The values of XI1, XI2, XI3 and U = |xi'|^2 at xi' = (x1, x2, x3)."""
-    return (x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3)
-
-
 def _point_bindings(point) -> Dict[str, complex]:
     """xi' and U = |xi'|^2 of a (xi', xi_n) point; no scalar holds xi_n."""
     if point is None:
         return {}
-    return dict(zip(_POINT_NAMES, _with_norm(*point[0])))
+    x1, x2, x3 = point[0]
+    return dict(zip(_POINT_NAMES, (x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3)))
 
 
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
@@ -370,38 +368,37 @@ def quad_sphere(p: Callable[[float, float, float], complex],
 
 # -- compiled symbols and the end-to-end referee -----------------------------
 
-Exps = Tuple[int, int, int, int]
+Exps = Tuple[int, int, int]
 
 
-def _monomial(point: Tuple[float, float, float, float], exps: Exps):
-    """XI1**a XI2**b XI3**c U**d at point = (x1, x2, x3, u)."""
-    return (point[0] ** exps[0] * point[1] ** exps[1]
-            * point[2] ** exps[2] * point[3] ** exps[3])
+def _monomial(point: Tuple[float, float, float], exps: Exps):
+    """XI1**a XI2**b XI3**c at point = (x1, x2, x3)."""
+    return point[0] ** exps[0] * point[1] ** exps[1] * point[2] ** exps[2]
 
 
 class LoweredSymbol:
-    """A boundary symbol bound to a numeric context.
+    """An on-shell boundary symbol bound to a numeric context.
 
     With HP, F, the f-jets, S, OMEGA and PI bound, each coefficient is a
-    polynomial in the point variables XI1, XI2, XI3, U.  The entries, each
-    xi_n**deg over its pole key, are put over one common denominator
-    (xi_n - r)**A (xi_n + r)**B with r = i on shell and r = i*sqrt(U) off
-    shell (where A = B and the denominator is (U + xi_n**2)**A), so the
-    symbol is a polynomial in xi_n over that one scalar.  `lift` maps each
-    (xi_n power, exponents of XI1, XI2, XI3, U) to its flattened 4x4 matrix
-    coefficient, with the bound weights, the gamma basis matrices and the
-    numerators over the common denominator folded in.  On shell the
-    reciprocal denominator depends on xi_n alone, and `recips` keeps it per
-    xi_n for every CompiledSymbol of this factor.  A coefficient holding an
-    unbound name raises MissingBinding.
+    polynomial in the point variables XI1, XI2, XI3; after the restriction
+    to the shell no coefficient holds U.  The entries, each xi_n**deg over
+    its pole key, are put over one common denominator
+    (xi_n - i)**A (xi_n + i)**B, so the symbol is a polynomial in xi_n over
+    that one scalar.  `lift` maps each (xi_n power, exponents of XI1, XI2,
+    XI3) to its flattened 4x4 matrix coefficient, with the bound weights,
+    the gamma basis matrices and the numerators over the common
+    denominator folded in.  The reciprocal denominator depends on xi_n
+    alone, and `recips` keeps it per xi_n for every CompiledSymbol of this
+    factor.  An off-shell symbol raises ShellViolation, and a coefficient
+    holding an unbound name (U among them) raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):
-        self.shell = s.shell
+        if s.shell == OFF:
+            raise ShellViolation("the referee lowers on-shell symbols only")
         entries = [(key, deg, coeff) for key, poly in s.terms.items()
                    for deg, coeff in poly.coeffs.items()]
-        nums, self.poles = _numerators(s.shell,
-                                       [key for key, _, _ in entries])
+        nums, self.poles = _numerators([key for key, _, _ in entries])
         flat: Dict[Tuple[int, ...], List[Tuple[int, complex]]] = {}
         lift: Dict[Tuple[int, Exps], List[complex]] = {}
         for (_, deg, coeff), num in zip(entries, nums):
@@ -411,15 +408,15 @@ class LoweredSymbol:
                            for m in row]
                     flat[basis] = [(f, m) for f, m in enumerate(mat) if m]
                 for mono, c in scalar.terms.items():
-                    exps, weight = [0, 0, 0, 0], complex(c)
+                    exps, weight = [0, 0, 0], complex(c)
                     for idx, k in mono:
                         if idx in _LOWERED_POINT:
                             exps[_LOWERED_POINT[idx]] = k
                         else:
                             weight *= _lookup(ctx.assignment, NAMES[idx]) ** k
-                    x1, x2, x3, u = exps
-                    for (n, p), c_num in num.items():
-                        vec = lift.setdefault((deg + n, (x1, x2, x3, u + p)),
+                    point_exps = tuple(exps)
+                    for n, c_num in num.items():
+                        vec = lift.setdefault((deg + n, point_exps),
                                               [0j] * 16)
                         w = c_num * weight
                         for f, m in flat[basis]:
@@ -428,18 +425,13 @@ class LoweredSymbol:
         self.recips: Dict[complex, complex] = {}
 
 
-def _numerators(shell: str, keys: list):
-    """Each pole key as a numerator over the common denominator.
+def _numerators(keys: list):
+    """Each on-shell pole key as a numerator over the common denominator.
 
-    Returns one dict {(n, p): c} per key, holding the nonzero terms
-    c xi_n**n U**p, and the pole orders (A, B) of the common denominator.
-    On shell the numerator of key (a, b) is (xi_n - i)**(A - a)
-    (xi_n + i)**(B - b); off shell that of key k is (U + xi_n**2)**(A - k).
+    Returns one dict {n: c} per key, holding the nonzero terms c xi_n**n of
+    the numerator (xi_n - i)**(A - a) (xi_n + i)**(B - b) of key (a, b),
+    and the pole orders (A, B) of the common denominator.
     """
-    if shell == OFF:
-        A = max(keys, default=0)
-        return [{(2 * j, A - k - j): math.comb(A - k, j)
-                 for j in range(A - k + 1)} for k in keys], (A, A)
     A = max((a for a, _ in keys), default=0)
     B = max((b for _, b in keys), default=0)
     nums = []
@@ -450,37 +442,33 @@ def _numerators(shell: str, keys: list):
             # integers
             coeffs = [(coeffs[n - 1] if n else 0) - root * c
                       for n, c in enumerate(coeffs + [0])]
-        nums.append({(n, 0): c for n, c in enumerate(coeffs) if c})
+        nums.append({n: c for n, c in enumerate(coeffs) if c})
     return nums, (A, B)
 
 
 class CompiledSymbol:
     """A lowered symbol at one tangential covector xi' = (x1, x2, x3).
 
-    A call at xi_n returns 1/((xi_n - r)**A (xi_n + r)**B), the reciprocal
-    of the symbol's common denominator.  On shell r = i, so the value is
-    kept in the LoweredSymbol's `recips` and shared by all its instances;
-    off shell r = i*sqrt(U) and the instance keeps its own.  `matrix(xi_n)`
-    is the symbol's 4x4 value: the numerator's coefficients at this point
-    (computed on first use) by Horner's rule in xi_n, times that reciprocal.
+    A call at xi_n returns 1/((xi_n - i)**A (xi_n + i)**B), the reciprocal
+    of the symbol's common denominator.  It depends on xi_n alone, so it is
+    kept in the LoweredSymbol's `recips` and shared by all its instances.
+    `matrix(xi_n)` is the symbol's 4x4 value: the numerator's coefficients
+    at this point (computed on first use) by Horner's rule in xi_n, times
+    that reciprocal.
     """
 
     def __init__(self, lowered: LoweredSymbol,
                  xi_prime: Tuple[float, float, float]):
         self.lowered = lowered
-        self.point = _with_norm(*xi_prime)
-        if lowered.shell == OFF:
-            self.root, self._recips = 1j * math.sqrt(self.point[3]), {}
-        else:
-            self.root, self._recips = 1j, lowered.recips
+        self.point = xi_prime
+        self._recips = lowered.recips
 
     def __call__(self, xi_n: complex) -> complex:
         recip = self._recips.get(xi_n)
         if recip is None:
             a, b = self.lowered.poles
-            r = self.root
-            recip = self._recips[xi_n] = 1.0 / ((xi_n - r) ** a
-                                                 * (xi_n + r) ** b)
+            recip = self._recips[xi_n] = 1.0 / ((xi_n - 1j) ** a
+                                                 * (xi_n + 1j) ** b)
         return recip
 
     @functools.cached_property
@@ -529,8 +517,7 @@ def _trace_coefficients(left: LoweredSymbol, right: LoweredSymbol):
     rows = [[table[e].get(j, 0j) for e in monos] for j in range(degree + 1)]
 
     def at(x1: float, x2: float, x3: float) -> List[complex]:
-        point = _with_norm(x1, x2, x3)
-        values = [_monomial(point, e) for e in monos]
+        values = [_monomial((x1, x2, x3), e) for e in monos]
         return [sum(c * v for c, v in zip(row, values)) for row in rows]
 
     return at

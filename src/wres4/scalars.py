@@ -63,8 +63,7 @@ class GaussianRational:
     works on the integers and normalises its result with one gcd, never
     building a Fraction.  The parts may be ints or any rationals with
     `numerator` and `denominator` (a Fraction among them), never floats.
-    `re` and `im` are read-only Fraction views; `fractions` is imported
-    only where one is built.
+    `fractions` is imported only where one is built.
     """
 
     __slots__ = ("p", "q", "d")
@@ -78,18 +77,6 @@ class GaussianRational:
         a, b = re.denominator, im.denominator
         g = _reduced(re.numerator * b, im.numerator * a, a * b)
         self.p, self.q, self.d = g.p, g.q, g.d
-
-    @property
-    def re(self):
-        from fractions import Fraction
-
-        return Fraction(self.p, self.d)
-
-    @property
-    def im(self):
-        from fractions import Fraction
-
-        return Fraction(self.q, self.d)
 
     def __add__(self, other):
         return _gadd(self, _coerce_gauss(other))
@@ -152,7 +139,11 @@ class GaussianRational:
         # A real value hashes like the int or Fraction it equals.
         if self.q:
             return hash((self.p, self.q, self.d))
-        return hash(self.p) if self.d == 1 else hash(self.re)
+        if self.d == 1:
+            return hash(self.p)
+        from fractions import Fraction
+
+        return hash(Fraction(self.p, self.d))
 
     def __complex__(self):
         return complex(self.p / self.d, self.q / self.d)
@@ -163,14 +154,9 @@ class GaussianRational:
         return self.p / self.d
 
     def __repr__(self):
-        return f"GaussianRational({self.re!r}, {self.im!r})"
+        from .sexpr import dumps
 
-    def __str__(self):
-        if self.q == 0:
-            return str(self.re)
-        if self.p == 0:
-            return f"{self.im}*i"
-        return f"({self.re}+{self.im}*i)"
+        return dumps(ScalarExpr.const(self))
 
 
 _new = object.__new__
@@ -265,8 +251,9 @@ class ScalarExpr:
 
     `terms` maps each monomial to its nonzero coefficient.  Every other
     denominator (|xi|^2 powers, xi_n pole factors) is owned by the
-    boundary-symbol layer.  The printed forms read the derived
-    num / F**fpow view, in which num shares no factor of F with F**fpow.
+    boundary-symbol layer.  The printed form (`sexpr.dumps`) reads the
+    derived num / F**fpow view, in which num shares no factor of F with
+    F**fpow.
     """
 
     __slots__ = ("terms",)
@@ -411,16 +398,9 @@ class ScalarExpr:
         return NotImplemented
 
     def __repr__(self):
-        k = self.fpow
-        terms = self.times_f(k).terms
-        bits = []
-        for m in sorted(terms):
-            mono = "*".join(
-                f"{NAMES[j]}^{e}" if e != 1 else NAMES[j] for j, e in m
-            )
-            bits.append(f"{terms[m]}*{mono}" if mono else str(terms[m]))
-        body = "Poly<" + (" + ".join(bits) or "0") + ">"
-        return f"ScalarExpr({body} / F^{k})" if k else f"ScalarExpr({body})"
+        from .sexpr import dumps
+
+        return dumps(self)
 
     # -- calculus ----------------------------------------------------------
     def derivative(self, name: str) -> "ScalarExpr":
@@ -478,7 +458,8 @@ class ScalarExpr:
         Each monomial splits into its unbound part and its bound names;
         the product of the bound names' powers (each power computed once
         per call) times the unbound part and the coefficient is added
-        term by term into one dict.
+        term by term into one dict.  An expression that holds no bound
+        name is returned as it is.
         """
         bind = {}
         for name, value in binding.items():
@@ -487,6 +468,8 @@ class ScalarExpr:
             bind[_INDEX[name]] = _coerce_scalar(value)
         if _F_IDX in bind and bind[_F_IDX].is_zero():
             raise ZeroDenominator("substitution maps F to zero")
+        if not any(idx in bind for m in self.terms for idx, _ in m):
+            return self
         powers: dict = {}
         t: dict = {}
         for m, c in self.terms.items():

@@ -243,7 +243,9 @@ class BoundarySymbol:
         return NotImplemented
 
     def __repr__(self):
-        return f"BoundarySymbol({self.shell!r}, {self.terms!r})"
+        from .sexpr import dumps
+
+        return dumps(self)
 
 
 # -- derivatives -----------------------------------------------------------

@@ -288,3 +288,13 @@ class TestBPlusCIdentity:
         sigma = restrict_on_shell(build_sigma("Dtilde", -1))
         c_underived = _case_integral(pi_plus(sigma), restrict_on_shell(q))
         assert not (b + c_underived).is_zero()
+
+    @IDENTITY
+    @given(_order_minus2_symbols())
+    def test_dropping_pi_plus_breaks_it(self, q):
+        # negative control: b's left factor without pi+
+        _, c = self._b_and_c(q)
+        q_on = restrict_on_shell(q)
+        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        b_unprojected = _case_integral(q_on, derive(sigma, "xi_n"))
+        assert not (b_unprojected + c).is_zero()

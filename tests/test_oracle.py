@@ -13,7 +13,7 @@ import pytest
 
 import wres4
 from wres4.clifford import CliffordElem, spin_trace
-from wres4.errors import MissingBinding
+from wres4.errors import MissingBinding, ShellViolation
 from wres4.halfplane import pi_plus
 from wres4.oracle import (
     CompiledSymbol,
@@ -162,15 +162,11 @@ class TestEvaluate:
 
 
 def reference_symbol(s, ctx, xi_prime, xi_n):
-    """eval_clifford of each coefficient times xi_n**deg over its
+    """eval_clifford of each coefficient times xi_n**deg over its on-shell
     denominator, written out term by term."""
-    u = sum(x * x for x in xi_prime)
     out = np.zeros((4, 4), dtype=complex)
     for key, poly in s.terms.items():
-        if s.shell == OFF:
-            den = (u + xi_n * xi_n) ** key
-        else:
-            den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
+        den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
         for deg, coeff in poly.coeffs.items():
             out += (np.asarray(eval_clifford(coeff, ctx, (xi_prime, None)))
                     * xi_n ** deg / den)
@@ -188,7 +184,7 @@ OFF_SHELL = {
     "D,-1": lambda: build_sigma("D", -1),
     "Dtilde,-2": lambda: build_sigma("Dtilde", -2),
     "d_xn D,-1": lambda: derive(build_sigma("D", -1), "x_n"),
-    # W-pole orders 1, 2, 3: the order-1 entry gains (U + xi_n**2)**2
+    # W-pole orders 1, 2, 3
     "D,-1 + Dtilde,-2": lambda: (build_sigma("D", -1)
                                  + build_sigma("Dtilde", -2)),
 }
@@ -226,11 +222,16 @@ class TestLoweredEvaluator:
             # a polynomial of degree at most 7 in xi_n
             assert max(n for n, _ in LoweredSymbol(s, ctx).lift) <= 7
 
-    @pytest.mark.parametrize("name", sorted(OFF_SHELL))
-    def test_off_shell_symbols_match_reference(self, ctx, name):
-        s = OFF_SHELL[name]()
-        assert s.shell == OFF
-        self.check_against_reference(s, ctx, random.Random(83))
+    def test_off_shell_symbols_are_rejected(self, ctx):
+        # every factor the referee is given is on shell, so it lowers no
+        # other; a full point does not change that
+        for make in OFF_SHELL.values():
+            s = make()
+            assert s.shell == OFF
+            with pytest.raises(ShellViolation):
+                LoweredSymbol(s, ctx)
+            with pytest.raises(ShellViolation):
+                eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
 
     def check_shared_against_fresh(self, s, ctx, rng):
         # instances of one lowered symbol at five points, three on the unit
@@ -262,13 +263,7 @@ class TestLoweredEvaluator:
             # one memo for all points: 10 xi_n values
             assert len(low.recips) == 10
 
-    @pytest.mark.parametrize("name", sorted(OFF_SHELL))
-    def test_off_shell_reciprocals_stay_per_point(self, ctx, name):
-        low = self.check_shared_against_fresh(OFF_SHELL[name](), ctx,
-                                              random.Random(97))
-        assert low.recips == {}
-
-    @pytest.mark.parametrize("shell", ["on", "off"])
+    @pytest.mark.parametrize("shell", ["on"])
     def test_zero_symbol(self, ctx, shell):
         got = eval_symbol(BoundarySymbol.zero(shell), ctx,
                           ((0.6, 0.0, 0.8), 0.5))
@@ -278,15 +273,12 @@ class TestLoweredEvaluator:
         for xi_n in XI_N:
             assert np.array_equal(compiled.matrix(xi_n), np.zeros((4, 4)))
 
-    @pytest.mark.parametrize("make", [
-        lambda: case_factor_symbols()[-1],
-        OFF_SHELL["D,-1 + Dtilde,-2"],
-    ], ids=["case factor", "off shell"])
+    @pytest.mark.parametrize("make", [lambda: case_factor_symbols()[-1]],
+                             ids=["case factor"])
     def test_shared_reciprocal_is_fresh(self, ctx, make):
         # a repeated xi_n returns the first call's reciprocal denominator,
-        # equal to a fresh evaluation; on shell it is shared by every
-        # instance of the lowered symbol, off shell (r = i sqrt(U)) it is
-        # not, and the matrix built on it is immutable
+        # equal to a fresh evaluation and shared by every instance of the
+        # lowered symbol, and the matrix built on it is immutable
         low = LoweredSymbol(make(), ctx)
         xp, other = (0.36, -0.48, 0.8), (0.6, 0.0, 1.6)
         compiled = CompiledSymbol(low, xp)
@@ -295,8 +287,8 @@ class TestLoweredEvaluator:
             assert compiled(xi_n) is first
             assert CompiledSymbol(LoweredSymbol(make(), ctx), xp)(
                 xi_n) == first
-            shared = CompiledSymbol(low, other)(xi_n)
-            assert (shared is first) == (low.shell != OFF)
+            assert CompiledSymbol(low, other)(xi_n) is first
+            assert low.recips[xi_n] is first
             assert type(compiled.matrix(xi_n)) is tuple
 
     def test_trace_polynomial_matches_matrix_trace(self, ctx):
@@ -330,8 +322,7 @@ class TestLoweredEvaluator:
     @pytest.mark.parametrize("name", ["XIN", "W"])
     @pytest.mark.parametrize("make", [
         lambda poly, k: on_shell_term(poly, k, k),
-        lambda poly, k: BoundarySymbol.from_poly(poly, k),
-    ], ids=["on", "off"])
+    ], ids=["on"])
     def test_unbound_name_in_coefficient(self, name, make):
         # xi_n and |xi|^2 are no scalar names: xi_n is the XinPoly degree
         # and |xi|^2 the term key. A coefficient that holds HP, under a
@@ -348,6 +339,14 @@ class TestLoweredEvaluator:
             eval_symbol(s, partial, ((0.6, 0.0, 0.8), 0.5))
         # the same symbol lowers once HP is bound
         eval_symbol(s, NumericContext(42), ((0.6, 0.0, 0.8), 0.5))
+
+    def test_stray_u_is_unbound(self, ctx):
+        # on shell |xi'| = 1 has replaced U, so a U left in a coefficient
+        # is an unbound name, not read as |xi'|^2 at the point
+        s = on_shell_term(XinPoly.const(CliffordElem.scalar(
+            ScalarExpr.var("U"))), 1, 1)
+        with pytest.raises(MissingBinding, match="U"):
+            eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
 
 
 class TestGaussKronrod:

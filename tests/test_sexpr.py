@@ -33,40 +33,53 @@ class TestRoundTrip:
 _XI1 = ScalarExpr.var("XI1")
 
 
+LITERAL_BYTES = [
+    # the triple (3, 2, 6): each part is reduced on its own
+    (ScalarExpr.const(GaussianRational(Fraction(1, 2), Fraction(1, 3))),
+     "(+ (/ 1 2) (* (/ 1 3) i))"),
+    (ScalarExpr.const(GaussianRational(0, Fraction(-2, 3))),
+     "(* (/ -2 3) i)"),
+    (-_XI1, "(* -1 XI1)"),
+    (ScalarExpr.i_unit() * _XI1, "(* i XI1)"),
+    (-ScalarExpr.i_unit() * _XI1, "(* (* -1 i) XI1)"),
+    (ScalarExpr.const(GaussianRational(Fraction(1, 2), 1)) * _XI1,
+     "(* (+ (/ 1 2) i) XI1)"),
+    (ScalarExpr.const(GaussianRational(Fraction(-6, 4), -1))
+     * ScalarExpr.var("FIJ12", 3),
+     "(* (+ (/ -3 2) (* -1 i)) (^ FIJ12 3))"),
+    ((ScalarExpr.one() + ScalarExpr.var("F")) * ScalarExpr.f_inverse(3),
+     "(/ (+ 1 F) (^ F 3))"),
+    (CliffordElem(), "(clifford)"),
+    (CliffordElem({(): ScalarExpr.const(2),
+                   (1, 3): _XI1 * ScalarExpr.var("HP", 2)
+                   * ScalarExpr.f_inverse()}),
+     "(clifford (() 2) ((1 3) (/ (* (^ HP 2) XI1) (^ F 1))))"),
+    (BoundarySymbol(ON, {}), "(symbol on 0)"),
+    (BoundarySymbol(ON, {(1, 2): XinPoly({
+        0: CliffordElem.gen(4),
+        2: CliffordElem({(1,): ScalarExpr.const(Fraction(-3, 4))})})},
+        1),
+     "(symbol on 1 ((1 2) ((0 (clifford ((4) 1)))"
+     " (2 (clifford ((1) (/ -3 4)))))))"),
+    (BoundarySymbol(OFF, {3: XinPoly({1: CliffordElem.one()})}),
+     "(symbol off 0 (3 ((1 (clifford (() 1))))))"),
+]
+
+
 class TestPrintedBytes:
-    @pytest.mark.parametrize("value, text", [
-        # the triple (3, 2, 6): each part is reduced on its own
-        (ScalarExpr.const(GaussianRational(Fraction(1, 2), Fraction(1, 3))),
-         "(+ (/ 1 2) (* (/ 1 3) i))"),
-        (ScalarExpr.const(GaussianRational(0, Fraction(-2, 3))),
-         "(* (/ -2 3) i)"),
-        (-_XI1, "(* -1 XI1)"),
-        (ScalarExpr.i_unit() * _XI1, "(* i XI1)"),
-        (-ScalarExpr.i_unit() * _XI1, "(* (* -1 i) XI1)"),
-        (ScalarExpr.const(GaussianRational(Fraction(1, 2), 1)) * _XI1,
-         "(* (+ (/ 1 2) i) XI1)"),
-        (ScalarExpr.const(GaussianRational(Fraction(-6, 4), -1))
-         * ScalarExpr.var("FIJ12", 3),
-         "(* (+ (/ -3 2) (* -1 i)) (^ FIJ12 3))"),
-        ((ScalarExpr.one() + ScalarExpr.var("F")) * ScalarExpr.f_inverse(3),
-         "(/ (+ 1 F) (^ F 3))"),
-        (CliffordElem(), "(clifford)"),
-        (CliffordElem({(): ScalarExpr.const(2),
-                       (1, 3): _XI1 * ScalarExpr.var("HP", 2)
-                       * ScalarExpr.f_inverse()}),
-         "(clifford (() 2) ((1 3) (/ (* (^ HP 2) XI1) (^ F 1))))"),
-        (BoundarySymbol(ON, {}), "(symbol on 0)"),
-        (BoundarySymbol(ON, {(1, 2): XinPoly({
-            0: CliffordElem.gen(4),
-            2: CliffordElem({(1,): ScalarExpr.const(Fraction(-3, 4))})})},
-            1),
-         "(symbol on 1 ((1 2) ((0 (clifford ((4) 1)))"
-         " (2 (clifford ((1) (/ -3 4)))))))"),
-        (BoundarySymbol(OFF, {3: XinPoly({1: CliffordElem.one()})}),
-         "(symbol off 0 (3 ((1 (clifford (() 1))))))"),
-    ])
+    @pytest.mark.parametrize("value, text", LITERAL_BYTES)
     def test_literal_bytes(self, value, text):
         assert sexpr.dumps(value) == text
+
+    def test_repr_is_the_printed_form(self):
+        # every value type prints through dumps, and a Gaussian rational as
+        # the constant it is
+        for value, text in LITERAL_BYTES:
+            assert repr(value) == text
+        for g in (GaussianRational(0), GAUSS_I,
+                  GaussianRational(Fraction(1, 2), Fraction(1, 3))):
+            assert repr(g) == sexpr.dumps(ScalarExpr.const(g))
+        assert repr(GaussianRational(Fraction(-6, 4))) == "(/ -3 2)"
 
 
 class TestParseErrors:
