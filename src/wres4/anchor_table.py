@@ -15,10 +15,10 @@ from .scalars import (
     OMEGA,
     PI_SYM,
     ScalarExpr,
-    U_VAR,
     fi,
     frac,
     half,
+    usq,
     xi,
 )
 from .symbols import OFF, ON, BoundarySymbol, XinPoly, jet_mid
@@ -110,8 +110,8 @@ def _build_anchors() -> dict:
     })
     anchors["4.15"] = _off({
         1: XinPoly({0: dxn_cxp.scale(_I)}),
-        2: XinPoly({0: cxp.scale(-_I * HP * U_VAR),
-                    1: c4.scale(-_I * HP * U_VAR)}),
+        2: XinPoly({0: cxp.scale(-_I * HP * usq()),
+                    1: c4.scale(-_I * HP * usq())}),
     }, xder=1)
     anchors["4.16"] = _on({
         (1, 0): XinPoly({0: dxn_cxp.scale(half())

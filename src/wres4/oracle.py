@@ -32,10 +32,10 @@ from .errors import MissingBinding, NonConvergence, ShellViolation
 from .scalars import NAMES, ScalarExpr
 from .symbols import OFF, BoundarySymbol
 
-_POINT_NAMES = ("XI1", "XI2", "XI3", "U")
+_POINT_NAMES = ("XI1", "XI2", "XI3")
 _RANDOM_NAMES = tuple(n for n in NAMES
                       if n not in _POINT_NAMES + ("OMEGA", "PI"))
-_LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES[:3])}
+_LOWERED_POINT = {NAMES.index(n): j for j, n in enumerate(_POINT_NAMES)}
 
 Matrix = Tuple[Tuple[complex, ...], ...]
 _IDENTITY: Matrix = tuple(tuple(complex(i == j) for j in range(4))
@@ -110,11 +110,10 @@ class NumericContext:
 
 
 def _point_bindings(point) -> Dict[str, complex]:
-    """xi' and U = |xi'|^2 of a (xi', xi_n) point; no scalar holds xi_n."""
+    """XI1, XI2, XI3 of a (xi', xi_n) point; no scalar holds xi_n."""
     if point is None:
         return {}
-    x1, x2, x3 = point[0]
-    return dict(zip(_POINT_NAMES, (x1, x2, x3, x1 * x1 + x2 * x2 + x3 * x3)))
+    return dict(zip(_POINT_NAMES, point[0]))
 
 
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
@@ -380,17 +379,17 @@ class LoweredSymbol:
     """An on-shell boundary symbol bound to a numeric context.
 
     With HP, F, the f-jets, S, OMEGA and PI bound, each coefficient is a
-    polynomial in the point variables XI1, XI2, XI3; after the restriction
-    to the shell no coefficient holds U.  The entries, each xi_n**deg over
-    its pole key, are put over one common denominator
-    (xi_n - i)**A (xi_n + i)**B, so the symbol is a polynomial in xi_n over
-    that one scalar.  `lift` maps each (xi_n power, exponents of XI1, XI2,
-    XI3) to its flattened 4x4 matrix coefficient, with the bound weights,
-    the gamma basis matrices and the numerators over the common
-    denominator folded in.  The reciprocal denominator depends on xi_n
-    alone, and `recips` keeps it per xi_n for every CompiledSymbol of this
-    factor.  An off-shell symbol raises ShellViolation, and a coefficient
-    holding an unbound name (U among them) raises MissingBinding.
+    polynomial in the point variables XI1, XI2, XI3 (|xi'|^2 among them,
+    spelled out).  The entries, each xi_n**deg over its pole key, are put
+    over one common denominator (xi_n - i)**A (xi_n + i)**B, so the symbol
+    is a polynomial in xi_n over that one scalar.  `lift` maps each (xi_n
+    power, exponents of XI1, XI2, XI3) to its flattened 4x4 matrix
+    coefficient, with the bound weights, the gamma basis matrices and the
+    numerators over the common denominator folded in.  The reciprocal
+    denominator depends on xi_n alone, and `recips` keeps it per xi_n for
+    every CompiledSymbol of this factor.  An off-shell symbol raises
+    ShellViolation, and a coefficient holding a name the context leaves
+    unbound raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):

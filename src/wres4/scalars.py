@@ -35,7 +35,6 @@ NAMES = (
     "FIJ44",
     "S",
     "XI1", "XI2", "XI3",
-    "U",
     "OMEGA",
     "PI",
 )
@@ -440,17 +439,13 @@ class ScalarExpr:
         return _wrap(t)
 
     def xi_derivative(self, i: int) -> "ScalarExpr":
-        """Derivative along xi_i, i in 1..3: the explicit XI{i} dependence
-        plus the chain rule through U = |xi'|^2.  No scalar holds xi_n;
-        the symbol layer keeps it in xi_n degrees and pole keys.
+        """Derivative along xi_i, i in 1..3.  |xi'|^2 is always spelled
+        out in XI1, XI2, XI3, and no scalar holds xi_n (the symbol layer
+        keeps it in xi_n degrees and pole keys), so this is d/dXI{i}.
         """
         if i not in (1, 2, 3):
             raise ValueError("direction must be 1..3")
-        d = self.derivative(f"XI{i}")
-        dU = self.derivative("U")
-        if not dU.is_zero():
-            d = d + ScalarExpr.const(2) * ScalarExpr.var(f"XI{i}") * dU
-        return d
+        return self.derivative(f"XI{i}")
 
     def substitute(self, binding: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
         """Homomorphic substitution of indeterminates by expressions.
@@ -530,7 +525,6 @@ HP = ScalarExpr.var("HP")
 S_CURV = ScalarExpr.var("S")
 OMEGA = ScalarExpr.var("OMEGA")
 PI_SYM = ScalarExpr.var("PI")
-U_VAR = ScalarExpr.var("U")
 
 
 def xi(i: int) -> ScalarExpr:
@@ -538,7 +532,8 @@ def xi(i: int) -> ScalarExpr:
 
 
 def usq() -> ScalarExpr:
-    """|xi'|^2 written out as XI1^2 + XI2^2 + XI3^2."""
+    """|xi'|^2 written out as XI1^2 + XI2^2 + XI3^2, its one spelling: the
+    alphabet has no name for it."""
     return xi(1) ** 2 + xi(2) ** 2 + xi(3) ** 2
 
 

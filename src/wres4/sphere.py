@@ -45,10 +45,9 @@ def moment(a: int, b: int, c: int) -> GaussianRational:
 def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
     """Integral over |xi'| = 1, expressed as a multiple of OMEGA.
 
-    The integrand must already be on-shell: U is identified with 1.
+    Each monomial in XI1, XI2, XI3 is replaced by its sphere average, so
+    |xi'|^2 = XI1^2 + XI2^2 + XI3^2 integrates as 1 without a reduction.
     """
-    if "U" in e.free_names():
-        e = e.substitute({"U": ScalarExpr.one()})
     t: dict = {}
     for m, coeff in e.terms.items():
         w = moment(*(_mono_exp(m, idx) for idx in _XI_IDX))

@@ -2,14 +2,18 @@
 
 Symbols are finite sums of Clifford-valued terms
 
-    off-shell:  P(xi_n) / W**p          with W = |xi|^2 = U + xi_n^2
+    off-shell:  P(xi_n) / W**p          with W = |xi|^2 = |xi'|^2 + xi_n^2
     on-shell:   P(xi_n) / ((xi_n - i)**a (xi_n + i)**b)
 
-where P is a polynomial in xi_n with CliffordElem coefficients.  Spatial
+where P is a polynomial in xi_n with CliffordElem coefficients.  |xi'|^2
+has one spelling, XI1^2 + XI2^2 + XI3^2 (`scalars.usq`), and restricting
+to |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p; on-shell
+coefficients are reduced on the sphere when they are compared.  Spatial
 behaviour at the base point is encoded by first-order jet rules: the collar
 metric scales the tangential coframe, W picks up h'(0)|xi'|^2 under the
-normal derivative, and f contributes its first and second jets.  Second
-x-derivatives are rejected; the computation never needs them.
+normal derivative (this module is that rule's one home), and f contributes
+its first and second jets.  Second x-derivatives are rejected; the
+computation never needs them.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from .scalars import (
     GAUSS_ONE,
     HP,
     ScalarExpr,
-    U_VAR,
     _coerce_scalar,
     frac,
     half,
@@ -99,9 +102,6 @@ class XinPoly:
         if isinstance(other, XinPoly):
             return self.coeffs == other.coeffs
         return NotImplemented
-
-    def __repr__(self):
-        return f"XinPoly({self.coeffs!r})"
 
 
 def _mul_into(c: dict, p: XinPoly, q: XinPoly, kernel) -> dict:
@@ -210,18 +210,17 @@ class BoundarySymbol:
     def canonical(self) -> "BoundarySymbol":
         """Single-term form over the common denominator.
 
-        Off-shell, the opaque U is expanded to XI1^2+XI2^2+XI3^2 so that
-        Clifford squares of c(xi') cancel exactly against W powers.  A key
-        already at the common denominator is added without products.
+        Off-shell, W powers are expanded in XI1^2+XI2^2+XI3^2, the spelling
+        of |xi'|^2 that Clifford squares of c(xi') produce, so the two
+        cancel exactly; on-shell, coefficients are reduced on the sphere.
+        A key already at the common denominator is added without products.
         """
         if not self.terms:
             return BoundarySymbol(self.shell, {}, self.xder)
         total: dict = {}
         if self.shell == OFF:
             top = max(self.terms)
-            expand = {"U": usq()}
             for p, poly in self.terms.items():
-                poly = poly.map_coeffs(lambda e: e.substitute(expand))
                 _mul_into(total, poly, _w_power(top - p),
                           _cmul_into if top - p else _cadd_into)
         else:
@@ -260,14 +259,12 @@ def derive(s: BoundarySymbol, direction: str, order: int = 1) -> BoundarySymbol:
     Directions: x_1..x_3 tangential, x_n normal, xi_1..xi_3 tangential
     cotangent, xi_n normal cotangent.  These are the first-order jet rules
     at the base point; every other first derivative of a tracked atom
-    vanishes (W and U along x_i, U along x_n, c(e_i) along x_i, c(e_4)
-    along x_n):
+    vanishes (W along x_i, c(e_i) along x_i, c(e_4) along x_n):
 
         atom             direction   derivative
-        W = U + xi_n^2   x_n         HP*U
-                         xi_i        2*XI_i
+        W = |xi'|^2      x_n         HP*(XI1^2 + XI2^2 + XI3^2)
+            + xi_n^2     xi_i        2*XI_i
                          xi_n        2*xi_n
-        U                xi_i        2*XI_i
         c(e_i), i < n    x_n         (HP/2)*c(e_i)
         F                x_j         FI_j
         FI_k             x_j         FIJ_{j,k}
@@ -343,8 +340,8 @@ def d_x_parts(s: BoundarySymbol,
     for p, poly in s.terms.items():
         _acc(jet, p, poly.map_coeffs(lambda e: e.x_derivative(j)))
         if p and j == 4:
-            # d_{x_n} W = HP * U
-            _acc(slot, p + 1, poly.scale(ScalarExpr.const(-p) * HP * U_VAR))
+            # d_{x_n} W = h'(0) |xi'|^2
+            _acc(slot, p + 1, poly.scale(ScalarExpr.const(-p) * HP * usq()))
     return (BoundarySymbol(OFF, jet, s.xder + 1),
             BoundarySymbol(OFF, slot, s.xder + 1))
 
@@ -355,16 +352,13 @@ def _d_x(s: BoundarySymbol, j: int) -> BoundarySymbol:
 
 
 def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
-    """Impose |xi'| = 1: U -> 1 and W -> (xi_n - i)(xi_n + i)."""
+    """Impose |xi'| = 1: W -> (xi_n - i)(xi_n + i), so key p becomes
+    (p, p).  Every numerator is kept as it is: on-shell `canonical`
+    reduces |xi'|^2 on the sphere, and the sphere moments read it as 1."""
     if s.shell == ON:
         raise ShellViolation("symbol is already on-shell")
-    binding = {"U": ScalarExpr.one()}
-    return BoundarySymbol(
-        ON,
-        {(p, p): poly.map_coeffs(lambda e: e.substitute(binding))
-         for p, poly in s.terms.items()},
-        s.xder,
-    )
+    return BoundarySymbol(ON, {(p, p): poly for p, poly in s.terms.items()},
+                          s.xder)
 
 
 # -- operator symbols and the parametrix recursion -------------------------

@@ -51,7 +51,6 @@ from wres4.scalars import (
 )
 from wres4.sphere import integrate_sphere, moment
 from wres4.symbols import (
-    BoundarySymbol,
     XinPoly,
     build_sigma,
     derive,

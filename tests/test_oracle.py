@@ -113,13 +113,12 @@ class TestEvaluate:
         # float operations of sum(num terms) / F**fpow.
         rng = random.Random(73)
         pt = ((0.3, -0.5, 0.7), None)
-        bind = dict(ctx.assignment, XI1=0.3, XI2=-0.5, XI3=0.7,
-                    U=0.3 * 0.3 + -0.5 * -0.5 + 0.7 * 0.7)
+        bind = dict(ctx.assignment, XI1=0.3, XI2=-0.5, XI3=0.7)
         for _ in range(100):
             e = ScalarExpr.zero()
             for _ in range(4):
                 term = ScalarExpr.const(rng.randint(-9, 9))
-                for name in ("HP", "F", "FI4", "XI1", "U"):
+                for name in ("HP", "F", "FI4", "XI1", "S"):
                     term = term * ScalarExpr.var(name, rng.randint(0, 2))
                 e = e + term * ScalarExpr.var("F", rng.randint(-3, 1))
             expected = sum(
@@ -196,8 +195,8 @@ XI_N = (0.0, 0.3, -0.3, 1.0, -1.0, 290.0, -290.0, 1e3)
 
 class TestLoweredEvaluator:
     def check_against_reference(self, s, ctx, rng):
-        # three points on the unit sphere, and one off it so that U is
-        # not 1
+        # three points on the unit sphere, and one off it so that
+        # XI1^2 + XI2^2 + XI3^2 is not 1
         for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0)):
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             norm = math.sqrt(sum(x * x for x in v))
@@ -339,14 +338,6 @@ class TestLoweredEvaluator:
             eval_symbol(s, partial, ((0.6, 0.0, 0.8), 0.5))
         # the same symbol lowers once HP is bound
         eval_symbol(s, NumericContext(42), ((0.6, 0.0, 0.8), 0.5))
-
-    def test_stray_u_is_unbound(self, ctx):
-        # on shell |xi'| = 1 has replaced U, so a U left in a coefficient
-        # is an unbound name, not read as |xi'|^2 at the point
-        s = on_shell_term(XinPoly.const(CliffordElem.scalar(
-            ScalarExpr.var("U"))), 1, 1)
-        with pytest.raises(MissingBinding, match="U"):
-            eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
 
 
 class TestGaussKronrod:

@@ -31,7 +31,7 @@ def rand_gauss(rng):
                             Fraction(rng.randint(-6, 6), rng.randint(1, 5)))
 
 
-def rand_expr(rng, names=("HP", "F", "FI4", "XI1", "U"), nterms=4):
+def rand_expr(rng, names=("HP", "F", "FI4", "XI1", "S"), nterms=4):
     out = ScalarExpr.zero()
     for _ in range(nterms):
         term = ScalarExpr.const(rand_gauss(rng))
@@ -162,27 +162,21 @@ class TestScalarExpr:
         with pytest.raises(UnsupportedOrder):
             ScalarExpr.var("FIJ11").x_derivative(1)
 
-    def test_xi_derivative_chain_through_u(self):
-        u = ScalarExpr.var("U")
-        assert u.xi_derivative(1) == (ScalarExpr.const(2)
-                                      * ScalarExpr.var("XI1"))
-        e = ScalarExpr.var("XI2") * u
-        expected = (u + ScalarExpr.const(2) * ScalarExpr.var("XI2") ** 2)
-        assert e.xi_derivative(2) == expected
-
     def test_no_scalar_holds_xi_n_or_its_norm(self):
         # xi_n and |xi|^2 live only in the symbol layer's xi_n degrees
-        # and pole keys, so the alphabet has no name for either and no
-        # scalar has a xi_n-derivative
-        for name in ("XIN", "W"):
+        # and pole keys, and |xi'|^2 is always XI1^2 + XI2^2 + XI3^2, so
+        # the alphabet has a name for none of them and no scalar has a
+        # xi_n-derivative
+        for name in ("XIN", "W", "U"):
+            assert name not in NAMES
             with pytest.raises(KeyError):
                 ScalarExpr.var(name)
         with pytest.raises(ValueError):
-            ScalarExpr.var("U").xi_derivative(4)
+            ScalarExpr.var("XI1").xi_derivative(4)
 
     def test_substitute_homomorphism(self):
         rng = random.Random(17)
-        binding = {"U": ScalarExpr.one(),
+        binding = {"S": ScalarExpr.one(),
                    "XI1": ScalarExpr.var("XI2")}
         for _ in range(60):
             a = rand_expr(rng)
@@ -196,12 +190,13 @@ class TestScalarExpr:
             ScalarExpr.f_inverse().substitute({"F": ScalarExpr.zero()})
 
     def test_substitute_rejects_names_outside_the_alphabet(self):
-        # W and XIN left the alphabet; binding them must not pass silently
+        # W, XIN and U left the alphabet; binding them must not pass
+        # silently
         with pytest.raises(KeyError):
             ScalarExpr.var("XI1").substitute({"W": ScalarExpr.one(),
                                               "XIN": 0})
         with pytest.raises(KeyError):
-            ScalarExpr.var("U").substitute({"U": 1, "XIN": 0})
+            ScalarExpr.var("XI1").substitute({"U": 1})
 
     def test_constructor_coerces_coefficients(self):
         assert ScalarExpr({(): 1}) == ScalarExpr.one()
@@ -259,9 +254,9 @@ _f_exp = st.integers(-3, 3)
 
 @st.composite
 def monomials(draw, coeff=_gauss):
-    """c * F^k * HP^a * FI4^b * XI1^d * U^g with k in -3..3."""
+    """c * F^k * HP^a * FI4^b * XI1^d * S^g with k in -3..3."""
     out = ScalarExpr.const(draw(coeff)) * ScalarExpr.var("F", draw(_f_exp))
-    for name in ("HP", "FI4", "XI1", "U"):
+    for name in ("HP", "FI4", "XI1", "S"):
         out = out * ScalarExpr.var(name, draw(st.integers(0, 2)))
     return out
 
@@ -438,7 +433,7 @@ class TestGaussianTriple:
 # The reference is an evaluator of `terms` that shares no code with the
 # kernel: a value at a real point is the pair (re, im) of Fractions.
 
-_POINT_NAMES = ("HP", "F", "FI4", "XI1", "XI2", "XI3", "U")
+_POINT_NAMES = ("HP", "F", "FI4", "XI1", "XI2", "XI3", "S")
 _nonzero_frac = _frac.filter(bool)
 points = st.fixed_dictionaries({n: _nonzero_frac for n in _POINT_NAMES})
 
@@ -451,7 +446,7 @@ def ev(e, point):
 
 
 @st.composite
-def polys(draw, names=("HP", "F", "FI4", "XI1", "U"), real=False):
+def polys(draw, names=("HP", "F", "FI4", "XI1", "S"), real=False):
     """Sums of up to four terms c * F^k * (other names)^(0..3)."""
     out = ScalarExpr.zero()
     for _ in range(draw(st.integers(0, 4))):
@@ -500,14 +495,14 @@ class TestExactEvaluation:
             assert ev(p, point) == expected
 
     @PROPERTY
-    @given(polys(names=("HP", "F", "U", "XI1", "XI2")),
+    @given(polys(names=("HP", "F", "S", "XI1", "XI2")),
            polys(names=("HP", "F", "XI3"), real=True),
            polys(names=("FI4", "XI2"), real=True), points)
-    def test_substitute(self, a, u, x1, point):
-        bound = {**point, "U": ev(u, point)[0], "XI1": ev(x1, point)[0]}
-        assert ev(a.substitute({"U": u}), point) == ev(
-            a, {**point, "U": bound["U"]})
-        assert ev(a.substitute({"U": u, "XI1": x1}), point) == ev(a, bound)
+    def test_substitute(self, a, s, x1, point):
+        bound = {**point, "S": ev(s, point)[0], "XI1": ev(x1, point)[0]}
+        assert ev(a.substitute({"S": s}), point) == ev(
+            a, {**point, "S": bound["S"]})
+        assert ev(a.substitute({"S": s, "XI1": x1}), point) == ev(a, bound)
 
     @PROPERTY
     @given(polys(names=("HP", "F", "XI1", "XI2", "XI3")),

@@ -47,10 +47,6 @@ class TestIntegrateSphere:
         assert integrate_sphere(e) == OMEGA * ScalarExpr.const(
             Fraction(1, 3))
 
-    def test_u_substituted_to_one(self):
-        e = ScalarExpr.var("U", 2) * ScalarExpr.var("HP")
-        assert integrate_sphere(e) == ScalarExpr.var("HP") * OMEGA
-
     def test_sum_of_squares_partition(self):
         # sum_i integral(xi_i^2 p) = integral(p) on the unit sphere
         rng = random.Random(53)

@@ -15,6 +15,7 @@ from wres4.errors import NonInvertibleLeadingSymbol, UnsupportedOrder
 from wres4.scalars import GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
     OFF,
+    ON,
     BoundarySymbol,
     XinPoly,
     build_sigma,
@@ -156,11 +157,13 @@ class TestDerivation:
             a + b for a, b in s.terms) + 1
 
     def test_restrict_sets_unit_cosphere(self):
-        s = restrict_on_shell(build_sigma("D", -1))
-        for poly in s.terms.values():
-            for elem in poly.coeffs.values():
-                for coeff in elem.terms.values():
-                    assert "U" not in coeff.free_names()
+        # |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p: every
+        # numerator, |xi'|^2 in the x_n-derivative's included, is kept
+        for s in (build_sigma("D", -1), build_sigma("Dtilde", -2),
+                  derive(build_sigma("D", -1), "x_n")):
+            on = restrict_on_shell(s)
+            assert on.shell == ON and on.xder == s.xder
+            assert on.terms == {(p, p): poly for p, poly in s.terms.items()}
 
     def test_derivatives_commute(self):
         s = build_sigma("Dtilde", -1)
@@ -182,6 +185,24 @@ class TestDerivation:
             assert jet.xder == slot.xder == full.xder == s.xder + 1
             # only d_{x_n} reaches the |xi|^2 slot, through h'(0)
             assert slot.is_zero() == (j < 4), j
+
+    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    @pytest.mark.parametrize("order", [-1, -2])
+    def test_slot_half_is_h_prime_times_the_tangential_norm(self, op, order):
+        # d_{x_n} W**-p = -p h'(0) |xi'|^2 / W**(p+1), key by key, with
+        # |xi'|^2 written here from its three squares
+        norm = sum((ScalarExpr.var(f"XI{i}", 2) for i in (1, 2, 3)),
+                   ScalarExpr.zero())
+        s = build_sigma(op, order)
+        _, slot = d_x_parts(s, 4)
+        assert set(slot.terms) == {p + 1 for p in s.terms if p}
+        for p, poly in s.terms.items():
+            if not p:
+                continue
+            want = poly.scale(ScalarExpr.const(-p) * ScalarExpr.var("HP")
+                              * norm)
+            assert (BoundarySymbol.from_poly(slot.terms[p + 1], p + 1)
+                    == BoundarySymbol.from_poly(want, p + 1)), p
 
 
 class TestGoldenForms:
