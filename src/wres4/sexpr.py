@@ -76,7 +76,8 @@ def _xin(p: XinPoly) -> str:
 
 def _symbol(s: BoundarySymbol) -> str:
     entries = []
-    for key in sorted(s.terms, key=lambda k: (k,) if isinstance(k, int) else k):
+    # one symbol's keys are all ints (off shell) or all pairs (on shell)
+    for key in sorted(s.terms):
         skey = key if isinstance(key, int) else f"({' '.join(map(str, key))})"
         entries.append(f" ({skey} {_xin(s.terms[key])})")
     return f"(symbol {s.shell} {s.xder}" + "".join(entries) + ")"

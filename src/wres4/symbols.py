@@ -73,9 +73,6 @@ class XinPoly:
         out.coeffs = {d: -e for d, e in self.coeffs.items()}
         return out
 
-    def __sub__(self, other: "XinPoly") -> "XinPoly":
-        return self + (-other)
-
     def mul(self, other: "XinPoly") -> "XinPoly":
         return _xin(_mul_into({}, self, other, _cmul_into))
 
@@ -93,10 +90,6 @@ class XinPoly:
     def d_xin(self) -> "XinPoly":
         return XinPoly({d - 1: e.scale(ScalarExpr.const(d))
                         for d, e in self.coeffs.items() if d})
-
-    def mul_shell(self, da: int, db: int) -> "XinPoly":
-        """Multiply by (xi_n - i)**da (xi_n + i)**db."""
-        return self.mul(_pole_factor(da, db))
 
     def __eq__(self, other):
         if isinstance(other, XinPoly):

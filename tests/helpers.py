@@ -1,12 +1,12 @@
 """Helpers the tests share that are not checks themselves: one numeric
-evaluator for every symbolic type, the ledger's ids, the W-power product
-and the one-key on-shell symbol."""
+evaluator for every symbolic type, the ledger's ids, the W-power and
+pole-factor products and the one-key on-shell symbol."""
 
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem
 from wres4.oracle import eval_clifford, eval_scalar, eval_symbol
 from wres4.scalars import ScalarExpr
-from wres4.symbols import ON, BoundarySymbol, XinPoly, _w_power
+from wres4.symbols import ON, BoundarySymbol, XinPoly, _pole_factor, _w_power
 
 
 def evaluate(sym, ctx, point=None):
@@ -29,6 +29,12 @@ def known_ids() -> frozenset:
 def mul_w(p: XinPoly, k: int) -> XinPoly:
     """p times W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
     return p.mul(_w_power(k))
+
+
+def mul_shell(p: XinPoly, da: int, db: int) -> XinPoly:
+    """p times (xi_n - i)**da (xi_n + i)**db, the pole factor that
+    on-shell canonical forms multiply by."""
+    return p.mul(_pole_factor(da, db))
 
 
 def on_shell_term(poly: XinPoly, a: int, b: int,

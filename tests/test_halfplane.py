@@ -28,7 +28,7 @@ from wres4.symbols import (
     restrict_on_shell,
 )
 
-from helpers import mul_w, on_shell_term
+from helpers import mul_shell, mul_w, on_shell_term
 
 PI = ScalarExpr.var("PI")
 I = ScalarExpr.i_unit()
@@ -52,8 +52,8 @@ class TestPartialFractions:
         for _ in range(100):
             a = rng.randint(1, 3)
             b = rng.randint(1, 3)
-            # numerator degrees up to a + b + 2 exercise the division
-            coeffs = {d: rng.randint(-5, 5) for d in range(a + b + 3)}
+            # every proper numerator degree, up to a + b - 1
+            coeffs = {d: rng.randint(-5, 5) for d in range(a + b)}
             sym = scalar_term(coeffs, a, b)
             dec = partial_fractions(sym)
             assert dec.recombine().canonical() == sym.canonical()
@@ -112,6 +112,19 @@ class TestPiPlus:
     def test_decay_violation_rejected(self, coeffs, a, b):
         with pytest.raises(DecayViolation):
             pi_plus(scalar_term(coeffs, a, b))
+
+    @pytest.mark.parametrize("a,b", [(1, 0), (0, 2), (2, 3)])
+    def test_improper_fraction_rejected(self, a, b):
+        # numerator degree exactly a + b: no polynomial part is split off
+        with pytest.raises(DecayViolation):
+            partial_fractions(scalar_term({a + b: 1, 0: 2}, a, b))
+
+    def test_zero_symbol_passes(self):
+        zero = BoundarySymbol.zero(ON)
+        dec = partial_fractions(zero)
+        assert dec.principal_plus == dec.principal_minus == {}
+        assert dec.recombine().is_zero()
+        assert line_integral(zero).is_zero()
 
 
 class TestLineIntegral:
@@ -227,8 +240,8 @@ class TestHighOrderPoles:
     def test_recombine(self):
         rng = random.Random(53)
         for a, b in POLE_ORDERS:
-            # numerator degree a + b + 2 exercises the division
-            sym = clifford_term(rng, a, b, a + b + 2)
+            # the largest proper numerator degree
+            sym = clifford_term(rng, a, b, a + b - 1)
             assert partial_fractions(sym).recombine() == sym
 
     def test_pi_plus_idempotent(self):
@@ -355,7 +368,7 @@ class TestFusedProducts:
     @PROPERTY
     @given(xin_polys(), st.integers(0, 4), st.integers(0, 4))
     def test_mul_shell_is_the_linear_factor_product(self, p, da, db):
-        assert p.mul_shell(da, db) == _linear_factor_product(p, da, db)
+        assert mul_shell(p, da, db) == _linear_factor_product(p, da, db)
 
     @PROPERTY
     @given(xin_polys(), st.integers(0, 3))

@@ -30,7 +30,7 @@ from wres4.symbols import (
     sigma0_dirac,
 )
 
-from helpers import mul_w
+from helpers import mul_shell, mul_w
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -298,7 +298,7 @@ class TestEquality:
 class TestXinPoly:
     def test_mul_shell_expands_poles(self):
         p = XinPoly.const(CliffordElem.one())
-        q = p.mul_shell(1, 1)
+        q = mul_shell(p, 1, 1)
         # (xi_n - i)(xi_n + i) = xi_n^2 + 1
         assert q.coeffs[2] == CliffordElem.one()
         assert q.coeffs[0] == CliffordElem.one()
