@@ -268,20 +268,39 @@ class TestBPlusCIdentity:
         return (_case_integral(pi_plus(q_on), derive(sigma, "xi_n")),
                 _case_integral(pi_plus(sigma), derive(q_on, "xi_n")))
 
-    def test_b_plus_c_vanishes_on_a_basis(self):
-        # b and c are linear over coefficients with no xi in them, so
-        # b + c = 0 on the basis proves it on the whole span
-        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
-        nonzero_b = unprojected = underived = 0
+    @classmethod
+    def _on_the_basis(cls):
+        """(q restricted to the shell, b(q), c(q)) for every basis symbol.
+        b and c are linear over coefficients with no xi in them, so
+        b + c = 0 on the basis proves it on the whole span."""
         for q in _order_minus2_basis():
-            b, c = self._b_and_c(q)
+            yield (restrict_on_shell(q),) + cls._b_and_c(q)
+
+    def test_b_plus_c_vanishes_on_a_basis(self):
+        nonzero_b = 0
+        for _, b, c in self._on_the_basis():
             assert (b + c).is_zero()
-            q_on = restrict_on_shell(q)
             nonzero_b += not b.is_zero()
-            # negative controls: b's left factor without pi+, and c's
-            # right factor without its xi_n-derivative
-            unprojected += not (
-                _case_integral(q_on, derive(sigma, "xi_n")) + c).is_zero()
-            underived += not (
-                b + _case_integral(pi_plus(sigma), q_on)).is_zero()
-        assert nonzero_b and unprojected and underived
+        assert nonzero_b
+
+    def test_b_plus_c_vanishes(self):
+        # the identity on the sigma_-2 the engine builds, which the basis
+        # is meant to span
+        for op in ("D", "Dtilde"):
+            b, c = self._b_and_c(build_sigma(op, -2))
+            assert not b.is_zero()
+            assert (b + c).is_zero()
+
+    def test_dropping_pi_plus_breaks_it(self):
+        # negative control: b's left factor without pi+
+        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        assert any(
+            not (_case_integral(q_on, derive(sigma, "xi_n")) + c).is_zero()
+            for q_on, _, c in self._on_the_basis())
+
+    def test_dropping_the_xi_n_derivative_breaks_it(self):
+        # negative control: c's right factor without its xi_n-derivative
+        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        assert any(
+            not (b + _case_integral(pi_plus(sigma), q_on)).is_zero()
+            for q_on, b, _ in self._on_the_basis())
