@@ -19,6 +19,7 @@ recomputes the printed steps of one case for the audit.
 from __future__ import annotations
 
 import functools
+from itertools import product
 from math import factorial
 from typing import Dict, List, NamedTuple, Tuple
 
@@ -58,31 +59,18 @@ class CaseSpec(NamedTuple):
 
 def enumerate_cases() -> List[CaseSpec]:
     """All (r, l, j, k, |alpha|) with r, l in {-1, -2} meeting the order
-    constraint; exactly five."""
-    found = []
-    for r in (-1, -2):
-        for l in (-1, -2):
-            for j in range(4):
-                for k in range(4):
-                    for a in range(4):
-                        if r + l - k - j - a - 1 == -4:
-                            found.append((r, l, j, k, a))
-    labels = {}
-    for combo in found:
-        r, l, j, k, a = combo
-        if (r, l) == (-2, -1):
-            labels[combo] = "b"
-        elif (r, l) == (-1, -2):
-            labels[combo] = "c"
-        elif a == 1:
-            labels[combo] = "a1"
-        elif j == 1:
-            labels[combo] = "a2"
-        else:
-            labels[combo] = "a3"
-    specs = [CaseSpec(labels[c], *c) for c in found]
-    specs.sort(key=lambda s: CASE_LABELS.index(s.label))
-    return specs
+    constraint; exactly five.  b and c have one factor of order -2; of the
+    three with r = l = -1, exactly one of |alpha|, j, k is 1."""
+    specs = []
+    for r, l, j, k, a in product((-1, -2), (-1, -2),
+                                 range(4), range(4), range(4)):
+        if r + l - k - j - a - 1 == -4:
+            if r != l:
+                label = "b" if r == -2 else "c"
+            else:
+                label = "a1" if a else "a2" if j else "a3"
+            specs.append(CaseSpec(label, r, l, j, k, a))
+    return sorted(specs, key=lambda s: CASE_LABELS.index(s.label))
 
 
 def _left_factor(op: str, r: int, j: int, alpha_dir: int,
@@ -209,7 +197,18 @@ def hp_part(e: ScalarExpr) -> ScalarExpr:
     return ScalarExpr(keep)
 
 
+def case_specs() -> Dict[str, CaseSpec]:
+    """``enumerate_cases`` keyed by label; a lost, extra or reordered case
+    raises instead of dropping its row."""
+    specs = enumerate_cases()
+    labels = tuple(spec.label for spec in specs)
+    if labels != CASE_LABELS:
+        missing = [x for x in CASE_LABELS if x not in labels]
+        raise LookupError(f"boundary cases {labels}, missing {missing}")
+    return dict(zip(labels, specs))
+
+
 def assemble_phi() -> Dict[str, ScalarExpr]:
     """The five case values, keyed by label in ``CASE_LABELS`` order; the
     boundary term is their sum."""
-    return {spec.label: compute_case(spec) for spec in enumerate_cases()}
+    return {label: compute_case(spec) for label, spec in case_specs().items()}

@@ -101,8 +101,8 @@ def lemma41_suite() -> List[Dict]:
 def phi_suite(case_filter: str) -> List[Dict]:
     from .boundary import (
         assemble_phi,
+        case_specs,
         compute_case,
-        enumerate_cases,
         hp_part,
         intermediates,
     )
@@ -110,8 +110,7 @@ def phi_suite(case_filter: str) -> List[Dict]:
     if case_filter == "all":
         cases = assemble_phi()
     else:
-        cases = {spec.label: compute_case(spec) for spec in enumerate_cases()
-                 if spec.label == case_filter}
+        cases = {case_filter: compute_case(case_specs()[case_filter])}
     out = []
     for label, value in cases.items():
         out.append(_entry(f"case_{label}", value, _reference(f"case_{label}")))
@@ -151,7 +150,7 @@ def interior_suite() -> List[Dict]:
 
 
 def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
-    from .boundary import enumerate_cases
+    from .boundary import case_specs
     from .oracle import NumericContext, crosscheck_case
 
     ctx = NumericContext(seed)
@@ -159,13 +158,13 @@ def crosscheck_suite(seed: int, case_filter: str) -> List[Dict]:
     out = [{"id": "gamma.relations", "engine": f"max defect {defect}",
             "reference": "0 to machine precision",
             "verdict": "match" if defect < 1e-14 else "mismatch"}]
-    for spec in enumerate_cases():
-        if case_filter != "all" and spec.label != case_filter:
+    for label, spec in case_specs().items():
+        if case_filter not in ("all", label):
             continue
         rec = crosscheck_case(spec, ctx)
         ok = rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
         out.append({
-            "id": f"crosscheck[{spec.label}]",
+            "id": f"crosscheck[{label}]",
             "engine": _re_im(rec["symbolic"]),
             "reference": _re_im(rec["numeric"]),
             "abs_error": rec["abs_error"],

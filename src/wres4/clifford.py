@@ -166,9 +166,6 @@ class CliffordElem:
     def map_scalars(self, fn) -> "CliffordElem":
         return CliffordElem({m: fn(c) for m, c in self.terms.items()})
 
-    def substitute(self, binding) -> "CliffordElem":
-        return self.map_scalars(lambda c: c.substitute(binding))
-
     def xi_derivative(self, i: int) -> "CliffordElem":
         return self.map_scalars(lambda c: c.xi_derivative(i))
 

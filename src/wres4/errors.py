@@ -1,10 +1,6 @@
 """Exception types shared across the engine."""
 
 
-class ZeroDenominator(ArithmeticError):
-    """Denominator polynomial is identically zero."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Division by an exactly-zero expression."""
 

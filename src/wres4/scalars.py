@@ -16,12 +16,7 @@ import functools
 from math import gcd
 from typing import Mapping
 
-from .errors import (
-    DivisionByZero,
-    NonMonomialDenominator,
-    UnsupportedOrder,
-    ZeroDenominator,
-)
+from .errors import DivisionByZero, NonMonomialDenominator, UnsupportedOrder
 
 # Fixed, totally ordered alphabet.  FIJ names are stored with sorted index
 # pairs (the Hessian is symmetric).
@@ -446,42 +441,6 @@ class ScalarExpr:
         if i not in (1, 2, 3):
             raise ValueError("direction must be 1..3")
         return self.derivative(f"XI{i}")
-
-    def substitute(self, binding: Mapping[str, "ScalarExpr"]) -> "ScalarExpr":
-        """Homomorphic substitution of indeterminates by expressions.
-
-        Each monomial splits into its unbound part and its bound names;
-        the product of the bound names' powers (each power computed once
-        per call) times the unbound part and the coefficient is added
-        term by term into one dict.  An expression that holds no bound
-        name is returned as it is.
-        """
-        bind = {}
-        for name, value in binding.items():
-            if name not in _INDEX:
-                raise KeyError(f"unknown indeterminate {name!r}")
-            bind[_INDEX[name]] = _coerce_scalar(value)
-        if _F_IDX in bind and bind[_F_IDX].is_zero():
-            raise ZeroDenominator("substitution maps F to zero")
-        if not any(idx in bind for m in self.terms for idx, _ in m):
-            return self
-        powers: dict = {}
-        t: dict = {}
-        for m, c in self.terms.items():
-            free = tuple(p for p in m if p[0] not in bind)
-            if len(free) == len(m):
-                _acc(t, m, c)
-                continue
-            rep = None
-            for p in m:
-                if p[0] in bind:
-                    r = powers.get(p)
-                    if r is None:
-                        r = powers[p] = bind[p[0]] ** p[1]
-                    rep = r if rep is None else rep * r
-            for m2, c2 in rep.terms.items():
-                _acc(t, _mono_mul(free, m2), _gmul(c, c2))
-        return _wrap(t)
 
     def free_names(self) -> set:
         return {NAMES[idx] for m in self.terms for idx, _ in m}

@@ -1,11 +1,12 @@
 """Helpers the tests share that are not checks themselves: one numeric
 evaluator for every symbolic type, the ledger's ids, the W-power and
-pole-factor products and the one-key on-shell symbol."""
+pole-factor products, the one-key on-shell symbol and the pure-Dirac
+limit."""
 
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem
 from wres4.oracle import eval_clifford, eval_scalar, eval_symbol
-from wres4.scalars import ScalarExpr
+from wres4.scalars import NAMES, ScalarExpr
 from wres4.symbols import ON, BoundarySymbol, XinPoly, _pole_factor, _w_power
 
 
@@ -41,3 +42,17 @@ def on_shell_term(poly: XinPoly, a: int, b: int,
                   xder: int = 0) -> BoundarySymbol:
     """poly / ((xi_n - i)**a (xi_n + i)**b)."""
     return BoundarySymbol(ON, {(a, b): poly}, xder)
+
+
+def pure_dirac_limit(e):
+    """e at f = 1 with every f-jet 0: a monomial that holds an FI or FIJ
+    jet drops, and F's exponent is removed.  A CliffordElem is mapped over
+    its coefficients."""
+    if isinstance(e, CliffordElem):
+        return e.map_scalars(pure_dirac_limit)
+    out = ScalarExpr.zero()
+    for m, c in e.terms.items():
+        if not any(NAMES[idx].startswith("FI") for idx, _ in m):
+            out = out + ScalarExpr({tuple(p for p in m
+                                          if NAMES[p[0]] != "F"): c})
+    return out

@@ -60,7 +60,7 @@ from wres4.symbols import (
     sandwich,
 )
 
-from helpers import evaluate, known_ids, on_shell_term
+from helpers import evaluate, known_ids, on_shell_term, pure_dirac_limit
 
 SEEDS = (11, 23, 42, 101, 977)
 HP = ScalarExpr.var("HP")
@@ -270,11 +270,7 @@ def test_criterion6_phi_assembly(phi, crosschecks):
 
 def test_criterion7_interior():
     # pure-Dirac limit: E = -s/4 and braces value s/12
-    binding = {f"FI{j}": ScalarExpr.zero() for j in range(1, 5)}
-    binding.update({f"FIJ{j}{k}": ScalarExpr.zero()
-                    for j in range(1, 5) for k in range(j, 5)})
-    binding["F"] = ScalarExpr.one()
-    E0 = compute_E_at_x0().substitute(binding)
+    E0 = pure_dirac_limit(compute_E_at_x0())
     assert E0 == CliffordElem.scalar(frac(-1, 4) * S_CURV)
     braces0 = spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV) + E0)
     assert braces0 == ScalarExpr.const(-4) * (frac(1, 12) * S_CURV)

@@ -16,6 +16,8 @@ from wres4.interior import (
 )
 from wres4.scalars import S_CURV, ScalarExpr, frac
 
+from helpers import pure_dirac_limit
+
 FINV = ScalarExpr.f_inverse
 
 
@@ -50,12 +52,7 @@ class TestEndomorphism:
 
     def test_pure_dirac_limit(self):
         # all f-jets zero and f = 1: E collapses to -s/4
-        names = [n for n in ("FI1", "FI2", "FI3", "FI4")]
-        binding = {n: ScalarExpr.zero() for n in names}
-        binding.update({f"FIJ{j}{k}": ScalarExpr.zero()
-                        for j in range(1, 5) for k in range(j, 5)})
-        binding["F"] = ScalarExpr.one()
-        E = compute_E_at_x0().substitute(binding)
+        E = pure_dirac_limit(compute_E_at_x0())
         assert E == CliffordElem.scalar(frac(-1, 4) * S_CURV)
 
     def test_mixed_clifford_square_identity(self):

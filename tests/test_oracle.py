@@ -13,7 +13,7 @@ import pytest
 
 import wres4
 from wres4.clifford import CliffordElem, spin_trace
-from wres4.errors import MissingBinding, ShellViolation
+from wres4.errors import MissingBinding, NonConvergence, ShellViolation
 from wres4.halfplane import pi_plus
 from wres4.oracle import (
     CompiledSymbol,
@@ -707,6 +707,16 @@ class TestQuadrature:
     def test_cauchy_line(self):
         val = quad_line(lambda t: 1 / (1 + t * t))
         assert abs(val - math.pi) < 1e-10
+
+    @pytest.mark.parametrize("f", [
+        lambda t: 1.0,                   # the integral of sec^2 diverges
+        lambda t: (1 + t * t) ** -0.5,   # diverges logarithmically
+    ], ids=["constant", "log_divergent"])
+    def test_divergent_line_raises_nonconvergence(self, f):
+        # a divergent integral raises instead of returning a partial sum;
+        # test_cauchy_line is the control, 1/(1 + t^2) integrating to pi
+        with pytest.raises(NonConvergence):
+            quad_line(f)
 
     def test_higher_pole_line(self):
         val = quad_line(lambda t: 1 / ((t - 1j) ** 2 * (t + 1j) ** 3))

@@ -13,7 +13,6 @@ from wres4.errors import (
     DivisionByZero,
     NonMonomialDenominator,
     UnsupportedOrder,
-    ZeroDenominator,
 )
 from wres4.scalars import (
     GAUSS_I,
@@ -173,30 +172,6 @@ class TestScalarExpr:
                 ScalarExpr.var(name)
         with pytest.raises(ValueError):
             ScalarExpr.var("XI1").xi_derivative(4)
-
-    def test_substitute_homomorphism(self):
-        rng = random.Random(17)
-        binding = {"S": ScalarExpr.one(),
-                   "XI1": ScalarExpr.var("XI2")}
-        for _ in range(60):
-            a = rand_expr(rng)
-            b = rand_expr(rng)
-            lhs = (a * b).substitute(binding)
-            rhs = a.substitute(binding) * b.substitute(binding)
-            assert lhs == rhs
-
-    def test_substitute_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            ScalarExpr.f_inverse().substitute({"F": ScalarExpr.zero()})
-
-    def test_substitute_rejects_names_outside_the_alphabet(self):
-        # W, XIN and U left the alphabet; binding them must not pass
-        # silently
-        with pytest.raises(KeyError):
-            ScalarExpr.var("XI1").substitute({"W": ScalarExpr.one(),
-                                              "XIN": 0})
-        with pytest.raises(KeyError):
-            ScalarExpr.var("XI1").substitute({"U": 1})
 
     def test_constructor_coerces_coefficients(self):
         assert ScalarExpr({(): 1}) == ScalarExpr.one()
@@ -446,13 +421,11 @@ def ev(e, point):
 
 
 @st.composite
-def polys(draw, names=("HP", "F", "FI4", "XI1", "S"), real=False):
+def polys(draw, names=("HP", "F", "FI4", "XI1", "S")):
     """Sums of up to four terms c * F^k * (other names)^(0..3)."""
     out = ScalarExpr.zero()
     for _ in range(draw(st.integers(0, 4))):
-        c = draw(_frac) if real else GaussianRational(draw(_frac),
-                                                      draw(_frac))
-        term = ScalarExpr.const(c)
+        term = ScalarExpr.const(GaussianRational(draw(_frac), draw(_frac)))
         for name in names:
             lo = -3 if name == "F" else 0
             term = term * ScalarExpr.var(name, draw(st.integers(lo, 3)))
@@ -493,16 +466,6 @@ class TestExactEvaluation:
         for p in (a * one, one * a):
             _assert_canonical_terms(p)
             assert ev(p, point) == expected
-
-    @PROPERTY
-    @given(polys(names=("HP", "F", "S", "XI1", "XI2")),
-           polys(names=("HP", "F", "XI3"), real=True),
-           polys(names=("FI4", "XI2"), real=True), points)
-    def test_substitute(self, a, s, x1, point):
-        bound = {**point, "S": ev(s, point)[0], "XI1": ev(x1, point)[0]}
-        assert ev(a.substitute({"S": s}), point) == ev(
-            a, {**point, "S": bound["S"]})
-        assert ev(a.substitute({"S": s, "XI1": x1}), point) == ev(a, bound)
 
     @PROPERTY
     @given(polys(names=("HP", "F", "XI1", "XI2", "XI3")),
