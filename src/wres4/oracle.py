@@ -13,9 +13,10 @@ Only the tests use `quad_contour_pi_plus`.
 Each factor is a xi_n-polynomial numerator over one scalar denominator, so
 at a sphere node tr(L R) is one scalar xi_n-polynomial over the product of
 the two denominators.  The per-case referee contracts that trace once per
-factor pair, in point-monomial space; at each sphere node this gives the
-polynomial's coefficients, and each line-quadrature node costs one Horner
-evaluation times the two factors' reciprocal denominators.
+factor pair, in point-monomial space; at each sphere node one table of the
+point's powers gives the polynomial's coefficients.  A line node costs two
+bound calls (the factors' reciprocal denominators, dict hits after their
+first xi_n) and a Horner evaluation that the imaginary-part pass reuses.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -71,10 +73,8 @@ class GammaRep:
             raise ValueError("need exactly four gamma matrices")
 
     def basis_matrix(self, basis: Tuple[int, ...]) -> Matrix:
-        out = _IDENTITY
-        for i in basis:
-            out = _matmul(out, self.gamma[i - 1])
-        return out
+        return functools.reduce(_matmul, (self.gamma[i - 1] for i in basis),
+                                _IDENTITY)
 
     def max_relation_defect(self) -> float:
         worst = 0.0
@@ -109,17 +109,11 @@ class NumericContext:
         self.rep = rep if rep is not None else GammaRep()
 
 
-def _point_bindings(point) -> Dict[str, complex]:
-    """XI1, XI2, XI3 of a (xi', xi_n) point; no scalar holds xi_n."""
-    if point is None:
-        return {}
-    return dict(zip(_POINT_NAMES, point[0]))
-
-
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
                 point=None) -> complex:
     bindings = dict(ctx.assignment)
-    bindings.update(_point_bindings(point))
+    if point is not None:  # XI1, XI2, XI3 of (xi', xi_n); no scalar holds xi_n
+        bindings.update(zip(_POINT_NAMES, point[0]))
     total = sum(
         complex(coeff) * math.prod(_lookup(bindings, NAMES[idx]) ** exp
                                    for idx, exp in mono)
@@ -185,6 +179,9 @@ _WG = (0.066671344308688137593568809893332,
        0.219086362515982043995534934228163,
        0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
+# dqk21's Gauss pairs (j, x, wg, wk), then its Kronrod-only pairs (j, x, wk)
+_GAUSS = tuple(zip(range(1, 10, 2), _XGK[1::2], _WG, _WGK[1::2]))
+_KRONROD = tuple(zip(range(0, 10, 2), _XGK[0:10:2], _WGK[0:10:2]))
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
@@ -199,22 +196,23 @@ def _qk21(f: Callable[[float], float], a: float, b: float):
     resg = 0.0
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    fv1: List[float] = [0.0] * 10
-    fv2: List[float] = [0.0] * 10
-    for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):
-        absc = hlgth * _XGK[j]
-        fval1, fval2 = f(centr - absc), f(centr + absc)
-        fv1[j], fv2[j] = fval1, fval2
+    fv: List[Tuple[float, float]] = [(0.0, 0.0)] * 10
+    for j, x, wg, wk in _GAUSS:
+        absc = hlgth * x
+        fv[j] = fval1, fval2 = f(centr - absc), f(centr + absc)
         fsum = fval1 + fval2
-        if j % 2:
-            resg = resg + _WG[j // 2] * fsum
-        resk = resk + _WGK[j] * fsum
-        resabs = resabs + _WGK[j] * (abs(fval1) + abs(fval2))
+        resg = resg + wg * fsum
+        resk = resk + wk * fsum
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
+    for j, x, wk in _KRONROD:
+        absc = hlgth * x
+        fv[j] = fval1, fval2 = f(centr - absc), f(centr + absc)
+        resk = resk + wk * (fval1 + fval2)
+        resabs = resabs + wk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
-    for j in range(10):
-        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh)
-                                     + abs(fv2[j] - reskh))
+    for wk, (fval1, fval2) in zip(_WGK, fv):
+        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
     resabs *= abs(hlgth)
     resasc *= abs(hlgth)
     abserr = abs((resk - resg) * hlgth)
@@ -271,16 +269,17 @@ def quad_line(f: Callable[[float], complex]) -> complex:
     epsilon-algorithm extrapolation, which starts only at the third
     interval, and its roundoff and tiny-interval abort flags; up to two
     intervals it gives scipy.integrate.quad's value, error and node count
-    exactly.
+    exactly.  A node costs one tan, one call of f and one product by sec^2.
     """
+    tan = math.tan
 
     def real_part(theta: float) -> float:
-        t = math.tan(theta)
-        return float((f(t) * (1.0 + t * t)).real)
+        t = tan(theta)
+        return (f(t) * (1.0 + t * t)).real
 
     def imag_part(theta: float) -> float:
-        t = math.tan(theta)
-        return float((f(t) * (1.0 + t * t)).imag)
+        t = tan(theta)
+        return (f(t) * (1.0 + t * t)).imag
 
     out = 0j
     for part, unit in ((real_part, 1.0), (imag_part, 1j)):
@@ -370,9 +369,12 @@ def quad_sphere(p: Callable[[float, float, float], complex],
 Exps = Tuple[int, int, int]
 
 
-def _monomial(point: Tuple[float, float, float], exps: Exps):
-    """XI1**a XI2**b XI3**c at point = (x1, x2, x3)."""
-    return point[0] ** exps[0] * point[1] ** exps[1] * point[2] ** exps[2]
+def _monomials(point: Tuple[float, float, float], exps: Sequence[Exps]):
+    """XI1**a XI2**b XI3**c at point = (x1, x2, x3) for each (a, b, c) of
+    exps, from one table of the coordinates' powers."""
+    top = max(map(max, exps), default=0)
+    p1, p2, p3 = ([x ** k for k in range(top + 1)] for x in point)
+    return [p1[a] * p2[b] * p3[c] for a, b, c in exps]
 
 
 class LoweredSymbol:
@@ -415,8 +417,7 @@ class LoweredSymbol:
                             weight *= _lookup(ctx.assignment, NAMES[idx]) ** k
                     point_exps = tuple(exps)
                     for n, c_num in num.items():
-                        vec = lift.setdefault((deg + n, point_exps),
-                                              [0j] * 16)
+                        vec = lift.setdefault((deg + n, point_exps), [0j] * 16)
                         w = c_num * weight
                         for f, m in flat[basis]:
                             vec[f] += w * m
@@ -429,7 +430,9 @@ def _numerators(keys: list):
 
     Returns one dict {n: c} per key, holding the nonzero terms c xi_n**n of
     the numerator (xi_n - i)**(A - a) (xi_n + i)**(B - b) of key (a, b),
-    and the pole orders (A, B) of the common denominator.
+    and the pole orders (A, B) of the common denominator.  It does not use
+    the engine's exact `symbols._pole_factor`: the referee shares as little
+    with the engine as it can.
     """
     A = max((a for a, _ in keys), default=0)
     B = max((b for _, b in keys), default=0)
@@ -437,8 +440,7 @@ def _numerators(keys: list):
     for a, b in keys:
         coeffs = [1 + 0j]
         for root in [1j] * (A - a) + [-1j] * (B - b):
-            # times (xi_n - root), exactly: the coefficients are Gaussian
-            # integers
+            # times (xi_n - root), exactly: Gaussian-integer coefficients
             coeffs = [(coeffs[n - 1] if n else 0) - root * c
                       for n, c in enumerate(coeffs + [0])]
         nums.append({n: c for n, c in enumerate(coeffs) if c})
@@ -463,23 +465,23 @@ class CompiledSymbol:
         self._recips = lowered.recips
 
     def __call__(self, xi_n: complex) -> complex:
-        recip = self._recips.get(xi_n)
-        if recip is None:
+        try:
+            return self._recips[xi_n]
+        except KeyError:
             a, b = self.lowered.poles
-            recip = self._recips[xi_n] = 1.0 / ((xi_n - 1j) ** a
-                                                 * (xi_n + 1j) ** b)
-        return recip
+            self._recips[xi_n] = 1.0 / ((xi_n - 1j) ** a * (xi_n + 1j) ** b)
+            return self._recips[xi_n]
 
     @functools.cached_property
     def numerator(self) -> List[List[complex]]:
         """The flattened 4x4 coefficients of xi_n**0, xi_n**1, ... here."""
-        coeffs: List[List[complex]] = []
-        for (n, exps), vec in self.lowered.lift.items():
-            while len(coeffs) <= n:
-                coeffs.append([0j] * 16)
-            w, row = _monomial(self.point, exps), coeffs[n]
+        lift = self.lowered.lift
+        weights = _monomials(self.point, [exps for _, exps in lift])
+        coeffs = [[0j] * 16 for _ in range(1 + max((n for n, _ in lift),
+                                                   default=-1))]
+        for ((n, _), vec), w in zip(lift.items(), weights):
             for f, v in enumerate(vec):
-                row[f] += w * v
+                coeffs[n][f] += w * v
         return coeffs
 
     def matrix(self, xi_n: complex) -> Matrix:
@@ -508,16 +510,15 @@ def _trace_coefficients(left: LoweredSymbol, right: LoweredSymbol):
         for (n, er), b in right.lift.items():
             pairing = sum(a[f] * b[_TRANSPOSE[f]] for f in range(16))
             if pairing:
-                row = table.setdefault(tuple(i + j for i, j in zip(el, er)),
-                                       {})
+                row = table.setdefault(tuple(map(operator.add, el, er)), {})
                 row[m + n] = row.get(m + n, 0j) + pairing
     monos = list(table)
     degree = max((j for row in table.values() for j in row), default=-1)
     rows = [[table[e].get(j, 0j) for e in monos] for j in range(degree + 1)]
 
     def at(x1: float, x2: float, x3: float) -> List[complex]:
-        values = [_monomial((x1, x2, x3), e) for e in monos]
-        return [sum(c * v for c, v in zip(row, values)) for row in rows]
+        values = _monomials((x1, x2, x3), monos)
+        return [sum(map(operator.mul, row, values)) for row in rows]
 
     return at
 
@@ -545,12 +546,11 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
         trace_at = _trace_coefficients(low_l, low_r)
 
         def p(x1: float, x2: float, x3: float) -> complex:
-            # one sphere node: tr(L R)'s numerator as one xi_n-polynomial,
-            # evaluated once per xi_n node (quad_line's imaginary-part pass
-            # revisits the real-part pass's nodes), over both factors'
-            # denominators, which each factor's call returns
-            lc = CompiledSymbol(low_l, (x1, x2, x3))
-            rc = CompiledSymbol(low_r, (x1, x2, x3))
+            # one sphere node: tr(L R)'s numerator, Horner once per xi_n
+            # (the imaginary-part pass revisits the real-part pass's nodes),
+            # over both factors' denominators, each a bound call
+            lc = CompiledSymbol(low_l, (x1, x2, x3)).__call__
+            rc = CompiledSymbol(low_r, (x1, x2, x3)).__call__
             coeffs = trace_at(x1, x2, x3)
             traces: Dict[float, complex] = {}
 

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from wres4 import boundary, halfplane, symbols
+from wres4 import anchors, boundary, halfplane, symbols
 from wres4.boundary import CaseSpec
 from wres4.cli import run
 from wres4.clifford import CliffordElem
@@ -19,7 +19,7 @@ from wres4.symbols import BoundarySymbol
 
 def _clear_case_caches():
     for cached in (symbols._sigma, boundary.case_factors,
-                   boundary._case_value):
+                   boundary._case_value, anchors.lemma41):
         cached.cache_clear()
 
 
@@ -74,6 +74,28 @@ def test_negated_sigma0_fails_compute_phi(fresh_caches, monkeypatch,
     status, failed = _failed_rows(capsys)
     assert status == 1
     assert {"case_b", "case_c"} <= failed
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP items 4 and 5: Lemma 4.1's closed form "
+                   "of sigma_-2(D^-1) is built from the engine's own "
+                   "sigma0_dirac, so the parametrix rows compare the mutant "
+                   "with itself")
+def test_negated_sigma0_fails_verify_lemma41(fresh_caches, monkeypatch,
+                                            capsys):
+    before = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
+    _clear_case_caches()
+    real = symbols.sigma0_dirac
+    monkeypatch.setattr(symbols, "sigma0_dirac", lambda: -real())
+    after = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
+    if any(x == y for x, y in zip(before, after)):
+        pytest.fail("the mutant leaves the engine's sigma_-2 or its "
+                    "Lemma 4.1 reference unchanged")
+    capsys.readouterr()
+    status = run(["verify-lemma41", "--format", "json"])
+    rows = json.loads(capsys.readouterr().out)["results"]
+    assert [r["verdict"] for r in rows if r["verdict"] != "match"]
+    assert status == 1
 
 
 def test_doubled_c_df_term_fails_compute_phi(fresh_caches, monkeypatch,

@@ -703,6 +703,22 @@ class TestDeterminism:
                 assert 0.5 <= val <= 2.0
 
 
+def _upper_residue(coeffs, a, b):
+    """Res_{t=i} of P(t) / ((t - i)^a (t + i)^b), P = sum_n coeffs[n] t^n:
+    the (a-1)-th derivative of P(t) (t + i)^-b at i over (a-1)!, by the
+    Leibniz rule, with d^j/dt^j (t + i)^-b = (-1)^j b (b+1) ... (b+j-1)
+    (t + i)^(-b-j)."""
+    m = a - 1
+    total = 0j
+    for k in range(m + 1):
+        p_k = sum(c * math.perm(n, k) * 1j ** (n - k)
+                  for n, c in enumerate(coeffs) if n >= k)
+        j = m - k
+        q_j = (-1) ** j * math.prod(range(b, b + j)) * (2j) ** (-b - j)
+        total += math.comb(m, k) * p_k * q_j
+    return total / math.factorial(m)
+
+
 class TestQuadrature:
     def test_cauchy_line(self):
         val = quad_line(lambda t: 1 / (1 + t * t))
@@ -721,6 +737,25 @@ class TestQuadrature:
     def test_higher_pole_line(self):
         val = quad_line(lambda t: 1 / ((t - 1j) ** 2 * (t + 1j) ** 3))
         assert abs(val - (-3j * math.pi / 8)) < 1e-9
+
+    @pytest.mark.parametrize("a, b", [(4, 2), (5, 3), (5, 2), (5, 4)])
+    def test_line_rule_matches_the_upper_residue(self, a, b):
+        # the referee's pole orders (a1; a2 and a3; b; c) with random
+        # complex numerators of degree <= a + b - 2, so the integrand
+        # decays like t^-2 and the line integral is 2 pi i Res_{t=i};
+        # the residue is computed here, independently of halfplane
+        rng = random.Random(100 * a + b)
+        for _ in range(30):
+            coeffs = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                      for _ in range(rng.randint(1, a + b - 1))]
+
+            def f(t):
+                return (_horner(coeffs, t)
+                        / ((t - 1j) ** a * (t + 1j) ** b))
+
+            exact = 2j * math.pi * _upper_residue(coeffs, a, b)
+            val = quad_line(f)
+            assert abs(val - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_contour_fixed_point(self):
         val = quad_contour_pi_plus(lambda z: 1 / (z - 1j), 0.7)
