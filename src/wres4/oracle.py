@@ -1,27 +1,27 @@
 """Floating-point referee for the symbolic engine, in pure Python.
 
 Explicit 4x4 gamma matrices (tuples of Python complex), seeded random
-parameter assignments, and quadrature for line, contour, and sphere
-integrals.  Every scalar and Clifford value can be evaluated to a complex
-scalar or a 4x4 complex matrix, and every on-shell boundary symbol to a 4x4
-complex matrix; the referee lowers no off-shell symbol, since every factor
-it is given is on shell.  The per-case referee takes each case's factors and
-prefactor from the engine, so derivatives, restriction and pi+ are the
-engine's own; it recomputes the product, the trace and the two integrals.
-Only the tests use `quad_contour_pi_plus`.
+parameter assignments, scalar evaluation, and quadrature for line and
+sphere integrals.  Every on-shell boundary symbol lowers to a polynomial in
+xi_n and the point over one scalar denominator; the referee lowers no
+off-shell symbol, since every factor it is given is on shell.  The per-case
+referee takes each case's factors and prefactor from the engine, so
+derivatives, restriction and pi+ are the engine's own; it recomputes the
+product, the trace and the two integrals.
 
-Each factor is a xi_n-polynomial numerator over one scalar denominator, so
-at a sphere node tr(L R) is one scalar xi_n-polynomial over the product of
-the two denominators.  The per-case referee contracts that trace once per
-factor pair, in point-monomial space; at each sphere node one table of the
-point's powers gives the polynomial's coefficients.  A line node costs two
-bound calls (the factors' reciprocal denominators, dict hits after their
-first xi_n) and a Horner evaluation that the imaginary-part pass reuses.
+At a sphere node tr(L R) is one scalar xi_n-polynomial over the product of
+the two factors' denominators.  Factor pairs with the same pole orders share
+those denominators, so the per-case referee groups the pairs by pole orders
+and contracts the sum of each group's traces once, in point-monomial space:
+one sphere pass per group, and at each node one table of the point's powers
+gives the polynomial's coefficients.  A line node costs two bound calls (the
+reciprocal denominators, dict hits after their first xi_n) and a Horner
+evaluation that the imaginary-part pass reuses; the line rule sweeps each
+21-node panel in one call, at nodes and secants tabulated once per process.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import operator
@@ -29,7 +29,6 @@ import random
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .clifford import CliffordElem
 from .errors import MissingBinding, NonConvergence, ShellViolation
 from .scalars import NAMES, ScalarExpr
 from .symbols import OFF, BoundarySymbol
@@ -129,24 +128,6 @@ def _lookup(bindings: Dict[str, complex], name: str) -> complex:
         raise MissingBinding(f"no numeric binding for {name}") from None
 
 
-def eval_clifford(a: CliffordElem, ctx: NumericContext,
-                  point=None) -> Matrix:
-    out = [[0j] * 4 for _ in range(4)]
-    for basis, coeff in a.terms.items():
-        w = eval_scalar(coeff, ctx, point)
-        for row, mat_row in zip(out, ctx.rep.basis_matrix(basis)):
-            for j, m in enumerate(mat_row):
-                row[j] += w * m
-    return tuple(map(tuple, out))
-
-
-def eval_symbol(s: BoundarySymbol, ctx: NumericContext,
-                point) -> Matrix:
-    if point is None or point[1] is None:
-        raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
-    return CompiledSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
-
-
 # -- quadrature --------------------------------------------------------------
 
 # QUADPACK dqk21 (Piessens et al., QUADPACK, Springer 1983): the 21-point
@@ -179,40 +160,57 @@ _WG = (0.066671344308688137593568809893332,
        0.219086362515982043995534934228163,
        0.269266719309996355091226921569469,
        0.295524224714752870173892994651338)
-# dqk21's Gauss pairs (j, x, wg, wk), then its Kronrod-only pairs (j, x, wk)
-_GAUSS = tuple(zip(range(1, 10, 2), _XGK[1::2], _WG, _WGK[1::2]))
-_KRONROD = tuple(zip(range(0, 10, 2), _XGK[0:10:2], _WGK[0:10:2]))
+# A panel is dqk21's 21 nodes on [a, b] in its order of evaluation: the
+# centre, the Gauss pairs, then the Kronrod-only pairs, each pair as centre
+# -/+ hlgth * x.  Each Gauss pair's panel position, wg and wk; each
+# Kronrod-only pair's position and wk; and every pair's position and wk in
+# _XGK order, which is the order of dqk21's resasc sum.
+_GAUSS = tuple(zip(range(1, 11, 2), _WG, _WGK[1::2]))
+_KRONROD = tuple(zip(range(11, 21, 2), _WGK[0:10:2]))
+_PAIRS = tuple(zip([j if j % 2 else 11 + j for j in range(10)], _WGK))
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
+Panel = Callable[[Tuple[float, ...]], Sequence[float]]
 
-def _qk21(f: Callable[[float], float], a: float, b: float):
-    """dqk21 on [a, b]: the Kronrod value, its error estimate, the
-    integral of |f| and the integral of |f - mean|, in dqk21's order of
-    evaluations and operations."""
+
+@functools.cache
+def _panel(a: float, b: float) -> Tuple[float, ...]:
+    """dqk21's 21 nodes on [a, b], in its order of evaluation."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = f(centr)
+    nodes = [centr]
+    for x in _XGK[1::2] + _XGK[0:10:2]:
+        absc = hlgth * x
+        nodes += (centr - absc, centr + absc)
+    return tuple(nodes)
+
+
+def _qk21(f: Panel, a: float, b: float):
+    """dqk21 on [a, b]: the Kronrod value, its error estimate, the
+    integral of |f| and the integral of |f - mean|, in dqk21's order of
+    evaluations and operations.  f maps the panel's nodes to their values
+    in one call."""
+    hlgth = 0.5 * (b - a)
+    fv = f(_panel(a, b))
+    fc = fv[0]
     resg = 0.0
     resk = _WGK[10] * fc
     resabs = abs(resk)
-    fv: List[Tuple[float, float]] = [(0.0, 0.0)] * 10
-    for j, x, wg, wk in _GAUSS:
-        absc = hlgth * x
-        fv[j] = fval1, fval2 = f(centr - absc), f(centr + absc)
+    for j, wg, wk in _GAUSS:
+        fval1, fval2 = fv[j], fv[j + 1]
         fsum = fval1 + fval2
         resg = resg + wg * fsum
         resk = resk + wk * fsum
         resabs = resabs + wk * (abs(fval1) + abs(fval2))
-    for j, x, wk in _KRONROD:
-        absc = hlgth * x
-        fv[j] = fval1, fval2 = f(centr - absc), f(centr + absc)
+    for j, wk in _KRONROD:
+        fval1, fval2 = fv[j], fv[j + 1]
         resk = resk + wk * (fval1 + fval2)
         resabs = resabs + wk * (abs(fval1) + abs(fval2))
     reskh = resk * 0.5
     resasc = _WGK[10] * abs(fc - reskh)
-    for wk, (fval1, fval2) in zip(_WGK, fv):
-        resasc = resasc + wk * (abs(fval1 - reskh) + abs(fval2 - reskh))
+    for j, wk in _PAIRS:
+        resasc = resasc + wk * (abs(fv[j] - reskh) + abs(fv[j + 1] - reskh))
     resabs *= abs(hlgth)
     resasc *= abs(hlgth)
     abserr = abs((resk - resg) * hlgth)
@@ -223,10 +221,10 @@ def _qk21(f: Callable[[float], float], a: float, b: float):
     return resk * hlgth, abserr, resabs, resasc
 
 
-def _qags21(f: Callable[[float], float], a: float, b: float,
+def _qags21(f: Panel, a: float, b: float,
             epsabs: float, epsrel: float, limit: int):
-    """QUADPACK dqagse without its epsilon-algorithm extrapolation:
-    returns (value, error estimate)."""
+    """QUADPACK dqagse without its epsilon-algorithm extrapolation, for a
+    panel function f: returns (value, error estimate)."""
     result, abserr, defabs, resasc = _qk21(f, a, b)
     errbnd = max(epsabs, epsrel * abs(result))
     if ((abserr <= 100.0 * _EPMACH * defabs and abserr > errbnd)
@@ -256,6 +254,13 @@ def _qags21(f: Callable[[float], float], a: float, b: float,
 _LINE_TOL = 1e-11  # absolute and relative tolerance of quad_line
 
 
+@functools.cache
+def _secants(thetas: Tuple[float, ...]) -> Tuple[Tuple[float, float], ...]:
+    """(tan theta, 1 + tan^2 theta), that is xi_n and dxi_n/dtheta, at each
+    node of a panel."""
+    return tuple((t, 1.0 + t * t) for t in map(math.tan, thetas))
+
+
 def quad_line(f: Callable[[float], complex]) -> complex:
     """Adaptive quadrature of f over the real line via xi_n = tan(theta),
     real and imaginary parts as two separate integrals over
@@ -269,17 +274,16 @@ def quad_line(f: Callable[[float], complex]) -> complex:
     epsilon-algorithm extrapolation, which starts only at the third
     interval, and its roundoff and tiny-interval abort flags; up to two
     intervals it gives scipy.integrate.quad's value, error and node count
-    exactly.  A node costs one tan, one call of f and one product by sec^2.
+    exactly.  Each pass sweeps a panel of 21 nodes in one call, reading
+    their tan and sec^2 from a table that every call shares, since the
+    panels depend only on the bisection; a node costs one call of f and
+    one product by sec^2.
     """
-    tan = math.tan
+    def real_part(thetas: Tuple[float, ...]) -> List[float]:
+        return [(f(t) * s).real for t, s in _secants(thetas)]
 
-    def real_part(theta: float) -> float:
-        t = tan(theta)
-        return (f(t) * (1.0 + t * t)).real
-
-    def imag_part(theta: float) -> float:
-        t = tan(theta)
-        return (f(t) * (1.0 + t * t)).imag
+    def imag_part(thetas: Tuple[float, ...]) -> List[float]:
+        return [(f(t) * s).imag for t, s in _secants(thetas)]
 
     out = 0j
     for part, unit in ((real_part, 1.0), (imag_part, 1j)):
@@ -289,27 +293,6 @@ def quad_line(f: Callable[[float], complex]) -> complex:
             raise NonConvergence(f"line quadrature error estimate {err}")
         out += unit * val
     return out
-
-
-def quad_contour_pi_plus(h: Callable[[complex], complex],
-                         xi0: float) -> complex:
-    """The half-plane projection as a contour integral: average of
-    h(xi)/(xi0 + iu - xi) over the circle of radius 0.8 around +i at 4096
-    trapezoid nodes, with u = -1e-12 standing for u -> 0^-.
-
-    The circle encloses exactly the upper-half-plane pole at +i, so the
-    trapezoid rule converges spectrally for the rational integrands at
-    hand.
-    """
-    radius, n, u = 0.8, 4096, -1e-12
-    total = 0j
-    for k in range(n):
-        theta = 2.0 * math.pi * k / n
-        e = cmath.exp(1j * theta)
-        z = 1j + radius * e
-        dz = radius * 1j * e
-        total += h(z) / (xi0 + 1j * u - z) * dz
-    return total * (2.0 * math.pi / n) / (2j * math.pi)
 
 
 def _legendre(n: int, x: float) -> Tuple[float, float]:
@@ -453,9 +436,6 @@ class CompiledSymbol:
     A call at xi_n returns 1/((xi_n - i)**A (xi_n + i)**B), the reciprocal
     of the symbol's common denominator.  It depends on xi_n alone, so it is
     kept in the LoweredSymbol's `recips` and shared by all its instances.
-    `matrix(xi_n)` is the symbol's 4x4 value: the numerator's coefficients
-    at this point (computed on first use) by Horner's rule in xi_n, times
-    that reciprocal.
     """
 
     def __init__(self, lowered: LoweredSymbol,
@@ -472,46 +452,33 @@ class CompiledSymbol:
             self._recips[xi_n] = 1.0 / ((xi_n - 1j) ** a * (xi_n + 1j) ** b)
             return self._recips[xi_n]
 
-    @functools.cached_property
-    def numerator(self) -> List[List[complex]]:
-        """The flattened 4x4 coefficients of xi_n**0, xi_n**1, ... here."""
-        lift = self.lowered.lift
-        weights = _monomials(self.point, [exps for _, exps in lift])
-        coeffs = [[0j] * 16 for _ in range(1 + max((n for n, _ in lift),
-                                                   default=-1))]
-        for ((n, _), vec), w in zip(lift.items(), weights):
-            for f, v in enumerate(vec):
-                coeffs[n][f] += w * v
-        return coeffs
-
-    def matrix(self, xi_n: complex) -> Matrix:
-        recip = self(xi_n)
-        flat = [recip * _horner([vec[f] for vec in self.numerator], xi_n)
-                for f in range(16)]
-        return tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
-
 
 # flattened index of the transpose: tr(L R) = sum_f L_f R_{_TRANSPOSE[f]}
 _TRANSPOSE = tuple(4 * (f % 4) + f // 4 for f in range(16))
+Pair = Tuple[LoweredSymbol, LoweredSymbol]
 
 
-def _trace_coefficients(left: LoweredSymbol, right: LoweredSymbol):
-    """The numerator of tr(L R) as a function of the point.
+def _trace_coefficients(pairs: Sequence[Pair]):
+    """The numerator of the sum of tr(L R) over (L, R) in pairs, as a
+    function of the point; the pairs share their pole orders, so it is
+    over every pair's reciprocal denominators.
 
-    The coefficient of xi_n**j is the sum over m + n = j of tr(L_m R_n),
-    the 16-term pairing of the two numerators' matrix coefficients, so it
-    is contracted once here from the two lifts, with each pairing's point
-    monomial the product of the two.  Returns at(x1, x2, x3), the list of
-    xi_n coefficients there, ascending; tr(L R) is their polynomial times
-    both factors' reciprocal denominators.
+    The coefficient of xi_n**j is the sum over pairs and m + n = j of
+    tr(L_m R_n), the 16-term pairing of the two numerators' matrix
+    coefficients, so it is contracted once here from the lifts, with each
+    pairing's point monomial the product of the two.  Returns at(x1, x2,
+    x3), the list of xi_n coefficients there, ascending; the summed trace
+    is their polynomial times one pair's two reciprocal denominators.
     """
     table: Dict[Exps, Dict[int, complex]] = {}
-    for (m, el), a in left.lift.items():
-        for (n, er), b in right.lift.items():
-            pairing = sum(a[f] * b[_TRANSPOSE[f]] for f in range(16))
-            if pairing:
-                row = table.setdefault(tuple(map(operator.add, el, er)), {})
-                row[m + n] = row.get(m + n, 0j) + pairing
+    for left, right in pairs:
+        for (m, el), a in left.lift.items():
+            for (n, er), b in right.lift.items():
+                pairing = sum(a[f] * b[_TRANSPOSE[f]] for f in range(16))
+                if pairing:
+                    row = table.setdefault(tuple(map(operator.add, el, er)),
+                                           {})
+                    row[m + n] = row.get(m + n, 0j) + pairing
     monos = list(table)
     degree = max((j for row in table.values() for j in row), default=-1)
     rows = [[table[e].get(j, 0j) for e in monos] for j in range(degree + 1)]
@@ -533,22 +500,29 @@ def _horner(coeffs: List[complex], t: complex) -> complex:
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     """Recompute one boundary case from the engine's factors: the trace
     of their product, quadrature over xi_n at each sphere node, then over
-    the sphere, times the engine's case coefficient.
+    the sphere, times the engine's case coefficient.  Factor pairs with
+    the same pole orders share their denominators, so each such group
+    takes one sphere pass over its summed trace.
 
     Returns the numeric value, the evaluated symbolic value, and their
     absolute difference.
     """
     from .boundary import case_factors, compute_case
 
-    total = 0j
+    groups: Dict[tuple, List[Pair]] = {}
     for left, right in case_factors(spec, "Dtilde"):
         low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
-        trace_at = _trace_coefficients(low_l, low_r)
+        groups.setdefault((low_l.poles, low_r.poles), []).append(
+            (low_l, low_r))
+    total = 0j
+    for pairs in groups.values():
+        low_l, low_r = pairs[0]
+        trace_at = _trace_coefficients(pairs)
 
         def p(x1: float, x2: float, x3: float) -> complex:
-            # one sphere node: tr(L R)'s numerator, Horner once per xi_n
-            # (the imaginary-part pass revisits the real-part pass's nodes),
-            # over both factors' denominators, each a bound call
+            # one sphere node: the group's trace numerator, Horner once per
+            # xi_n (the imaginary-part pass revisits the real-part pass's
+            # nodes), over one pair's denominators, each a bound call
             lc = CompiledSymbol(low_l, (x1, x2, x3)).__call__
             rc = CompiledSymbol(low_r, (x1, x2, x3)).__call__
             coeffs = trace_at(x1, x2, x3)

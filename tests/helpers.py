@@ -1,13 +1,90 @@
-"""Helpers the tests share that are not checks themselves: one numeric
+"""Helpers the tests share.  Most are not checks themselves: one numeric
 evaluator for every symbolic type, the ledger's ids, the W-power and
 pole-factor products, the one-key on-shell symbol and the pure-Dirac
-limit."""
+limit.  The referee's matrix-valued evaluators and its contour form of
+pi+ live here too, since no verb runs them; they are checks, against
+which the tests hold the referee's scalar trace path and the engine's
+pi+."""
+
+import cmath
+import functools
+import math
 
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem
-from wres4.oracle import eval_clifford, eval_scalar, eval_symbol
+from wres4.errors import MissingBinding
+from wres4.oracle import (
+    CompiledSymbol,
+    LoweredSymbol,
+    _horner,
+    _monomials,
+    eval_scalar,
+)
 from wres4.scalars import NAMES, ScalarExpr
 from wres4.symbols import ON, BoundarySymbol, XinPoly, _pole_factor, _w_power
+
+
+def eval_clifford(a: CliffordElem, ctx, point=None):
+    """a as a 4x4 matrix (a tuple of rows of complex) in ctx's gamma
+    representation, each coefficient evaluated by eval_scalar."""
+    out = [[0j] * 4 for _ in range(4)]
+    for basis, coeff in a.terms.items():
+        w = eval_scalar(coeff, ctx, point)
+        for row, mat_row in zip(out, ctx.rep.basis_matrix(basis)):
+            for j, m in enumerate(mat_row):
+                row[j] += w * m
+    return tuple(map(tuple, out))
+
+
+class MatrixSymbol(CompiledSymbol):
+    """A compiled symbol that also gives its 4x4 value: `matrix(xi_n)` is
+    the numerator's coefficients at this point (computed on first use) by
+    Horner's rule in xi_n, times the shared reciprocal denominator."""
+
+    @functools.cached_property
+    def numerator(self):
+        """The flattened 4x4 coefficients of xi_n**0, xi_n**1, ... here."""
+        lift = self.lowered.lift
+        weights = _monomials(self.point, [exps for _, exps in lift])
+        coeffs = [[0j] * 16 for _ in range(1 + max((n for n, _ in lift),
+                                                   default=-1))]
+        for ((n, _), vec), w in zip(lift.items(), weights):
+            for f, v in enumerate(vec):
+                coeffs[n][f] += w * v
+        return coeffs
+
+    def matrix(self, xi_n: complex):
+        recip = self(xi_n)
+        flat = [recip * _horner([vec[f] for vec in self.numerator], xi_n)
+                for f in range(16)]
+        return tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
+
+
+def eval_symbol(s: BoundarySymbol, ctx, point):
+    """An on-shell symbol's 4x4 value at a full point (xi', xi_n)."""
+    if point is None or point[1] is None:
+        raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
+    return MatrixSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
+
+
+def quad_contour_pi_plus(h, xi0: float) -> complex:
+    """The half-plane projection as a contour integral: average of
+    h(xi)/(xi0 + iu - xi) over the circle of radius 0.8 around +i at 4096
+    trapezoid nodes, with u = -1e-12 standing for u -> 0^-.
+
+    The circle encloses exactly the upper-half-plane pole at +i, so the
+    trapezoid rule converges spectrally for the rational integrands at
+    hand.
+    """
+    radius, n, u = 0.8, 4096, -1e-12
+    total = 0j
+    for k in range(n):
+        theta = 2.0 * math.pi * k / n
+        e = cmath.exp(1j * theta)
+        z = 1j + radius * e
+        dz = radius * 1j * e
+        total += h(z) / (xi0 + 1j * u - z) * dz
+    return total * (2.0 * math.pi / n) / (2j * math.pi)
 
 
 def evaluate(sym, ctx, point=None):

@@ -32,13 +32,11 @@ from wres4.interior import (
     trace_interior,
 )
 from wres4.oracle import (
-    CompiledSymbol,
     GammaRep,
     LoweredSymbol,
     NumericContext,
     crosscheck_case,
     eval_scalar,
-    quad_contour_pi_plus,
     quad_line,
     quad_sphere,
 )
@@ -60,7 +58,14 @@ from wres4.symbols import (
     sandwich,
 )
 
-from helpers import evaluate, known_ids, on_shell_term, pure_dirac_limit
+from helpers import (
+    MatrixSymbol,
+    evaluate,
+    known_ids,
+    on_shell_term,
+    pure_dirac_limit,
+    quad_contour_pi_plus,
+)
 
 SEEDS = (11, 23, 42, 101, 977)
 HP = ScalarExpr.var("HP")
@@ -157,7 +162,7 @@ def test_criterion3_projection_anchors():
     full = restrict_on_shell(build_sigma("D", -1))
     xp = (0.28, -0.96, 0.0)
     # bound to ctx and xp once; each contour node is then one call
-    compiled = CompiledSymbol(LoweredSymbol(full, ctx), xp)
+    compiled = MatrixSymbol(LoweredSymbol(full, ctx), xp)
     for k in range(10):
         xi0 = -2.2 + 0.5 * k
         num = quad_contour_pi_plus(

@@ -23,13 +23,11 @@ from wres4.oracle import (
     _gauss_legendre,
     _horner,
     _trace_coefficients,
-    eval_clifford,
-    eval_symbol,
+    _panel,
     _qags21,
     _qk21,
     _XGK,
     _WG,
-    quad_contour_pi_plus,
     quad_line,
     quad_sphere,
 )
@@ -44,7 +42,14 @@ from wres4.symbols import (
     restrict_on_shell,
 )
 
-from helpers import evaluate, on_shell_term
+from helpers import (
+    MatrixSymbol,
+    eval_clifford,
+    eval_symbol,
+    evaluate,
+    on_shell_term,
+    quad_contour_pi_plus,
+)
 
 
 def rand_elem(rng, depth=3):
@@ -201,7 +206,7 @@ class TestLoweredEvaluator:
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             norm = math.sqrt(sum(x * x for x in v))
             xp = tuple(radius * x / norm for x in v)
-            compiled = CompiledSymbol(LoweredSymbol(s, ctx), xp)
+            compiled = MatrixSymbol(LoweredSymbol(s, ctx), xp)
             for xi_n in (rng.uniform(-3.0, 3.0),
                          complex(rng.uniform(-2.0, 2.0),
                                  rng.uniform(-0.5, 0.5))) + XI_N:
@@ -243,12 +248,12 @@ class TestLoweredEvaluator:
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             norm = math.sqrt(sum(x * x for x in v))
             points.append(tuple(radius * x / norm for x in v))
-        shared = [CompiledSymbol(low, xp) for xp in points]
+        shared = [MatrixSymbol(low, xp) for xp in points]
         for xi_n in (rng.uniform(-3.0, 3.0),
                      complex(rng.uniform(-2.0, 2.0),
                              rng.uniform(-0.5, 0.5))) + XI_N:
             for xp, compiled in zip(points, shared):
-                fresh = CompiledSymbol(LoweredSymbol(s, ctx), xp)
+                fresh = MatrixSymbol(LoweredSymbol(s, ctx), xp)
                 assert compiled(xi_n) == fresh(xi_n)
                 assert compiled.matrix(xi_n) == fresh.matrix(xi_n)
         return low
@@ -267,7 +272,7 @@ class TestLoweredEvaluator:
         got = eval_symbol(BoundarySymbol.zero(shell), ctx,
                           ((0.6, 0.0, 0.8), 0.5))
         assert np.array_equal(got, np.zeros((4, 4)))
-        compiled = CompiledSymbol(
+        compiled = MatrixSymbol(
             LoweredSymbol(BoundarySymbol.zero(shell), ctx), (0.3, 0.4, 1.2))
         for xi_n in XI_N:
             assert np.array_equal(compiled.matrix(xi_n), np.zeros((4, 4)))
@@ -280,7 +285,7 @@ class TestLoweredEvaluator:
         # lowered symbol, and the matrix built on it is immutable
         low = LoweredSymbol(make(), ctx)
         xp, other = (0.36, -0.48, 0.8), (0.6, 0.0, 1.6)
-        compiled = CompiledSymbol(low, xp)
+        compiled = MatrixSymbol(low, xp)
         for xi_n in (0.7, complex(0.4, -0.3)):
             first = compiled(xi_n)
             assert compiled(xi_n) is first
@@ -291,10 +296,12 @@ class TestLoweredEvaluator:
             assert type(compiled.matrix(xi_n)) is tuple
 
     def test_trace_polynomial_matches_matrix_trace(self, ctx):
-        # at each sphere node tr(L R) is one xi_n-polynomial, contracted
-        # once per factor pair, over both reciprocal denominators; against
-        # the trace of the two matrices' product, for every factor pair of
-        # every case, at real and complex xi_n
+        # at each sphere node the summed tr(L R) of pairs with the same pole
+        # orders is one xi_n-polynomial, contracted once per group, over
+        # one pair's reciprocal denominators; against the sum of the traces
+        # of the two matrices' products, for every factor pair of every
+        # case on its own and for each case's groups (a1's three pairs
+        # form one), at real and complex xi_n
         from wres4.boundary import case_factors, enumerate_cases
 
         c = _gauss_legendre(12)[0][4]
@@ -302,20 +309,29 @@ class TestLoweredEvaluator:
         nodes = [(s * math.cos(2.0 * math.pi * k / 24),
                   s * math.sin(2.0 * math.pi * k / 24), c)
                  for k in range(0, 24, 5)] + [(0.3, -1.1, 0.5)]
-        pairs = [pair for spec in enumerate_cases()
-                 for pair in case_factors(spec, "Dtilde")]
-        assert len(pairs) == 7
-        for left, right in pairs:
-            low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
-            trace_at = _trace_coefficients(low_l, low_r)
+        groups = []
+        for spec in enumerate_cases():
+            by_poles = {}
+            for left, right in case_factors(spec, "Dtilde"):
+                pair = (LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
+                groups.append([pair])
+                by_poles.setdefault((pair[0].poles, pair[1].poles),
+                                    []).append(pair)
+            groups += by_poles.values()
+        assert sorted(map(len, groups)) == [1] * 11 + [3]
+        for pairs in groups:
+            trace_at = _trace_coefficients(pairs)
             for xp in nodes:
-                lc, rc = CompiledSymbol(low_l, xp), CompiledSymbol(low_r, xp)
                 coeffs = trace_at(*xp)
                 assert {type(x) for x in coeffs} == {complex}
+                lc, rc = (CompiledSymbol(low, xp) for low in pairs[0])
+                factors = [(MatrixSymbol(low_l, xp), MatrixSymbol(low_r, xp))
+                           for low_l, low_r in pairs]
                 for xi_n in (0.7, -2.5, complex(0.4, -0.3)):
                     got = _horner(coeffs, xi_n) * lc(xi_n) * rc(xi_n)
-                    ref = np.trace(np.asarray(lc.matrix(xi_n))
-                                   @ np.asarray(rc.matrix(xi_n)))
+                    ref = sum(np.trace(np.asarray(ml.matrix(xi_n))
+                                       @ np.asarray(mr.matrix(xi_n)))
+                              for ml, mr in factors)
                     assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
@@ -347,27 +363,42 @@ class TestGaussKronrod:
         assert tuple(nodes[:4:-1]) == _XGK[1::2]
         assert np.abs(weights[:4:-1] - _WG).max() <= 2 * np.finfo(float).eps
 
+    def test_panel_is_dqk21s_node_order(self):
+        # the centre, then centre -/+ hlgth x over the Gauss abscissae, then
+        # over the Kronrod-only ones, with dqk21's arithmetic; one cached
+        # tuple per interval
+        a, b = -0.3, 1.1
+        centr, hlgth = 0.5 * (a + b), 0.5 * (b - a)
+        order = [centr]
+        for x in _XGK[1::2] + _XGK[0:10:2]:
+            order += [centr - hlgth * x, centr + hlgth * x]
+        assert _panel(a, b) == tuple(order)
+        assert _panel(a, b) is _panel(a, b)
+
     def test_kronrod_exact_to_degree_30(self):
-        val, _, _, _ = _qk21(lambda t: t ** 30, -1.0, 1.0)
+        val, _, _, _ = _qk21(lambda ts: [t ** 30 for t in ts], -1.0, 1.0)
         assert abs(val - 2.0 / 31.0) <= 1e-15
 
     def test_bisects_until_tolerance(self):
         # a kink at 0.3 needs many bisections; the summed error estimate
-        # must meet the tolerance, and each bisection costs two rules
-        calls = [0]
+        # must meet the tolerance, and each bisection costs two rules, each
+        # one call of the panel function at 21 nodes
+        calls, nodes = [0], [0]
 
-        def f(t):
+        def f(ts):
             calls[0] += 1
-            return abs(t - 0.3) ** 0.5
+            nodes[0] += len(ts)
+            return [abs(t - 0.3) ** 0.5 for t in ts]
 
         exact = (2.0 / 3.0) * (1.3 ** 1.5 + 0.7 ** 1.5)
         val, err = _qags21(f, -1.0, 1.0, 1e-10, 1e-10, 200)
         assert err <= 1e-10 * abs(val)
         assert abs(val - exact) <= err
-        assert calls[0] > 63 and calls[0] % 42 == 21
-        calls[0] = 0
+        assert nodes[0] == 21 * calls[0]
+        assert calls[0] > 3 and calls[0] % 2 == 1
+        calls[0] = nodes[0] = 0
         val, err = _qags21(f, -1.0, 1.0, 1e-10, 1e-10, 3)
-        assert calls[0] == 5 * 21 and err > 1e-10
+        assert (calls[0], nodes[0]) == (5, 5 * 21) and err > 1e-10
 
     def test_matches_scipy_quad(self, monkeypatch):
         # same value, error estimate and integrand calls as QUADPACK's
@@ -382,14 +413,14 @@ class TestGaussKronrod:
         def against_scipy(f, a, b, epsabs, epsrel, limit):
             calls = [0]
 
-            def counted(x):
-                calls[0] += 1
-                return f(x)
+            def counted(ts):
+                calls[0] += len(ts)
+                return f(ts)
 
             val, err = port(counted, a, b, epsabs, epsrel, limit)
             ref, ref_err, info = scipy_integrate.quad(
-                f, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit,
-                full_output=1)[:3]
+                lambda x: f((x,))[0], a, b, epsabs=epsabs, epsrel=epsrel,
+                limit=limit, full_output=1)[:3]
             compared.append((val, err, calls[0], ref, ref_err,
                              info["neval"]))
             return val, err
@@ -400,12 +431,12 @@ class TestGaussKronrod:
         monkeypatch.setattr(
             oracle, "quad_sphere",
             lambda p: quad_sphere(p, n_theta=2, n_phi=3))
-        specs = {s.label: s for s in enumerate_cases()}
-        for label in ("a1", "c"):
-            oracle.crosscheck_case(specs[label], NumericContext(42))
-        # Cauchy kernel, then 3 factor pairs of a1 and 1 of c, each at 6
-        # nodes, real and imaginary parts
-        assert len(compared) == 2 + (3 + 1) * 6 * 2
+        for spec in enumerate_cases():
+            oracle.crosscheck_case(spec, NumericContext(42))
+        # Cauchy kernel, then one sphere pass for each of the five cases
+        # (a1's three factor pairs share one), each at 6 nodes, real and
+        # imaginary parts: 31 integrands, one per pole-order group
+        assert len(compared) == 2 + 5 * 6 * 2
         # both the one-rule exit and one bisection are exercised
         assert {neval for *_, neval in compared} == {21, 63}
         for val, err, calls, ref, ref_err, neval in compared:
@@ -501,10 +532,11 @@ class TestWorkGuard:
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_one_trace_polynomial_per_sphere_node(self, monkeypatch):
-        # case c has one factor pair: its trace is contracted once, the
-        # sphere rule calls the node function 288 times with floats, and
-        # each node builds its two factors and its trace coefficients, none
-        # of which is alive when the next node starts
+        # case c has one factor pair, and a1's three share their pole
+        # orders: either way the case's trace is contracted once, over all
+        # its pairs, the sphere rule calls the node function 288 times with
+        # floats, and each node builds two factors and its trace
+        # coefficients, none of which is alive when the next node starts
         import weakref
 
         import wres4.oracle as oracle
@@ -515,15 +547,15 @@ class TestWorkGuard:
 
         init, sphere = oracle.CompiledSymbol.__init__, oracle.quad_sphere
         contract = oracle._trace_coefficients
-        built, nodes, contractions = [], [], [0]
+        built, nodes, contractions = [], [], []
 
         def tracking_init(self, *args):
             init(self, *args)
             built.append(weakref.ref(self))
 
-        def tracked_contraction(left, right):
-            contractions[0] += 1
-            at = contract(left, right)
+        def tracked_contraction(group):
+            contractions.append(len(group))
+            at = contract(group)
 
             def tracked_at(*xp):
                 coeffs = Coefficients(at(*xp))
@@ -544,12 +576,14 @@ class TestWorkGuard:
         monkeypatch.setattr(oracle, "_trace_coefficients",
                             tracked_contraction)
         monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
-        (spec,) = [s for s in enumerate_cases() if s.label == "c"]
-        rec = oracle.crosscheck_case(spec, NumericContext(42))
-        assert contractions[0] == 1
-        assert nodes == [{float}] * 288
-        assert len(built) == 3 * 288
-        assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+        specs = {s.label: s for s in enumerate_cases()}
+        for label, pairs in (("c", 1), ("a1", 3)):
+            built.clear(), nodes.clear(), contractions.clear()
+            rec = oracle.crosscheck_case(specs[label], NumericContext(42))
+            assert contractions == [pairs]
+            assert nodes == [{float}] * 288
+            assert len(built) == 3 * 288
+            assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_one_horner_per_node_and_xi_n(self, monkeypatch):
         # case c: each sphere node keeps its own line integral, whose
@@ -578,11 +612,13 @@ class TestWorkGuard:
         assert counts == {"call": 72576, "horner": 288 * 63, "line": 288}
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
-    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("seed", [42, 7, 11, 23, 101, 977])
     def test_a1_lines_take_one_rule_per_pass(self, monkeypatch, seed):
         # a1's trace is purely imaginary in exact arithmetic; the rounding
         # left in its real part must not make the line rule bisect, so
-        # each of its 3 x 288 line integrals is two 21-point passes
+        # each of its 288 line integrals (one sphere pass for its three
+        # factor pairs) is two 21-point passes; a1 = 0 exactly, so its
+        # value is rounding alone, at the acceptance seeds too
         import wres4.oracle as oracle
         from wres4.boundary import enumerate_cases
 
@@ -597,7 +633,7 @@ class TestWorkGuard:
         monkeypatch.setattr(oracle, "quad_line", counting_line)
         (spec,) = [s for s in enumerate_cases() if s.label == "a1"]
         rec = oracle.crosscheck_case(spec, NumericContext(seed))
-        assert evaluations[0] == 3 * 288 * 2 * 21 == 36288
+        assert evaluations[0] == 288 * 2 * 21 == 12096
         assert rec["abs_error"] <= 1e-12
 
     def test_no_matrix_outlives_its_sphere_node(self, capsys):
@@ -624,6 +660,53 @@ class TestWorkGuard:
         (spec,) = [s for s in boundary.enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
+
+
+class TestPoleOrderGroups:
+    """Factor pairs with the same pole orders share their denominators, so
+    the referee gives each such group one sphere pass over its summed
+    trace; the value must be that of one pass per pair."""
+
+    @staticmethod
+    def numeric(monkeypatch, labels):
+        # case c's referee value with its factors replaced by the pairs of
+        # the labelled cases, in order, and the number of sphere passes;
+        # the symbolic value is computed beforehand, so no engine cache
+        # sees the substituted factors
+        import wres4.boundary as boundary
+        import wres4.oracle as oracle
+
+        specs = {s.label: s for s in boundary.enumerate_cases()}
+        pairs = [pair for label in labels
+                 for pair in boundary.case_factors(specs[label], "Dtilde")]
+        symbolic = boundary.compute_case(specs["c"])
+        sphere, passes = oracle.quad_sphere, [0]
+
+        def counted(p):
+            passes[0] += 1
+            return sphere(p)
+
+        with monkeypatch.context() as m:
+            m.setattr(boundary, "case_factors", lambda spec, op: pairs)
+            m.setattr(boundary, "compute_case", lambda spec: symbolic)
+            m.setattr(oracle, "quad_sphere", counted)
+            rec = oracle.crosscheck_case(specs["c"], NumericContext(42))
+        return rec["numeric"], passes[0]
+
+    def test_a_pair_given_twice_doubles_the_value(self, monkeypatch):
+        once, passes_once = self.numeric(monkeypatch, ["c"])
+        twice, passes_twice = self.numeric(monkeypatch, ["c", "c"])
+        assert passes_once == passes_twice == 1
+        assert abs(twice - 2 * once) <= 1e-13 * abs(2 * once)
+
+    def test_two_pole_orders_take_two_passes_and_add(self, monkeypatch):
+        # c's pair and b's pair differ in pole orders: two groups, whose
+        # sum is the sum of the two single-pair runs
+        c, _ = self.numeric(monkeypatch, ["c"])
+        b, _ = self.numeric(monkeypatch, ["b"])
+        both, passes = self.numeric(monkeypatch, ["c", "b"])
+        assert passes == 2
+        assert abs(both - (c + b)) <= 1e-13 * max(abs(c), abs(b))
 
 
 def random_unitary(rng, n):
@@ -771,7 +854,7 @@ class TestQuadrature:
         proj = pi_plus(full)
         xp = (0.6, 0.0, 0.8)
         # bound to ctx and xp once; each contour node is then one call
-        compiled = CompiledSymbol(LoweredSymbol(full, ctx), xp)
+        compiled = MatrixSymbol(LoweredSymbol(full, ctx), xp)
         for k in range(10):
             xi0 = -2.0 + 0.45 * k
             num = quad_contour_pi_plus(
