@@ -7,12 +7,12 @@ scaling).  The operator under study is the conjugated square
 
     Dbar^2 = D^2 + c(df) D f^-1 - |df|^2 / f^2,
 
-a Laplace-type operator whose endomorphism E is computed twice: once from
-the raw (A, B) data through the canonical connection, and once from the
-closed form; their exact agreement is the decomposition theorem.  The
-functions here return plain engine values; the reference forms
-(``E_closed_form``, ``trace_braces``) are built only for the CLI, which
-judges each engine value against its reference.
+a Laplace-type operator whose endomorphism E is computed here from the
+raw (A, B) data through the canonical connection.  The functions return
+plain engine values only.  The paper's closed forms of E (3.19) and of
+its trace (3.22) are references, built apart in `anchors`; the CLI judges
+each engine value against them, and both differ from the engine (a
+ledgered discrepancy).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .scalars import (
     PI_SYM,
     ScalarExpr,
     fi,
-    fij,
     frac,
     half,
 )
@@ -38,14 +37,6 @@ def df_norm_sq() -> ScalarExpr:
     out = ScalarExpr.zero()
     for j in range(1, 5):
         out = out + ScalarExpr.var(fi(j)) ** 2
-    return out
-
-
-def laplacian_f() -> ScalarExpr:
-    """Delta f at the base point with the geometer's sign: -sum_j d_j d_j f."""
-    out = ScalarExpr.zero()
-    for j in range(1, 5):
-        out = out - ScalarExpr.var(fij(j, j))
     return out
 
 
@@ -73,60 +64,10 @@ def compute_E_at_x0() -> CliffordElem:
     return E
 
 
-def _closed_form(mixed_sign: int) -> CliffordElem:
-    cdf = CliffordElem.c_df()
-    out = CliffordElem.scalar(frac(-1, 4) * S_CURV
-                              + df_norm_sq() * _FINV(2))
-    for j in range(1, 5):
-        hess_j = CliffordElem({(k,): ScalarExpr.var(fij(j, k))
-                               for k in range(1, 5)})
-        out = out + (hess_j * CliffordElem.gen(j)).scale(half() * _FINV())
-        sq = (cdf * CliffordElem.gen(j)).scale(_FINV())
-        out = out - (sq * sq).scale(frac(1, 4))
-    out = out + (cdf * CliffordElem.c_dfinv()).scale(frac(mixed_sign, 2))
-    return out
-
-
-def E_closed_form() -> CliffordElem:
-    """The reference closed form
-
-        -s/4 + |df|^2/f^2 + (1/2)[sum_j c(Hessian_j f) c(e_j) f^-1
-        + c(df) c(df^-1)] - (1/4) sum_j [c(df) c(e_j) f^-1]^2,
-
-    with the mixed term carried at +1/2 as in the golden reference."""
-    return _closed_form(+1)
-
-
-def E_closed_form_engine() -> CliffordElem:
-    """The closed form the raw (A, B) data actually produce: identical to
-    the reference form except the mixed term enters with -1/2.
-
-    The sign is fixed independently by evaluating the operator on constant
-    and coordinate-linear spinors, which pins A_j = -c(df) c(e_j) f^-1 and
-    B; the canonical E = B - sum_j (d_j omega_j + omega_j^2) then carries
-    -1/2 c(df) c(df^-1).  Since c(df) c(df^-1) = +|df|^2/f^2 is a scalar,
-    the two forms differ by exactly |df|^2/f^2."""
-    return _closed_form(-1)
-
-
 def trace_interior() -> ScalarExpr:
     """spin_trace(s/6 + E)."""
     return spin_trace(CliffordElem.scalar(frac(1, 6) * S_CURV)
                       + compute_E_at_x0())
-
-
-def trace_braces() -> ScalarExpr:
-    """The printed value of the trace,
-
-        -4 * { s/12 + Delta f/(2f) + (1/2) g(df, df^-1) + 2|df|^2/f^2 },
-
-    with Delta f = -sum_j d_j d_j f and g(df, df^-1) = -|df|^2/f^2."""
-    g_df_dfinv = -df_norm_sq() * _FINV(2)
-    braces = (frac(1, 12) * S_CURV
-              + laplacian_f() * half() * _FINV()
-              + half() * g_df_dfinv
-              + ScalarExpr.const(2) * df_norm_sq() * _FINV(2))
-    return ScalarExpr.const(-4) * braces
 
 
 def theorem32_value(trace: ScalarExpr) -> ScalarExpr:

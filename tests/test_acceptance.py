@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from wres4 import anchors
+from wres4.anchors import E_closed_form, trace_braces
 from wres4.boundary import assemble_phi, enumerate_cases, hp_part
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.halfplane import (
@@ -25,10 +26,8 @@ from wres4.halfplane import (
     trace_symbol,
 )
 from wres4.interior import (
-    E_closed_form,
     compute_E_at_x0,
     theorem32_prefactor,
-    trace_braces,
     trace_interior,
 )
 from wres4.oracle import (

@@ -36,8 +36,27 @@ def _perturb_case(monkeypatch, label, extra):
 class TestLedger:
     def test_ledger_loads_and_is_versioned(self):
         doc = load_discrepancies()
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert len(doc["discrepancies"]) >= 8
+
+    def test_each_pin_is_the_engine_string_report_prints(self, capsys):
+        # 4.20 has no row in any verb, so it has no value to pin
+        assert run(["report", "--format", "json"]) == 0
+        printed = {r["id"]: r["engine"]
+                   for r in json.loads(capsys.readouterr().out)["results"]}
+        pins = {d["id"]: d.get("engine_value")
+                for d in load_discrepancies()["discrepancies"]}
+        assert "4.20" not in printed and pins.pop("4.20") is None
+        assert pins == {ident: printed[ident] for ident in pins}
+
+    def test_changed_value_under_a_ledgered_id_exits_one(self, capsys,
+                                                        monkeypatch):
+        # case_a2 stays a mismatch, but no longer the one the ledger pins
+        _perturb_case(monkeypatch, "a2",
+                      ScalarExpr.var("S") * ScalarExpr.var("OMEGA"))
+        assert run(["compute-phi", "--case", "a2", "--format", "json"]) == 1
+        rec = _row(capsys, "case_a2")
+        assert rec["verdict"] == "mismatch" and "documented" not in rec
 
     def test_known_ids_cover_engine_mismatches(self):
         ids = known_ids()
@@ -159,7 +178,7 @@ class TestExitCodes:
         # closed form equal to the engine's E turns it into a match
         import wres4.interior as interior
 
-        monkeypatch.setattr(interior, "E_closed_form",
+        monkeypatch.setattr(anchors, "E_closed_form",
                             interior.compute_E_at_x0)
         assert run(["compute-interior", "--format", "json"]) == 0
         rec = _row(capsys, "3.19")

@@ -1,30 +1,30 @@
-"""Interior Lichnerowicz-type data: the endomorphism E, its closed form,
-the trace, and the residue prefactor."""
+"""Interior Lichnerowicz-type data: the endomorphism E against the
+printed closed form, the trace, and the residue prefactor."""
 
 from wres4 import anchors, interior
+from wres4.anchors import E_closed_form, trace_braces
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.interior import (
-    E_closed_form,
-    E_closed_form_engine,
     compute_E_at_x0,
     df_norm_sq,
-    laplacian_f,
     theorem32_prefactor,
     theorem32_value,
-    trace_braces,
     trace_interior,
 )
-from wres4.scalars import S_CURV, ScalarExpr, frac
+from wres4.scalars import S_CURV, ScalarExpr, fij, frac
 
 from helpers import pure_dirac_limit
 
 FINV = ScalarExpr.f_inverse
 
 
-class TestEndomorphism:
-    def test_raw_equals_engine_closed_form(self):
-        assert compute_E_at_x0() == E_closed_form_engine()
+def laplacian_f() -> ScalarExpr:
+    """Delta f with the geometer's sign: -sum_j d_j d_j f."""
+    return -sum((ScalarExpr.var(fij(j, j)) for j in range(1, 5)),
+                ScalarExpr.zero())
 
+
+class TestEndomorphism:
     def test_E_is_built_once_for_the_row_and_the_trace(self, monkeypatch):
         # row 3.19 and trace_interior share one E per process
         real, calls = interior.df_norm_sq, [0]

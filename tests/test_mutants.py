@@ -1,25 +1,26 @@
 """Semantic mutants of the exact engine against the CLI's exit code.
 
 Each mutant monkeypatches one engine name and clears the caches that would
-otherwise keep the unmutated values.  A row names the rows of `compute-phi`
-that kill its mutant.  A mutant that no gate kills today is a strict xfail
+otherwise keep the unmutated values.  A row names the verb and the rows
+that kill its mutant.  A mutant that no gate kills is a strict xfail
 citing the ROADMAP item meant to kill it."""
 
 import json
 
 import pytest
 
-from wres4 import anchors, boundary, halfplane, symbols
+from wres4 import anchors, boundary, halfplane, interior, symbols
 from wres4.boundary import CaseSpec
 from wres4.cli import run
 from wres4.clifford import CliffordElem
-from wres4.scalars import GAUSS_I
+from wres4.scalars import GAUSS_I, ScalarExpr
 from wres4.symbols import BoundarySymbol
 
 
 def _clear_case_caches():
     for cached in (symbols._sigma, boundary.case_factors,
-                   boundary._case_value, anchors.lemma41):
+                   boundary._case_value, anchors.lemma41,
+                   interior.compute_E_at_x0):
         cached.cache_clear()
 
 
@@ -30,22 +31,19 @@ def fresh_caches():
     _clear_case_caches()
 
 
-def _failed_rows(capsys):
-    """Exit code of compute-phi and the ids of its undocumented
+def _failed_rows(capsys, verb="compute-phi"):
+    """Exit code of one verb and the ids of its undocumented
     mismatches."""
     capsys.readouterr()
-    status = run(["compute-phi", "--format", "json"])
+    status = run([verb, "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     return status, {r["id"] for r in payload["results"]
                     if r["verdict"] != "match" and not r.get("documented")}
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 3: the ledger documents a mismatch "
-                   "by its id, not its value, so the changed case_a2, "
-                   "case_a3 and 4.52 rows still count as documented")
 def test_coefficient_without_factorial_fails_compute_phi(fresh_caches,
                                                         monkeypatch, capsys):
+    # case_a2 and case_a3 stay mismatches, but leave their ledger pins
     a2 = next(s for s in boundary.enumerate_cases() if s.label == "a2")
     before = boundary.compute_case(a2)
     # (-i)^(|alpha|+j+k+1) without the 1/(j+k+1)!: a2 and a3 double
@@ -54,7 +52,9 @@ def test_coefficient_without_factorial_fails_compute_phi(fresh_caches,
     boundary._case_value.cache_clear()
     if boundary.compute_case(a2) == before:
         pytest.fail("the mutant leaves case a2 unchanged")
-    assert run(["compute-phi", "--format", "json"]) == 1
+    status, failed = _failed_rows(capsys)
+    assert status == 1
+    assert {"case_a2", "case_a3"} <= failed
 
 
 def test_negated_pi_plus_fails_compute_phi(fresh_caches, monkeypatch,
@@ -76,26 +76,49 @@ def test_negated_sigma0_fails_compute_phi(fresh_caches, monkeypatch,
     assert {"case_b", "case_c"} <= failed
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP items 4 and 5: Lemma 4.1's closed form "
-                   "of sigma_-2(D^-1) is built from the engine's own "
-                   "sigma0_dirac, so the parametrix rows compare the mutant "
-                   "with itself")
 def test_negated_sigma0_fails_verify_lemma41(fresh_caches, monkeypatch,
                                             capsys):
+    # Lemma 4.1's reference spells sigma_0(D) out, so the mutant reaches
+    # the engine's sigma_-2 only
     before = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
     _clear_case_caches()
     real = symbols.sigma0_dirac
     monkeypatch.setattr(symbols, "sigma0_dirac", lambda: -real())
     after = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
-    if any(x == y for x, y in zip(before, after)):
-        pytest.fail("the mutant leaves the engine's sigma_-2 or its "
-                    "Lemma 4.1 reference unchanged")
-    capsys.readouterr()
-    status = run(["verify-lemma41", "--format", "json"])
-    rows = json.loads(capsys.readouterr().out)["results"]
-    assert [r["verdict"] for r in rows if r["verdict"] != "match"]
+    assert before[0] != after[0], "the mutant leaves sigma_-2 unchanged"
+    assert before[1] == after[1]
+    status, failed = _failed_rows(capsys, "verify-lemma41")
     assert status == 1
+    assert failed == {"parametrix[D,-2]", "parametrix[Dtilde,-2]"}
+
+
+def test_negated_slot_rule_fails_verify_lemma41(fresh_caches, monkeypatch,
+                                               capsys):
+    # d_{x_n}|xi|^2 = -h'|xi'|^2 in derive's x-rule; the reference writes
+    # d_{x_n}(c(xi)/|xi|^2) out, so only the engine's sigma_-2 moves
+    real = symbols.d_x_parts
+
+    def negated(s, j):
+        jet, slot = real(s, j)
+        return jet, -slot
+
+    monkeypatch.setattr(symbols, "d_x_parts", negated)
+    status, failed = _failed_rows(capsys, "verify-lemma41")
+    assert status == 1
+    assert "parametrix[D,-2]" in failed
+
+
+def test_doubled_df_norm_fails_compute_interior(fresh_caches, monkeypatch,
+                                               capsys):
+    # the references spell |df|^2 themselves, so 3.22 leaves its pin; E
+    # gains exactly the |df|^2/f^2 by which 3.19's printed form differs
+    # from it, so 3.19 reads match
+    real = interior.df_norm_sq
+    monkeypatch.setattr(interior, "df_norm_sq",
+                        lambda: ScalarExpr.const(2) * real())
+    status, failed = _failed_rows(capsys, "compute-interior")
+    assert status == 1
+    assert failed == {"3.22"}
 
 
 def test_doubled_c_df_term_fails_compute_phi(fresh_caches, monkeypatch,

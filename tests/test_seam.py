@@ -1,8 +1,9 @@
 """The seam between the exact engine and the CLI.
 
 Engine modules return plain values; only the CLI pairs a value with its
-stored reference, and the referee reads the engine's values without ever
-building the reference table.  No runtime module imports numpy or scipy.
+stored reference, the references are built without the engine's rules,
+and the referee reads the engine's values without ever building the
+reference table.  No runtime module imports numpy or scipy.
 Each CLI verb loads only the modules it runs (never `fractions`), and
 behaves the same as a subprocess (`python -m wres4.cli`) as through
 `cli.run`.  The sources stay within a line budget.
@@ -55,6 +56,31 @@ def test_no_module_imports_numpy_or_scipy(path):
     # the referee is pure Python; numpy and scipy are test-only
     tree = ast.parse(path.read_text())
     assert {"numpy", "scipy"}.isdisjoint(_imported_names(tree))
+
+
+# the symbol layer's rules: a reference may borrow the layer's types and
+# shared helpers (jet_mid, sandwich, c_xi_poly), never a rule it checks
+BUILDERS = {"sigma0_dirac", "derive", "d_x_parts", "build_sigma",
+            "parametrix", "compose_orders", "restrict_on_shell"}
+
+
+@pytest.mark.parametrize("name", ["anchors", "anchor_table"])
+def test_references_import_no_engine_builder(name):
+    # a reference built by the code it checks would share that code's
+    # faults: nothing from interior, and no rule from symbols
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                assert {"interior", "symbols"}.isdisjoint(
+                    alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            names = {alias.name for alias in node.names}
+            assert "interior" not in module
+            assert names.isdisjoint({"interior", "symbols", "*"})
+            if "symbols" in module:
+                assert BUILDERS.isdisjoint(names)
 
 
 def test_crosscheck_never_builds_the_anchor_table(capsys):
@@ -169,7 +195,7 @@ def test_engine_enumerates_the_case_labels_in_order():
 
 # -- the size of the program -------------------------------------------------
 
-LINE_BUDGET = 3092
+LINE_BUDGET = 3078
 
 
 def test_sources_stay_within_the_line_budget():
