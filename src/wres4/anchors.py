@@ -102,10 +102,10 @@ def lemma41(op: str, order: int) -> BoundarySymbol:
 
 
 def anchor(label: str):
-    """Reference value for one opaque id; KeyError when no anchor exists."""
+    """Reference value for one opaque id; None when no anchor exists."""
     from .anchor_table import _build_anchors
 
-    return _build_anchors()[label]
+    return _build_anchors().get(label)
 
 
 def has_anchor(label: str) -> bool:

@@ -3,7 +3,11 @@
 Exit status is the contract: 0 when every executed comparison either
 matches or is a documented entry of the shipped discrepancy ledger whose
 pinned `engine_value` the row still prints, 1 when a new mismatch
-appears, 2 on usage errors.
+appears, 2 on usage errors.  `parse_args` reads argv from two tables,
+`VERBS` and `FLAGS`, without argparse, gettext or locale (3 ms a call):
+`--flag value` and `--flag=value` both work, the last repeat wins, and no
+flag is abbreviated.  A usage error writes the usage and a `wres4: error:`
+line to stderr and exits 2; `-h` writes the usage to stdout and exits 0.
 
 Every call is a fresh interpreter, so each verb imports only the modules
 it runs: the suites and `_entry` import their engine names when called,
@@ -20,7 +24,6 @@ module imported lazily may call its own traced functions at import time.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -37,13 +40,6 @@ def load_discrepancies() -> Dict:
                         "known_discrepancies.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _reference(ident: str):
-    """The stored reference of one id, or None when no anchor exists."""
-    from . import anchors
-
-    return anchors.anchor(ident) if anchors.has_anchor(ident) else None
 
 
 def _entry(ident: str, engine, reference) -> Dict:
@@ -100,6 +96,7 @@ def lemma41_suite() -> List[Dict]:
 
 
 def phi_suite(case_filter: str) -> List[Dict]:
+    from .anchors import anchor
     from .boundary import (
         assemble_phi,
         case_specs,
@@ -114,14 +111,14 @@ def phi_suite(case_filter: str) -> List[Dict]:
         cases = {case_filter: compute_case(case_specs()[case_filter])}
     out = []
     for label, value in cases.items():
-        out.append(_entry(f"case_{label}", value, _reference(f"case_{label}")))
+        out.append(_entry(f"case_{label}", value, anchor(f"case_{label}")))
         steps = intermediates(label)
         for name in sorted(steps):
-            out.append(_entry(name, steps[name], _reference(name)))
+            out.append(_entry(name, steps[name], anchor(name)))
     if case_filter == "all":
         zero = ScalarExpr.zero()
         out.append(_entry("4.52", sum(cases.values(), zero),
-                          _reference("4.52")))
+                          anchor("4.52")))
         out.append(_entry("phi.b_plus_c", cases["b"] + cases["c"], zero))
         out.append(_entry("phi.hp_cancellation",
                           hp_part(cases["a2"] + cases["a3"]), zero))
@@ -196,8 +193,7 @@ def render_text(payload: Dict) -> str:
 
 
 def render_json(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      default=str) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def render_latex(payload: Dict) -> str:
@@ -214,43 +210,60 @@ def render_latex(payload: Dict) -> str:
 _RENDER = {"text": render_text, "json": render_json, "latex": render_latex}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="wres4",
-        description="Symbolic residue engine: verification suites and "
-                    "reports.")
-    sub = p.add_subparsers(dest="verb", required=True)
-    for verb in ("verify-traces", "verify-lemma41", "compute-phi",
-                 "compute-interior", "crosscheck", "report"):
-        sp = sub.add_parser(verb)
-        if verb in ("compute-phi", "crosscheck"):
-            sp.add_argument("--case", choices=CASE_LABELS + ("all",),
-                            default="all")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("text", "json", "latex"),
-                        default="text")
-        sp.add_argument("--out", default=None)
-    return p
+# -- the command line --------------------------------------------------------
+
+# flag -> (int, str or its choices; its default); only CASE_VERBS take --case
+FLAGS = {"--case": (CASE_LABELS + ("all",), "all"), "--seed": (int, 0),
+         "--format": (tuple(_RENDER), "text"), "--out": (str, None)}
+CASE_VERBS = ("compute-phi", "crosscheck")
+# verb -> its suite, called with the parsed flags
+VERBS = {"verify-traces": lambda a: trace_suite(),
+         "verify-lemma41": lambda a: lemma41_suite(),
+         "compute-phi": lambda a: phi_suite(a["case"]),
+         "compute-interior": lambda a: interior_suite(),
+         "crosscheck": lambda a: crosscheck_suite(a["seed"], a["case"]),
+         "report": lambda a: report_suite()}
+USAGE = ("usage: wres4 [-h] VERB [--case CASE] [--seed N] [--format FORMAT]"
+         " [--out PATH]\nVERB: {}\nCASE (compute-phi and crosscheck only): {}"
+         "\nFORMAT: {}\n").format(*map(", ".join, (
+             VERBS, FLAGS["--case"][0], _RENDER)))
+
+
+def _usage_error(message: str):
+    sys.stderr.write(f"{USAGE}wres4: error: {message}\n")
+    raise SystemExit(2)
+
+
+def parse_args(argv: List[str]) -> Dict:
+    """The verb and every flag, defaults filled in."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(USAGE)
+        raise SystemExit(0)
+    if not argv or argv[0] not in VERBS:
+        _usage_error(f"invalid verb: {argv[0]!r}" if argv else "no verb")
+    args = {"verb": argv[0], **{f[2:]: d for f, (_, d) in FLAGS.items()}}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag not in FLAGS or flag == "--case" and argv[0] not in CASE_VERBS:
+            _usage_error(f"unrecognized argument: {flag}")
+        # --flag value: a missing value reads as the next flag
+        if not eq and (value := next(words, "--")).startswith("--"):
+            _usage_error(f"argument {flag}: expected one argument")
+        kind = FLAGS[flag][0]
+        try:  # int() rejects a bad integer, tuple.index a bad choice
+            args[flag[2:]] = (kind(value) if isinstance(kind, type)
+                              else kind[kind.index(value)])
+        except ValueError:
+            _usage_error(f"argument {flag}: invalid value: {value!r}")
+    return args
 
 
 def run(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     ledger = load_discrepancies()
     pins = {d["id"]: d.get("engine_value") for d in ledger["discrepancies"]}
-
-    if args.verb == "verify-traces":
-        results = trace_suite()
-    elif args.verb == "verify-lemma41":
-        results = lemma41_suite()
-    elif args.verb == "compute-phi":
-        results = phi_suite(args.case)
-    elif args.verb == "compute-interior":
-        results = interior_suite()
-    elif args.verb == "crosscheck":
-        results = crosscheck_suite(args.seed, args.case)
-    else:
-        results = report_suite()
-
+    results = VERBS[args["verb"]](args)
     status = 0
     for r in results:
         if r["verdict"] != "match":
@@ -260,15 +273,15 @@ def run(argv: Optional[List[str]] = None) -> int:
                 status = 1
     payload = {
         "version": SCHEMA_VERSION,
-        "command": args.verb,
-        "seed": args.seed,
+        "command": args["verb"],
+        "seed": args["seed"],
         "results": results,
         "discrepancies": ledger["discrepancies"],
         "exit": status,
     }
-    text = _RENDER[args.format](payload)
-    if args.out:
-        with open(args.out, "w") as fh:
+    text = _RENDER[args["format"]](payload)
+    if args["out"]:
+        with open(args["out"], "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -28,13 +28,6 @@ class PoleDecomposition(NamedTuple):
     principal_plus: Dict[int, CliffordElem]
     principal_minus: Dict[int, CliffordElem]
 
-    def recombine(self) -> BoundarySymbol:
-        terms = {(k, 0): XinPoly.const(e)
-                 for k, e in self.principal_plus.items()}
-        terms.update({(0, k): XinPoly.const(e)
-                      for k, e in self.principal_minus.items()})
-        return BoundarySymbol(ON, terms)
-
 
 def _canonical_term(s: BoundarySymbol, gap: int):
     """(num, a, b) with s = num / ((xi_n - i)^a (xi_n + i)^b), where s must
@@ -117,12 +110,6 @@ def line_integral(s: BoundarySymbol) -> ScalarExpr:
     """Integral over the real line of a decaying on-shell rational:
     2*pi*i times the sum of residues in the upper half-plane."""
     return _contour_integral(s, GAUSS_I)
-
-
-def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
-    """Same integral computed by closing the contour below: -2*pi*i times
-    the lower residues.  Used as an exactness cross-check."""
-    return _contour_integral(s, -GAUSS_I)
 
 
 def trace_symbol(left: BoundarySymbol,

@@ -4,7 +4,8 @@ pole-factor products, the one-key on-shell symbol and the pure-Dirac
 limit.  The referee's matrix-valued evaluators and its contour form of
 pi+ live here too, since no verb runs them; they are checks, against
 which the tests hold the referee's scalar trace path and the engine's
-pi+."""
+pi+.  So are the two inverses of the half-plane layer's steps: the
+lower-contour line integral and the recombined partial fractions."""
 
 import cmath
 import functools
@@ -13,6 +14,7 @@ import math
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem
 from wres4.errors import MissingBinding
+from wres4.halfplane import PoleDecomposition, _contour_integral
 from wres4.oracle import (
     CompiledSymbol,
     LoweredSymbol,
@@ -20,7 +22,7 @@ from wres4.oracle import (
     _monomials,
     eval_scalar,
 )
-from wres4.scalars import NAMES, ScalarExpr
+from wres4.scalars import GAUSS_I, NAMES, ScalarExpr
 from wres4.symbols import ON, BoundarySymbol, XinPoly, _pole_factor, _w_power
 
 
@@ -133,3 +135,17 @@ def pure_dirac_limit(e):
             out = out + ScalarExpr({tuple(p for p in m
                                           if NAMES[p[0]] != "F"): c})
     return out
+
+
+def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
+    """The real-line integral closed below: -2*pi*i times the residue at
+    -i.  Equal to halfplane.line_integral for every decaying symbol."""
+    return _contour_integral(s, -GAUSS_I)
+
+
+def recombine(dec: PoleDecomposition) -> BoundarySymbol:
+    """The on-shell symbol whose partial fractions are dec."""
+    terms = {(k, 0): XinPoly.const(e) for k, e in dec.principal_plus.items()}
+    terms.update({(0, k): XinPoly.const(e)
+                  for k, e in dec.principal_minus.items()})
+    return BoundarySymbol(ON, terms)

@@ -21,7 +21,6 @@ from wres4.boundary import assemble_phi, enumerate_cases, hp_part
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.halfplane import (
     line_integral,
-    line_integral_lower,
     pi_plus,
     trace_symbol,
 )
@@ -61,6 +60,7 @@ from helpers import (
     MatrixSymbol,
     evaluate,
     known_ids,
+    line_integral_lower,
     on_shell_term,
     pure_dirac_limit,
     quad_contour_pi_plus,

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from wres4 import anchor_table, anchors
-from wres4.cli import build_parser, load_discrepancies, run
+from wres4.cli import USAGE, load_discrepancies, parse_args, render_json, run
 from wres4.scalars import ScalarExpr
 from wres4.sexpr import dumps
 from wres4.symbols import BoundarySymbol, jet_mid, sandwich
@@ -75,6 +75,11 @@ class TestCompare:
         with pytest.raises(RuntimeError):
             anchors.compare(Broken(), ScalarExpr.one())
 
+    def test_an_id_without_anchor_prints_as_no_anchor(self):
+        # phi_suite passes anchors.anchor's answer straight to _entry
+        assert anchors.anchor("no-such-id") is None
+        assert anchors.compare(ScalarExpr.one(), None) == "no_anchor"
+
 
 class TestExitCodes:
     def test_verify_traces_clean(self, capsys):
@@ -95,10 +100,10 @@ class TestExitCodes:
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["bogus-verb"])
+            parse_args(["bogus-verb"])
         assert exc.value.code == 2
         with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["compute-phi", "--case", "z9"])
+            parse_args(["compute-phi", "--case", "z9"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv", [["report", "--case", "a1"],
@@ -109,6 +114,45 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus-verb"], ["--format", "json", "report"],
+        ["report", "--bogus", "1"], ["report", "extra"],
+        ["report", "--form", "json"], ["report", "--seed"],
+        ["report", "--out", "--format=json"], ["report", "--seed", "x"],
+        ["crosscheck", "--seed=4.5"], ["compute-phi", "--case", "z9"],
+        ["compute-phi", "--case=A1"], ["report", "--format", "yaml"],
+        ["report", "--case=a1"],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_bad_argv_is_a_usage_error(self, argv, capsys):
+        # flags are never abbreviated: --form is not --format
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: wres4 ")
+        assert err.splitlines()[-1].startswith("wres4: error: ")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["report", "--help"]])
+    def test_help_prints_the_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (USAGE, "")
+
+    def test_both_flag_forms_and_the_last_repeat_win(self):
+        spaced = parse_args(["crosscheck", "--seed", "7", "--case", "b",
+                             "--format", "json", "--out", "x.json"])
+        assert spaced == {"verb": "crosscheck", "seed": 7, "case": "b",
+                          "format": "json", "out": "x.json"}
+        assert parse_args(["crosscheck", "--seed=7", "--case=b",
+                           "--format=json", "--out=x.json"]) == spaced
+        assert parse_args(["crosscheck", "--seed", "1", "--case", "c",
+                           "--seed=7", "--case", "b", "--format=text",
+                           "--format", "json", "--out=x.json"]) == spaced
+
+    def test_negative_seed_is_a_value(self):
+        assert parse_args(["verify-traces", "--seed", "-3"])["seed"] == -3
 
     def test_new_mismatch_exits_one(self, capsys, monkeypatch):
         import wres4.cli as cli
@@ -271,6 +315,14 @@ class TestFormats:
         assert doc["command"] == "compute-phi"
         assert isinstance(doc["results"], list)
         assert isinstance(doc["discrepancies"], list)
+
+    def test_json_rejects_a_value_json_cannot_hold(self):
+        # rows print engine values through sexpr; a raw value must fail,
+        # never reach the output as its repr
+        row = {"id": "x", "engine": ScalarExpr.one(), "reference": "1",
+               "verdict": "match"}
+        with pytest.raises(TypeError):
+            render_json({"results": [row]})
 
     def test_latex_output(self, capsys):
         run(["verify-traces", "--format", "latex"])

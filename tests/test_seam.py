@@ -4,12 +4,11 @@ Engine modules return plain values; only the CLI pairs a value with its
 stored reference, the references are built without the engine's rules,
 and the referee reads the engine's values without ever building the
 reference table.  No runtime module imports numpy or scipy.
-Each CLI verb loads only the modules it runs (never `fractions`), and
-behaves the same as a subprocess (`python -m wres4.cli`) as through
-`cli.run`.  The sources stay within a line budget.
+Each CLI verb loads only the modules it runs (never `fractions` or
+`argparse`), and behaves the same as a subprocess (`python -m wres4.cli`)
+as through `cli.run`.  The sources stay within a line budget.
 """
 
-import argparse
 import ast
 import json
 import os
@@ -21,7 +20,7 @@ import pytest
 
 from wres4 import CASE_LABELS, anchor_table
 from wres4.boundary import enumerate_cases
-from wres4.cli import build_parser, run
+from wres4.cli import CASE_VERBS, FLAGS, run
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "wres4"
@@ -133,17 +132,23 @@ def test_each_verb_loads_only_the_modules_it_runs(verb):
 
 
 @pytest.mark.parametrize("verb", sorted(LOADED))
-def test_no_verb_loads_fractions_or_decimal(verb):
+def test_no_verb_loads_fractions_decimal_or_argparse(verb):
     # the engine's rationals are integer triples and its constants are
-    # built as such; -S keeps a site hook from loading either module first
+    # built as such; the CLI reads its own argv, since argparse with the
+    # gettext and locale it loads cost each call about 3 ms.  Checked
+    # after the import alone and after the run; -S keeps a site hook from
+    # loading any of these modules first
     code = ("import contextlib, io, sys, wres4.cli\n"
+            "unused = {'fractions', 'decimal', 'argparse', 'gettext', "
+            "'locale'}\n"
+            "print(sorted(unused & set(sys.modules)))\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    wres4.cli.run(sys.argv[1:])\n"
-            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+            "print(sorted(unused & set(sys.modules)))")
     proc = _python("-S", "-c", code, verb,
                    *(["--seed", "42", "--case", "c"]
                      if verb == "crosscheck" else []))
-    assert (proc.stdout, proc.returncode) == ("[]\n", 0), proc.stderr
+    assert (proc.stdout, proc.returncode) == ("[]\n[]\n", 0), proc.stderr
 
 
 def test_cli_import_leaves_importlib_resources_unloaded():
@@ -168,6 +173,14 @@ def test_subprocess_prints_what_run_prints(argv, capsys):
                                               status), proc.stderr
 
 
+def test_subprocess_usage_error_exits_two():
+    # the exit code through main(), as a shell sees it
+    proc = _python("-m", "wres4.cli", "report", "--form", "json")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == (
+        "wres4: error: unrecognized argument: --form")
+
+
 def test_subprocess_report_matches_golden():
     proc = _python("-m", "wres4.cli", "report", "--format", "json")
     assert proc.returncode == 0, proc.stderr
@@ -177,11 +190,8 @@ def test_subprocess_report_matches_golden():
 # -- one home for the case labels --------------------------------------------
 
 def _case_choices(verb: str):
-    parser = build_parser()
-    (verbs,) = [a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction)]
-    (case,) = [a for a in verbs.choices[verb]._actions if a.dest == "case"]
-    return case.choices
+    assert verb in CASE_VERBS
+    return FLAGS["--case"][0]
 
 
 @pytest.mark.parametrize("verb", ["compute-phi", "crosscheck"])
