@@ -14,10 +14,8 @@ from typing import Mapping, Tuple
 from .scalars import (
     HP,
     ScalarExpr,
-    _acc,
     _coerce_scalar,
-    _gmul,
-    _mono_mul,
+    _product_into,
     _wrap,
     fi,
     half,
@@ -131,7 +129,7 @@ class CliffordElem:
 
     def __mul__(self, other):
         if isinstance(other, CliffordElem):
-            return cmul(self, other)
+            return _elem(_cmul_into({}, self.terms, other.terms))
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -187,31 +185,16 @@ class CliffordElem:
 
 def _cmul_into(t: dict, a: Mapping, b: Mapping) -> dict:
     """Add a * b (two elements' terms) into t, a {blade: {monomial:
-    coefficient}} accumulator, and return t: each coefficient-term product,
-    blade sign folded into the left factor, is added in place by left
-    blade, right blade, left monomial, right monomial."""
+    coefficient}} accumulator, and return t: each blade pair's coefficient
+    product, with its blade sign, is added in place by left blade, right
+    blade, then _product_into's order."""
     for ma, ca in a.items():
         for mb, cb in b.items():
             sign, m = _basis_mul(ma, mb)
-            left = (ca if sign > 0 else -ca).terms.items()
-            right = cb.terms.items()
             acc = t.setdefault(m, {})
-            for m1, c1 in left:
-                for m2, c2 in right:
-                    _acc(acc, _mono_mul(m1, m2), _gmul(c1, c2))
+            _product_into(acc, ca.terms, cb.terms, sign)
             if not acc:
                 del t[m]
-    return t
-
-
-def _cadd_into(t: dict, a: Mapping, one: Mapping) -> dict:
-    """_cmul_into for `one` the constant 1: a's terms, with no products."""
-    for m, c in a.items():
-        acc = t.setdefault(m, {})
-        for m1, c1 in c.terms.items():
-            _acc(acc, m1, c1)
-        if not acc:
-            del t[m]
     return t
 
 
@@ -228,11 +211,6 @@ def _elem(t: dict) -> CliffordElem:
     out = CliffordElem.__new__(CliffordElem)
     out.terms = {m: _wrap(s) for m, s in t.items()}
     return out
-
-
-def cmul(a: CliffordElem, b: CliffordElem) -> CliffordElem:
-    """a * b, formed in one accumulator."""
-    return _elem(_cmul_into({}, a.terms, b.terms))
 
 
 def spin_trace(a: CliffordElem) -> ScalarExpr:

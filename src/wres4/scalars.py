@@ -339,11 +339,7 @@ class ScalarExpr:
             (m2, c2), = b.items()
             return _wrap({_mono_mul(m1, m2): _gmul(c1, c2)
                           for m1, c1 in a.items()})
-        t: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                _acc(t, _mono_mul(m1, m2), _gmul(c1, c2))
-        return _wrap(t)
+        return _wrap(_product_into({}, a, b))
 
     def __rmul__(self, other):
         # A def, not `__rmul__ = __mul__`: k * a then goes through the
@@ -474,6 +470,27 @@ def _acc(t: dict, m: Monomial, c: GaussianRational) -> None:
         del t[m]
 
 
+def _product_into(t: dict, a: Mapping, b: Mapping, sign: int = 1) -> dict:
+    """Add sign * a * b into t, all three {monomial: GaussianRational} term
+    sets, and return t.  Products are added in the order of a's terms,
+    then b's, with _acc's key order: a zero sum drops its monomial and a
+    new one is appended.  Each costs one _reduced on the integer triples."""
+    right = [(m2, sign * c2.p, sign * c2.q, c2.d) for m2, c2 in b.items()]
+    for m1, c1 in a.items():
+        p1, q1, d1 = c1.p, c1.q, c1.d
+        for m2, p2, q2, d2 in right:
+            m = _mono_mul(m1, m2)
+            p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+            s = t.get(m)
+            if s is not None:
+                p, q, d = p * s.d + s.p * d, q * s.d + s.q * d, d * s.d
+                if not (p or q):
+                    del t[m]
+                    continue
+            t[m] = _reduced(p, q, d)
+    return t
+
+
 # perfbench/tracer.py counts products through scalars.Poly.__mul__ and
 # BENCHMARK.json names the metric scalars.Poly.mul, so the old class name
 # stays bound to the one polynomial class.
@@ -505,9 +522,8 @@ def reduce_sphere(e: ScalarExpr) -> ScalarExpr:
         if not q:
             _acc(t, m, c)
             continue
-        base = _mono_set(m, _XI3_IDX, r)
-        for m2, c2 in _xi3_squared_power(q).terms.items():
-            _acc(t, _mono_mul(base, m2), _gmul(c, c2))
+        _product_into(t, {_mono_set(m, _XI3_IDX, r): c},
+                      _xi3_squared_power(q).terms)
     return _wrap(t)
 
 

@@ -19,9 +19,8 @@ from .scalars import (
     GaussianRational,
     ScalarExpr,
     _INDEX,
-    _acc,
-    _gmul,
     _mono_exp,
+    _product_into,
     _wrap,
     rational,
 )
@@ -54,5 +53,5 @@ def integrate_sphere(e: ScalarExpr) -> ScalarExpr:
         if w.is_zero():
             continue
         rest = tuple(p for p in m if p[0] not in _XI_IDX)
-        _acc(t, rest, _gmul(coeff, w))
+        _product_into(t, {rest: coeff}, {(): w})
     return _wrap(t) * OMEGA

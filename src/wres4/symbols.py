@@ -22,7 +22,7 @@ import functools
 from math import comb
 from typing import Mapping
 
-from .clifford import CliffordElem, _cadd_into, _cmul_into, _elem, _merged
+from .clifford import CliffordElem, _cmul_into, _elem, _merged
 from .errors import (
     NonInvertibleLeadingSymbol,
     ShellViolation,
@@ -72,9 +72,6 @@ class XinPoly:
         out = XinPoly.__new__(XinPoly)
         out.coeffs = {d: -e for d, e in self.coeffs.items()}
         return out
-
-    def mul(self, other: "XinPoly") -> "XinPoly":
-        return _xin(_mul_into({}, self, other, _cmul_into))
 
     def scale(self, s) -> "XinPoly":
         s = _coerce_scalar(s)
@@ -206,7 +203,7 @@ class BoundarySymbol:
         Off-shell, W powers are expanded in XI1^2+XI2^2+XI3^2, the spelling
         of |xi'|^2 that Clifford squares of c(xi') produce, so the two
         cancel exactly; on-shell, coefficients are reduced on the sphere.
-        A key already at the common denominator is added without products.
+        Each key is multiplied by its cached W-power or pole factor.
         """
         if not self.terms:
             return BoundarySymbol(self.shell, {}, self.xder)
@@ -214,14 +211,13 @@ class BoundarySymbol:
         if self.shell == OFF:
             top = max(self.terms)
             for p, poly in self.terms.items():
-                _mul_into(total, poly, _w_power(top - p),
-                          _cmul_into if top - p else _cadd_into)
+                _mul_into(total, poly, _w_power(top - p), _cmul_into)
         else:
             top = tuple(map(max, zip(*self.terms)))
             for (a, b), poly in self.terms.items():
                 poly = poly.map_coeffs(lambda e: e.map_scalars(reduce_sphere))
                 _mul_into(total, poly, _pole_factor(top[0] - a, top[1] - b),
-                          _cmul_into if (a, b) != top else _cadd_into)
+                          _cmul_into)
         return BoundarySymbol(self.shell, {top: _xin(total)}, self.xder)
 
     def is_zero(self) -> bool:

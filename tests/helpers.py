@@ -12,7 +12,7 @@ import functools
 import math
 
 from wres4.cli import load_discrepancies
-from wres4.clifford import CliffordElem
+from wres4.clifford import CliffordElem, _cmul_into
 from wres4.errors import MissingBinding
 from wres4.halfplane import PoleDecomposition, _contour_integral
 from wres4.oracle import (
@@ -23,7 +23,8 @@ from wres4.oracle import (
     eval_scalar,
 )
 from wres4.scalars import GAUSS_I, NAMES, ScalarExpr
-from wres4.symbols import ON, BoundarySymbol, XinPoly, _pole_factor, _w_power
+from wres4.symbols import (ON, BoundarySymbol, XinPoly, _mul_into,
+                           _pole_factor, _w_power, _xin)
 
 
 def eval_clifford(a: CliffordElem, ctx, point=None):
@@ -108,13 +109,13 @@ def known_ids() -> frozenset:
 
 def mul_w(p: XinPoly, k: int) -> XinPoly:
     """p times W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
-    return p.mul(_w_power(k))
+    return _xin(_mul_into({}, p, _w_power(k), _cmul_into))
 
 
 def mul_shell(p: XinPoly, da: int, db: int) -> XinPoly:
     """p times (xi_n - i)**da (xi_n + i)**db, the pole factor that
     on-shell canonical forms multiply by."""
-    return p.mul(_pole_factor(da, db))
+    return _xin(_mul_into({}, p, _pole_factor(da, db), _cmul_into))
 
 
 def on_shell_term(poly: XinPoly, a: int, b: int,

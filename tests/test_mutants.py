@@ -13,8 +13,9 @@ from wres4 import anchors, boundary, halfplane, interior, symbols
 from wres4.boundary import CaseSpec
 from wres4.cli import run
 from wres4.clifford import CliffordElem
+from wres4.errors import DecayViolation
 from wres4.scalars import GAUSS_I, ScalarExpr
-from wres4.symbols import BoundarySymbol
+from wres4.symbols import OFF, ON, BoundarySymbol
 
 
 def _clear_case_caches():
@@ -150,3 +151,74 @@ def test_dropped_case_fails_every_phi_verb(fresh_caches, monkeypatch,
                         lambda: [s for s in real() if s.label != "a1"])
     with pytest.raises(LookupError, match=r"missing \['a1'\]"):
         run([*argv, "--format", "json"])
+
+
+def _pole_rule_with_plus_a(real):
+    # d (xi_n - i)^-a = +a (xi_n - i)^-(a+1): real's -a term plus 2a times
+    # it, on-shell only
+    def mutant(s):
+        if s.shell != ON:
+            return real(s)
+        extra = {(a + 1, b): poly.scale(ScalarExpr.const(2 * a))
+                 for (a, b), poly in s.terms.items() if a}
+        return real(s) + BoundarySymbol(ON, extra, s.xder)
+    return mutant
+
+
+def _w_rule_without_2(real):
+    # d(W^-p) = -p xi_n / W^(p+1): real's -2p term plus p times it,
+    # off-shell only
+    def mutant(s):
+        if s.shell != OFF:
+            return real(s)
+        extra = {p + 1: poly.shift(1).scale(ScalarExpr.const(p))
+                 for p, poly in s.terms.items() if p}
+        return real(s) + BoundarySymbol(OFF, extra, s.xder)
+    return mutant
+
+
+def test_pole_rule_with_plus_a_fails_compute_phi(fresh_caches, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(symbols, "_d_xin",
+                        _pole_rule_with_plus_a(symbols._d_xin))
+    status, failed = _failed_rows(capsys)
+    assert status == 1
+    assert {"case_a2", "case_a3", "case_b", "case_c", "phi.b_plus_c",
+            "4.23", "4.36"} <= failed
+
+
+def test_w_rule_without_2_fails_compute_phi(fresh_caches, monkeypatch,
+                                            capsys):
+    # the case factors take their xi_n-derivatives after the restriction,
+    # so only audit rows fail
+    monkeypatch.setattr(symbols, "_d_xin", _w_rule_without_2(symbols._d_xin))
+    status, failed = _failed_rows(capsys)
+    assert status == 1
+    assert failed == {"4.10", "4.11[1]", "4.11[2]", "4.11[3]", "4.14",
+                      "4.22", "4.24", "4.25", "4.27", "4.42", "4.43",
+                      "4.44", "4.46", "4.48", "4.49"}
+
+
+def test_restriction_keyed_at_plus_i_alone_fails_compute_phi(fresh_caches,
+                                                             monkeypatch):
+    # W^p as (xi_n - i)^p alone: the symbols no longer decay, so pi_plus
+    # refuses them
+    def mutant(s):
+        return BoundarySymbol(ON, {(p, 0): poly
+                                   for p, poly in s.terms.items()}, s.xder)
+
+    monkeypatch.setattr(boundary, "restrict_on_shell", mutant)
+    with pytest.raises(DecayViolation):
+        run(["compute-phi", "--format", "json"])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the referee takes its factors "
+                   "from the engine's derive")
+@pytest.mark.parametrize("rule", [_pole_rule_with_plus_a, _w_rule_without_2],
+                         ids=["pole_rule", "w_rule"])
+def test_xi_n_mutants_fail_crosscheck(fresh_caches, monkeypatch, capsys,
+                                      rule):
+    monkeypatch.setattr(symbols, "_d_xin", rule(symbols._d_xin))
+    capsys.readouterr()
+    assert run(["crosscheck", "--seed", "42", "--format", "json"]) == 1

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wres4.errors import (
@@ -19,6 +19,10 @@ from wres4.scalars import (
     NAMES,
     GaussianRational,
     ScalarExpr,
+    _acc,
+    _gmul,
+    _mono_mul,
+    _product_into,
     frac,
     rational,
     reduce_sphere,
@@ -284,6 +288,52 @@ class TestScalarExprProperties:
         assert k == 0 or 0 in f_exps
         # ... and rebuilds the value exactly
         assert num * ScalarExpr.f_inverse(k) == e
+
+
+# -- the one multiply-accumulate ----------------------------------------------
+#
+# The reference is the same sum written as one _gmul and one _acc per term
+# product.  Few monomials and small coefficients make sums merge
+# and cancel often; the referee's low bits read the resulting key order.
+
+def _f_hp(k, h):
+    return next(iter((ScalarExpr.var("F", k) * ScalarExpr.var("HP", h)).terms))
+
+
+_few_monomials = st.builds(_f_hp, st.integers(-2, 2), st.integers(0, 1))
+_few_gauss = st.builds(GaussianRational,
+                       st.builds(Fraction, st.integers(-2, 2),
+                                 st.integers(1, 3)),
+                       st.builds(Fraction, st.integers(-2, 2),
+                                 st.integers(1, 3))
+                       ).filter(lambda c: not c.is_zero())
+_term_sets = st.dictionaries(_few_monomials, _few_gauss, max_size=5)
+
+
+def _ref_product_into(t, a, b, sign):
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            _acc(t, _mono_mul(m1, m2), _gmul(c1 if sign > 0 else -c1, c2))
+    return t
+
+
+class TestProductInto:
+    @PROPERTY
+    @given(_term_sets, _term_sets, _term_sets, st.sampled_from([1, -1]))
+    # F's sum cancels on a's second term and reappears, last, on its
+    # third, which also cancels t's F^-1
+    @example({_f_hp(0, 1): rational(1, 3), _f_hp(-1, 0): rational(1, 2)},
+             {_f_hp(1, 0): GAUSS_I, _f_hp(0, 0): rational(-1),
+              _f_hp(-1, 0): rational(1, 2)},
+             {_f_hp(0, 0): rational(1), _f_hp(1, 0): GAUSS_I,
+              _f_hp(2, 0): rational(1)}, -1)
+    def test_matches_the_gmul_acc_loop(self, t, a, b, sign):
+        ref = _ref_product_into(dict(t), a, b, sign)
+        out = dict(t)
+        assert _product_into(out, a, b, sign) is out
+        assert list(out.items()) == list(ref.items())
+        for c in out.values():
+            assert (c.p or c.q) and c.d > 0 and gcd(c.p, c.q, c.d) == 1
 
 
 # -- the integer triple behind GaussianRational -------------------------------
