@@ -73,13 +73,13 @@ def lemma41(op: str, order: int) -> BoundarySymbol:
     """Lemma 4.1's closed form of sigma_order(op^-1), order -1 or -2, op D
     or Dtilde: the reference of the parametrix[op,order] rows.  Each is
     built once per process and shared between callers: never mutate."""
-    from .symbols import (OFF, BoundarySymbol, XinPoly, c_xi_poly, jet_mid,
+    from .symbols import (OFF, BoundarySymbol, _scaled, c_xi_poly, jet_mid,
                           sandwich)
 
     two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
     if order == -1:
-        s = BoundarySymbol.from_poly(c_xi_poly().scale(ScalarExpr.i_unit()),
-                                     wpow=1)
+        s = BoundarySymbol(OFF,
+                           {1: _scaled(c_xi_poly(), ScalarExpr.i_unit())})
         return s if op == "D" else s.scale(two_over_f)
     if op == "Dtilde":
         # 2/f sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
@@ -94,9 +94,9 @@ def lemma41(op: str, order: int) -> BoundarySymbol:
     c4 = CliffordElem.c_dxn()
     # d_{x_n}(c(xi)/W) = (h'/2) c(xi')/W - h'|xi'|^2 c(xi)/W^2
     d_cxi = BoundarySymbol(OFF, {
-        1: XinPoly.const(CliffordElem.c_xi_prime().scale(half() * HP)),
-        2: c_xi_poly().scale(-HP * usq())}, xder=1)
-    cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
+        1: {0: CliffordElem.c_xi_prime().scale(half() * HP)},
+        2: _scaled(c_xi_poly(), -HP * usq())}, xder=1)
+    cxi = BoundarySymbol(OFF, {1: c_xi_poly()})
     return (sandwich(c4.scale(frac(-3, 4) * HP))
             + cxi.mul(BoundarySymbol.from_clifford(c4)).mul(d_cxi))
 

@@ -28,19 +28,6 @@ N_GENERATORS = 4
 TRACE_DIM = 4  # dim of the spinor space, 2^(4/2)
 
 
-def _merged(a: Mapping, b: Mapping) -> dict:
-    """a + b for {key: nonzero value} dicts; a zero sum drops its key."""
-    t = dict(a)
-    for k, v in b.items():
-        s = t.get(k)
-        s = v if s is None else s + v
-        if s.is_zero():
-            t.pop(k, None)
-        else:
-            t[k] = s
-    return t
-
-
 @functools.cache
 def _basis_mul(a: Basis, b: Basis) -> Tuple[int, Basis]:
     """Multiply two basis monomials; returns (sign, monomial).
@@ -115,8 +102,15 @@ class CliffordElem:
 
     # -- algebra -----------------------------------------------------------
     def __add__(self, other: "CliffordElem") -> "CliffordElem":
+        t = dict(self.terms)
+        for m, c in other.terms.items():
+            s = t[m] + c if m in t else c
+            if s.is_zero():
+                t.pop(m, None)
+            else:
+                t[m] = s
         out = CliffordElem.__new__(CliffordElem)
-        out.terms = _merged(self.terms, other.terms)
+        out.terms = t
         return out
 
     def __neg__(self) -> "CliffordElem":

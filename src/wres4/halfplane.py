@@ -19,7 +19,7 @@ from .clifford import (CliffordElem, _cmul_into, _cscalar_into, _elem,
                        spin_trace)
 from .errors import DecayViolation, ShellViolation
 from .scalars import GAUSS_I, GaussianRational, PI_SYM, ScalarExpr
-from .symbols import ON, BoundarySymbol, XinPoly
+from .symbols import ON, BoundarySymbol
 
 
 class PoleDecomposition(NamedTuple):
@@ -36,21 +36,21 @@ def _canonical_term(s: BoundarySymbol, gap: int):
         raise ShellViolation("operation requires an on-shell symbol")
     terms = s.canonical().terms
     if not terms:
-        return XinPoly(), 0, 0
+        return {}, 0, 0
     ((a, b), num), = terms.items()
-    if num.degree() > a + b - gap:
+    if max(num) > a + b - gap:
         raise DecayViolation(f"needs deg(num) <= deg(den) - {gap}")
     return num, a, b
 
 
-def _principal_part(num: XinPoly, here: int, other: int,
+def _principal_part(num: dict, here: int, other: int,
                     pole: GaussianRational) -> Dict[int, CliffordElem]:
     """{k: A_k} for the principal part sum_k A_k (xi - pole)^-k of
     num / ((xi - pole)^here (xi + pole)^other).  A_k is the z^(here - k)
     coefficient of num(pole + z) (2 pole + z)^-other."""
     # Taylor shift: num(pole + z) = sum_n c_n z^n
     sums: list = [{} for _ in range(here)]
-    for d, e in num.coeffs.items():
+    for d, e in num.items():
         for n in range(min(d + 1, here)):
             w = ScalarExpr.const(comb(d, n) * pole ** (d - n))
             _cmul_into(sums[n], e.terms, {(): w})
@@ -86,7 +86,7 @@ def pi_plus(s: BoundarySymbol) -> BoundarySymbol:
     # halfplane.partial_fractions span that perfbench's per-layer metric
     # pins; a single _principal_part call waits for that metric to go.
     dec = partial_fractions(s)
-    return BoundarySymbol(ON, {(k, 0): XinPoly.const(elem)
+    return BoundarySymbol(ON, {(k, 0): {0: elem}
                                for k, elem in dec.principal_plus.items()},
                           s.xder)
 
@@ -99,7 +99,7 @@ def _contour_integral(s: BoundarySymbol,
     numerator degree at least 2 below the denominator degree, and every
     numerator coefficient must be scalar."""
     num, a, b = _canonical_term(s, 2)
-    if any(set(e.terms) - {()} for e in num.coeffs.values()):
+    if any(set(e.terms) - {()} for e in num.values()):
         raise ValueError("line_integral expects a scalar integrand")
     here, other = (a, b) if pole == GAUSS_I else (b, a)
     res = _principal_part(num, here, other, pole).get(1, CliffordElem.zero())
@@ -119,6 +119,6 @@ def trace_symbol(left: BoundarySymbol,
     formed."""
     t = left.products(right, _cscalar_into)
     return BoundarySymbol(left.shell, {
-        key: XinPoly({d: CliffordElem.scalar(spin_trace(_elem(acc)))
-                      for d, acc in c.items()})
+        key: {d: CliffordElem.scalar(spin_trace(_elem(acc)))
+              for d, acc in c.items()}
         for key, c in t.items()}, left.xder + right.xder)

@@ -381,7 +381,7 @@ class LoweredSymbol:
         if s.shell == OFF:
             raise ShellViolation("the referee lowers on-shell symbols only")
         entries = [(key, deg, coeff) for key, poly in s.terms.items()
-                   for deg, coeff in poly.coeffs.items()]
+                   for deg, coeff in poly.items()]
         nums, self.poles = _numerators([key for key, _, _ in entries])
         flat: Dict[Tuple[int, ...], List[Tuple[int, complex]]] = {}
         lift: Dict[Tuple[int, Exps], List[complex]] = {}

@@ -424,9 +424,8 @@ class ScalarExpr:
                 datom = fij(j, int(name[2:]))
             else:
                 continue
-            d = self.derivative(name) * ScalarExpr.var(datom)
-            for m, c in d.terms.items():
-                _acc(t, m, c)
+            _product_into(t, self.derivative(name).terms,
+                          ScalarExpr.var(datom).terms)
         return _wrap(t)
 
     def xi_derivative(self, i: int) -> "ScalarExpr":

@@ -19,7 +19,7 @@ from .clifford import CliffordElem
 from .scalars import NAMES, GaussianRational, ScalarExpr
 
 if TYPE_CHECKING:
-    from .symbols import BoundarySymbol, XinPoly
+    from .symbols import BoundarySymbol
 
 
 def _ratio(n: int, d: int) -> str:
@@ -69,9 +69,9 @@ def _clifford(a: CliffordElem) -> str:
         for basis in sorted(a.terms)) + ")"
 
 
-def _xin(p: XinPoly) -> str:
-    return "(" + " ".join(f"({deg} {_clifford(p.coeffs[deg])})"
-                          for deg in sorted(p.coeffs)) + ")"
+def _xin(num: dict) -> str:
+    return "(" + " ".join(f"({deg} {_clifford(num[deg])})"
+                          for deg in sorted(num)) + ")"
 
 
 def _symbol(s: BoundarySymbol) -> str:

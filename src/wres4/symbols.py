@@ -5,7 +5,7 @@ Symbols are finite sums of Clifford-valued terms
     off-shell:  P(xi_n) / W**p          with W = |xi|^2 = |xi'|^2 + xi_n^2
     on-shell:   P(xi_n) / ((xi_n - i)**a (xi_n + i)**b)
 
-where P is a polynomial in xi_n with CliffordElem coefficients.  |xi'|^2
+where P, the numerator, is a {xi_n degree: CliffordElem} dict.  |xi'|^2
 has one spelling, XI1^2 + XI2^2 + XI3^2 (`scalars.usq`), and restricting
 to |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p; on-shell
 coefficients are reduced on the sphere when they are compared.  Spatial
@@ -22,7 +22,7 @@ import functools
 from math import comb
 from typing import Mapping
 
-from .clifford import CliffordElem, _cmul_into, _elem, _merged
+from .clifford import CliffordElem, _cmul_into, _elem
 from .errors import (
     NonInvertibleLeadingSymbol,
     ShellViolation,
@@ -33,7 +33,6 @@ from .scalars import (
     GAUSS_ONE,
     HP,
     ScalarExpr,
-    _coerce_scalar,
     frac,
     half,
     reduce_sphere,
@@ -44,61 +43,12 @@ from .scalars import (
 OFF = "off"
 ON = "on"
 
-class XinPoly:
-    """Polynomial in xi_n with CliffordElem coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, CliffordElem] | None = None):
-        self.coeffs = {d: e for d, e in (coeffs or {}).items()
-                       if not e.is_zero()}
-
-    @staticmethod
-    def const(elem: CliffordElem) -> "XinPoly":
-        return XinPoly({0: elem})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        return max(self.coeffs) if self.coeffs else -1
-
-    def __add__(self, other: "XinPoly") -> "XinPoly":
-        out = XinPoly.__new__(XinPoly)
-        out.coeffs = _merged(self.coeffs, other.coeffs)
-        return out
-
-    def __neg__(self) -> "XinPoly":
-        out = XinPoly.__new__(XinPoly)
-        out.coeffs = {d: -e for d, e in self.coeffs.items()}
-        return out
-
-    def scale(self, s) -> "XinPoly":
-        s = _coerce_scalar(s)
-        return XinPoly({d: e.scale(s) for d, e in self.coeffs.items()})
-
-    def shift(self, k: int) -> "XinPoly":
-        """Multiply by xi_n**k."""
-        return XinPoly({d + k: e for d, e in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "XinPoly":
-        return XinPoly({d: fn(e) for d, e in self.coeffs.items()})
-
-    def d_xin(self) -> "XinPoly":
-        return XinPoly({d - 1: e.scale(ScalarExpr.const(d))
-                        for d, e in self.coeffs.items() if d})
-
-    def __eq__(self, other):
-        if isinstance(other, XinPoly):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-
-def _mul_into(c: dict, p: XinPoly, q: XinPoly, kernel) -> dict:
-    """Add p * q into c, a {degree: accumulator} dict, and return c, with
-    kernel(acc, left terms, right terms) adding each coefficient product."""
-    for d1, e1 in p.coeffs.items():
-        for d2, e2 in q.coeffs.items():
+def _mul_into(c: dict, p: dict, q: dict, kernel) -> dict:
+    """Add the numerator product p * q into c, a {degree: accumulator}
+    dict, and return c, with kernel(acc, left terms, right terms) adding
+    each coefficient product."""
+    for d1, e1 in p.items():
+        for d2, e2 in q.items():
             acc = c.setdefault(d1 + d2, {})
             kernel(acc, e1.terms, e2.terms)
             if not acc:
@@ -106,32 +56,42 @@ def _mul_into(c: dict, p: XinPoly, q: XinPoly, kernel) -> dict:
     return c
 
 
-def _xin(c: dict) -> XinPoly:
-    """The polynomial of a {degree: accumulator} dict."""
-    return XinPoly({d: _elem(t) for d, t in c.items()})
+def _xin(c: dict) -> dict:
+    """The numerator of a {degree: accumulator} dict."""
+    return {d: _elem(t) for d, t in c.items()}
+
+
+def _scaled(num: dict, s: ScalarExpr) -> dict:
+    """The numerator num times the scalar s."""
+    return {d: e.scale(s) for d, e in num.items()}
 
 
 @functools.cache
-def _pole_factor(da: int, db: int) -> XinPoly:
+def _pole_factor(da: int, db: int) -> dict:
     """(xi_n - i)**da (xi_n + i)**db expanded.  Shared: never mutate."""
     coeffs = [GAUSS_ONE]
     for root in [GAUSS_I] * da + [-GAUSS_I] * db:
         # times (xi_n - root)
         coeffs = [(coeffs[n - 1] if n else 0) - root * c
                   for n, c in enumerate(coeffs + [0])]
-    return XinPoly({n: CliffordElem.scalar(c) for n, c in enumerate(coeffs)})
+    return {n: CliffordElem.scalar(c) for n, c in enumerate(coeffs)}
 
 
 @functools.cache
-def _w_power(k: int) -> XinPoly:
+def _w_power(k: int) -> dict:
     """W**k expanded.  Shared: never mutate."""
     u = usq()
-    return XinPoly({2 * j: CliffordElem.scalar(comb(k, j) * u ** (k - j))
-                    for j in range(k + 1)})
+    return {2 * j: CliffordElem.scalar(comb(k, j) * u ** (k - j))
+            for j in range(k + 1)}
 
 
 class BoundarySymbol:
-    """Clifford-valued rational symbol in xi_n with derivation context."""
+    """Clifford-valued rational symbol in xi_n with derivation context.
+
+    `terms` maps each pole key to its numerator, a {xi_n degree:
+    CliffordElem} dict.  The constructor is the one place that drops zero
+    coefficients and empty numerators, so the rules that build a symbol
+    may leave either behind."""
 
     __slots__ = ("shell", "terms", "xder")
 
@@ -139,7 +99,9 @@ class BoundarySymbol:
         if shell not in (OFF, ON):
             raise ValueError("shell must be 'off' or 'on'")
         self.shell = shell
-        self.terms = {k: p for k, p in terms.items() if not p.is_zero()}
+        self.terms = {k: num for k, p in terms.items()
+                      if (num := {d: e for d, e in p.items()
+                                  if not e.is_zero()})}
         self.xder = xder
 
     # -- constructors ------------------------------------------------------
@@ -149,11 +111,7 @@ class BoundarySymbol:
 
     @staticmethod
     def from_clifford(elem: CliffordElem, wpow: int = 0) -> "BoundarySymbol":
-        return BoundarySymbol(OFF, {wpow: XinPoly.const(elem)})
-
-    @staticmethod
-    def from_poly(poly: XinPoly, wpow: int = 0) -> "BoundarySymbol":
-        return BoundarySymbol(OFF, {wpow: poly})
+        return BoundarySymbol(OFF, {wpow: {0: elem}})
 
     # -- ring structure ----------------------------------------------------
     def _check_same_shell(self, other: "BoundarySymbol"):
@@ -162,12 +120,16 @@ class BoundarySymbol:
 
     def __add__(self, other: "BoundarySymbol") -> "BoundarySymbol":
         self._check_same_shell(other)
-        return BoundarySymbol(self.shell, _merged(self.terms, other.terms),
-                              max(self.xder, other.xder))
+        t: dict = {}
+        for terms in (self.terms, other.terms):
+            for key, num in terms.items():
+                _acc(t, key, num)
+        return BoundarySymbol(self.shell, t, max(self.xder, other.xder))
 
     def __neg__(self) -> "BoundarySymbol":
         return BoundarySymbol(self.shell,
-                              {k: -p for k, p in self.terms.items()},
+                              {k: {d: -e for d, e in p.items()}
+                               for k, p in self.terms.items()},
                               self.xder)
 
     def __sub__(self, other: "BoundarySymbol") -> "BoundarySymbol":
@@ -191,9 +153,9 @@ class BoundarySymbol:
                               self.xder + other.xder)
 
     def scale(self, s) -> "BoundarySymbol":
-        s = _coerce_scalar(s)
         return BoundarySymbol(self.shell,
-                              {k: p.scale(s) for k, p in self.terms.items()},
+                              {k: _scaled(p, s)
+                               for k, p in self.terms.items()},
                               self.xder)
 
     # -- canonical form and equality ---------------------------------------
@@ -215,7 +177,8 @@ class BoundarySymbol:
         else:
             top = tuple(map(max, zip(*self.terms)))
             for (a, b), poly in self.terms.items():
-                poly = poly.map_coeffs(lambda e: e.map_scalars(reduce_sphere))
+                poly = {d: e.map_scalars(reduce_sphere)
+                        for d, e in poly.items()}
                 _mul_into(total, poly, _pole_factor(top[0] - a, top[1] - b),
                           _cmul_into)
         return BoundarySymbol(self.shell, {top: _xin(total)}, self.xder)
@@ -285,38 +248,45 @@ def _derive_once(s: BoundarySymbol, direction: str) -> BoundarySymbol:
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _acc(t: dict, key, poly: XinPoly) -> None:
-    """Add poly to t[key], skipping zero contributions."""
-    if not poly.is_zero():
-        t[key] = t[key] + poly if key in t else poly
+def _acc(t: dict, key, num: dict) -> None:
+    """Add the numerator num into t[key] in place.  An empty num adds no
+    key, so each key sits where its first contribution put it; a sum that
+    cancels keeps its slot until BoundarySymbol drops it."""
+    if num:
+        into = t.setdefault(key, {})
+        for d, e in num.items():
+            into[d] = into[d] + e if d in into else e
 
 
 def _d_xin(s: BoundarySymbol) -> BoundarySymbol:
     t: dict = {}
     for key, poly in s.terms.items():
+        d_poly = {d - 1: e.scale(ScalarExpr.const(d))
+                  for d, e in poly.items() if d}
         if s.shell == OFF:
             p = key
-            _acc(t, p, poly.d_xin())
+            _acc(t, p, d_poly)
             if p:
                 # d(W^-p) = -p * 2 xi_n / W^(p+1)
-                _acc(t, p + 1, poly.shift(1).scale(ScalarExpr.const(-2 * p)))
+                c = ScalarExpr.const(-2 * p)
+                _acc(t, p + 1, {d + 1: e.scale(c) for d, e in poly.items()})
         else:
             a, b = key
-            _acc(t, (a, b), poly.d_xin())
+            _acc(t, (a, b), d_poly)
             if a:
                 # d (xi_n - i)^-a = -a (xi_n - i)^-(a+1)
-                _acc(t, (a + 1, b), poly.scale(ScalarExpr.const(-a)))
+                _acc(t, (a + 1, b), _scaled(poly, ScalarExpr.const(-a)))
             if b:
-                _acc(t, (a, b + 1), poly.scale(ScalarExpr.const(-b)))
+                _acc(t, (a, b + 1), _scaled(poly, ScalarExpr.const(-b)))
     return BoundarySymbol(s.shell, t, s.xder)
 
 
 def _d_xi_tangent(s: BoundarySymbol, i: int) -> BoundarySymbol:
     t: dict = {}
     for p, poly in s.terms.items():
-        _acc(t, p, poly.map_coeffs(lambda e: e.xi_derivative(i)))
+        _acc(t, p, {d: e.xi_derivative(i) for d, e in poly.items()})
         if p:
-            _acc(t, p + 1, poly.scale(ScalarExpr.const(-2 * p) * xi(i)))
+            _acc(t, p + 1, _scaled(poly, ScalarExpr.const(-2 * p) * xi(i)))
     return BoundarySymbol(OFF, t, s.xder)
 
 
@@ -327,10 +297,11 @@ def d_x_parts(s: BoundarySymbol,
     jet: dict = {}
     slot: dict = {}
     for p, poly in s.terms.items():
-        _acc(jet, p, poly.map_coeffs(lambda e: e.x_derivative(j)))
+        _acc(jet, p, {d: e.x_derivative(j) for d, e in poly.items()})
         if p and j == 4:
             # d_{x_n} W = h'(0) |xi'|^2
-            _acc(slot, p + 1, poly.scale(ScalarExpr.const(-p) * HP * usq()))
+            c = ScalarExpr.const(-p) * HP * usq()
+            _acc(slot, p + 1, _scaled(poly, c))
     return (BoundarySymbol(OFF, jet, s.xder + 1),
             BoundarySymbol(OFF, slot, s.xder + 1))
 
@@ -352,9 +323,9 @@ def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
 
 # -- operator symbols and the parametrix recursion -------------------------
 
-def c_xi_poly() -> XinPoly:
-    """c(xi) = c(xi') + xi_n c(dx_n) as a XinPoly."""
-    return XinPoly({0: CliffordElem.c_xi_prime(), 1: CliffordElem.c_dxn()})
+def c_xi_poly() -> dict:
+    """c(xi) = c(xi') + xi_n c(dx_n) as a numerator."""
+    return {0: CliffordElem.c_xi_prime(), 1: CliffordElem.c_dxn()}
 
 
 def jet_mid() -> CliffordElem:
@@ -379,7 +350,7 @@ def sigma0_dirac() -> CliffordElem:
 
 def sandwich(mid: CliffordElem) -> BoundarySymbol:
     """c(xi) mid c(xi) / |xi|^4 as an off-shell symbol."""
-    cxi = BoundarySymbol.from_poly(c_xi_poly(), wpow=1)
+    cxi = BoundarySymbol(OFF, {1: c_xi_poly()})
     return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
 
 
@@ -407,7 +378,7 @@ def _sigma(op: str, order: int) -> BoundarySymbol:
 def _definition(op: str) -> tuple[BoundarySymbol, BoundarySymbol]:
     """(sigma_1, sigma_0) of D, i c(xi) and the collar connection, or of
     Dtilde = (f/2) D + c(df)."""
-    s1 = BoundarySymbol.from_poly(c_xi_poly().scale(ScalarExpr.i_unit()))
+    s1 = BoundarySymbol(OFF, {0: _scaled(c_xi_poly(), ScalarExpr.i_unit())})
     s0 = BoundarySymbol.from_clifford(sigma0_dirac())
     if op == "D":
         return s1, s0
@@ -422,15 +393,15 @@ def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:
     """Invert a leading symbol whose square is lam * |xi|^2 for a nonzero
     scalar lam, as (scalar) * i c(xi) is."""
     sq = sigma1.mul(sigma1).canonical()
-    lam_elem = sq.terms.get(0, XinPoly()).coeffs.get(2)
+    lam_elem = sq.terms.get(0, {}).get(2)
     lam = ScalarExpr.zero() if lam_elem is None else lam_elem.scalar_part()
-    if lam.is_zero() or sq.terms != {0: XinPoly({
+    if lam.is_zero() or sq.terms != {0: {
             0: CliffordElem.scalar(lam * usq()),
-            2: CliffordElem.scalar(lam)})}:
+            2: CliffordElem.scalar(lam)}}:
         raise NonInvertibleLeadingSymbol("square is not scalar * |xi|^2")
     return BoundarySymbol(
         OFF,
-        {p + 1: q.map_coeffs(lambda e: e.map_scalars(lambda c: c / lam))
+        {p + 1: {d: e.map_scalars(lambda c: c / lam) for d, e in q.items()}
          for p, q in sigma1.terms.items()},
         sigma1.xder,
     )

@@ -23,8 +23,8 @@ from wres4.oracle import (
     eval_scalar,
 )
 from wres4.scalars import GAUSS_I, NAMES, ScalarExpr
-from wres4.symbols import (ON, BoundarySymbol, XinPoly, _mul_into,
-                           _pole_factor, _w_power, _xin)
+from wres4.symbols import (ON, BoundarySymbol, _mul_into, _pole_factor,
+                           _w_power, _xin)
 
 
 def eval_clifford(a: CliffordElem, ctx, point=None):
@@ -107,18 +107,18 @@ def known_ids() -> frozenset:
     return frozenset(d["id"] for d in load_discrepancies()["discrepancies"])
 
 
-def mul_w(p: XinPoly, k: int) -> XinPoly:
-    """p times W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
+def mul_w(p: dict, k: int) -> dict:
+    """The numerator p times W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
     return _xin(_mul_into({}, p, _w_power(k), _cmul_into))
 
 
-def mul_shell(p: XinPoly, da: int, db: int) -> XinPoly:
-    """p times (xi_n - i)**da (xi_n + i)**db, the pole factor that
-    on-shell canonical forms multiply by."""
+def mul_shell(p: dict, da: int, db: int) -> dict:
+    """The numerator p times (xi_n - i)**da (xi_n + i)**db, the pole factor
+    that on-shell canonical forms multiply by."""
     return _xin(_mul_into({}, p, _pole_factor(da, db), _cmul_into))
 
 
-def on_shell_term(poly: XinPoly, a: int, b: int,
+def on_shell_term(poly: dict, a: int, b: int,
                   xder: int = 0) -> BoundarySymbol:
     """poly / ((xi_n - i)**a (xi_n + i)**b)."""
     return BoundarySymbol(ON, {(a, b): poly}, xder)
@@ -146,7 +146,6 @@ def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
 
 def recombine(dec: PoleDecomposition) -> BoundarySymbol:
     """The on-shell symbol whose partial fractions are dec."""
-    terms = {(k, 0): XinPoly.const(e) for k, e in dec.principal_plus.items()}
-    terms.update({(0, k): XinPoly.const(e)
-                  for k, e in dec.principal_minus.items()})
+    terms = {(k, 0): {0: e} for k, e in dec.principal_plus.items()}
+    terms.update({(0, k): {0: e} for k, e in dec.principal_minus.items()})
     return BoundarySymbol(ON, terms)

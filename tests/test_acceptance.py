@@ -47,7 +47,6 @@ from wres4.scalars import (
 )
 from wres4.sphere import integrate_sphere, moment
 from wres4.symbols import (
-    XinPoly,
     build_sigma,
     derive,
     jet_mid,
@@ -91,8 +90,8 @@ def crosschecks():
 
 
 def scalar_term(coeffs, a, b):
-    poly = XinPoly({d: CliffordElem.scalar(ScalarExpr.const(c))
-                    for d, c in coeffs.items()})
+    poly = {d: CliffordElem.scalar(ScalarExpr.const(c))
+            for d, c in coeffs.items()}
     return on_shell_term(poly, a, b)
 
 

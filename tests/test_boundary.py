@@ -21,7 +21,6 @@ from wres4.sphere import integrate_sphere
 from wres4.symbols import (
     OFF,
     BoundarySymbol,
-    XinPoly,
     build_sigma,
     derive,
     restrict_on_shell,
@@ -241,8 +240,7 @@ def _order_minus2_basis():
                 if i != 4:
                     coeff = coeff * xi(i)
             for blade in _ALL_BLADES:
-                poly = XinPoly({alpha.count(4):
-                                CliffordElem({blade: coeff})})
+                poly = {alpha.count(4): CliffordElem({blade: coeff})}
                 basis.append(BoundarySymbol(OFF, {k: poly}))
     return basis
 

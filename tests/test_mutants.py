@@ -159,7 +159,8 @@ def _pole_rule_with_plus_a(real):
     def mutant(s):
         if s.shell != ON:
             return real(s)
-        extra = {(a + 1, b): poly.scale(ScalarExpr.const(2 * a))
+        extra = {(a + 1, b): {d: e.scale(ScalarExpr.const(2 * a))
+                              for d, e in poly.items()}
                  for (a, b), poly in s.terms.items() if a}
         return real(s) + BoundarySymbol(ON, extra, s.xder)
     return mutant
@@ -171,7 +172,8 @@ def _w_rule_without_2(real):
     def mutant(s):
         if s.shell != OFF:
             return real(s)
-        extra = {p + 1: poly.shift(1).scale(ScalarExpr.const(p))
+        extra = {p + 1: {d + 1: e.scale(ScalarExpr.const(p))
+                         for d, e in poly.items()}
                  for p, poly in s.terms.items() if p}
         return real(s) + BoundarySymbol(OFF, extra, s.xder)
     return mutant

@@ -36,7 +36,6 @@ from wres4.sphere import moment
 from wres4.symbols import (
     OFF,
     BoundarySymbol,
-    XinPoly,
     build_sigma,
     derive,
     restrict_on_shell,
@@ -171,7 +170,7 @@ def reference_symbol(s, ctx, xi_prime, xi_n):
     out = np.zeros((4, 4), dtype=complex)
     for key, poly in s.terms.items():
         den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
-        for deg, coeff in poly.coeffs.items():
+        for deg, coeff in poly.items():
             out += (np.asarray(eval_clifford(coeff, ctx, (xi_prime, None)))
                     * xi_n ** deg / den)
     return out
@@ -339,7 +338,7 @@ class TestLoweredEvaluator:
         lambda poly, k: on_shell_term(poly, k, k),
     ], ids=["on"])
     def test_unbound_name_in_coefficient(self, name, make):
-        # xi_n and |xi|^2 are no scalar names: xi_n is the XinPoly degree
+        # xi_n and |xi|^2 are no scalar names: xi_n is the numerator degree
         # and |xi|^2 the term key. A coefficient that holds HP, under a
         # context that leaves HP unbound, must name it wherever it sits,
         # not read a stale or default value
@@ -347,9 +346,9 @@ class TestLoweredEvaluator:
         del partial.assignment["HP"]
         c = CliffordElem.scalar(ScalarExpr.var("HP"))
         if name == "XIN":
-            s = make(XinPoly({1: c}), 0)
+            s = make({1: c}, 0)
         else:
-            s = make(XinPoly.const(c), 1)
+            s = make({0: c}, 1)
         with pytest.raises(MissingBinding, match="HP"):
             eval_symbol(s, partial, ((0.6, 0.0, 0.8), 0.5))
         # the same symbol lowers once HP is bound

@@ -15,7 +15,7 @@ from wres4.scalars import (
     GaussianRational,
     ScalarExpr,
 )
-from wres4.symbols import OFF, ON, BoundarySymbol, XinPoly
+from wres4.symbols import OFF, ON, BoundarySymbol
 
 
 class TestRoundTrip:
@@ -55,13 +55,13 @@ LITERAL_BYTES = [
                    * ScalarExpr.f_inverse()}),
      "(clifford (() 2) ((1 3) (/ (* (^ HP 2) XI1) (^ F 1))))"),
     (BoundarySymbol(ON, {}), "(symbol on 0)"),
-    (BoundarySymbol(ON, {(1, 2): XinPoly({
+    (BoundarySymbol(ON, {(1, 2): {
         0: CliffordElem.gen(4),
-        2: CliffordElem({(1,): ScalarExpr.const(Fraction(-3, 4))})})},
+        2: CliffordElem({(1,): ScalarExpr.const(Fraction(-3, 4))})}},
         1),
      "(symbol on 1 ((1 2) ((0 (clifford ((4) 1)))"
      " (2 (clifford ((1) (/ -3 4)))))))"),
-    (BoundarySymbol(OFF, {3: XinPoly({1: CliffordElem.one()})}),
+    (BoundarySymbol(OFF, {3: {1: CliffordElem.one()}}),
      "(symbol off 0 (3 ((1 (clifford (() 1))))))"),
 ]
 
@@ -129,7 +129,7 @@ def symbols(draw):
              else st.tuples(st.integers(0, 3), st.integers(0, 3)))
     xin = st.dictionaries(st.integers(0, 3), cliffords(), max_size=2)
     return BoundarySymbol(shell, draw(st.dictionaries(
-        poles, xin.map(XinPoly), max_size=2)))
+        poles, xin, max_size=2)))
 
 
 def perturb_scalar(draw, a: ScalarExpr) -> ScalarExpr:
@@ -168,18 +168,18 @@ def perturb_symbol(draw, a: BoundarySymbol) -> BoundarySymbol:
     """One pole order +1, or one Clifford coefficient perturbed."""
     empty = 0 if a.shell == OFF else (0, 0)
     key, poly = draw(st.sampled_from(sorted(a.terms.items())
-                                     or [(empty, XinPoly())]))
+                                     or [(empty, {})]))
     term = BoundarySymbol(a.shell, {key: poly})
-    if poly.coeffs and draw(st.booleans()):
+    if poly and draw(st.booleans()):
         if a.shell == OFF:
             deeper = key + 1
         else:
             deeper = draw(st.sampled_from(((key[0] + 1, key[1]),
                                            (key[0], key[1] + 1))))
         return a - term + BoundarySymbol(a.shell, {deeper: poly})
-    deg, elem = draw(st.sampled_from(sorted(poly.coeffs.items())
+    deg, elem = draw(st.sampled_from(sorted(poly.items())
                                      or [(0, CliffordElem.zero())]))
-    changed = XinPoly({**poly.coeffs, deg: perturb_clifford(draw, elem)})
+    changed = {**poly, deg: perturb_clifford(draw, elem)}
     return a - term + BoundarySymbol(a.shell, {key: changed})
 
 
