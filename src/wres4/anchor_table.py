@@ -155,12 +155,11 @@ def _build_anchors() -> dict:
     anchors["4.33"] = _on({(2, 2): {0: CliffordElem.scalar(
         finv * (_I * tr_c4 + tr_cxp))}})
     anchors["4.35"] = _sandwich_pi_plus(mid)
-    tr_mid_c4 = CliffordElem.scalar((c4 * mid).scalar_part()
-                                    * ScalarExpr.const(4))
-    tr_mid_cxp = CliffordElem.scalar((cxp * mid).scalar_part()
-                                     * ScalarExpr.const(4))
-    anchors["4.36"] = _on({(2, 2): {0:
-        (tr_mid_c4.scale(_I) + tr_mid_cxp).scale(finv)}})
+    four = ScalarExpr.const(4)
+    tr_mid_c4 = (c4 * mid).scalar_part() * four
+    tr_mid_cxp = (cxp * mid).scalar_part() * four
+    anchors["4.36"] = _on({(2, 2): {0: CliffordElem.scalar(
+        finv * (_I * tr_mid_c4 + tr_mid_cxp))}})
 
     # ---- case (c) intermediates ---------------------------------------
     anchors["4.40"] = _on({(1, 0): {
@@ -211,18 +210,14 @@ def _build_anchors() -> dict:
 
     anchors["4.46"] = _on({(4, 3): _traced(tr_c4, tr_cxp, -1)})
     anchors["4.48"] = _sandwich_xin_derivative(mid)
-    four = ScalarExpr.const(4)
-    anchors["4.49"] = _on({(4, 3): _traced((c4 * mid).scalar_part() * four,
-                                           (cxp * mid).scalar_part() * four,
-                                           1)})
+    anchors["4.49"] = _on({(4, 3): _traced(tr_mid_c4, tr_mid_cxp, 1)})
 
     # ---- case totals and the assembled boundary term -------------------
     pi_hp = PI_SYM * HP * OMEGA
     f2 = ScalarExpr.f_inverse(2)
     f3 = ScalarExpr.f_inverse(3)
     fjet_b = (ScalarExpr.const(2) * PI_SYM * f3 * tr_c4
-              + half() * PI_SYM * finv
-              * (c4 * mid).scalar_part() * ScalarExpr.const(4)) * OMEGA
+              + half() * PI_SYM * finv * tr_mid_c4) * OMEGA
     # the f-jet term of case (a)(III), which is also the assembled total
     jet_a3 = (half(1) * (ScalarExpr.const(9) * _I - ScalarExpr.const(6))
               * finv * finv.x_derivative(4) * OMEGA)

@@ -108,16 +108,7 @@ class GaussianRational:
         return _coerce_gauss(other) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return GAUSS_ONE / self ** (-k)
-        out = GAUSS_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = _gmul(out, base)
-            base = _gmul(base, base)
-            k >>= 1
-        return out
+        return _power(self, k, GAUSS_ONE)
 
     def is_zero(self) -> bool:
         return not self.p and not self.q
@@ -156,6 +147,20 @@ class GaussianRational:
 _new = object.__new__
 
 
+def _power(x, k: int, one):
+    """x ** k for either scalar class, by square-and-multiply from `one`;
+    a negative k is one / x ** -k."""
+    if k < 0:
+        return one / _power(x, -k, one)
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
+
+
 def _exact(x) -> bool:
     """Whether x is a GaussianRational or an int, Fraction or other
     rational with `numerator` and `denominator`; a float is not."""
@@ -185,8 +190,6 @@ def _reduced(p: int, q: int, d: int) -> GaussianRational:
 
 def _gadd(a: GaussianRational, b: GaussianRational) -> GaussianRational:
     da, db = a.d, b.d
-    if da == db:
-        return _reduced(a.p + b.p, a.q + b.q, da)
     return _reduced(a.p * db + b.p * da, a.q * db + b.q * da, da * db)
 
 
@@ -331,15 +334,8 @@ class ScalarExpr:
         return _coerce_scalar(other) + (-self)
 
     def __mul__(self, other):
-        a, b = self.terms, _coerce_scalar(other).terms
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            # times one fixed term is injective on monomials: nothing merges
-            (m2, c2), = b.items()
-            return _wrap({_mono_mul(m1, m2): _gmul(c1, c2)
-                          for m1, c1 in a.items()})
-        return _wrap(_product_into({}, a, b))
+        return _wrap(_product_into({}, self.terms,
+                                   _coerce_scalar(other).terms))
 
     def __rmul__(self, other):
         # A def, not `__rmul__ = __mul__`: k * a then goes through the
@@ -371,16 +367,7 @@ class ScalarExpr:
         return _coerce_scalar(other) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return ScalarExpr.one() / self ** (-k)
-        out = ScalarExpr.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, ScalarExpr.one())
 
     def __eq__(self, other):
         if isinstance(other, ScalarExpr) or _exact(other):

@@ -110,8 +110,8 @@ class BoundarySymbol:
         return BoundarySymbol(shell, {})
 
     @staticmethod
-    def from_clifford(elem: CliffordElem, wpow: int = 0) -> "BoundarySymbol":
-        return BoundarySymbol(OFF, {wpow: {0: elem}})
+    def from_clifford(elem: CliffordElem) -> "BoundarySymbol":
+        return BoundarySymbol(OFF, {0: {0: elem}})
 
     # -- ring structure ----------------------------------------------------
     def _check_same_shell(self, other: "BoundarySymbol"):

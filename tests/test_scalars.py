@@ -278,6 +278,31 @@ class TestScalarExprProperties:
         assert (a * m) / m == a
 
     @PROPERTY
+    @given(laurent_scalars, st.integers(0, 5))
+    def test_powers_match_repeated_products(self, a, k):
+        expected = ScalarExpr.one()
+        for _ in range(k):
+            expected = expected * a
+        assert a ** k == expected
+
+    @PROPERTY
+    @given(st.lists(monomials(coeff=_nonzero_gauss), min_size=2, max_size=4)
+           .map(lambda ms: sum(ms, ScalarExpr.zero()))
+           .filter(lambda a: len(a.terms) >= 2),
+           st.integers(-3, -1))
+    def test_negative_power_of_a_sum_raises(self, a, k):
+        with pytest.raises(NonMonomialDenominator):
+            a ** k
+
+    @PROPERTY
+    @given(laurent_scalars, monomials(coeff=_nonzero_gauss))
+    def test_one_term_factor_keeps_key_order(self, a, c):
+        # the order in which the referee sums an exact value's terms
+        (mc,) = c.terms
+        expected = [_mono_mul(m, mc) for m in a.terms]
+        assert list((a * c).terms) == list((c * a).terms) == expected
+
+    @PROPERTY
     @given(laurent_scalars)
     def test_num_fpow_view(self, e):
         num, k = e.num, e.fpow
