@@ -29,7 +29,10 @@ from .halfplane import line_integral, pi_plus, trace_symbol
 from .scalars import GAUSS_I, GaussianRational, ScalarExpr, _INDEX
 from .sphere import integrate_sphere
 from .symbols import (
+    D,
+    DTILDE,
     BoundarySymbol,
+    Operator,
     build_sigma,
     d_x_parts,
     derive,
@@ -73,7 +76,7 @@ def enumerate_cases() -> List[CaseSpec]:
     return sorted(specs, key=lambda s: CASE_LABELS.index(s.label))
 
 
-def _left_factor(op: str, r: int, j: int, alpha_dir: int,
+def _left_factor(op: Operator, r: int, j: int, alpha_dir: int,
                  k: int) -> BoundarySymbol:
     """d^j_{x_n} d^alpha_{xi'} d^k_{xi_n} of the projected symbol of order r.
 
@@ -89,7 +92,7 @@ def _left_factor(op: str, r: int, j: int, alpha_dir: int,
     return derive(s, "xi_n", k)
 
 
-def _right_factor(op: str, l: int, alpha_dir: int, k: int,
+def _right_factor(op: Operator, l: int, alpha_dir: int, k: int,
                   j: int) -> BoundarySymbol:
     """d^alpha_{x'} d^{j+1}_{xi_n} d^k_{x_n} of the symbol of order l."""
     t = build_sigma(op, l)
@@ -106,8 +109,9 @@ def _right_factor(op: str, l: int, alpha_dir: int, k: int,
 # call for one case hits the same cache entry.
 
 @functools.cache
-def case_factors(spec: CaseSpec,
-                 op: str) -> Tuple[Tuple[BoundarySymbol, BoundarySymbol], ...]:
+def case_factors(
+        spec: CaseSpec,
+        op: Operator) -> Tuple[Tuple[BoundarySymbol, BoundarySymbol], ...]:
     """The (left, right) factor pair of each term of one case: one per
     tangential direction 1, 2, 3 when |alpha| = 1, a single pair else."""
     return tuple((_left_factor(op, spec.r, spec.j, d, spec.k),
@@ -116,7 +120,7 @@ def case_factors(spec: CaseSpec,
 
 
 @functools.cache
-def _case_value(spec: CaseSpec, op: str) -> ScalarExpr:
+def _case_value(spec: CaseSpec, op: Operator) -> ScalarExpr:
     total = ScalarExpr.zero()
     for left, right in case_factors(spec, op):
         traced = trace_symbol(left, right)
@@ -124,7 +128,7 @@ def _case_value(spec: CaseSpec, op: str) -> ScalarExpr:
     return total * ScalarExpr.const(spec.coefficient)
 
 
-def compute_case(spec: CaseSpec, op: str = "Dtilde") -> ScalarExpr:
+def compute_case(spec: CaseSpec, op: Operator = DTILDE) -> ScalarExpr:
     """The value of one case.  The printed steps are audited separately,
     by ``intermediates``."""
     return _case_value(spec, op)
@@ -133,7 +137,7 @@ def compute_case(spec: CaseSpec, op: str = "Dtilde") -> ScalarExpr:
 def intermediates(label: str) -> Dict[str, object]:
     """Engine values of the printed steps of one case, keyed by anchor id."""
     inter: Dict[str, object] = {}
-    s1d = build_sigma("D", -1)
+    s1d = build_sigma(D, -1)
     if label == "a1":
         eng10 = restrict_on_shell(derive(s1d, "xi_n"))
         inter["4.10"] = eng10
@@ -161,7 +165,7 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.27"] = restrict_on_shell(derive(s1d, "xi_n"))
     elif label == "b":
         e31 = pi_plus(restrict_on_shell(sandwich(CliffordElem.c_df())))
-        e32 = derive(restrict_on_shell(build_sigma("Dtilde", -1)), "xi_n")
+        e32 = derive(restrict_on_shell(build_sigma(DTILDE, -1)), "xi_n")
         e35 = pi_plus(restrict_on_shell(sandwich(jet_mid())))
         inter["4.31"] = e31
         inter["4.32"] = e32
@@ -169,10 +173,10 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.35"] = e35
         inter["4.36"] = trace_symbol(e35, e32)
     elif label == "c":
-        e40 = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
+        e40 = pi_plus(restrict_on_shell(build_sigma(DTILDE, -1)))
         e42 = restrict_on_shell(derive(sandwich(CliffordElem.c_df()),
                                        "xi_n"))
-        e43 = restrict_on_shell(derive(build_sigma("D", -2), "xi_n"))
+        e43 = restrict_on_shell(derive(build_sigma(D, -2), "xi_n"))
         e48 = restrict_on_shell(derive(sandwich(jet_mid()), "xi_n"))
         inter["4.40"] = e40
         inter["4.42"] = e42

@@ -87,12 +87,12 @@ def lemma41_suite() -> List[Dict]:
     """The engine's inverse symbols, from the parametrix, against Lemma
     4.1's closed forms."""
     from .anchors import lemma41
-    from .symbols import build_sigma
+    from .symbols import D, DTILDE, build_sigma
 
-    return [_entry(f"parametrix[{op},{order}]",
+    return [_entry(f"parametrix[{op.name},{order}]",
                    build_sigma(op, order).canonical(),
-                   lemma41(op, order).canonical())
-            for op in ("D", "Dtilde") for order in (-1, -2)]
+                   lemma41(op.name, order).canonical())
+            for op in (D, DTILDE) for order in (-1, -2)]
 
 
 def phi_suite(case_filter: str) -> List[Dict]:

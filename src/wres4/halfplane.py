@@ -91,25 +91,15 @@ def pi_plus(s: BoundarySymbol) -> BoundarySymbol:
                           s.xder)
 
 
-def _contour_integral(s: BoundarySymbol,
-                      pole: GaussianRational) -> ScalarExpr:
-    """Real-line integral of a scalar on-shell symbol from its residue at
-    `pole`: 2*pi*pole times the residue, since the contour closes above
-    +i counterclockwise and below -i clockwise.  Convergence needs a
-    numerator degree at least 2 below the denominator degree, and every
-    numerator coefficient must be scalar."""
+def line_integral(s: BoundarySymbol) -> ScalarExpr:
+    """Integral over the real line of a scalar on-shell rational: 2*pi*i
+    times its residue at +i, the one pole in the upper half-plane.  It
+    needs a numerator degree at least 2 below the denominator degree."""
     num, a, b = _canonical_term(s, 2)
     if any(set(e.terms) - {()} for e in num.values()):
         raise ValueError("line_integral expects a scalar integrand")
-    here, other = (a, b) if pole == GAUSS_I else (b, a)
-    res = _principal_part(num, here, other, pole).get(1, CliffordElem.zero())
-    return ScalarExpr.const(2 * pole) * PI_SYM * res.scalar_part()
-
-
-def line_integral(s: BoundarySymbol) -> ScalarExpr:
-    """Integral over the real line of a decaying on-shell rational:
-    2*pi*i times the sum of residues in the upper half-plane."""
-    return _contour_integral(s, GAUSS_I)
+    res = _principal_part(num, a, b, GAUSS_I).get(1, CliffordElem.zero())
+    return ScalarExpr.const(2 * GAUSS_I) * PI_SYM * res.scalar_part()
 
 
 def trace_symbol(left: BoundarySymbol,

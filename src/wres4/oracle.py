@@ -508,9 +508,10 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     absolute difference.
     """
     from .boundary import case_factors, compute_case
+    from .symbols import DTILDE
 
     groups: Dict[tuple, List[Pair]] = {}
-    for left, right in case_factors(spec, "Dtilde"):
+    for left, right in case_factors(spec, DTILDE):
         low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
         groups.setdefault((low_l.poles, low_r.poles), []).append(
             (low_l, low_r))

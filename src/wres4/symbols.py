@@ -244,7 +244,8 @@ def _derive_once(s: BoundarySymbol, direction: str) -> BoundarySymbol:
                 "second x-derivative exceeds the first-order jet tables"
             )
         j = 4 if direction == "x_n" else int(direction[-1])
-        return _d_x(s, j)
+        jet, slot = d_x_parts(s, j)
+        return jet + slot
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -306,11 +307,6 @@ def d_x_parts(s: BoundarySymbol,
             BoundarySymbol(OFF, slot, s.xder + 1))
 
 
-def _d_x(s: BoundarySymbol, j: int) -> BoundarySymbol:
-    jet, slot = d_x_parts(s, j)
-    return jet + slot
-
-
 def restrict_on_shell(s: BoundarySymbol) -> BoundarySymbol:
     """Impose |xi'| = 1: W -> (xi_n - i)(xi_n + i), so key p becomes
     (p, p).  Every numerator is kept as it is: on-shell `canonical`
@@ -354,9 +350,26 @@ def sandwich(mid: CliffordElem) -> BoundarySymbol:
     return cxi.mul(BoundarySymbol.from_clifford(mid)).mul(cxi)
 
 
-def build_sigma(op: str, order: int) -> BoundarySymbol:
-    """sigma_1 or sigma_0 of D or Dtilde, or sigma_-1 or sigma_-2 of its
-    inverse, which the parametrix derives from the first two.
+class Operator:
+    """P = scale * D + potential, with sigma_1(P) = scale * i c(xi) and
+    sigma_0(P) = scale * sigma_0(D) + potential; Dtilde = (f/2) D + c(df).
+    It has no __eq__, so it hashes by identity: each operator is its own
+    cache key."""
+
+    __slots__ = ("name", "scale", "potential")
+
+    def __init__(self, name: str, scale, potential: CliffordElem):
+        self.name, self.scale, self.potential = name, scale, potential
+
+
+D = Operator("D", 1, CliffordElem.zero())
+DTILDE = Operator("Dtilde", ScalarExpr.var("F") * half(),
+                  CliffordElem.c_df())
+
+
+def build_sigma(op: Operator, order: int) -> BoundarySymbol:
+    """sigma_1 or sigma_0 of op, or sigma_-1 or sigma_-2 of its inverse,
+    which the parametrix derives from the first two.
 
     Each (op, order) is built once per process, and sigma_-1 alone never
     forms sigma_-2; the returned symbol is shared between callers, so it
@@ -365,28 +378,19 @@ def build_sigma(op: str, order: int) -> BoundarySymbol:
 
 
 @functools.cache
-def _sigma(op: str, order: int) -> BoundarySymbol:
+def _sigma(op: Operator, order: int) -> BoundarySymbol:
     if order == -1:
         return _invert_leading(_sigma(op, 1))
     if order == -2:
         return parametrix(_sigma(op, 1), _sigma(op, 0), r1=_sigma(op, -1))[1]
-    if order not in (1, 0):
+    if order == 1:
+        return BoundarySymbol(
+            OFF, {0: _scaled(c_xi_poly(), ScalarExpr.i_unit() * op.scale)})
+    if order != 0:
         raise ValueError("order must be one of 1, 0, -1, -2")
-    return _definition(op)[1 - order]
-
-
-def _definition(op: str) -> tuple[BoundarySymbol, BoundarySymbol]:
-    """(sigma_1, sigma_0) of D, i c(xi) and the collar connection, or of
-    Dtilde = (f/2) D + c(df)."""
-    s1 = BoundarySymbol(OFF, {0: _scaled(c_xi_poly(), ScalarExpr.i_unit())})
-    s0 = BoundarySymbol.from_clifford(sigma0_dirac())
-    if op == "D":
-        return s1, s0
-    if op == "Dtilde":
-        half_f = ScalarExpr.var("F") * half()
-        return (s1.scale(half_f), s0.scale(half_f)
-                + BoundarySymbol.from_clifford(CliffordElem.c_df()))
-    raise ValueError("op must be 'D' or 'Dtilde'")
+    # sigma_0(D) is built on first use, never while the module imports
+    return BoundarySymbol.from_clifford(
+        sigma0_dirac().scale(op.scale) + op.potential)
 
 
 def _invert_leading(sigma1: BoundarySymbol) -> BoundarySymbol:

@@ -5,7 +5,9 @@ limit.  The referee's matrix-valued evaluators and its contour form of
 pi+ live here too, since no verb runs them; they are checks, against
 which the tests hold the referee's scalar trace path and the engine's
 pi+.  So are the two inverses of the half-plane layer's steps: the
-lower-contour line integral and the recombined partial fractions."""
+lower-contour line integral, -2*pi*i times the residue at -i that the
+partial fractions give (the engine reads only +i), and the recombined
+partial fractions."""
 
 import cmath
 import functools
@@ -14,7 +16,8 @@ import math
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem, _cmul_into
 from wres4.errors import MissingBinding
-from wres4.halfplane import PoleDecomposition, _contour_integral
+from wres4.halfplane import (PoleDecomposition, _canonical_term,
+                             partial_fractions)
 from wres4.oracle import (
     CompiledSymbol,
     LoweredSymbol,
@@ -22,7 +25,7 @@ from wres4.oracle import (
     _monomials,
     eval_scalar,
 )
-from wres4.scalars import GAUSS_I, NAMES, ScalarExpr
+from wres4.scalars import GAUSS_I, NAMES, PI_SYM, ScalarExpr
 from wres4.symbols import (ON, BoundarySymbol, _mul_into, _pole_factor,
                            _w_power, _xin)
 
@@ -140,8 +143,14 @@ def pure_dirac_limit(e):
 
 def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
     """The real-line integral closed below: -2*pi*i times the residue at
-    -i.  Equal to halfplane.line_integral for every decaying symbol."""
-    return _contour_integral(s, -GAUSS_I)
+    -i, read from the partial fractions.  It asks what
+    halfplane.line_integral asks, decay like xi_n^-2 and a scalar
+    integrand, and equals it for every such symbol."""
+    num, _, _ = _canonical_term(s, 2)
+    if any(set(e.terms) - {()} for e in num.values()):
+        raise ValueError("line_integral expects a scalar integrand")
+    res = partial_fractions(s).principal_minus.get(1, CliffordElem.zero())
+    return ScalarExpr.const(-2 * GAUSS_I) * PI_SYM * res.scalar_part()
 
 
 def recombine(dec: PoleDecomposition) -> BoundarySymbol:

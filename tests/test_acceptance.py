@@ -47,6 +47,8 @@ from wres4.scalars import (
 )
 from wres4.sphere import integrate_sphere, moment
 from wres4.symbols import (
+    D,
+    DTILDE,
     build_sigma,
     derive,
     jet_mid,
@@ -125,23 +127,23 @@ def test_criterion1_trace_suite():
 
 def test_criterion2_parametrix_equivalence():
     start = time.monotonic()
-    for op in ("D", "Dtilde"):
+    for op in (D, DTILDE):
         r1, r2 = parametrix(build_sigma(op, 1), build_sigma(op, 0))
-        assert r1.canonical() == anchors.lemma41(op, -1).canonical()
+        assert r1.canonical() == anchors.lemma41(op.name, -1).canonical()
         # exact agreement with Lemma 4.1's closed form; the
         # factor-bookkeeping question resolved with no residual, so no
         # numeric adjudication is required
-        assert r2.canonical() == anchors.lemma41(op, -2).canonical()
+        assert r2.canonical() == anchors.lemma41(op.name, -2).canonical()
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion3_projection_anchors():
     checks = {
-        "4.40": pi_plus(restrict_on_shell(build_sigma("Dtilde", -1))),
+        "4.40": pi_plus(restrict_on_shell(build_sigma(DTILDE, -1))),
         "4.16": pi_plus(restrict_on_shell(
-            derive(build_sigma("D", -1), "x_n"))),
+            derive(build_sigma(D, -1), "x_n"))),
         "4.23": derive(pi_plus(restrict_on_shell(
-            build_sigma("D", -1))), "xi_n"),
+            build_sigma(D, -1))), "xi_n"),
         "4.31": None,
         "4.35": None,
     }
@@ -153,11 +155,11 @@ def test_criterion3_projection_anchors():
 
     # the documented sign discrepancy, adjudicated by the contour oracle
     # at 10 sample points
-    engine_419 = pi_plus(restrict_on_shell(build_sigma("D", -1)))
+    engine_419 = pi_plus(restrict_on_shell(build_sigma(D, -1)))
     assert anchors.compare(engine_419, anchors.anchor("4.19")) == "mismatch"
     assert "4.19" in known_ids()
     ctx = NumericContext(42)
-    full = restrict_on_shell(build_sigma("D", -1))
+    full = restrict_on_shell(build_sigma(D, -1))
     xp = (0.28, -0.96, 0.0)
     # bound to ctx and xp once; each contour node is then one call
     compiled = MatrixSymbol(LoweredSymbol(full, ctx), xp)
@@ -174,8 +176,8 @@ def test_criterion4_residue_primitives():
     # Cauchy kernel
     assert line_integral(scalar_term({0: 1}, 1, 1)) == PI
     # the composite: prefactor times line integral times sphere average
-    s = pi_plus(restrict_on_shell(derive(build_sigma("D", -1), "x_n")))
-    t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
+    s = pi_plus(restrict_on_shell(derive(build_sigma(D, -1), "x_n")))
+    t = derive(restrict_on_shell(build_sigma(D, -1)), "xi_n", 2)
     composite = (ScalarExpr.const(-2) * FINV(2)
                  * integrate_sphere(line_integral(trace_symbol(s, t))))
     assert composite == ScalarExpr.const(-3) / 2 * FINV(2) * HP * PI * OMEGA
@@ -196,16 +198,16 @@ def test_criterion4_residue_primitives():
                    "is -pi, not 0; certified symbolically and by "
                    "quadrature")
 def test_criterion4_reference_cross_integral_is_zero():
-    s = pi_plus(restrict_on_shell(build_sigma("D", -1)))
-    t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
+    s = pi_plus(restrict_on_shell(build_sigma(D, -1)))
+    t = derive(restrict_on_shell(build_sigma(D, -1)), "xi_n", 2)
     val = line_integral(trace_symbol(s, t))
     assert val.is_zero()
 
 
 def test_criterion4_cross_integral_certified_value():
     # the engine value of the 4.20 integrand, confirmed by quadrature
-    s = pi_plus(restrict_on_shell(build_sigma("D", -1)))
-    t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
+    s = pi_plus(restrict_on_shell(build_sigma(D, -1)))
+    t = derive(restrict_on_shell(build_sigma(D, -1)), "xi_n", 2)
     val = line_integral(trace_symbol(s, t))
     assert val == -PI
     ctx = NumericContext(42)

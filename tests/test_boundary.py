@@ -19,8 +19,11 @@ from wres4.halfplane import line_integral, pi_plus, trace_symbol
 from wres4.scalars import GAUSS_I, NAMES, GaussianRational, ScalarExpr, xi
 from wres4.sphere import integrate_sphere
 from wres4.symbols import (
+    D,
+    DTILDE,
     OFF,
     BoundarySymbol,
+    Operator,
     build_sigma,
     derive,
     restrict_on_shell,
@@ -113,10 +116,27 @@ class TestMetamorphic:
         # with f = 1 and every f-jet 0, Dtilde = D/2, so each case (two
         # inverse symbols) scales by exactly 2 * 2
         for spec in enumerate_cases():
-            dtilde = compute_case(spec, "Dtilde")
-            d = compute_case(spec, "D")
+            dtilde = compute_case(spec, DTILDE)
+            d = compute_case(spec, D)
             assert (pure_dirac_limit(dtilde)
                     == ScalarExpr.const(4) * d), spec.label
+
+    def test_a_third_operator_is_its_own_cache_key(self):
+        # P = F D + V with a fixed zero-order V over three blades: the
+        # five cases of P paired with itself sum to Phi(P, P) = 0, and
+        # building them leaves Dtilde's cached symbols and cases as they
+        # were.  V need not move every case (b is blind to it under
+        # Dtilde + V), so no case value is compared with Dtilde's
+        sigma_dtilde, phi = build_sigma(DTILDE, -2), assemble_phi()
+        v = CliffordElem({(): HP, (1,): ScalarExpr.const(3),
+                          (2, 4): scalars.frac(1, 2) * ScalarExpr.var("FI1")})
+        p = Operator("P_V", ScalarExpr.var("F"), v)
+        assert build_sigma(p, -2) != build_sigma(DTILDE, -2)
+        total = sum((compute_case(spec, p) for spec in enumerate_cases()),
+                    ScalarExpr.zero())
+        assert total.is_zero()
+        assert build_sigma(DTILDE, -2) is sigma_dtilde
+        assert assemble_phi() == phi
 
 
 class TestIntermediates:
@@ -260,7 +280,7 @@ class TestBPlusCIdentity:
 
     @staticmethod
     def _b_and_c(q):
-        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        sigma = restrict_on_shell(build_sigma(DTILDE, -1))
         q_on = restrict_on_shell(q)
         return (_case_integral(pi_plus(q_on), derive(sigma, "xi_n")),
                 _case_integral(pi_plus(sigma), derive(q_on, "xi_n")))
@@ -283,21 +303,21 @@ class TestBPlusCIdentity:
     def test_b_plus_c_vanishes(self):
         # the identity on the sigma_-2 the engine builds, which the basis
         # is meant to span
-        for op in ("D", "Dtilde"):
+        for op in (D, DTILDE):
             b, c = self._b_and_c(build_sigma(op, -2))
             assert not b.is_zero()
             assert (b + c).is_zero()
 
     def test_dropping_pi_plus_breaks_it(self):
         # negative control: b's left factor without pi+
-        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        sigma = restrict_on_shell(build_sigma(DTILDE, -1))
         assert any(
             not (_case_integral(q_on, derive(sigma, "xi_n")) + c).is_zero()
             for q_on, _, c in self._on_the_basis())
 
     def test_dropping_the_xi_n_derivative_breaks_it(self):
         # negative control: c's right factor without its xi_n-derivative
-        sigma = restrict_on_shell(build_sigma("Dtilde", -1))
+        sigma = restrict_on_shell(build_sigma(DTILDE, -1))
         assert any(
             not (b + _case_integral(pi_plus(sigma), q_on)).is_zero()
             for q_on, b, _ in self._on_the_basis())

@@ -9,7 +9,7 @@ from wres4 import anchor_table, anchors
 from wres4.cli import USAGE, load_discrepancies, parse_args, render_json, run
 from wres4.scalars import ScalarExpr
 from wres4.sexpr import dumps
-from wres4.symbols import BoundarySymbol, jet_mid, sandwich
+from wres4.symbols import DTILDE, BoundarySymbol, jet_mid, sandwich
 
 from helpers import known_ids
 
@@ -26,7 +26,7 @@ def _perturb_case(monkeypatch, label, extra):
 
     real = boundary.compute_case
 
-    def perturbed(spec, op="Dtilde"):
+    def perturbed(spec, op=DTILDE):
         value = real(spec, op)
         return value + extra if spec.label == label else value
 
@@ -251,7 +251,7 @@ class TestAuditSplit:
         real_case = boundary.compute_case
         real_steps = boundary.intermediates
 
-        def counting_case(spec, op="Dtilde"):
+        def counting_case(spec, op=DTILDE):
             calls["compute_case"] += 1
             return real_case(spec, op)
 
@@ -273,7 +273,7 @@ class TestAuditSplit:
         real_case = boundary.compute_case
         real_phi = boundary.assemble_phi
 
-        def counting_case(spec, op="Dtilde"):
+        def counting_case(spec, op=DTILDE):
             calls["compute_case"].append(spec.label)
             return real_case(spec, op)
 

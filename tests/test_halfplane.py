@@ -18,6 +18,8 @@ from wres4.halfplane import (
 )
 from wres4.scalars import GAUSS_I, GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
+    D,
+    DTILDE,
     OFF,
     ON,
     BoundarySymbol,
@@ -47,7 +49,7 @@ def scalar_term(coeffs, a, b):
 
 class TestPartialFractions:
     def test_recombine_identity(self):
-        s = restrict_on_shell(build_sigma("Dtilde", -1))
+        s = restrict_on_shell(build_sigma(DTILDE, -1))
         for sym in (s, derive(s, "xi_n"), derive(s, "xi_n", 2)):
             dec = partial_fractions(sym)
             assert recombine(dec).canonical() == sym.canonical()
@@ -65,12 +67,12 @@ class TestPartialFractions:
 
     def test_off_shell_rejected(self):
         with pytest.raises(ShellViolation):
-            partial_fractions(build_sigma("D", -1))
+            partial_fractions(build_sigma(D, -1))
 
 
 class TestPiPlus:
     def test_idempotent(self):
-        s = restrict_on_shell(build_sigma("Dtilde", -1))
+        s = restrict_on_shell(build_sigma(DTILDE, -1))
         p = pi_plus(s)
         assert pi_plus(p) == p
 
@@ -86,7 +88,7 @@ class TestPiPlus:
         # engine value: +(c(xi') + i c(dx_n)) / (2 (xi_n - i)); the stored
         # reference line carries the opposite sign and is a documented
         # discrepancy
-        eng = pi_plus(restrict_on_shell(build_sigma("D", -1)))
+        eng = pi_plus(restrict_on_shell(build_sigma(D, -1)))
         num = {0: (CliffordElem.c_xi_prime()
                    + CliffordElem.c_dxn().scale(I)).scale(
                        ScalarExpr.one() / 2)}
@@ -96,17 +98,17 @@ class TestPiPlus:
 
     def test_projection_anchors(self):
         checks = {
-            "4.40": pi_plus(restrict_on_shell(build_sigma("Dtilde", -1))),
+            "4.40": pi_plus(restrict_on_shell(build_sigma(DTILDE, -1))),
             "4.16": pi_plus(restrict_on_shell(
-                derive(build_sigma("D", -1), "x_n"))),
+                derive(build_sigma(D, -1), "x_n"))),
             "4.23": derive(pi_plus(restrict_on_shell(
-                build_sigma("D", -1))), "xi_n"),
+                build_sigma(D, -1))), "xi_n"),
         }
         for label, engine in checks.items():
             assert anchors.compare(engine, anchors.anchor(label)) == "match"
 
     def test_commutes_with_xi_n_derivative(self):
-        s = restrict_on_shell(build_sigma("Dtilde", -1))
+        s = restrict_on_shell(build_sigma(DTILDE, -1))
         assert derive(pi_plus(s), "xi_n") == pi_plus(derive(s, "xi_n"))
 
     @pytest.mark.parametrize("coeffs,a,b", [
@@ -152,7 +154,7 @@ class TestLineIntegral:
     @pytest.mark.parametrize("integral", [line_integral, line_integral_lower])
     def test_off_shell_rejected(self, integral):
         with pytest.raises(ShellViolation):
-            integral(build_sigma("D", -1))
+            integral(build_sigma(D, -1))
 
     def test_non_scalar_rejected(self):
         poly = {0: CliffordElem.gen(1)}
@@ -268,8 +270,8 @@ class TestHighOrderPoles:
 
 class TestTraceSymbol:
     def test_scalarizes_coefficients(self):
-        s = pi_plus(restrict_on_shell(build_sigma("Dtilde", -1)))
-        t = derive(restrict_on_shell(build_sigma("Dtilde", -1)), "xi_n")
+        s = pi_plus(restrict_on_shell(build_sigma(DTILDE, -1)))
+        t = derive(restrict_on_shell(build_sigma(DTILDE, -1)), "xi_n")
         traced = trace_symbol(s, t)
         for poly in traced.terms.values():
             for elem in poly.values():
@@ -280,8 +282,8 @@ class TestTraceSymbol:
         # sphere average this is exactly -3/(2 f^2) pi h'(0) Omega_3
         from wres4.sphere import integrate_sphere
 
-        s = pi_plus(restrict_on_shell(derive(build_sigma("D", -1), "x_n")))
-        t = derive(restrict_on_shell(build_sigma("D", -1)), "xi_n", 2)
+        s = pi_plus(restrict_on_shell(derive(build_sigma(D, -1), "x_n")))
+        t = derive(restrict_on_shell(build_sigma(D, -1)), "xi_n", 2)
         val = line_integral(trace_symbol(s, t))
         assert val == (ScalarExpr.const(3) / 4 * ScalarExpr.var("HP") * PI)
         composite = (ScalarExpr.const(-2) * ScalarExpr.f_inverse(2)

@@ -1,9 +1,10 @@
 """Semantic mutants of the exact engine against the CLI's exit code.
 
-Each mutant monkeypatches one engine name and clears the caches that would
-otherwise keep the unmutated values.  A row names the verb and the rows
-that kill its mutant.  A mutant that no gate kills is a strict xfail
-citing the ROADMAP item meant to kill it."""
+Each mutant monkeypatches one engine name, or one field of an operator's
+data, and clears the caches that would otherwise keep the unmutated
+values.  A row names the verb and the rows that kill its mutant.  A
+mutant that no gate kills is a strict xfail citing the ROADMAP item meant
+to kill it."""
 
 import json
 
@@ -15,7 +16,7 @@ from wres4.cli import run
 from wres4.clifford import CliffordElem
 from wres4.errors import DecayViolation
 from wres4.scalars import GAUSS_I, ScalarExpr
-from wres4.symbols import OFF, ON, BoundarySymbol
+from wres4.symbols import D, OFF, ON, BoundarySymbol
 
 
 def _clear_case_caches():
@@ -81,11 +82,11 @@ def test_negated_sigma0_fails_verify_lemma41(fresh_caches, monkeypatch,
                                             capsys):
     # Lemma 4.1's reference spells sigma_0(D) out, so the mutant reaches
     # the engine's sigma_-2 only
-    before = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
+    before = (symbols.build_sigma(D, -2), anchors.lemma41("D", -2))
     _clear_case_caches()
     real = symbols.sigma0_dirac
     monkeypatch.setattr(symbols, "sigma0_dirac", lambda: -real())
-    after = (symbols.build_sigma("D", -2), anchors.lemma41("D", -2))
+    after = (symbols.build_sigma(D, -2), anchors.lemma41("D", -2))
     assert before[0] != after[0], "the mutant leaves sigma_-2 unchanged"
     assert before[1] == after[1]
     status, failed = _failed_rows(capsys, "verify-lemma41")
@@ -124,15 +125,9 @@ def test_doubled_df_norm_fails_compute_interior(fresh_caches, monkeypatch,
 
 def test_doubled_c_df_term_fails_compute_phi(fresh_caches, monkeypatch,
                                             capsys):
-    real = symbols._definition
-
-    def doubled(op):
-        s1, s0 = real(op)
-        if op == "Dtilde":
-            s0 = s0 + BoundarySymbol.from_clifford(CliffordElem.c_df())
-        return s1, s0
-
-    monkeypatch.setattr(symbols, "_definition", doubled)
+    # Dtilde = (f/2) D + 2 c(df): a change of the operator's data alone
+    monkeypatch.setattr(symbols.DTILDE, "potential",
+                        CliffordElem.c_df().scale(2))
     status, failed = _failed_rows(capsys)
     assert status == 1
     assert {"case_b", "case_c"} <= failed

@@ -34,6 +34,8 @@ from wres4.oracle import (
 from wres4.scalars import NAMES, ScalarExpr
 from wres4.sphere import moment
 from wres4.symbols import (
+    D,
+    DTILDE,
     OFF,
     BoundarySymbol,
     build_sigma,
@@ -142,7 +144,7 @@ class TestEvaluate:
     def test_leading_inverse_symbol_shape(self, ctx):
         # on the unit cosphere the order -1 symbol of the rescaled
         # operator is 2i c(xi) / (f (1 + xi_n^2))
-        s = restrict_on_shell(build_sigma("Dtilde", -1))
+        s = restrict_on_shell(build_sigma(DTILDE, -1))
         x1, x2 = 0.6, -0.48
         x3 = math.sqrt(1 - x1 * x1 - x2 * x2)
         xi_n = 0.9
@@ -157,7 +159,7 @@ class TestEvaluate:
         with pytest.raises(MissingBinding):
             evaluate(ScalarExpr.var("XI1"), ctx)
         with pytest.raises(MissingBinding):
-            evaluate(build_sigma("D", -1), ctx, None)
+            evaluate(build_sigma(D, -1), ctx, None)
 
     def test_unknown_type(self, ctx):
         with pytest.raises(TypeError):
@@ -180,16 +182,16 @@ def case_factor_symbols():
     from wres4.boundary import case_factors, enumerate_cases
 
     return [s for spec in enumerate_cases()
-            for pair in case_factors(spec, "Dtilde") for s in pair]
+            for pair in case_factors(spec, DTILDE) for s in pair]
 
 
 OFF_SHELL = {
-    "D,-1": lambda: build_sigma("D", -1),
-    "Dtilde,-2": lambda: build_sigma("Dtilde", -2),
-    "d_xn D,-1": lambda: derive(build_sigma("D", -1), "x_n"),
+    "D,-1": lambda: build_sigma(D, -1),
+    "Dtilde,-2": lambda: build_sigma(DTILDE, -2),
+    "d_xn D,-1": lambda: derive(build_sigma(D, -1), "x_n"),
     # W-pole orders 1, 2, 3
-    "D,-1 + Dtilde,-2": lambda: (build_sigma("D", -1)
-                                 + build_sigma("Dtilde", -2)),
+    "D,-1 + Dtilde,-2": lambda: (build_sigma(D, -1)
+                                 + build_sigma(DTILDE, -2)),
 }
 
 # xi_n-polynomial numerators over one denominator must agree with the
@@ -311,7 +313,7 @@ class TestLoweredEvaluator:
         groups = []
         for spec in enumerate_cases():
             by_poles = {}
-            for left, right in case_factors(spec, "Dtilde"):
+            for left, right in case_factors(spec, DTILDE):
                 pair = (LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
                 groups.append([pair])
                 by_poles.setdefault((pair[0].poles, pair[1].poles),
@@ -677,7 +679,7 @@ class TestPoleOrderGroups:
 
         specs = {s.label: s for s in boundary.enumerate_cases()}
         pairs = [pair for label in labels
-                 for pair in boundary.case_factors(specs[label], "Dtilde")]
+                 for pair in boundary.case_factors(specs[label], DTILDE)]
         symbolic = boundary.compute_case(specs["c"])
         sphere, passes = oracle.quad_sphere, [0]
 
@@ -849,7 +851,7 @@ class TestQuadrature:
 
     def test_contour_matches_engine_projection(self, ctx):
         # adjudication of the projected leading-symbol sign at 10 points
-        full = restrict_on_shell(build_sigma("Dtilde", -1))
+        full = restrict_on_shell(build_sigma(DTILDE, -1))
         proj = pi_plus(full)
         xp = (0.6, 0.0, 0.8)
         # bound to ctx and xp once; each contour node is then one call

@@ -14,6 +14,8 @@ from wres4.clifford import CliffordElem
 from wres4.errors import NonInvertibleLeadingSymbol, UnsupportedOrder
 from wres4.scalars import GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
+    D,
+    DTILDE,
     OFF,
     ON,
     BoundarySymbol,
@@ -41,19 +43,19 @@ def golden(name):
 
 class TestClosedForms:
     def test_leading_symbol_is_i_c_xi(self):
-        s = build_sigma("D", 1)
+        s = build_sigma(D, 1)
         expected = BoundarySymbol(OFF, {0: c_xi_poly()}).scale(
             ScalarExpr.i_unit())
         assert s == expected
 
     def test_conformal_leading_scaling(self):
-        sD = build_sigma("D", -1)
-        sDt = build_sigma("Dtilde", -1)
+        sD = build_sigma(D, -1)
+        sDt = build_sigma(DTILDE, -1)
         expected = sD.scale(ScalarExpr.const(2) * ScalarExpr.f_inverse())
         assert sDt.canonical() == expected.canonical()
 
     def test_composition_is_identity(self):
-        for op in ("D", "Dtilde"):
+        for op in (D, DTILDE):
             a = {1: build_sigma(op, 1), 0: build_sigma(op, 0)}
             b = {-1: build_sigma(op, -1), -2: build_sigma(op, -2)}
             ident = compose_orders(a, b, 0).canonical()
@@ -69,6 +71,11 @@ class TestClosedForms:
         # only a square lam * |xi|^2 with scalar lam != 0 has an inverse
         with pytest.raises(NonInvertibleLeadingSymbol):
             parametrix(s1, BoundarySymbol.zero())
+
+    def test_order_out_of_range_is_rejected(self):
+        with pytest.raises(ValueError,
+                           match="order must be one of 1, 0, -1, -2"):
+            build_sigma(D, 2)
 
     def test_sigma0_dirac_value(self):
         expected = CliffordElem.c_dxn().scale(
@@ -120,17 +127,17 @@ class TestLeftInverse:
         assert compose_orders(left, right, 0) == one
         return compose_orders(left, right, -1).is_zero()
 
-    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    @pytest.mark.parametrize("op", [D, DTILDE], ids=lambda op: op.name)
     def test_parametrix_is_a_left_inverse(self, op):
         assert self._check(*_s1_s0(op))
 
     @POTENTIALS
     @given(_potentials())
     def test_left_inverse_with_a_potential(self, v):
-        s1, s0 = _s1_s0("Dtilde")
+        s1, s0 = _s1_s0(DTILDE)
         assert self._check(s1, s0 + v)
 
-    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    @pytest.mark.parametrize("op", [D, DTILDE], ids=lambda op: op.name)
     def test_dropping_the_derivative_term_breaks_it(self, op):
         assert not self._check(*_s1_s0(op), drop_derivative_term=True)
 
@@ -138,18 +145,18 @@ class TestLeftInverse:
     @given(_potentials())
     def test_dropping_the_derivative_term_breaks_it_with_a_potential(
             self, v):
-        s1, s0 = _s1_s0("Dtilde")
+        s1, s0 = _s1_s0(DTILDE)
         assert not self._check(s1, s0 + v, drop_derivative_term=True)
 
 
 class TestDerivation:
     def test_second_x_derivative_rejected(self):
-        s = derive(build_sigma("D", -1), "x_n")
+        s = derive(build_sigma(D, -1), "x_n")
         with pytest.raises(UnsupportedOrder):
             derive(s, "x_n")
 
     def test_xi_n_derivative_lowers_decay(self):
-        s = restrict_on_shell(build_sigma("D", -1))
+        s = restrict_on_shell(build_sigma(D, -1))
         d = derive(s, "xi_n")
         # every on-shell pole pair must deepen by exactly one in total
         assert max(a + b for a, b in d.terms) == max(
@@ -158,21 +165,21 @@ class TestDerivation:
     def test_restrict_sets_unit_cosphere(self):
         # |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p: every
         # numerator, |xi'|^2 in the x_n-derivative's included, is kept
-        for s in (build_sigma("D", -1), build_sigma("Dtilde", -2),
-                  derive(build_sigma("D", -1), "x_n")):
+        for s in (build_sigma(D, -1), build_sigma(DTILDE, -2),
+                  derive(build_sigma(D, -1), "x_n")):
             on = restrict_on_shell(s)
             assert on.shell == ON and on.xder == s.xder
             assert on.terms == {(p, p): poly for p, poly in s.terms.items()}
 
     def test_derivatives_commute(self):
-        s = build_sigma("Dtilde", -1)
+        s = build_sigma(DTILDE, -1)
         ab = derive(derive(s, "xi_1"), "xi_n")
         ba = derive(derive(s, "xi_n"), "xi_1")
         assert ab.canonical() == ba.canonical()
 
     @pytest.mark.parametrize("symbol", [
-        lambda: build_sigma("D", -1),
-        lambda: build_sigma("Dtilde", -1),
+        lambda: build_sigma(D, -1),
+        lambda: build_sigma(DTILDE, -1),
         lambda: sandwich(CliffordElem.c_df()),
     ], ids=["sigma_-1(D)", "sigma_-1(Dtilde)", "sandwich(c(df))"])
     def test_x_derivative_halves_sum_to_derive(self, symbol):
@@ -185,7 +192,7 @@ class TestDerivation:
             # only d_{x_n} reaches the |xi|^2 slot, through h'(0)
             assert slot.is_zero() == (j < 4), j
 
-    @pytest.mark.parametrize("op", ["D", "Dtilde"])
+    @pytest.mark.parametrize("op", [D, DTILDE], ids=lambda op: op.name)
     @pytest.mark.parametrize("order", [-1, -2])
     def test_slot_half_is_h_prime_times_the_tangential_norm(self, op, order):
         # d_{x_n} W**-p = -p h'(0) |xi'|^2 / W**(p+1), key by key, with
@@ -206,12 +213,12 @@ class TestDerivation:
 
 class TestGoldenForms:
     @pytest.mark.parametrize("name,builder", [
-        ("4.4", lambda: build_sigma("Dtilde", -1)),
-        ("4.4b", lambda: build_sigma("Dtilde", -2)),
-        ("4.14", lambda: derive(build_sigma("D", -1), "xi_n", 2)),
-        ("4.15", lambda: derive(build_sigma("D", -1), "x_n")),
+        ("4.4", lambda: build_sigma(DTILDE, -1)),
+        ("4.4b", lambda: build_sigma(DTILDE, -2)),
+        ("4.14", lambda: derive(build_sigma(D, -1), "xi_n", 2)),
+        ("4.15", lambda: derive(build_sigma(D, -1), "x_n")),
         ("4.22", lambda: restrict_on_shell(
-            derive(derive(build_sigma("D", -1), "x_n"), "xi_n"))),
+            derive(derive(build_sigma(D, -1), "x_n"), "xi_n"))),
     ])
     def test_symbol_golden_round_trip(self, name, builder):
         text = golden(name)
@@ -223,7 +230,7 @@ class TestGoldenForms:
             "4.42": restrict_on_shell(
                 derive(sandwich(CliffordElem.c_df()), "xi_n")),
             "4.43": restrict_on_shell(
-                derive(build_sigma("D", -2), "xi_n")),
+                derive(build_sigma(D, -2), "xi_n")),
             "4.48": restrict_on_shell(
                 derive(sandwich(jet_mid()), "xi_n")),
         }
@@ -251,13 +258,13 @@ class TestBuiltOnce:
         calls = _counting(monkeypatch, symbols, "_invert_leading")
         symbols._sigma.cache_clear()
         try:
-            build_sigma("Dtilde", -1)
-            r2 = build_sigma("Dtilde", -2)
+            build_sigma(DTILDE, -1)
+            r2 = build_sigma(DTILDE, -2)
         finally:
             symbols._sigma.cache_clear()
         assert calls == [1]
-        _, ref = parametrix(build_sigma("Dtilde", 1),
-                            build_sigma("Dtilde", 0))
+        _, ref = parametrix(build_sigma(DTILDE, 1),
+                            build_sigma(DTILDE, 0))
         assert r2.canonical() == ref.canonical()
 
     def test_each_closed_form_is_built_once(self, monkeypatch):
@@ -271,8 +278,8 @@ class TestBuiltOnce:
         assert calls == [3]
 
     @pytest.mark.parametrize("s", [
-        build_sigma("D", -1),
-        restrict_on_shell(build_sigma("Dtilde", -1)),
+        build_sigma(D, -1),
+        restrict_on_shell(build_sigma(DTILDE, -1)),
     ], ids=["off", "on"])
     def test_canonical_form_of_one_key_is_itself(self, s):
         # a single key already sits at the common denominator: the product
