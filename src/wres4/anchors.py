@@ -72,7 +72,10 @@ def trace_braces() -> ScalarExpr:
 def lemma41(op: str, order: int) -> BoundarySymbol:
     """Lemma 4.1's closed form of sigma_order(op^-1), order -1 or -2, op D
     or Dtilde: the reference of the parametrix[op,order] rows.  Each is
-    built once per process and shared between callers: never mutate."""
+    built once per process and shared between callers: never mutate.  Any
+    other op or order raises LookupError."""
+    if op not in ("D", "Dtilde") or order not in (-1, -2):
+        raise LookupError(f"Lemma 4.1 gives no sigma_{order}({op}^-1)")
     from .symbols import (OFF, BoundarySymbol, _scaled, c_xi_poly, jet_mid,
                           sandwich)
 

@@ -135,7 +135,8 @@ def compute_case(spec: CaseSpec, op: Operator = DTILDE) -> ScalarExpr:
 
 
 def intermediates(label: str) -> Dict[str, object]:
-    """Engine values of the printed steps of one case, keyed by anchor id."""
+    """Engine values of the printed steps of one case, keyed by anchor id;
+    a lost or extra row raises LookupError."""
     inter: Dict[str, object] = {}
     s1d = build_sigma(D, -1)
     if label == "a1":
@@ -186,6 +187,8 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.46"] = trace_symbol(e40, e42)
         inter["4.48"] = e48
         inter["4.49"] = trace_symbol(e40, e48)
+    if len(inter) != {"a1": 7, "a2": 4, "a3": 5, "b": 5, "c": 7}[label]:
+        raise LookupError(f"case {label}: audit rows {sorted(inter)}")
     return inter
 
 

@@ -1,23 +1,23 @@
 """Floating-point referee for the symbolic engine, in pure Python.
 
 Explicit 4x4 gamma matrices (tuples of Python complex), seeded random
-parameter assignments, scalar evaluation, and quadrature for line and
-sphere integrals.  Every on-shell boundary symbol lowers to a polynomial in
-xi_n and the point over one scalar denominator; the referee lowers no
-off-shell symbol, since every factor it is given is on shell.  The per-case
-referee takes each case's factors and prefactor from the engine, so
-derivatives, restriction and pi+ are the engine's own; it recomputes the
-product, the trace and the two integrals.
+parameter assignments, one binder (`_bind`) for every numeric evaluation,
+and quadrature for line and sphere integrals.  Every on-shell boundary
+symbol lowers to a polynomial in xi_n and the point over one scalar
+denominator; the referee lowers no off-shell symbol, since every factor it
+is given is on shell.  The per-case referee takes each case's factors and
+prefactor from the engine, so derivatives, restriction and pi+ are the
+engine's own; it recomputes the product, the trace and the two integrals.
 
 At a sphere node tr(L R) is one scalar xi_n-polynomial over the product of
-the two factors' denominators.  Factor pairs with the same pole orders share
-those denominators, so the per-case referee groups the pairs by pole orders
-and contracts the sum of each group's traces once, in point-monomial space:
-one sphere pass per group, and at each node one table of the point's powers
-gives the polynomial's coefficients.  A line node costs two bound calls (the
-reciprocal denominators, dict hits after their first xi_n) and a Horner
-evaluation that the imaginary-part pass reuses; the line rule sweeps each
-21-node panel in one call, at nodes and secants tabulated once per process.
+the two factors' denominators.  A case's pairs share their pole orders, so
+the referee contracts the sum of their traces once, in point-monomial
+space, and takes one sphere pass per case: at each node one table of the
+point's powers gives the polynomial's coefficients.  A line node costs two
+calls of the factors' compiled reciprocal denominators (dict hits after
+their first xi_n) and a Horner evaluation that the imaginary-part pass
+reuses; the line rule sweeps each 21-node panel in one call, at nodes and
+secants tabulated once per process.
 """
 
 from __future__ import annotations
@@ -98,7 +98,6 @@ class NumericContext:
     """
 
     def __init__(self, seed: int, rep: Optional[GammaRep] = None):
-        self.seed = seed
         rng = random.Random(seed)
         self.assignment: Dict[str, float] = {
             name: rng.uniform(0.5, 2.0) for name in _RANDOM_NAMES
@@ -108,24 +107,29 @@ class NumericContext:
         self.rep = rep if rep is not None else GammaRep()
 
 
+def _bind(mono, bindings: Dict[str, complex], weight,
+          free: Dict[int, int]) -> Tuple[complex, Tuple[int, ...]]:
+    """weight times mono's bound factors, in order, and the exponents of
+    the free names (index -> slot); any other name raises MissingBinding."""
+    exps = [0] * len(free)
+    for idx, k in mono:
+        if idx in free:
+            exps[free[idx]] = k
+        elif NAMES[idx] in bindings:
+            weight *= bindings[NAMES[idx]] ** k
+        else:
+            raise MissingBinding(f"no numeric binding for {NAMES[idx]}")
+    return weight, tuple(exps)
+
+
 def eval_scalar(e: ScalarExpr, ctx: NumericContext,
                 point=None) -> complex:
     bindings = dict(ctx.assignment)
     if point is not None:  # XI1, XI2, XI3 of (xi', xi_n); no scalar holds xi_n
         bindings.update(zip(_POINT_NAMES, point[0]))
-    total = sum(
-        complex(coeff) * math.prod(_lookup(bindings, NAMES[idx]) ** exp
-                                   for idx, exp in mono)
-        for mono, coeff in e.num.terms.items()
-    )
+    total = sum(complex(coeff) * _bind(mono, bindings, 1, {})[0]
+                for mono, coeff in e.num.terms.items())
     return total / bindings["F"] ** e.fpow
-
-
-def _lookup(bindings: Dict[str, complex], name: str) -> complex:
-    try:
-        return bindings[name]
-    except KeyError:
-        raise MissingBinding(f"no numeric binding for {name}") from None
 
 
 # -- quadrature --------------------------------------------------------------
@@ -392,13 +396,8 @@ class LoweredSymbol:
                            for m in row]
                     flat[basis] = [(f, m) for f, m in enumerate(mat) if m]
                 for mono, c in scalar.terms.items():
-                    exps, weight = [0, 0, 0], complex(c)
-                    for idx, k in mono:
-                        if idx in _LOWERED_POINT:
-                            exps[_LOWERED_POINT[idx]] = k
-                        else:
-                            weight *= _lookup(ctx.assignment, NAMES[idx]) ** k
-                    point_exps = tuple(exps)
+                    weight, point_exps = _bind(mono, ctx.assignment,
+                                               complex(c), _LOWERED_POINT)
                     for n, c_num in num.items():
                         vec = lift.setdefault((deg + n, point_exps), [0j] * 16)
                         w = c_num * weight
@@ -431,17 +430,13 @@ def _numerators(keys: list):
 
 
 class CompiledSymbol:
-    """A lowered symbol at one tangential covector xi' = (x1, x2, x3).
+    """A lowered symbol's reciprocal common denominator, compiled once per
+    case: a call at xi_n returns 1/((xi_n - i)**A (xi_n + i)**B).  It
+    depends on xi_n alone, so it is kept in the LoweredSymbol's `recips`
+    and shared by all its instances and every sphere node."""
 
-    A call at xi_n returns 1/((xi_n - i)**A (xi_n + i)**B), the reciprocal
-    of the symbol's common denominator.  It depends on xi_n alone, so it is
-    kept in the LoweredSymbol's `recips` and shared by all its instances.
-    """
-
-    def __init__(self, lowered: LoweredSymbol,
-                 xi_prime: Tuple[float, float, float]):
+    def __init__(self, lowered: LoweredSymbol):
         self.lowered = lowered
-        self.point = xi_prime
         self._recips = lowered.recips
 
     def __call__(self, xi_n: complex) -> complex:
@@ -500,9 +495,9 @@ def _horner(coeffs: List[complex], t: complex) -> complex:
 def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     """Recompute one boundary case from the engine's factors: the trace
     of their product, quadrature over xi_n at each sphere node, then over
-    the sphere, times the engine's case coefficient.  Factor pairs with
-    the same pole orders share their denominators, so each such group
-    takes one sphere pass over its summed trace.
+    the sphere, times the engine's case coefficient.  The case's factor
+    pairs share their pole orders, so the case takes one sphere pass over
+    their summed trace; pairs whose pole orders differ raise ValueError.
 
     Returns the numeric value, the evaluated symbolic value, and their
     absolute difference.
@@ -510,36 +505,31 @@ def crosscheck_case(spec, ctx: NumericContext) -> Dict[str, complex]:
     from .boundary import case_factors, compute_case
     from .symbols import DTILDE
 
-    groups: Dict[tuple, List[Pair]] = {}
-    for left, right in case_factors(spec, DTILDE):
-        low_l, low_r = LoweredSymbol(left, ctx), LoweredSymbol(right, ctx)
-        groups.setdefault((low_l.poles, low_r.poles), []).append(
-            (low_l, low_r))
-    total = 0j
-    for pairs in groups.values():
-        low_l, low_r = pairs[0]
-        trace_at = _trace_coefficients(pairs)
+    pairs = [(LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
+             for left, right in case_factors(spec, DTILDE)]
+    if len({(low_l.poles, low_r.poles) for low_l, low_r in pairs}) != 1:
+        raise ValueError(f"case {spec.label}: pairs of unequal pole orders")
+    lc, rc = (CompiledSymbol(low).__call__ for low in pairs[0])
+    trace_at = _trace_coefficients(pairs)
 
-        def p(x1: float, x2: float, x3: float) -> complex:
-            # one sphere node: the group's trace numerator, Horner once per
-            # xi_n (the imaginary-part pass revisits the real-part pass's
-            # nodes), over one pair's denominators, each a bound call
-            lc = CompiledSymbol(low_l, (x1, x2, x3)).__call__
-            rc = CompiledSymbol(low_r, (x1, x2, x3)).__call__
-            coeffs = trace_at(x1, x2, x3)
-            traces: Dict[float, complex] = {}
+    def p(x1: float, x2: float, x3: float) -> complex:
+        # one sphere node: the case's trace numerator, Horner once per xi_n
+        # (the imaginary-part pass revisits the real-part pass's nodes),
+        # over one pair's reciprocal denominators
+        coeffs = trace_at(x1, x2, x3)
+        traces: Dict[float, complex] = {}
 
-            def integrand(t: float) -> complex:
-                recips = lc(t) * rc(t)
-                trace = traces.get(t)
-                if trace is None:
-                    trace = traces[t] = _horner(coeffs, t)
-                return trace * recips
+        def integrand(t: float) -> complex:
+            recips = lc(t) * rc(t)
+            trace = traces.get(t)
+            if trace is None:
+                trace = traces[t] = _horner(coeffs, t)
+            return trace * recips
 
-            return quad_line(integrand)
+        return quad_line(integrand)
 
-        total += quad_sphere(p)
-    total *= complex(spec.coefficient)
+    # 0j + turns a -0.0 real part into 0.0 before the product
+    total = (0j + quad_sphere(p)) * complex(spec.coefficient)
     sym_val = eval_scalar(compute_case(spec), ctx)
     return {
         "numeric": total,

@@ -43,9 +43,14 @@ def eval_clifford(a: CliffordElem, ctx, point=None):
 
 
 class MatrixSymbol(CompiledSymbol):
-    """A compiled symbol that also gives its 4x4 value: `matrix(xi_n)` is
-    the numerator's coefficients at this point (computed on first use) by
-    Horner's rule in xi_n, times the shared reciprocal denominator."""
+    """A compiled symbol at one tangential covector xi' = (x1, x2, x3)
+    that also gives its 4x4 value: `matrix(xi_n)` is the numerator's
+    coefficients at this point (computed on first use) by Horner's rule in
+    xi_n, times the shared reciprocal denominator."""
+
+    def __init__(self, lowered: LoweredSymbol, xi_prime):
+        super().__init__(lowered)
+        self.point = xi_prime
 
     @functools.cached_property
     def numerator(self):

@@ -6,6 +6,7 @@ values.  A row names the verb and the rows that kill its mutant.  A
 mutant that no gate kills is a strict xfail citing the ROADMAP item meant
 to kill it."""
 
+import inspect
 import json
 
 import pytest
@@ -146,6 +147,21 @@ def test_dropped_case_fails_every_phi_verb(fresh_caches, monkeypatch,
                         lambda: [s for s in real() if s.label != "a1"])
     with pytest.raises(LookupError, match=r"missing \['a1'\]"):
         run([*argv, "--format", "json"])
+
+
+def test_repeated_audit_direction_fails_compute_phi(monkeypatch):
+    # a1's direction loop as (2, 2, 3): 4.9[1] and 4.11[1] are never
+    # built, so the audit must refuse its short row list, as a lost case
+    # is refused, rather than drop the two rows
+    source = inspect.getsource(boundary.intermediates)
+    assert source.count("for i in (1, 2, 3):") == 1
+    namespace = dict(vars(boundary))
+    exec(compile(source.replace("for i in (1, 2, 3):", "for i in (2, 2, 3):"),
+                 boundary.__file__, "exec"), namespace)
+    monkeypatch.setattr(boundary, "intermediates",
+                        namespace["intermediates"])
+    with pytest.raises(LookupError, match=r"case a1: audit rows"):
+        run(["compute-phi", "--format", "json"])
 
 
 def _pole_rule_with_plus_a(real):

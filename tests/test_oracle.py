@@ -283,26 +283,27 @@ class TestLoweredEvaluator:
     def test_shared_reciprocal_is_fresh(self, ctx, make):
         # a repeated xi_n returns the first call's reciprocal denominator,
         # equal to a fresh evaluation and shared by every instance of the
-        # lowered symbol, and the matrix built on it is immutable
+        # lowered symbol, at any point, and the matrix built on it is
+        # immutable
         low = LoweredSymbol(make(), ctx)
         xp, other = (0.36, -0.48, 0.8), (0.6, 0.0, 1.6)
         compiled = MatrixSymbol(low, xp)
         for xi_n in (0.7, complex(0.4, -0.3)):
             first = compiled(xi_n)
             assert compiled(xi_n) is first
-            assert CompiledSymbol(LoweredSymbol(make(), ctx), xp)(
-                xi_n) == first
-            assert CompiledSymbol(low, other)(xi_n) is first
+            assert CompiledSymbol(LoweredSymbol(make(), ctx))(xi_n) == first
+            assert CompiledSymbol(low)(xi_n) is first
+            assert MatrixSymbol(low, other)(xi_n) is first
             assert low.recips[xi_n] is first
             assert type(compiled.matrix(xi_n)) is tuple
 
     def test_trace_polynomial_matches_matrix_trace(self, ctx):
-        # at each sphere node the summed tr(L R) of pairs with the same pole
-        # orders is one xi_n-polynomial, contracted once per group, over
-        # one pair's reciprocal denominators; against the sum of the traces
-        # of the two matrices' products, for every factor pair of every
-        # case on its own and for each case's groups (a1's three pairs
-        # form one), at real and complex xi_n
+        # at each sphere node the summed tr(L R) of a case's pairs, which
+        # share their pole orders, is one xi_n-polynomial, contracted once
+        # per case, over one pair's reciprocal denominators; against the
+        # sum of the traces of the two matrices' products, for every factor
+        # pair of every case on its own and for each case's pairs together
+        # (a1's three), at real and complex xi_n
         from wres4.boundary import case_factors, enumerate_cases
 
         c = _gauss_legendre(12)[0][4]
@@ -310,22 +311,19 @@ class TestLoweredEvaluator:
         nodes = [(s * math.cos(2.0 * math.pi * k / 24),
                   s * math.sin(2.0 * math.pi * k / 24), c)
                  for k in range(0, 24, 5)] + [(0.3, -1.1, 0.5)]
-        groups = []
+        sums = []
         for spec in enumerate_cases():
-            by_poles = {}
-            for left, right in case_factors(spec, DTILDE):
-                pair = (LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
-                groups.append([pair])
-                by_poles.setdefault((pair[0].poles, pair[1].poles),
-                                    []).append(pair)
-            groups += by_poles.values()
-        assert sorted(map(len, groups)) == [1] * 11 + [3]
-        for pairs in groups:
+            pairs = [(LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
+                     for left, right in case_factors(spec, DTILDE)]
+            assert len({(lo.poles, ro.poles) for lo, ro in pairs}) == 1
+            sums += [[pair] for pair in pairs] + [pairs]
+        assert sorted(map(len, sums)) == [1] * 11 + [3]
+        for pairs in sums:
             trace_at = _trace_coefficients(pairs)
+            lc, rc = (CompiledSymbol(low) for low in pairs[0])
             for xp in nodes:
                 coeffs = trace_at(*xp)
                 assert {type(x) for x in coeffs} == {complex}
-                lc, rc = (CompiledSymbol(low, xp) for low in pairs[0])
                 factors = [(MatrixSymbol(low_l, xp), MatrixSymbol(low_r, xp))
                            for low_l, low_r in pairs]
                 for xi_n in (0.7, -2.5, complex(0.4, -0.3)):
@@ -436,7 +434,7 @@ class TestGaussKronrod:
             oracle.crosscheck_case(spec, NumericContext(42))
         # Cauchy kernel, then one sphere pass for each of the five cases
         # (a1's three factor pairs share one), each at 6 nodes, real and
-        # imaginary parts: 31 integrands, one per pole-order group
+        # imaginary parts: 31 integrands
         assert len(compared) == 2 + 5 * 6 * 2
         # both the one-rule exit and one bisection are exercised
         assert {neval for *_, neval in compared} == {21, 63}
@@ -534,10 +532,11 @@ class TestWorkGuard:
 
     def test_one_trace_polynomial_per_sphere_node(self, monkeypatch):
         # case c has one factor pair, and a1's three share their pole
-        # orders: either way the case's trace is contracted once, over all
-        # its pairs, the sphere rule calls the node function 288 times with
-        # floats, and each node builds two factors and its trace
-        # coefficients, none of which is alive when the next node starts
+        # orders: either way the case compiles its two factors' reciprocal
+        # denominators once, contracts its trace once, over all its pairs,
+        # and the sphere rule calls the node function 288 times with
+        # floats; each node builds its trace coefficients, none of which
+        # is alive when the next node starts
         import weakref
 
         import wres4.oracle as oracle
@@ -548,15 +547,15 @@ class TestWorkGuard:
 
         init, sphere = oracle.CompiledSymbol.__init__, oracle.quad_sphere
         contract = oracle._trace_coefficients
-        built, nodes, contractions = [], [], []
+        compiled, built, nodes, contractions = [], [], [], []
 
         def tracking_init(self, *args):
             init(self, *args)
-            built.append(weakref.ref(self))
+            compiled.append(self)
 
-        def tracked_contraction(group):
-            contractions.append(len(group))
-            at = contract(group)
+        def tracked_contraction(pairs):
+            contractions.append(len(pairs))
+            at = contract(pairs)
 
             def tracked_at(*xp):
                 coeffs = Coefficients(at(*xp))
@@ -579,11 +578,13 @@ class TestWorkGuard:
         monkeypatch.setattr(oracle, "quad_sphere", watched_sphere)
         specs = {s.label: s for s in enumerate_cases()}
         for label, pairs in (("c", 1), ("a1", 3)):
-            built.clear(), nodes.clear(), contractions.clear()
+            for log in (compiled, built, nodes, contractions):
+                log.clear()
             rec = oracle.crosscheck_case(specs[label], NumericContext(42))
+            assert len(compiled) == 2
             assert contractions == [pairs]
             assert nodes == [{float}] * 288
-            assert len(built) == 3 * 288
+            assert len(built) == 288
             assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
     def test_one_horner_per_node_and_xi_n(self, monkeypatch):
@@ -663,10 +664,11 @@ class TestWorkGuard:
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
 
 
-class TestPoleOrderGroups:
-    """Factor pairs with the same pole orders share their denominators, so
-    the referee gives each such group one sphere pass over its summed
-    trace; the value must be that of one pass per pair."""
+class TestOneSpherePass:
+    """A case's factor pairs share their pole orders, hence their
+    denominators, so the referee takes one sphere pass per case over their
+    summed trace; the value must be that of one pass per pair, and pairs of
+    unequal pole orders are refused."""
 
     @staticmethod
     def numeric(monkeypatch, labels):
@@ -694,20 +696,42 @@ class TestPoleOrderGroups:
             rec = oracle.crosscheck_case(specs["c"], NumericContext(42))
         return rec["numeric"], passes[0]
 
+    def test_each_case_takes_one_sphere_pass(self, monkeypatch):
+        # a1's three pairs included; a coarse 2 x 3 rule, since only the
+        # passes are counted
+        import wres4.oracle as oracle
+        from wres4.boundary import enumerate_cases
+
+        passes = []
+
+        def counted(p):
+            passes[-1] += 1
+            return quad_sphere(p, n_theta=2, n_phi=3)
+
+        monkeypatch.setattr(oracle, "quad_sphere", counted)
+        for spec in enumerate_cases():
+            passes.append(0)
+            oracle.crosscheck_case(spec, NumericContext(42))
+        assert passes == [1] * 5
+
     def test_a_pair_given_twice_doubles_the_value(self, monkeypatch):
         once, passes_once = self.numeric(monkeypatch, ["c"])
         twice, passes_twice = self.numeric(monkeypatch, ["c", "c"])
         assert passes_once == passes_twice == 1
         assert abs(twice - 2 * once) <= 1e-13 * abs(2 * once)
 
-    def test_two_pole_orders_take_two_passes_and_add(self, monkeypatch):
-        # c's pair and b's pair differ in pole orders: two groups, whose
-        # sum is the sum of the two single-pair runs
-        c, _ = self.numeric(monkeypatch, ["c"])
-        b, _ = self.numeric(monkeypatch, ["b"])
-        both, passes = self.numeric(monkeypatch, ["c", "b"])
-        assert passes == 2
-        assert abs(both - (c + b)) <= 1e-13 * max(abs(c), abs(b))
+    def test_two_pole_orders_raise(self, monkeypatch, ctx):
+        # c's pair and b's pair differ in pole orders, so no one pair's
+        # denominators serve their summed trace: the referee refuses them
+        from wres4.boundary import case_factors, enumerate_cases
+
+        specs = {s.label: s for s in enumerate_cases()}
+        poles = {label: tuple(LoweredSymbol(s, ctx).poles
+                              for s in case_factors(specs[label], DTILDE)[0])
+                 for label in ("b", "c")}
+        assert poles["b"] != poles["c"]
+        with pytest.raises(ValueError, match="pole orders"):
+            self.numeric(monkeypatch, ["c", "b"])
 
 
 def random_unitary(rng, n):

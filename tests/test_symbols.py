@@ -42,6 +42,14 @@ def golden(name):
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("op, order", [("P_V", -2), ("P_V", -1),
+                                           ("D", -3), ("D", 1)])
+    def test_lemma41_refuses_what_it_does_not_know(self, op, order):
+        # only D and Dtilde at orders -1 and -2 have a printed closed form;
+        # anything else must not be answered with a neighbouring one
+        with pytest.raises(LookupError, match="Lemma 4.1"):
+            anchors.lemma41(op, order)
+
     def test_leading_symbol_is_i_c_xi(self):
         s = build_sigma(D, 1)
         expected = BoundarySymbol(OFF, {0: c_xi_poly()}).scale(
