@@ -22,7 +22,7 @@ from .clifford import CliffordElem
 from .scalars import HP, S_CURV, ScalarExpr, fi, fij, frac, half, usq
 
 if TYPE_CHECKING:
-    from .symbols import BoundarySymbol
+    from .symbols import BoundarySymbol, Operator
 
 _FINV = ScalarExpr.f_inverse
 
@@ -69,26 +69,28 @@ def trace_braces() -> ScalarExpr:
 
 
 @functools.cache
-def lemma41(op: str, order: int) -> BoundarySymbol:
+def lemma41(op: Operator, order: int) -> BoundarySymbol:
     """Lemma 4.1's closed form of sigma_order(op^-1), order -1 or -2, op D
-    or Dtilde: the reference of the parametrix[op,order] rows.  Each is
+    or DTILDE: the reference of the parametrix[op,order] rows.  Each is
     built once per process and shared between callers: never mutate.  Any
     other op or order raises LookupError."""
-    if op not in ("D", "Dtilde") or order not in (-1, -2):
-        raise LookupError(f"Lemma 4.1 gives no sigma_{order}({op}^-1)")
-    from .symbols import (OFF, BoundarySymbol, _scaled, c_xi_poly, jet_mid,
-                          sandwich)
+    from .symbols import (D, DTILDE, OFF, BoundarySymbol, _scaled, c_xi_poly,
+                          jet_mid, sandwich)
+
+    if (op is not D and op is not DTILDE) or order not in (-1, -2):
+        name = getattr(op, "name", op)
+        raise LookupError(f"Lemma 4.1 gives no sigma_{order}({name}^-1)")
 
     two_over_f = ScalarExpr.const(2) * ScalarExpr.f_inverse()
     if order == -1:
         s = BoundarySymbol(OFF,
                            {1: _scaled(c_xi_poly(), ScalarExpr.i_unit())})
-        return s if op == "D" else s.scale(two_over_f)
-    if op == "Dtilde":
+        return s if op is D else s.scale(two_over_f)
+    if op is DTILDE:
         # 2/f sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
         # + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
         four_over_f2 = ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
-        return (lemma41("D", -2).scale(two_over_f)
+        return (lemma41(D, -2).scale(two_over_f)
                 + sandwich(CliffordElem.c_df()).scale(four_over_f2)
                 + sandwich(jet_mid()))
     # c(xi) sigma_0(D) c(xi)/W^2, sigma_0(D)(x_0) = -(3/4)h'(0)c(dx_n) (Wang,

@@ -76,51 +76,41 @@ def enumerate_cases() -> List[CaseSpec]:
     return sorted(specs, key=lambda s: CASE_LABELS.index(s.label))
 
 
-def _left_factor(op: Operator, r: int, j: int, alpha_dir: int,
+def _left_factor(op: Operator, r: int, j: int, alpha: Tuple[int, ...],
                  k: int) -> BoundarySymbol:
     """d^j_{x_n} d^alpha_{xi'} d^k_{xi_n} of the projected symbol of order r.
 
     Parameter derivatives commute with the projection, so they act
     off-shell before it; the xi_n-derivatives act after.
     """
-    s = build_sigma(op, r)
-    for _ in range(j):
-        s = derive(s, "x_n")
-    if alpha_dir:
-        s = derive(s, f"xi_{alpha_dir}")
-    s = pi_plus(restrict_on_shell(s))
-    return derive(s, "xi_n", k)
+    s = derive(build_sigma(op, r), x=(4,) * j, xi=alpha)
+    return derive(pi_plus(restrict_on_shell(s)), xi=(4,) * k)
 
 
-def _right_factor(op: Operator, l: int, alpha_dir: int, k: int,
+def _right_factor(op: Operator, l: int, alpha: Tuple[int, ...], k: int,
                   j: int) -> BoundarySymbol:
     """d^alpha_{x'} d^{j+1}_{xi_n} d^k_{x_n} of the symbol of order l."""
-    t = build_sigma(op, l)
-    if alpha_dir:
-        t = derive(t, f"x_{alpha_dir}")
-    for _ in range(k):
-        t = derive(t, "x_n")
-    t = restrict_on_shell(t)
-    return derive(t, "xi_n", j + 1)
+    t = derive(build_sigma(op, l), x=alpha + (4,) * k)
+    return derive(restrict_on_shell(t), xi=(4,) * (j + 1))
 
 
 # A case's factors and value are computed once per process and shared, so
-# no caller may mutate them.  Callers pass op positionally, so that every
-# call for one case hits the same cache entry.
+# no caller may mutate them.  op is positional-only: a keyword call would
+# key a second cache entry for the same case.
 
 @functools.cache
 def case_factors(
-        spec: CaseSpec,
-        op: Operator) -> Tuple[Tuple[BoundarySymbol, BoundarySymbol], ...]:
-    """The (left, right) factor pair of each term of one case: one per
-    tangential direction 1, 2, 3 when |alpha| = 1, a single pair else."""
-    return tuple((_left_factor(op, spec.r, spec.j, d, spec.k),
-                  _right_factor(op, spec.l, d, spec.k, spec.j))
-                 for d in ((1, 2, 3) if spec.alpha else (0,)))
+        spec: CaseSpec, op: Operator, /,
+) -> Tuple[Tuple[BoundarySymbol, BoundarySymbol], ...]:
+    """The (left, right) factor pair of each term of one case, one per
+    tangential multi-index alpha with |alpha| = spec.alpha."""
+    return tuple((_left_factor(op, spec.r, spec.j, alpha, spec.k),
+                  _right_factor(op, spec.l, alpha, spec.k, spec.j))
+                 for alpha in product((1, 2, 3), repeat=spec.alpha))
 
 
 @functools.cache
-def _case_value(spec: CaseSpec, op: Operator) -> ScalarExpr:
+def _case_value(spec: CaseSpec, op: Operator, /) -> ScalarExpr:
     total = ScalarExpr.zero()
     for left, right in case_factors(spec, op):
         traced = trace_symbol(left, right)
@@ -140,33 +130,33 @@ def intermediates(label: str) -> Dict[str, object]:
     inter: Dict[str, object] = {}
     s1d = build_sigma(D, -1)
     if label == "a1":
-        eng10 = restrict_on_shell(derive(s1d, "xi_n"))
+        eng10 = restrict_on_shell(derive(s1d, xi=(4,)))
         inter["4.10"] = eng10
         for i in (1, 2, 3):
-            e9 = pi_plus(restrict_on_shell(derive(s1d, f"xi_{i}")))
+            e9 = pi_plus(restrict_on_shell(derive(s1d, xi=(i,))))
             inter[f"4.9[{i}]"] = e9
             inter[f"4.11[{i}]"] = trace_symbol(e9, eng10)
     elif label == "a2":
-        inter["4.14"] = derive(s1d, "xi_n", 2)
-        e15 = derive(s1d, "x_n")
+        inter["4.14"] = derive(s1d, xi=(4, 4))
+        e15 = derive(s1d, x=(4,))
         inter["4.15"] = e15
         inter["4.16"] = pi_plus(restrict_on_shell(e15))
         inter["4.19"] = pi_plus(restrict_on_shell(s1d))
     elif label == "a3":
-        inter["4.22"] = restrict_on_shell(derive(derive(s1d, "x_n"), "xi_n"))
-        x23 = derive(pi_plus(restrict_on_shell(s1d)), "xi_n")
+        inter["4.22"] = restrict_on_shell(derive(s1d, x=(4,), xi=(4,)))
+        x23 = derive(pi_plus(restrict_on_shell(s1d)), xi=(4,))
         inter["4.23"] = x23
         # the printed lines trace the |xi|^2-slot half and the
         # numerator-jet half of d_{x_n} sigma_-1(D^-1) separately
         jet_part, slot_part = d_x_parts(s1d, 4)
-        y1 = restrict_on_shell(derive(slot_part, "xi_n"))
-        y2 = restrict_on_shell(derive(jet_part, "xi_n"))
+        y1 = restrict_on_shell(derive(slot_part, xi=(4,)))
+        y2 = restrict_on_shell(derive(jet_part, xi=(4,)))
         inter["4.24"] = trace_symbol(x23, y1)
         inter["4.25"] = trace_symbol(x23, y2)
-        inter["4.27"] = restrict_on_shell(derive(s1d, "xi_n"))
+        inter["4.27"] = restrict_on_shell(derive(s1d, xi=(4,)))
     elif label == "b":
         e31 = pi_plus(restrict_on_shell(sandwich(CliffordElem.c_df())))
-        e32 = derive(restrict_on_shell(build_sigma(DTILDE, -1)), "xi_n")
+        e32 = derive(restrict_on_shell(build_sigma(DTILDE, -1)), xi=(4,))
         e35 = pi_plus(restrict_on_shell(sandwich(jet_mid())))
         inter["4.31"] = e31
         inter["4.32"] = e32
@@ -175,10 +165,9 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.36"] = trace_symbol(e35, e32)
     elif label == "c":
         e40 = pi_plus(restrict_on_shell(build_sigma(DTILDE, -1)))
-        e42 = restrict_on_shell(derive(sandwich(CliffordElem.c_df()),
-                                       "xi_n"))
-        e43 = restrict_on_shell(derive(build_sigma(D, -2), "xi_n"))
-        e48 = restrict_on_shell(derive(sandwich(jet_mid()), "xi_n"))
+        e42 = restrict_on_shell(derive(sandwich(CliffordElem.c_df()), xi=(4,)))
+        e43 = restrict_on_shell(derive(build_sigma(D, -2), xi=(4,)))
+        e48 = restrict_on_shell(derive(sandwich(jet_mid()), xi=(4,)))
         inter["4.40"] = e40
         inter["4.42"] = e42
         inter["4.43"] = e43

@@ -91,7 +91,7 @@ def lemma41_suite() -> List[Dict]:
 
     return [_entry(f"parametrix[{op.name},{order}]",
                    build_sigma(op, order).canonical(),
-                   lemma41(op.name, order).canonical())
+                   lemma41(op, order).canonical())
             for op in (D, DTILDE) for order in (-1, -2)]
 
 

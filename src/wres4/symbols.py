@@ -201,17 +201,14 @@ class BoundarySymbol:
 
 # -- derivatives -----------------------------------------------------------
 
-_TANGENT_X = ("x_1", "x_2", "x_3")
-_TANGENT_XI = ("xi_1", "xi_2", "xi_3")
+def derive(s: BoundarySymbol, x=(), xi=()) -> BoundarySymbol:
+    """d_xi^xi d_x^x s: one x-derivative per entry of x, then one
+    xi-derivative per entry of xi.
 
-
-def derive(s: BoundarySymbol, direction: str, order: int = 1) -> BoundarySymbol:
-    """Apply d^order along one direction.
-
-    Directions: x_1..x_3 tangential, x_n normal, xi_1..xi_3 tangential
-    cotangent, xi_n normal cotangent.  These are the first-order jet rules
-    at the base point; every other first derivative of a tracked atom
-    vanishes (W along x_i, c(e_i) along x_i, c(e_4) along x_n):
+    Each entry is a direction 1..4, with 4 the normal one.  These are the
+    first-order jet rules at the base point; every other first derivative
+    of a tracked atom vanishes (W along x_i, c(e_i) along x_i, c(e_4)
+    along x_n):
 
         atom             direction   derivative
         W = |xi'|^2      x_n         HP*(XI1^2 + XI2^2 + XI3^2)
@@ -221,32 +218,23 @@ def derive(s: BoundarySymbol, direction: str, order: int = 1) -> BoundarySymbol:
         F                x_j         FI_j
         FI_k             x_j         FIJ_{j,k}
 
-    A second x-derivative raises UnsupportedOrder.
+    Only xi_n acts on an on-shell symbol, and a second x-derivative
+    raises UnsupportedOrder.
     """
-    out = s
-    for _ in range(order):
-        out = _derive_once(out, direction)
-    return out
-
-
-def _derive_once(s: BoundarySymbol, direction: str) -> BoundarySymbol:
-    if direction == "xi_n":
-        return _d_xin(s)
-    if s.shell == ON:
+    if not {*x, *xi} <= {1, 2, 3, 4}:
+        raise ValueError(f"directions must be 1..4, not x={x}, xi={xi}")
+    if s.shell == ON and (x or set(xi) - {4}):
         raise ShellViolation(
-            f"{direction}-derivative requires an off-shell symbol"
-        )
-    if direction in _TANGENT_XI:
-        return _d_xi_tangent(s, int(direction[-1]))
-    if direction in _TANGENT_X or direction == "x_n":
-        if s.xder >= 1:
-            raise UnsupportedOrder(
-                "second x-derivative exceeds the first-order jet tables"
-            )
-        j = 4 if direction == "x_n" else int(direction[-1])
+            "x- and xi'-derivatives require an off-shell symbol")
+    if s.xder + len(x) > 1:
+        raise UnsupportedOrder(
+            "second x-derivative exceeds the first-order jet tables")
+    for j in x:
         jet, slot = d_x_parts(s, j)
-        return jet + slot
-    raise ValueError(f"unknown direction {direction!r}")
+        s = jet + slot
+    for i in xi:
+        s = _d_xin(s) if i == 4 else _d_xi_tangent(s, i)
+    return s
 
 
 def _acc(t: dict, key, num: dict) -> None:
@@ -378,7 +366,7 @@ def build_sigma(op: Operator, order: int) -> BoundarySymbol:
 
 
 @functools.cache
-def _sigma(op: Operator, order: int) -> BoundarySymbol:
+def _sigma(op: Operator, order: int, /) -> BoundarySymbol:
     if order == -1:
         return _invert_leading(_sigma(op, 1))
     if order == -2:
@@ -429,7 +417,8 @@ def compose_orders(a_parts, b_parts, target: int) -> BoundarySymbol:
 
     a_parts, b_parts: dicts order -> off-shell BoundarySymbol.  Uses the
     standard expansion sum_alpha (-i)^|alpha|/alpha! d_xi^alpha a d_x^alpha b,
-    truncated at |alpha| <= 1 (all that two negative orders require).
+    truncated at |alpha| <= 1 (all that two negative orders require): the
+    |alpha| = 1 terms are derive(a, xi=(j,)) * derive(b, x=(j,)), j = 1..4.
     """
     minus_i = ScalarExpr.const(-GAUSS_I)
     out = BoundarySymbol.zero()
@@ -439,9 +428,6 @@ def compose_orders(a_parts, b_parts, target: int) -> BoundarySymbol:
                 out = out + sa.mul(sb)
             if oa + ob - 1 == target:
                 for j in range(1, 5):
-                    xi_dir = "xi_n" if j == 4 else f"xi_{j}"
-                    x_dir = "x_n" if j == 4 else f"x_{j}"
-                    out = out + derive(sa, xi_dir).mul(
-                        derive(sb, x_dir)
-                    ).scale(minus_i)
+                    out = out + derive(sa, xi=(j,)).mul(
+                        derive(sb, x=(j,))).scale(minus_i)
     return out

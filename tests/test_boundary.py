@@ -138,6 +138,20 @@ class TestMetamorphic:
         assert build_sigma(DTILDE, -2) is sigma_dtilde
         assert assemble_phi() == phi
 
+    def test_cache_keys_are_positional_only(self):
+        # a keyword call would key a second cache entry for the same value
+        spec = enumerate_cases()[0]
+        caches = (boundary.case_factors, boundary._case_value,
+                  symbols._sigma)
+        compute_case(spec)
+        sizes = [cached.cache_info().currsize for cached in caches]
+        for call in (lambda: boundary.case_factors(spec, op=DTILDE),
+                     lambda: boundary._case_value(spec, op=DTILDE),
+                     lambda: symbols._sigma(DTILDE, order=-2)):
+            with pytest.raises(TypeError):
+                call()
+        assert [cached.cache_info().currsize for cached in caches] == sizes
+
 
 class TestIntermediates:
     def test_all_printed_steps_match_except_documented(self):
@@ -282,8 +296,8 @@ class TestBPlusCIdentity:
     def _b_and_c(q):
         sigma = restrict_on_shell(build_sigma(DTILDE, -1))
         q_on = restrict_on_shell(q)
-        return (_case_integral(pi_plus(q_on), derive(sigma, "xi_n")),
-                _case_integral(pi_plus(sigma), derive(q_on, "xi_n")))
+        return (_case_integral(pi_plus(q_on), derive(sigma, xi=(4,))),
+                _case_integral(pi_plus(sigma), derive(q_on, xi=(4,))))
 
     @classmethod
     def _on_the_basis(cls):
@@ -312,7 +326,7 @@ class TestBPlusCIdentity:
         # negative control: b's left factor without pi+
         sigma = restrict_on_shell(build_sigma(DTILDE, -1))
         assert any(
-            not (_case_integral(q_on, derive(sigma, "xi_n")) + c).is_zero()
+            not (_case_integral(q_on, derive(sigma, xi=(4,))) + c).is_zero()
             for q_on, _, c in self._on_the_basis())
 
     def test_dropping_the_xi_n_derivative_breaks_it(self):

@@ -175,7 +175,7 @@ class TestExitCodes:
 
         def perturbed(op, order):
             ref = real(op, order)
-            if (op, order) == ("Dtilde", -2):
+            if (op, order) == (DTILDE, -2):
                 ref = ref - sandwich(jet_mid())
             return ref
 

@@ -50,7 +50,7 @@ def scalar_term(coeffs, a, b):
 class TestPartialFractions:
     def test_recombine_identity(self):
         s = restrict_on_shell(build_sigma(DTILDE, -1))
-        for sym in (s, derive(s, "xi_n"), derive(s, "xi_n", 2)):
+        for sym in (s, derive(s, xi=(4,)), derive(s, xi=(4, 4))):
             dec = partial_fractions(sym)
             assert recombine(dec).canonical() == sym.canonical()
 
@@ -100,16 +100,16 @@ class TestPiPlus:
         checks = {
             "4.40": pi_plus(restrict_on_shell(build_sigma(DTILDE, -1))),
             "4.16": pi_plus(restrict_on_shell(
-                derive(build_sigma(D, -1), "x_n"))),
+                derive(build_sigma(D, -1), x=(4,)))),
             "4.23": derive(pi_plus(restrict_on_shell(
-                build_sigma(D, -1))), "xi_n"),
+                build_sigma(D, -1))), xi=(4,)),
         }
         for label, engine in checks.items():
             assert anchors.compare(engine, anchors.anchor(label)) == "match"
 
     def test_commutes_with_xi_n_derivative(self):
         s = restrict_on_shell(build_sigma(DTILDE, -1))
-        assert derive(pi_plus(s), "xi_n") == pi_plus(derive(s, "xi_n"))
+        assert derive(pi_plus(s), xi=(4,)) == pi_plus(derive(s, xi=(4,)))
 
     @pytest.mark.parametrize("coeffs,a,b", [
         ({1: 1}, 1, 0),
@@ -271,7 +271,7 @@ class TestHighOrderPoles:
 class TestTraceSymbol:
     def test_scalarizes_coefficients(self):
         s = pi_plus(restrict_on_shell(build_sigma(DTILDE, -1)))
-        t = derive(restrict_on_shell(build_sigma(DTILDE, -1)), "xi_n")
+        t = derive(restrict_on_shell(build_sigma(DTILDE, -1)), xi=(4,))
         traced = trace_symbol(s, t)
         for poly in traced.terms.values():
             for elem in poly.values():
@@ -282,8 +282,8 @@ class TestTraceSymbol:
         # sphere average this is exactly -3/(2 f^2) pi h'(0) Omega_3
         from wres4.sphere import integrate_sphere
 
-        s = pi_plus(restrict_on_shell(derive(build_sigma(D, -1), "x_n")))
-        t = derive(restrict_on_shell(build_sigma(D, -1)), "xi_n", 2)
+        s = pi_plus(restrict_on_shell(derive(build_sigma(D, -1), x=(4,))))
+        t = derive(restrict_on_shell(build_sigma(D, -1)), xi=(4, 4))
         val = line_integral(trace_symbol(s, t))
         assert val == (ScalarExpr.const(3) / 4 * ScalarExpr.var("HP") * PI)
         composite = (ScalarExpr.const(-2) * ScalarExpr.f_inverse(2)

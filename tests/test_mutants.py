@@ -83,11 +83,11 @@ def test_negated_sigma0_fails_verify_lemma41(fresh_caches, monkeypatch,
                                             capsys):
     # Lemma 4.1's reference spells sigma_0(D) out, so the mutant reaches
     # the engine's sigma_-2 only
-    before = (symbols.build_sigma(D, -2), anchors.lemma41("D", -2))
+    before = (symbols.build_sigma(D, -2), anchors.lemma41(D, -2))
     _clear_case_caches()
     real = symbols.sigma0_dirac
     monkeypatch.setattr(symbols, "sigma0_dirac", lambda: -real())
-    after = (symbols.build_sigma(D, -2), anchors.lemma41("D", -2))
+    after = (symbols.build_sigma(D, -2), anchors.lemma41(D, -2))
     assert before[0] != after[0], "the mutant leaves sigma_-2 unchanged"
     assert before[1] == after[1]
     status, failed = _failed_rows(capsys, "verify-lemma41")

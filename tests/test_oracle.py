@@ -188,7 +188,7 @@ def case_factor_symbols():
 OFF_SHELL = {
     "D,-1": lambda: build_sigma(D, -1),
     "Dtilde,-2": lambda: build_sigma(DTILDE, -2),
-    "d_xn D,-1": lambda: derive(build_sigma(D, -1), "x_n"),
+    "d_xn D,-1": lambda: derive(build_sigma(D, -1), x=(4,)),
     # W-pole orders 1, 2, 3
     "D,-1 + Dtilde,-2": lambda: (build_sigma(D, -1)
                                  + build_sigma(DTILDE, -2)),

@@ -3,7 +3,9 @@
 Engine modules return plain values; only the CLI pairs a value with its
 stored reference, the references are built without the engine's rules,
 and the referee reads the engine's values without ever building the
-reference table.  No runtime module imports numpy or scipy.
+reference table.  No runtime module imports numpy or scipy, and none
+spells an operator (outside `symbols`) or a derivative direction as a
+string.
 Each CLI verb loads only the modules it runs (never `fractions` or
 `argparse`), and behaves the same as a subprocess (`python -m wres4.cli`)
 as through `cli.run`.  The sources stay within a line budget.
@@ -12,6 +14,7 @@ as through `cli.run`.  The sources stay within a line budget.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,15 +92,31 @@ def test_crosscheck_never_builds_the_anchor_table(capsys):
     assert anchor_table._build_anchors.cache_info().misses == 0
 
 
+def _string_constants(path: Path):
+    """Every string constant in a module, f-string pieces included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
 def test_operator_names_are_spelled_only_where_they_are_kept():
-    # symbols names its operators and anchors keys its references by name;
-    # the string anywhere else would be dispatch on a string, where the
-    # engine passes symbols.D and symbols.DTILDE as values
+    # symbols names its operators; the string anywhere else would be
+    # dispatch on a string, where the engine and the references pass
+    # symbols.D and symbols.DTILDE as values
     spelled = {path.stem for path in SRC.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, ast.Constant)
-               and node.value in ("D", "Dtilde")}
-    assert spelled <= {"symbols", "anchors"}
+               for value in _string_constants(path)
+               if value in ("D", "Dtilde")}
+    assert spelled <= {"symbols"}
+
+
+def test_no_direction_is_a_string():
+    # a derivative direction is an integer 1..4, with 4 the normal one:
+    # derive(s, x=..., xi=...) takes them as tuples, so a name such as
+    # "x_n", or an f-string piece such as "xi_", would be parsed back
+    spelled = {(path.stem, value) for path in SRC.glob("*.py")
+               for value in _string_constants(path)
+               if re.fullmatch(r"xi?_[123n]?", value)}
+    assert spelled == set()
 
 
 # -- what each verb loads ----------------------------------------------------
@@ -216,7 +235,7 @@ def test_engine_enumerates_the_case_labels_in_order():
 
 # -- the size of the program -------------------------------------------------
 
-LINE_BUDGET = 2996
+LINE_BUDGET = 2973
 
 
 def test_sources_stay_within_the_line_budget():

@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 from wres4 import anchors, sexpr, symbols
 from wres4.clifford import CliffordElem
-from wres4.errors import NonInvertibleLeadingSymbol, UnsupportedOrder
+from wres4.errors import (
+    NonInvertibleLeadingSymbol,
+    ShellViolation,
+    UnsupportedOrder,
+)
 from wres4.scalars import GaussianRational, ScalarExpr, usq
 from wres4.symbols import (
     D,
@@ -19,6 +23,7 @@ from wres4.symbols import (
     OFF,
     ON,
     BoundarySymbol,
+    Operator,
     build_sigma,
     c_xi_poly,
     compose_orders,
@@ -33,6 +38,9 @@ from wres4.symbols import (
 
 from helpers import mul_shell, mul_w
 
+# D + c(df): a third operator, which no closed form covers
+P_V = Operator("P_V", 1, CliffordElem.c_df())
+
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -42,11 +50,13 @@ def golden(name):
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("op, order", [("P_V", -2), ("P_V", -1),
-                                           ("D", -3), ("D", 1)])
+    @pytest.mark.parametrize("op, order", [(P_V, -2), (P_V, -1),
+                                           (D, -3), (D, 1)],
+                             ids=lambda v: getattr(v, "name", None))
     def test_lemma41_refuses_what_it_does_not_know(self, op, order):
         # only D and Dtilde at orders -1 and -2 have a printed closed form;
-        # anything else must not be answered with a neighbouring one
+        # anything else, D + c(df) too, must not be answered with a
+        # neighbouring one
         with pytest.raises(LookupError, match="Lemma 4.1"):
             anchors.lemma41(op, order)
 
@@ -157,15 +167,40 @@ class TestLeftInverse:
         assert not self._check(s1, s0 + v, drop_derivative_term=True)
 
 
+SYMBOLS = pytest.mark.parametrize("symbol", [
+    lambda: build_sigma(D, -1),
+    lambda: build_sigma(DTILDE, -1),
+    lambda: sandwich(CliffordElem.c_df()),
+], ids=["sigma_-1(D)", "sigma_-1(Dtilde)", "sandwich(c(df))"])
+
+
 class TestDerivation:
     def test_second_x_derivative_rejected(self):
-        s = derive(build_sigma(D, -1), "x_n")
+        s = derive(build_sigma(D, -1), x=(4,))
         with pytest.raises(UnsupportedOrder):
-            derive(s, "x_n")
+            derive(s, x=(4,))
+        with pytest.raises(UnsupportedOrder):
+            derive(build_sigma(D, -1), x=(4, 4))
+
+    @pytest.mark.parametrize("index", [{"x": (0,)}, {"x": (5,)},
+                                       {"xi": (4, 0)}, {"xi": (-1,)}],
+                             ids=["x0", "x5", "xi40", "xi-1"])
+    def test_direction_outside_one_to_four_rejected(self, index):
+        with pytest.raises(ValueError, match="1..4"):
+            derive(build_sigma(D, -1), **index)
+
+    @pytest.mark.parametrize("index", [{"x": (4,)}, {"x": (1,)},
+                                       {"xi": (2,)}, {"xi": (4, 3)}],
+                             ids=["x4", "x1", "xi2", "xi43"])
+    def test_on_shell_symbol_takes_only_xi_n(self, index):
+        s = restrict_on_shell(build_sigma(D, -1))
+        with pytest.raises(ShellViolation):
+            derive(s, **index)
+        assert derive(s, xi=(4, 4)) == derive(derive(s, xi=(4,)), xi=(4,))
 
     def test_xi_n_derivative_lowers_decay(self):
         s = restrict_on_shell(build_sigma(D, -1))
-        d = derive(s, "xi_n")
+        d = derive(s, xi=(4,))
         # every on-shell pole pair must deepen by exactly one in total
         assert max(a + b for a, b in d.terms) == max(
             a + b for a, b in s.terms) + 1
@@ -174,31 +209,42 @@ class TestDerivation:
         # |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p: every
         # numerator, |xi'|^2 in the x_n-derivative's included, is kept
         for s in (build_sigma(D, -1), build_sigma(DTILDE, -2),
-                  derive(build_sigma(D, -1), "x_n")):
+                  derive(build_sigma(D, -1), x=(4,))):
             on = restrict_on_shell(s)
             assert on.shell == ON and on.xder == s.xder
             assert on.terms == {(p, p): poly for p, poly in s.terms.items()}
 
     def test_derivatives_commute(self):
         s = build_sigma(DTILDE, -1)
-        ab = derive(derive(s, "xi_1"), "xi_n")
-        ba = derive(derive(s, "xi_n"), "xi_1")
+        ab = derive(s, xi=(1, 4))
+        ba = derive(s, xi=(4, 1))
         assert ab.canonical() == ba.canonical()
 
-    @pytest.mark.parametrize("symbol", [
-        lambda: build_sigma(D, -1),
-        lambda: build_sigma(DTILDE, -1),
-        lambda: sandwich(CliffordElem.c_df()),
-    ], ids=["sigma_-1(D)", "sigma_-1(Dtilde)", "sandwich(c(df))"])
+    @SYMBOLS
     def test_x_derivative_halves_sum_to_derive(self, symbol):
         s = symbol()
         for j in (1, 2, 3, 4):
             jet, slot = d_x_parts(s, j)
-            full = derive(s, "x_n" if j == 4 else f"x_{j}")
+            full = derive(s, x=(j,))
             assert jet + slot == full, j
             assert jet.xder == slot.xder == full.xder == s.xder + 1
             # only d_{x_n} reaches the |xi|^2 slot, through h'(0)
             assert slot.is_zero() == (j < 4), j
+
+    @SYMBOLS
+    def test_multi_index_is_the_chain_of_single_directions(self, symbol):
+        # x first, then xi, each in its given order: the same steps, so
+        # the same printed form
+        s = symbol()
+        for x, xi in [((4,), (1, 4)), ((2,), (3, 3, 4)), ((), (2, 1)),
+                      ((1,), ())]:
+            chained = s
+            for j in x:
+                chained = derive(chained, x=(j,))
+            for i in xi:
+                chained = derive(chained, xi=(i,))
+            assert (sexpr.dumps(derive(s, x=x, xi=xi))
+                    == sexpr.dumps(chained)), (x, xi)
 
     @pytest.mark.parametrize("op", [D, DTILDE], ids=lambda op: op.name)
     @pytest.mark.parametrize("order", [-1, -2])
@@ -223,10 +269,10 @@ class TestGoldenForms:
     @pytest.mark.parametrize("name,builder", [
         ("4.4", lambda: build_sigma(DTILDE, -1)),
         ("4.4b", lambda: build_sigma(DTILDE, -2)),
-        ("4.14", lambda: derive(build_sigma(D, -1), "xi_n", 2)),
-        ("4.15", lambda: derive(build_sigma(D, -1), "x_n")),
+        ("4.14", lambda: derive(build_sigma(D, -1), xi=(4, 4))),
+        ("4.15", lambda: derive(build_sigma(D, -1), x=(4,))),
         ("4.22", lambda: restrict_on_shell(
-            derive(derive(build_sigma(D, -1), "x_n"), "xi_n"))),
+            derive(build_sigma(D, -1), x=(4,), xi=(4,)))),
     ])
     def test_symbol_golden_round_trip(self, name, builder):
         text = golden(name)
@@ -236,11 +282,11 @@ class TestGoldenForms:
     def test_case_c_factor_goldens(self):
         builders = {
             "4.42": restrict_on_shell(
-                derive(sandwich(CliffordElem.c_df()), "xi_n")),
+                derive(sandwich(CliffordElem.c_df()), xi=(4,))),
             "4.43": restrict_on_shell(
-                derive(build_sigma(D, -2), "xi_n")),
+                derive(build_sigma(D, -2), xi=(4,))),
             "4.48": restrict_on_shell(
-                derive(sandwich(jet_mid()), "xi_n")),
+                derive(sandwich(jet_mid()), xi=(4,))),
         }
         for name, value in builders.items():
             text = golden(name)
@@ -280,9 +326,9 @@ class TestBuiltOnce:
         # sandwich for D, two more for Dtilde
         calls = _counting(monkeypatch, symbols, "sandwich")
         anchors.lemma41.cache_clear()
-        first = anchors.lemma41("D", -2)
-        anchors.lemma41("Dtilde", -2)
-        assert anchors.lemma41("D", -2) is first
+        first = anchors.lemma41(D, -2)
+        anchors.lemma41(DTILDE, -2)
+        assert anchors.lemma41(D, -2) is first
         assert calls == [3]
 
     @pytest.mark.parametrize("s", [
@@ -337,7 +383,7 @@ class TestOneZeroFilter:
     def test_no_operation_stores_a_zero(self, pair, c):
         a, b = pair
         results = [a + b, a - b, a - a, (a + b) - a, a.scale(c), a.mul(b),
-                   a.mul(a), derive(a, "xi_n"), a.canonical(),
+                   a.mul(a), derive(a, xi=(4,)), a.canonical(),
                    (a - b).canonical()]
         if a.shell == OFF:
             results.append(restrict_on_shell(a))
