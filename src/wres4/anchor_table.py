@@ -21,7 +21,7 @@ from .scalars import (
     usq,
     xi,
 )
-from .symbols import OFF, ON, BoundarySymbol, jet_mid
+from .symbols import OFF, ON, BoundarySymbol
 
 _I = ScalarExpr.i_unit()
 _cxp = CliffordElem.c_xi_prime
@@ -68,7 +68,8 @@ def _build_anchors() -> dict:
     cxp, c4, cdf = _cxp(), _c4(), CliffordElem.c_df()
     # the normal derivative of c(xi') at the base point: (h'(0)/2) c(xi')
     dxn_cxp = cxp.scale(half() * HP)
-    mid = jet_mid()
+    # the f-jet middle factor, sum_j c(dx_j) 2 d_j(f^-1) = -2 f^-2 c(df)
+    mid = cdf.scale(ScalarExpr.const(-2) * ScalarExpr.f_inverse(2))
     anchors: dict = {}
 
     # ---- case (a)(I) intermediates ------------------------------------
@@ -218,9 +219,10 @@ def _build_anchors() -> dict:
     f3 = ScalarExpr.f_inverse(3)
     fjet_b = (ScalarExpr.const(2) * PI_SYM * f3 * tr_c4
               + half() * PI_SYM * finv * tr_mid_c4) * OMEGA
-    # the f-jet term of case (a)(III), which is also the assembled total
+    # the f-jet term of case (a)(III), which is also the assembled total;
+    # d_n(f^-1) = -f^-2 FI4
     jet_a3 = (half(1) * (ScalarExpr.const(9) * _I - ScalarExpr.const(6))
-              * finv * finv.x_derivative(4) * OMEGA)
+              * finv * (-f2 * ScalarExpr.var(fi(4))) * OMEGA)
     anchors["case_a1"] = ScalarExpr.zero()
     anchors["case_a2"] = frac(-3, 2) * pi_hp * f2
     anchors["case_a3"] = frac(3, 2) * pi_hp * f2 + jet_a3

@@ -1,10 +1,10 @@
 """Golden reference values, built apart from the engine they check.
 
 Each reference rebuilds a printed closed form from the Clifford algebra
-and the scalar alphabet: no engine rule (`interior`, or the symbol
-layer's sigma_0, `derive` and parametrix) enters one, so an engine fault
-cannot reach its own reference.  Only the CLI looks a reference up and
-gives the verdict; a mismatch is reported, never patched.
+and the scalar alphabet: no engine rule (`interior`, the symbol layer's
+sigma_0, `derive` and parametrix, the jet rule) enters one, so an engine
+fault cannot reach its own reference.  Only the CLI looks a reference up
+and gives the verdict; a mismatch is reported, never patched.
 
 A verb pays only for what it looks up: `compare` and the interior forms
 (3.19) and (3.22) need nothing else; Lemma 4.1's closed forms (`lemma41`)
@@ -51,7 +51,8 @@ def E_closed_form() -> CliffordElem:
         out = out + (hess_j * CliffordElem.gen(j)).scale(half() * _FINV())
         sq = (cdf * CliffordElem.gen(j)).scale(_FINV())
         out = out - (sq * sq).scale(frac(1, 4))
-    return out + (cdf * CliffordElem.c_dfinv()).scale(half())
+    # c(df^-1) = -f^-2 c(df)
+    return out + (cdf * cdf.scale(-_FINV(2))).scale(half())
 
 
 def trace_braces() -> ScalarExpr:
@@ -75,7 +76,7 @@ def lemma41(op: Operator, order: int) -> BoundarySymbol:
     built once per process and shared between callers: never mutate.  Any
     other op or order raises LookupError."""
     from .symbols import (D, DTILDE, OFF, BoundarySymbol, _scaled, c_xi_poly,
-                          jet_mid, sandwich)
+                          sandwich)
 
     if (op is not D and op is not DTILDE) or order not in (-1, -2):
         name = getattr(op, "name", op)
@@ -88,11 +89,13 @@ def lemma41(op: Operator, order: int) -> BoundarySymbol:
         return s if op is D else s.scale(two_over_f)
     if op is DTILDE:
         # 2/f sigma_-2(D^-1) + 4/f^2 c(xi)c(df)c(xi)/W^2
-        # + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2
+        # + c(xi) sum_j c(dx_j) 2 d_j(f^-1) c(xi) / W^2, where
+        # sum_j c(dx_j) 2 d_j(f^-1) = -2 f^-2 c(df)
         four_over_f2 = ScalarExpr.const(4) * ScalarExpr.f_inverse(2)
+        cdf = CliffordElem.c_df()
         return (lemma41(D, -2).scale(two_over_f)
-                + sandwich(CliffordElem.c_df()).scale(four_over_f2)
-                + sandwich(jet_mid()))
+                + sandwich(cdf).scale(four_over_f2)
+                + sandwich(cdf.scale(ScalarExpr.const(-2) * _FINV(2))))
     # c(xi) sigma_0(D) c(xi)/W^2, sigma_0(D)(x_0) = -(3/4)h'(0)c(dx_n) (Wang,
     # Lett. Math. Phys. 80, 2007), plus the one x-derivative term alive at
     # x_0: c(xi)/W c(dx_n) d_{x_n}(c(xi)/W), which is 4.15 / i

@@ -109,34 +109,25 @@ class CliffordElem:
                 t.pop(m, None)
             else:
                 t[m] = s
-        out = CliffordElem.__new__(CliffordElem)
-        out.terms = t
-        return out
+        return _of(t)
 
     def __neg__(self) -> "CliffordElem":
-        out = CliffordElem.__new__(CliffordElem)
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "CliffordElem") -> "CliffordElem":
         return self + (-other)
 
     def __mul__(self, other):
+        """Element times element; a scalar factor goes through `scale`."""
         if isinstance(other, CliffordElem):
             return _elem(_cmul_into({}, self.terms, other.terms))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything
-        return self.scale(other)
+        return NotImplemented
 
     def scale(self, c) -> "CliffordElem":
         c = _coerce_scalar(c)
         if c.is_zero():
             return CliffordElem.zero()
-        out = CliffordElem.__new__(CliffordElem)
-        out.terms = {m: c * v for m, v in self.terms.items()}
-        return out
+        return _of({m: c * v for m, v in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -169,12 +160,12 @@ class CliffordElem:
         coordinates), map ScalarExpr.x_derivative over the coefficients.
         """
         out = self.map_scalars(lambda c: c.x_derivative(j))
-        if j == 4:
-            for m, c in self.terms.items():
-                n_tangential = sum(1 for i in m if i < 4)
-                if n_tangential:
-                    out = out + CliffordElem({m: c * half() * HP * n_tangential})
-        return out
+        if j != 4:
+            return out
+        # one (h'(0)/2) n term per blade with n tangential generators
+        return out + _of({m: c * half() * HP * n
+                          for m, c in self.terms.items()
+                          if (n := sum(1 for i in m if i < 4))})
 
 
 def _cmul_into(t: dict, a: Mapping, b: Mapping) -> dict:
@@ -200,11 +191,16 @@ def _cscalar_into(t: dict, a: Mapping, b: Mapping) -> None:
             _cmul_into(t, {m: c}, {m: b[m]})
 
 
+def _of(terms: dict) -> CliffordElem:
+    """A CliffordElem over terms that already hold no zero coefficient."""
+    out = CliffordElem.__new__(CliffordElem)
+    out.terms = terms
+    return out
+
+
 def _elem(t: dict) -> CliffordElem:
     """The element of an accumulator."""
-    out = CliffordElem.__new__(CliffordElem)
-    out.terms = {m: _wrap(s) for m, s in t.items()}
-    return out
+    return _of({m: _wrap(s) for m, s in t.items()})
 
 
 def spin_trace(a: CliffordElem) -> ScalarExpr:

@@ -36,7 +36,7 @@ NAMES = (
 
 _INDEX = {name: k for k, name in enumerate(NAMES)}
 _F_IDX = _INDEX["F"]
-_XI3_IDX = _INDEX["XI3"]
+_XI_IDX = tuple(_INDEX[f"XI{i}"] for i in (1, 2, 3))
 
 
 def fij(j: int, k: int) -> str:
@@ -47,6 +47,15 @@ def fij(j: int, k: int) -> str:
 
 def fi(j: int) -> str:
     return f"FI{j}"
+
+
+# The jet table: each index of a name that varies in x maps to the indices
+# of its d_{x_j}, j = 1..4 (F -> FI{j}, FI{k} -> FIJ{j,k}); a Hessian
+# index maps to None, since third-order jets of f are not tracked.
+_JET = {_F_IDX: tuple(_INDEX[fi(j)] for j in range(1, 5)),
+        **{_INDEX[fi(k)]: tuple(_INDEX[fij(j, k)] for j in range(1, 5))
+           for k in range(1, 5)},
+        **{k: None for k, name in enumerate(NAMES) if name.startswith("FIJ")}}
 
 
 class GaussianRational:
@@ -330,9 +339,6 @@ class ScalarExpr:
     def __sub__(self, other):
         return self + (-_coerce_scalar(other))
 
-    def __rsub__(self, other):
-        return _coerce_scalar(other) + (-self)
-
     def __mul__(self, other):
         return _wrap(_product_into({}, self.terms,
                                    _coerce_scalar(other).terms))
@@ -363,9 +369,6 @@ class ScalarExpr:
                     )
         return q
 
-    def __rtruediv__(self, other):
-        return _coerce_scalar(other) / self
-
     def __pow__(self, k: int):
         return _power(self, k, ScalarExpr.one())
 
@@ -382,37 +385,23 @@ class ScalarExpr:
     # -- calculus ----------------------------------------------------------
     def derivative(self, name: str) -> "ScalarExpr":
         """Formal partial derivative treating every name as independent."""
-        idx = _INDEX[name]
-        t: dict = {}
-        for m, c in self.terms.items():
-            e = _mono_exp(m, idx)
-            if e:
-                _acc(t, _mono_set(m, idx, e - 1),
-                     _reduced(c.p * e, c.q * e, c.d))
-        return _wrap(t)
+        return _derivative(self, _INDEX[name])
 
     def x_derivative(self, j: int) -> "ScalarExpr":
-        """Spatial derivative at the base point: the chain rule over
-        ``derivative`` through the jet table F -> FI{j}, FI{k} -> FIJ{j,k};
-        everything else in the alphabet is constant in x.
+        """Spatial derivative at the base point: the chain rule over the
+        formal derivatives through the jet table `_JET`; every name not in
+        it is constant in x.
         """
         if j not in (1, 2, 3, 4):
             raise ValueError("direction must be 1..4")
         t: dict = {}
         # alphabet order: the same sum under any string-hash seed
-        for name in sorted(self.free_names(), key=_INDEX.__getitem__):
-            if name == "F":
-                datom = fi(j)
-            elif name.startswith("FIJ"):
-                raise UnsupportedOrder(
-                    "third-order jets of f are not tracked"
-                )
-            elif name.startswith("FI"):
-                datom = fij(j, int(name[2:]))
-            else:
-                continue
-            _product_into(t, self.derivative(name).terms,
-                          ScalarExpr.var(datom).terms)
+        for idx in sorted({idx for m in self.terms for idx, _ in m
+                           if idx in _JET}):
+            if _JET[idx] is None:
+                raise UnsupportedOrder("third-order jets of f are not tracked")
+            _product_into(t, _derivative(self, idx).terms,
+                          {((_JET[idx][j - 1], 1),): GAUSS_ONE})
         return _wrap(t)
 
     def xi_derivative(self, i: int) -> "ScalarExpr":
@@ -422,10 +411,20 @@ class ScalarExpr:
         """
         if i not in (1, 2, 3):
             raise ValueError("direction must be 1..3")
-        return self.derivative(f"XI{i}")
+        return _derivative(self, _XI_IDX[i - 1])
 
     def free_names(self) -> set:
         return {NAMES[idx] for m in self.terms for idx, _ in m}
+
+
+def _derivative(e: ScalarExpr, idx: int) -> ScalarExpr:
+    """d/d(NAMES[idx]) of e, treating every name as independent."""
+    t: dict = {}
+    for m, c in e.terms.items():
+        k = _mono_exp(m, idx)
+        if k:
+            _acc(t, _mono_set(m, idx, k - 1), _reduced(c.p * k, c.q * k, c.d))
+    return _wrap(t)
 
 
 def _coerce_scalar(x) -> ScalarExpr:
@@ -504,11 +503,11 @@ def reduce_sphere(e: ScalarExpr) -> ScalarExpr:
     eliminating even powers of XI3.  Valid only for on-shell data."""
     t: dict = {}
     for m, c in e.terms.items():
-        q, r = divmod(_mono_exp(m, _XI3_IDX), 2)
+        q, r = divmod(_mono_exp(m, _XI_IDX[2]), 2)
         if not q:
             _acc(t, m, c)
             continue
-        _product_into(t, {_mono_set(m, _XI3_IDX, r): c},
+        _product_into(t, {_mono_set(m, _XI_IDX[2], r): c},
                       _xi3_squared_power(q).terms)
     return _wrap(t)
 

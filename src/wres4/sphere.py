@@ -18,14 +18,12 @@ from .scalars import (
     OMEGA,
     GaussianRational,
     ScalarExpr,
-    _INDEX,
+    _XI_IDX,
     _mono_exp,
     _product_into,
     _wrap,
     rational,
 )
-
-_XI_IDX = tuple(_INDEX[name] for name in ("XI1", "XI2", "XI3"))
 
 
 def _double_factorial(k: int) -> int:

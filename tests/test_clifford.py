@@ -120,6 +120,13 @@ class TestDerivatives:
             g = CliffordElem.gen(i)
             assert g.x_derivative(4) == g.scale(hp * ScalarExpr.const(1) / 2)
         assert CliffordElem.gen(4).x_derivative(4) == CliffordElem.zero()
+        # a constant blade with n tangential generators gains n h'(0)/2
+        blades = [(), (4,), (1, 2), (1, 3, 4), (1, 2, 3), (1, 2, 3, 4)]
+        e = CliffordElem({m: ScalarExpr.const(k + 1)
+                          for k, m in enumerate(blades)})
+        assert e.x_derivative(4) == CliffordElem(
+            {m: ScalarExpr.const((k + 1) * sum(i < 4 for i in m)) * hp / 2
+             for k, m in enumerate(blades)})
 
     def test_c_df_spatial_derivative(self):
         cdf = CliffordElem.c_df()
@@ -181,6 +188,19 @@ class TestCliffordProperties:
         cv = CliffordElem({(i,): v[i - 1] for i in range(1, 5)})
         norm = sum((x * x for x in v), ScalarExpr.zero())
         assert cv * cv == CliffordElem.scalar(-norm)
+
+
+@pytest.mark.parametrize("product", [
+    lambda e, s: e * s, lambda e, s: s * e, lambda e, s: 2 * e,
+    lambda e, s: e * 2,
+], ids=["elem*scalar", "scalar*elem", "int*elem", "elem*int"])
+def test_star_multiplies_elements_only(product):
+    # a ScalarExpr's monomials are not blades: a scalar factor goes
+    # through scale, never through *
+    e, s = CliffordElem.gen(1), ScalarExpr.var("HP")
+    with pytest.raises(TypeError):
+        product(e, s)
+    assert e.scale(s) == CliffordElem({(1,): s})
 
 
 @pytest.mark.parametrize("value", [ScalarExpr.const(5), CliffordElem.gen(1)],

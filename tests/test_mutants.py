@@ -11,19 +11,19 @@ import json
 
 import pytest
 
-from wres4 import anchors, boundary, halfplane, interior, symbols
+from wres4 import anchor_table, anchors, boundary, halfplane, interior, symbols
 from wres4.boundary import CaseSpec
 from wres4.cli import run
 from wres4.clifford import CliffordElem
 from wres4.errors import DecayViolation
-from wres4.scalars import GAUSS_I, ScalarExpr
+from wres4.scalars import GAUSS_I, ScalarExpr, fi
 from wres4.symbols import D, OFF, ON, BoundarySymbol
 
 
 def _clear_case_caches():
     for cached in (symbols._sigma, boundary.case_factors,
                    boundary._case_value, anchors.lemma41,
-                   interior.compute_E_at_x0):
+                   anchor_table._build_anchors, interior.compute_E_at_x0):
         cached.cache_clear()
 
 
@@ -132,6 +132,27 @@ def test_doubled_c_df_term_fails_compute_phi(fresh_caches, monkeypatch,
     status, failed = _failed_rows(capsys)
     assert status == 1
     assert {"case_b", "case_c"} <= failed
+
+
+def test_doubled_f_jet_term_fails_lemma41_and_compute_phi(fresh_caches,
+                                                          monkeypatch, capsys):
+    # the jet rule's F -> FI{j} term counted twice, so d_j(f^-1) reads
+    # -2 f^-2 d_j f; the references spell d_j(f^-1) out, so only the
+    # engine's values move
+    real = ScalarExpr.x_derivative
+
+    def doubled(self, j):
+        return real(self, j) + self.derivative("F") * ScalarExpr.var(fi(j))
+
+    monkeypatch.setattr(ScalarExpr, "x_derivative", doubled)
+    assert ScalarExpr.f_inverse().x_derivative(1) == (
+        ScalarExpr.const(-2) * ScalarExpr.f_inverse(2) * ScalarExpr.var("FI1"))
+    status, failed = _failed_rows(capsys, "verify-lemma41")
+    assert status == 1
+    assert failed == {"parametrix[Dtilde,-2]"}
+    status, failed = _failed_rows(capsys)
+    assert status == 1
+    assert {"case_b", "case_c", "4.35", "4.36", "4.48"} <= failed
 
 
 @pytest.mark.parametrize("argv", [("compute-phi",),

@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: Gaussian rationals, sparse polynomials, and
 scalars as Laurent polynomials in F."""
 
+import operator
 import random
 from fractions import Fraction
 from math import gcd, prod
@@ -153,6 +154,18 @@ class TestScalarExpr:
         assert f.x_derivative(1) == ScalarExpr.var("FI1")
         assert (ScalarExpr.var("FI4").x_derivative(1)
                 == ScalarExpr.var("FIJ14"))
+        # every name of the alphabet, in every direction: F -> FI{j},
+        # FI{k} -> FIJ{jk} with the pair sorted, and the rest constant
+        for name in NAMES:
+            if name.startswith("FIJ"):
+                continue
+            for j in range(1, 5):
+                expected = {"F": f"FI{j}"}.get(name)
+                if name.startswith("FI"):
+                    expected = "FIJ" + "".join(sorted(f"{j}{name[2:]}"))
+                assert ScalarExpr.var(name).x_derivative(j) == (
+                    ScalarExpr.zero() if expected is None
+                    else ScalarExpr.var(expected))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_x_derivative_f_inverse(self, k):
@@ -162,8 +175,10 @@ class TestScalarExpr:
             * ScalarExpr.f_inverse(k + 1))
 
     def test_x_derivative_order_guard(self):
-        with pytest.raises(UnsupportedOrder):
-            ScalarExpr.var("FIJ11").x_derivative(1)
+        for name in NAMES:
+            if name.startswith("FIJ"):
+                with pytest.raises(UnsupportedOrder):
+                    ScalarExpr.var(name).x_derivative(1)
 
     def test_no_scalar_holds_xi_n_or_its_norm(self):
         # xi_n and |xi|^2 live only in the symbol layer's xi_n degrees
@@ -184,6 +199,14 @@ class TestScalarExpr:
         for bad in (1.5, "1", None):
             with pytest.raises(TypeError):
                 ScalarExpr({(): bad})
+
+    @pytest.mark.parametrize("op", [operator.sub, operator.truediv],
+                             ids=["1-s", "1/s"])
+    def test_no_reflected_subtraction_or_division(self, op):
+        # a number on the left of - or / has no ScalarExpr path: write
+        # ScalarExpr.const(1) - s or s ** -1
+        with pytest.raises(TypeError):
+            op(1, ScalarExpr.var("F"))
 
     def test_pow_negative(self):
         e = ScalarExpr.var("F", 2)
