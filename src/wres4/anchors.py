@@ -7,8 +7,8 @@ fault cannot reach its own reference.  Only the CLI looks a reference up
 and gives the verdict; a mismatch is reported, never patched.
 
 A verb pays only for what it looks up: `compare` and the interior forms
-(3.19) and (3.22) need nothing else; Lemma 4.1's closed forms (`lemma41`)
-load the symbol layer for its types; the table of ids lives in
+(3.19, 3.22, `kkw_trace`) need nothing else; Lemma 4.1's closed forms
+(`lemma41`) load the symbol layer for its types; the table of ids lives in
 `anchor_table`, which the first `anchor` or `has_anchor` call imports and
 builds, so only `report` and `compute-phi` compile it.
 """
@@ -67,6 +67,18 @@ def trace_braces() -> ScalarExpr:
               + half() * (-df_sq * _FINV(2))
               + ScalarExpr.const(2) * df_sq * _FINV(2))
     return ScalarExpr.const(-4) * braces
+
+
+def kkw_trace() -> ScalarExpr:
+    """The Kastler-Kalau-Walze value of tr(s/6 + E), from the conformal
+    change of scalar curvature (Lee & Parker, Bull. AMS 17, 1987):
+    -(f^2/3)(6 phi Delta phi + s phi^2), phi = f^-1, Delta = -sum_j d_j^2,
+    with sum_j d_j^2(f^-1) = 2|df|^2 f^-3 - f^-2 sum_j FIJjj."""
+    phi = _FINV()
+    delta_phi = (_FINV(2) * _sum_j(lambda j: ScalarExpr.var(fij(j, j)))
+                 - ScalarExpr.const(2) * _df_sq() * _FINV(3))
+    return frac(-1, 3) * ScalarExpr.var("F", 2) * (
+        ScalarExpr.const(6) * phi * delta_phi + S_CURV * phi ** 2)
 
 
 @functools.cache

@@ -126,19 +126,14 @@ def phi_suite(case_filter: str) -> List[Dict]:
 
 
 def interior_suite() -> List[Dict]:
-    from .anchors import E_closed_form, trace_braces
-    from .interior import (compute_E_at_x0, theorem32_prefactor,
-                           theorem32_value, trace_interior)
+    from .anchors import E_closed_form, kkw_trace, trace_braces
+    from .interior import compute_E_at_x0, trace_interior
 
     trace = trace_interior()
-    pi2_f2 = ScalarExpr.var("PI") ** 2 * ScalarExpr.f_inverse(2)
     return [
         _entry("3.19", compute_E_at_x0(), E_closed_form()),
         _entry("3.22", trace, trace_braces()),
-        _entry("theorem32.prefactor", theorem32_prefactor(),
-               ScalarExpr.const(-512) * pi2_f2),
-        _entry("theorem32.value", theorem32_value(trace),
-               ScalarExpr.const(128) * pi2_f2 * trace),
+        _entry("interior.kkw", trace, kkw_trace()),
     ]
 
 

@@ -1,4 +1,4 @@
-"""Interior Lichnerowicz-type decomposition and residue integrand.
+"""Interior Lichnerowicz-type decomposition and residue prefactor.
 
 Everything is evaluated at a fixed interior point in normal coordinates:
 the spin connection and Christoffel data vanish there, the metric is the
@@ -9,10 +9,10 @@ scaling).  The operator under study is the conjugated square
 
 a Laplace-type operator whose endomorphism E is computed here from the
 raw (A, B) data through the canonical connection.  The functions return
-plain engine values only.  The paper's closed forms of E (3.19) and of
-its trace (3.22) are references, built apart in `anchors`; the CLI judges
-each engine value against them, and both differ from the engine (a
-ledgered discrepancy).
+plain engine values only.  The CLI judges them against references built
+apart in `anchors`: the paper's closed forms of E (3.19) and of its trace
+(3.22), both ledgered discrepancies, and the Kastler-Kalau-Walze value of
+the trace (`kkw_trace`), which the engine matches.
 """
 
 from __future__ import annotations
@@ -70,14 +70,9 @@ def trace_interior() -> ScalarExpr:
                       + compute_E_at_x0())
 
 
-def theorem32_value(trace: ScalarExpr) -> ScalarExpr:
-    """Apply the heat-kernel bridge 32 pi^2 (n = 4) times the conformal
-    scaling factor 4 f^-2 to the engine trace, yielding the interior
-    residue integrand."""
-    return (ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4)
-            * _FINV(2) * trace)
-
-
 def theorem32_prefactor() -> ScalarExpr:
-    """The -512 pi^2 / f^2 normalization in front of the braces."""
-    return theorem32_value(ScalarExpr.const(-4))
+    """The -512 pi^2 / f^2 normalization in front of the braces: the
+    heat-kernel bridge 32 pi^2 (n = 4) times the conformal scaling factor
+    4 f^-2, times the -4 of the braces."""
+    return (ScalarExpr.const(32) * PI_SYM ** 2 * ScalarExpr.const(4)
+            * _FINV(2) * ScalarExpr.const(-4))

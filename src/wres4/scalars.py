@@ -413,9 +413,6 @@ class ScalarExpr:
             raise ValueError("direction must be 1..3")
         return _derivative(self, _XI_IDX[i - 1])
 
-    def free_names(self) -> set:
-        return {NAMES[idx] for m in self.terms for idx, _ in m}
-
 
 def _derivative(e: ScalarExpr, idx: int) -> ScalarExpr:
     """d/d(NAMES[idx]) of e, treating every name as independent."""

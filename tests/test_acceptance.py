@@ -39,6 +39,7 @@ from wres4.oracle import (
     quad_sphere,
 )
 from wres4.scalars import (
+    NAMES,
     GaussianRational,
     S_CURV,
     ScalarExpr,
@@ -255,7 +256,7 @@ def test_criterion6_phi_assembly(phi, crosschecks):
     allowed = {"PI", "OMEGA", "F", "HP",
                "FI1", "FI2", "FI3", "FI4"} | {
         f"FIJ{j}{k}" for j in range(1, 5) for k in range(j, 5)}
-    assert total.free_names() <= allowed
+    assert {NAMES[idx] for m in total.terms for idx, _ in m} <= allowed
     # (ii) no h'(0) term survives
     assert hp_part(total).is_zero()
     # (iii) numeric pipeline agreement on every seed; the engine total is

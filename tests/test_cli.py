@@ -188,14 +188,14 @@ class TestExitCodes:
                             "parametrix[Dtilde,-1]": "match",
                             "parametrix[Dtilde,-2]": "mismatch"}
 
-    def test_wrong_theorem32_value_exits_one(self, capsys, monkeypatch):
+    def test_wrong_interior_trace_fails_kkw(self, capsys, monkeypatch):
         import wres4.interior as interior
 
-        real = interior.theorem32_value
-        monkeypatch.setattr(interior, "theorem32_value",
-                            lambda trace: ScalarExpr.const(2) * real(trace))
+        real = interior.trace_interior
+        monkeypatch.setattr(interior, "trace_interior",
+                            lambda: ScalarExpr.const(2) * real())
         assert run(["compute-interior", "--format", "json"]) == 1
-        assert _row(capsys, "theorem32.value")["verdict"] == "mismatch"
+        assert _row(capsys, "interior.kkw")["verdict"] == "mismatch"
 
     def test_nonzero_phi_fails_theorem42(self, capsys, monkeypatch):
         _perturb_case(monkeypatch, "a2",
@@ -362,7 +362,7 @@ class TestFormats:
     @pytest.mark.parametrize("verb, first, last", [
         ("verify-traces", "trace[1]", "trace[5]"),
         ("verify-lemma41", "parametrix[D,-1]", "parametrix[Dtilde,-2]"),
-        ("compute-interior", "3.19", "theorem32.value"),
+        ("compute-interior", "3.19", "interior.kkw"),
     ], ids=["verify-traces", "verify-lemma41", "compute-interior"])
     def test_quick_verb_matches_report_slice(self, capsys, verb, first,
                                              last):

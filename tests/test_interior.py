@@ -1,14 +1,14 @@
 """Interior Lichnerowicz-type data: the endomorphism E against the
-printed closed form, the trace, and the residue prefactor."""
+printed closed form, the trace against the printed braces and the
+Kastler-Kalau-Walze value, and the residue prefactor."""
 
 from wres4 import anchors, interior
-from wres4.anchors import E_closed_form, trace_braces
+from wres4.anchors import E_closed_form, kkw_trace, trace_braces
 from wres4.clifford import CliffordElem, spin_trace
 from wres4.interior import (
     compute_E_at_x0,
     df_norm_sq,
     theorem32_prefactor,
-    theorem32_value,
     trace_interior,
 )
 from wres4.scalars import S_CURV, ScalarExpr, fij, frac
@@ -80,6 +80,17 @@ class TestTrace:
                     + ScalarExpr.const(10) * df_norm_sq() * FINV(2))
         assert diff == expected
 
+    def test_kkw_reference_value(self):
+        # -(f^2/3)(6 phi Delta phi + s phi^2) at phi = 1/f, written out
+        fij_sum = -laplacian_f()
+        expected = (ScalarExpr.const(2) * FINV(2)
+                    * (ScalarExpr.const(2) * df_norm_sq()
+                       - ScalarExpr.var("F") * fij_sum)
+                    - frac(1, 3) * S_CURV)
+        assert kkw_trace() == expected
+        # pure-Dirac limit: the Lichnerowicz value -4 * s/12
+        assert pure_dirac_limit(kkw_trace()) == frac(-1, 3) * S_CURV
+
     def test_trace_is_scalar_extraction(self):
         E = compute_E_at_x0()
         s6 = CliffordElem.scalar(frac(1, 6) * S_CURV)
@@ -91,9 +102,3 @@ class TestResidueBridge:
         expected = (ScalarExpr.const(-512) * ScalarExpr.var("PI") ** 2
                     * FINV(2))
         assert theorem32_prefactor() == expected
-
-    def test_value_factorization(self):
-        trace = trace_interior()
-        bridge = (ScalarExpr.const(128) * ScalarExpr.var("PI") ** 2
-                  * FINV(2))
-        assert theorem32_value(trace) == bridge * trace

@@ -113,15 +113,15 @@ def test_negated_slot_rule_fails_verify_lemma41(fresh_caches, monkeypatch,
 
 def test_doubled_df_norm_fails_compute_interior(fresh_caches, monkeypatch,
                                                capsys):
-    # the references spell |df|^2 themselves, so 3.22 leaves its pin; E
-    # gains exactly the |df|^2/f^2 by which 3.19's printed form differs
-    # from it, so 3.19 reads match
+    # the references spell |df|^2 themselves, so 3.22 leaves its pin and
+    # the trace leaves the KKW value; E gains exactly the |df|^2/f^2 by
+    # which 3.19's printed form differs from it, so 3.19 reads match
     real = interior.df_norm_sq
     monkeypatch.setattr(interior, "df_norm_sq",
                         lambda: ScalarExpr.const(2) * real())
     status, failed = _failed_rows(capsys, "compute-interior")
     assert status == 1
-    assert failed == {"3.22"}
+    assert failed == {"3.22", "interior.kkw"}
 
 
 def test_doubled_c_df_term_fails_compute_phi(fresh_caches, monkeypatch,
