@@ -67,10 +67,6 @@ class CliffordElem:
         return CliffordElem()
 
     @staticmethod
-    def one() -> "CliffordElem":
-        return CliffordElem({(): ScalarExpr.one()})
-
-    @staticmethod
     def scalar(c) -> "CliffordElem":
         return CliffordElem({(): _coerce_scalar(c)})
 

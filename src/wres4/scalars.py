@@ -66,7 +66,7 @@ class GaussianRational:
     works on the integers and normalises its result with one gcd, never
     building a Fraction.  The parts may be ints or any rationals with
     `numerator` and `denominator` (a Fraction among them), never floats.
-    `fractions` is imported only where one is built.
+    No module imports `fractions`.
     """
 
     __slots__ = ("p", "q", "d")
@@ -113,9 +113,6 @@ class GaussianRational:
         return _reduced(d2 * (p1 * p2 + q1 * q2), d2 * (q1 * p2 - p1 * q2),
                         self.d * n)
 
-    def __rtruediv__(self, other):
-        return _coerce_gauss(other) / self
-
     def __pow__(self, k: int):
         return _power(self, k, GAUSS_ONE)
 
@@ -129,23 +126,8 @@ class GaussianRational:
                     and self.d == other.d)
         return NotImplemented
 
-    def __hash__(self):
-        # A real value hashes like the int or Fraction it equals.
-        if self.q:
-            return hash((self.p, self.q, self.d))
-        if self.d == 1:
-            return hash(self.p)
-        from fractions import Fraction
-
-        return hash(Fraction(self.p, self.d))
-
     def __complex__(self):
         return complex(self.p / self.d, self.q / self.d)
-
-    def __float__(self):
-        if self.q:
-            raise TypeError(f"{self} is not real")
-        return self.p / self.d
 
     def __repr__(self):
         from .sexpr import dumps
@@ -457,11 +439,11 @@ def _product_into(t: dict, a: Mapping, b: Mapping, sign: int = 1) -> dict:
     sets, and return t.  Products are added in the order of a's terms,
     then b's, with _acc's key order: a zero sum drops its monomial and a
     new one is appended.  Each costs one _reduced on the integer triples."""
-    right = [(m2, sign * c2.p, sign * c2.q, c2.d) for m2, c2 in b.items()]
     for m1, c1 in a.items():
-        p1, q1, d1 = c1.p, c1.q, c1.d
-        for m2, p2, q2, d2 in right:
+        p1, q1, d1 = sign * c1.p, sign * c1.q, c1.d
+        for m2, c2 in b.items():
             m = _mono_mul(m1, m2)
+            p2, q2, d2 = c2.p, c2.q, c2.d
             p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
             s = t.get(m)
             if s is not None:

@@ -171,7 +171,7 @@ class TestCliffordProperties:
     @PROPERTY
     @given(elements, elements, elements)
     def test_ring_axioms(self, a, b, c):
-        one = CliffordElem.one()
+        one = CliffordElem.scalar(1)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert (a + b) * c == a * c + b * c
@@ -203,10 +203,12 @@ def test_star_multiplies_elements_only(product):
     assert e.scale(s) == CliffordElem({(1,): s})
 
 
-@pytest.mark.parametrize("value", [ScalarExpr.const(5), CliffordElem.gen(1)],
-                         ids=["ScalarExpr", "CliffordElem"])
+@pytest.mark.parametrize("value", [ScalarExpr.const(5), CliffordElem.gen(1),
+                                   GaussianRational(5)],
+                         ids=lambda value: type(value).__name__)
 def test_exact_values_are_unhashable(value):
-    # ScalarExpr.const(5) == 5, which no hash of the term set can follow,
-    # so neither class defines a hash to break the hash/eq contract with
+    # an exact value equals the int or Fraction it stands for (const(5) ==
+    # 5), which a hash would have to follow; nothing hashes one, so none of
+    # the three classes defines a hash to break the hash/eq contract with
     with pytest.raises(TypeError):
         hash(value)

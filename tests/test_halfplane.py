@@ -222,7 +222,7 @@ class TestHalfPlaneProperties:
         assert line_integral(s) == line_integral_lower(s)
 
 
-_CLIFFORD = (CliffordElem.one(), CliffordElem.c_xi_prime(),
+_CLIFFORD = (CliffordElem.scalar(1), CliffordElem.c_xi_prime(),
              CliffordElem.c_dxn(),
              CliffordElem.c_xi_prime() * CliffordElem.c_dxn())
 _SYMBOLIC = (ScalarExpr.one(), ScalarExpr.var("HP"), ScalarExpr.f_inverse(1),

@@ -55,9 +55,11 @@ def test_engine_module_imports_no_reference_cli_or_referee(name):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda path: path.stem)
 def test_no_module_imports_numpy_or_scipy(path):
-    # the referee is pure Python; numpy and scipy are test-only
+    # the referee is pure Python; numpy and scipy are test-only.  Nor does
+    # any module import fractions: exact constants are built as integer
+    # triples and nothing hashes an exact value
     tree = ast.parse(path.read_text())
-    assert {"numpy", "scipy"}.isdisjoint(_imported_names(tree))
+    assert {"numpy", "scipy", "fractions"}.isdisjoint(_imported_names(tree))
 
 
 # the symbol layer's rules: a reference may borrow the layer's types and
@@ -242,7 +244,7 @@ def test_engine_enumerates_the_case_labels_in_order():
 
 # -- the size of the program -------------------------------------------------
 
-LINE_BUDGET = 2970
+LINE_BUDGET = 2948
 
 
 def test_sources_stay_within_the_line_budget():

@@ -61,7 +61,7 @@ LITERAL_BYTES = [
         1),
      "(symbol on 1 ((1 2) ((0 (clifford ((4) 1)))"
      " (2 (clifford ((1) (/ -3 4)))))))"),
-    (BoundarySymbol(OFF, {3: {1: CliffordElem.one()}}),
+    (BoundarySymbol(OFF, {3: {1: CliffordElem.scalar(1)}}),
      "(symbol off 0 (3 ((1 (clifford (() 1))))))"),
 ]
 

@@ -77,12 +77,12 @@ class TestClosedForms:
             a = {1: build_sigma(op, 1), 0: build_sigma(op, 0)}
             b = {-1: build_sigma(op, -1), -2: build_sigma(op, -2)}
             ident = compose_orders(a, b, 0).canonical()
-            one = BoundarySymbol.from_clifford(CliffordElem.one()).canonical()
-            assert ident == one
+            one = BoundarySymbol.from_clifford(CliffordElem.scalar(1))
+            assert ident == one.canonical()
             assert compose_orders(a, b, -1).canonical().is_zero()
 
     @pytest.mark.parametrize("s1", [
-        BoundarySymbol.from_clifford(CliffordElem.one()),
+        BoundarySymbol.from_clifford(CliffordElem.scalar(1)),
         BoundarySymbol(OFF, {0: {1: CliffordElem.c_dxn()}}),
     ], ids=["1", "xi_n c(dx_n)"])
     def test_parametrix_rejects_a_leading_symbol_without_inverse(self, s1):
@@ -141,7 +141,7 @@ class TestLeftInverse:
             # sigma_-2 without the (-i) d_xi sigma_1 . d_x r1 term
             r2 = -(r1.mul(s0.mul(r1)))
         left, right = {-1: r1, -2: r2}, {1: s1, 0: s0}
-        one = BoundarySymbol.from_clifford(CliffordElem.one())
+        one = BoundarySymbol.from_clifford(CliffordElem.scalar(1))
         assert compose_orders(left, right, 0) == one
         return compose_orders(left, right, -1).is_zero()
 
@@ -345,14 +345,14 @@ class TestEquality:
     def test_xn_derivative_count_is_compared(self):
         # two symbols that differ only in their x_n-derivative count print
         # differently, so they must not compare equal
-        one = {0: CliffordElem.one()}
+        one = {0: CliffordElem.scalar(1)}
         assert (BoundarySymbol(OFF, {0: one}, 0)
                 != BoundarySymbol(OFF, {0: one}, 1))
         assert (BoundarySymbol(OFF, {0: one}, 1)
                 == BoundarySymbol(OFF, {0: one}, 1))
 
 
-_ENTRIES = st.sampled_from([CliffordElem.zero(), CliffordElem.one(),
+_ENTRIES = st.sampled_from([CliffordElem.zero(), CliffordElem.scalar(1),
                             CliffordElem.c_dxn(), CliffordElem.c_xi_prime(),
                             CliffordElem.c_df()])
 _FACTORS = st.sampled_from([ScalarExpr.zero(), ScalarExpr.one(),
@@ -395,15 +395,15 @@ class TestOneZeroFilter:
 
 class TestNumeratorFactors:
     def test_mul_shell_expands_poles(self):
-        p = {0: CliffordElem.one()}
+        p = {0: CliffordElem.scalar(1)}
         q = mul_shell(p, 1, 1)
         # (xi_n - i)(xi_n + i) = xi_n^2 + 1
-        assert q[2] == CliffordElem.one()
-        assert q[0] == CliffordElem.one()
+        assert q[2] == CliffordElem.scalar(1)
+        assert q[0] == CliffordElem.scalar(1)
         assert 1 not in q
 
     def test_mul_w(self):
-        p = {0: CliffordElem.one()}
+        p = {0: CliffordElem.scalar(1)}
         q = mul_w(p, 1)
-        assert q[2] == CliffordElem.one()
+        assert q[2] == CliffordElem.scalar(1)
         assert q[0] == CliffordElem.scalar(usq())
