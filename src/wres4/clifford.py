@@ -30,26 +30,11 @@ TRACE_DIM = 4  # dim of the spinor space, 2^(4/2)
 
 @functools.cache
 def _basis_mul(a: Basis, b: Basis) -> Tuple[int, Basis]:
-    """Multiply two basis monomials; returns (sign, monomial).
-
-    Indices anticommute and each generator squares to -1.
-    """
-    sign = 1
-    out = list(a)
-    for g in b:
-        # move g left past the tail of `out` to keep indices sorted
-        pos = len(out)
-        while pos > 0 and out[pos - 1] > g:
-            pos -= 1
-            sign = -sign
-        if pos > 0 and out[pos - 1] == g:
-            # c(e_g)^2 = -1; removing the pair costs no extra swaps beyond
-            # those already counted
-            del out[pos - 1]
-            sign = -sign
-        else:
-            out.insert(pos, g)
-    return sign, tuple(out)
+    """c(e_A) c(e_B) = (-1)^(n + |A & B|) c(e_{A ^ B}), n the pairs a in A,
+    b in B with a > b: n swaps sort A B, and each shared generator squares
+    to -1.  Returns (sign, A ^ B)."""
+    n = sum(x > y for x in a for y in b) + len(set(a) & set(b))
+    return (-1) ** n, tuple(sorted(set(a) ^ set(b)))
 
 
 class CliffordElem:

@@ -50,12 +50,13 @@ def fi(j: int) -> str:
 
 
 # The jet table: each index of a name that varies in x maps to the indices
-# of its d_{x_j}, j = 1..4 (F -> FI{j}, FI{k} -> FIJ{j,k}); a Hessian
-# index maps to None, since third-order jets of f are not tracked.
+# of its d_{x_j}, j = 1..4 (F -> FI{j}, FI{k} -> FIJ{j,k}); HP and a
+# Hessian index map to None: h''(0) and third jets of f are not tracked.
 _JET = {_F_IDX: tuple(_INDEX[fi(j)] for j in range(1, 5)),
         **{_INDEX[fi(k)]: tuple(_INDEX[fij(j, k)] for j in range(1, 5))
            for k in range(1, 5)},
-        **{k: None for k, name in enumerate(NAMES) if name.startswith("FIJ")}}
+        **{k: None for k, name in enumerate(NAMES)
+           if name == "HP" or name.startswith("FIJ")}}
 
 
 class GaussianRational:
@@ -372,7 +373,7 @@ class ScalarExpr:
     def x_derivative(self, j: int) -> "ScalarExpr":
         """Spatial derivative at the base point: the chain rule over the
         formal derivatives through the jet table `_JET`; every name not in
-        it is constant in x.
+        it is constant in x, and one it maps to None raises.
         """
         if j not in (1, 2, 3, 4):
             raise ValueError("direction must be 1..4")
@@ -381,7 +382,7 @@ class ScalarExpr:
         for idx in sorted({idx for m in self.terms for idx, _ in m
                            if idx in _JET}):
             if _JET[idx] is None:
-                raise UnsupportedOrder("third-order jets of f are not tracked")
+                raise UnsupportedOrder(f"d/dx of {NAMES[idx]} is not tracked")
             _product_into(t, _derivative(self, idx).terms,
                           {((_JET[idx][j - 1], 1),): GAUSS_ONE})
         return _wrap(t)

@@ -219,7 +219,9 @@ def derive(s: BoundarySymbol, x=(), xi=()) -> BoundarySymbol:
         FI_k             x_j         FIJ_{j,k}
 
     Only xi_n acts on an on-shell symbol, and a second x-derivative
-    raises UnsupportedOrder.
+    raises UnsupportedOrder.  `xder` guards tangential directions too:
+    d_1 d_2 of c(xi)/|xi|^2 needs the boundary metric's second jets, which
+    no table tracks.  A symbol holding HP, as sigma_0(D) does, raises too.
     """
     if not {*x, *xi} <= {1, 2, 3, 4}:
         raise ValueError(f"directions must be 1..4, not x={x}, xi={xi}")

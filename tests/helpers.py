@@ -7,11 +7,14 @@ which the tests hold the referee's scalar trace path and the engine's
 pi+.  So are the two inverses of the half-plane layer's steps: the
 lower-contour line integral, -2*pi*i times the residue at -i that the
 partial fractions give (the engine reads only +i), and the recombined
-partial fractions."""
+partial fractions.  `assert_outcome` checks the guards that no verb
+reaches."""
 
 import cmath
 import functools
 import math
+
+import pytest
 
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem, _cmul_into
@@ -163,3 +166,19 @@ def recombine(dec: PoleDecomposition) -> BoundarySymbol:
     terms = {(k, 0): {0: e} for k, e in dec.principal_plus.items()}
     terms.update({(0, k): {0: e} for k, e in dec.principal_minus.items()})
     return BoundarySymbol(ON, terms)
+
+
+def assert_outcome(call, outcome):
+    """call() raises outcome when it is an exception class, and otherwise
+    returns a value equal to it."""
+    if isinstance(outcome, type) and issubclass(outcome, Exception):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
+def against_str(value):
+    """value.__eq__ of a str, and value == that str: NotImplemented, so
+    False, for every exact value."""
+    return value.__eq__("x"), value == "x"

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wres4.clifford import CliffordElem, spin_trace
+from wres4.clifford import CliffordElem, _basis_mul, spin_trace
 from wres4.oracle import GammaRep
 from wres4.scalars import NAMES, GaussianRational, ScalarExpr, reduce_sphere
+
+from helpers import against_str, assert_outcome
 
 
 def rand_elem(rng, depth=3):
@@ -45,6 +47,20 @@ class TestRelations:
         for _ in range(100):
             a, b, c = (rand_elem(rng) for _ in range(3))
             assert (a * b) * c == a * (b * c)
+
+    def test_basis_product_is_the_gamma_product(self):
+        # all 256 pairs of the 16 blades against the referee's gamma
+        # matrices: every entry is 0, +-1 or +-i, so the products are
+        # exact and compared as such
+        rep = GammaRep()
+        blades = [m for k in range(5) for m in combinations(range(1, 5), k)]
+        for a in blades:
+            for b in blades:
+                sign, m = _basis_mul(a, b)
+                product = (np.array(rep.basis_matrix(a))
+                           @ np.array(rep.basis_matrix(b)))
+                assert np.array_equal(
+                    product, sign * np.array(rep.basis_matrix(m))), (a, b)
 
     def test_product_matches_operator(self):
         # Each element, its coefficients evaluated at one rational point,
@@ -212,3 +228,12 @@ def test_exact_values_are_unhashable(value):
     # the three classes defines a hash to break the hash/eq contract with
     with pytest.raises(TypeError):
         hash(value)
+
+
+@pytest.mark.parametrize("call,outcome", [
+    (lambda: CliffordElem.gen(0), ValueError),
+    (lambda: CliffordElem.gen(5), ValueError),
+    (lambda: against_str(CliffordElem.gen(1)), (NotImplemented, False)),
+], ids=["gen(0)", "gen(5)", "eq-str"])
+def test_guards_no_verb_reaches(call, outcome):
+    assert_outcome(call, outcome)

@@ -29,6 +29,8 @@ from wres4.scalars import (
     reduce_sphere,
 )
 
+from helpers import against_str, assert_outcome
+
 
 def rand_gauss(rng):
     return GaussianRational(Fraction(rng.randint(-6, 6), rng.randint(1, 5)),
@@ -132,11 +134,15 @@ class TestScalarExpr:
         assert (ScalarExpr.var("FI4").x_derivative(1)
                 == ScalarExpr.var("FIJ14"))
         # every name of the alphabet, in every direction: F -> FI{j},
-        # FI{k} -> FIJ{jk} with the pair sorted, and the rest constant
+        # FI{k} -> FIJ{jk} with the pair sorted, HP and a Hessian name
+        # raise (neither h''(0) nor third jets are tracked), and the rest
+        # are constant
         for name in NAMES:
-            if name.startswith("FIJ"):
-                continue
             for j in range(1, 5):
+                if name == "HP" or name.startswith("FIJ"):
+                    with pytest.raises(UnsupportedOrder, match=name):
+                        ScalarExpr.var(name).x_derivative(j)
+                    continue
                 expected = {"F": f"FI{j}"}.get(name)
                 if name.startswith("FI"):
                     expected = "FIJ" + "".join(sorted(f"{j}{name[2:]}"))
@@ -232,15 +238,20 @@ _f_exp = st.integers(-3, 3)
 
 
 @st.composite
-def monomials(draw, coeff=_gauss):
-    """c * F^k * HP^a * FI4^b * XI1^d * S^g with k in -3..3."""
+def monomials(draw, coeff=_gauss, names=("HP", "FI4", "XI1", "S")):
+    """c * F^k * HP^a * FI4^b * XI1^d * S^g with k in -3..3, over the
+    given names."""
     out = ScalarExpr.const(draw(coeff)) * ScalarExpr.var("F", draw(_f_exp))
-    for name in ("HP", "FI4", "XI1", "S"):
+    for name in names:
         out = out * ScalarExpr.var(name, draw(st.integers(0, 2)))
     return out
 
 
 laurent_scalars = st.lists(monomials(), max_size=4).map(
+    lambda ms: sum(ms, ScalarExpr.zero()))
+# HP has no x-derivative, so the x-Leibniz check draws from scalars
+# without it
+x_scalars = st.lists(monomials(names=("FI4", "XI1", "S")), max_size=4).map(
     lambda ms: sum(ms, ScalarExpr.zero()))
 
 
@@ -261,7 +272,7 @@ class TestScalarExprProperties:
         assert k * a == a * k == ScalarExpr.const(k) * a
 
     @PROPERTY
-    @given(laurent_scalars, laurent_scalars, st.integers(1, 4))
+    @given(x_scalars, x_scalars, st.integers(1, 4))
     def test_leibniz_x_derivative(self, a, b, j):
         lhs = (a * b).x_derivative(j)
         assert lhs == a.x_derivative(j) * b + a * b.x_derivative(j)
@@ -548,3 +559,15 @@ class TestExactEvaluation:
         assert all(k < 2 for m in r.terms for i, k in m
                    if NAMES[i] == "XI3")
         assert ev(r, point) == ev(a, point)
+
+
+@pytest.mark.parametrize("call,outcome", [
+    (lambda: ScalarExpr.var("HP", -1), ValueError),
+    (lambda: ScalarExpr.var("F").x_derivative(0), ValueError),
+    (lambda: ScalarExpr.var("F").x_derivative(5), ValueError),
+    (lambda: against_str(GaussianRational(1)), (NotImplemented, False)),
+    (lambda: against_str(ScalarExpr.one()), (NotImplemented, False)),
+], ids=["var(HP,-1)", "x_derivative(0)", "x_derivative(5)",
+        "GaussianRational-eq-str", "ScalarExpr-eq-str"])
+def test_guards_no_verb_reaches(call, outcome):
+    assert_outcome(call, outcome)

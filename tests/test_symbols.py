@@ -2,6 +2,7 @@
 parametrix against Lemma 4.1's closed forms, composition, and the golden
 serialized forms."""
 
+import operator
 import os
 from itertools import combinations
 
@@ -36,7 +37,7 @@ from wres4.symbols import (
     sigma0_dirac,
 )
 
-from helpers import mul_shell, mul_w
+from helpers import against_str, assert_outcome, mul_shell, mul_w
 
 # D + c(df): a third operator, which no closed form covers
 P_V = Operator("P_V", 1, CliffordElem.c_df())
@@ -182,6 +183,22 @@ class TestDerivation:
         with pytest.raises(UnsupportedOrder):
             derive(build_sigma(D, -1), x=(4, 4))
 
+    # sigma_0(D) = -(3/4) h'(0) c(dx_n) holds one collar derivative at
+    # xder 0; its d_{x_n} is -(3/4) h''(0) c(dx_n), and h''(0) is not
+    # tracked, so both routes raise rather than return zero
+    def test_sigma0_symbol_x_derivative_raises(self):
+        with pytest.raises(UnsupportedOrder, match="HP"):
+            derive(build_sigma(D, 0), x=(4,))
+
+    def test_sigma0_clifford_x_derivative_raises(self):
+        with pytest.raises(UnsupportedOrder, match="HP"):
+            sigma0_dirac().x_derivative(4)
+
+    def test_x_derivative_of_a_symbol_holding_h_prime_raises(self):
+        # sigma_-2(D^-1) carries h'(0), so neither half can be taken
+        with pytest.raises(UnsupportedOrder, match="HP"):
+            d_x_parts(build_sigma(D, -2), 4)
+
     @pytest.mark.parametrize("index", [{"x": (0,)}, {"x": (5,)},
                                        {"xi": (4, 0)}, {"xi": (-1,)}],
                              ids=["x0", "x5", "xi40", "xi-1"])
@@ -246,14 +263,20 @@ class TestDerivation:
             assert (sexpr.dumps(derive(s, x=x, xi=xi))
                     == sexpr.dumps(chained)), (x, xi)
 
-    @pytest.mark.parametrize("op", [D, DTILDE], ids=lambda op: op.name)
-    @pytest.mark.parametrize("order", [-1, -2])
-    def test_slot_half_is_h_prime_times_the_tangential_norm(self, op, order):
+    @pytest.mark.parametrize("symbol", [
+        lambda: build_sigma(D, -1),
+        lambda: build_sigma(DTILDE, -1),
+        lambda: sandwich(CliffordElem.c_df()),
+        lambda: build_sigma(D, -1) + sandwich(CliffordElem.c_df()),
+    ], ids=["-1-D", "-1-Dtilde", "sandwich", "-1-D+sandwich"])
+    def test_slot_half_is_h_prime_times_the_tangential_norm(self, symbol):
         # d_{x_n} W**-p = -p h'(0) |xi'|^2 / W**(p+1), key by key, with
-        # |xi'|^2 written here from its three squares
+        # |xi'|^2 written here from its three squares; the symbols are
+        # free of h'(0), whose x-derivative is not tracked, and hold keys
+        # 1, 2 or both
         norm = sum((ScalarExpr.var(f"XI{i}", 2) for i in (1, 2, 3)),
                    ScalarExpr.zero())
-        s = build_sigma(op, order)
+        s = symbol()
         _, slot = d_x_parts(s, 4)
         assert set(slot.terms) == {p + 1 for p in s.terms if p}
         for p, poly in s.terms.items():
@@ -407,3 +430,20 @@ class TestNumeratorFactors:
         q = mul_w(p, 1)
         assert q[2] == CliffordElem.scalar(1)
         assert q[0] == CliffordElem.scalar(usq())
+
+
+def _off_on():
+    off = build_sigma(D, -1)
+    return off, restrict_on_shell(off)
+
+
+@pytest.mark.parametrize("call,outcome", [
+    (lambda: BoundarySymbol("both", {}), ValueError),
+    (lambda: operator.add(*_off_on()), ShellViolation),
+    (lambda: BoundarySymbol.mul(*_off_on()), ShellViolation),
+    (lambda: restrict_on_shell(_off_on()[1]), ShellViolation),
+    (lambda: against_str(_off_on()[1]), (NotImplemented, False)),
+], ids=["shell-both", "off+on", "off.mul(on)", "restrict-on-shell",
+        "eq-str"])
+def test_guards_no_verb_reaches(call, outcome):
+    assert_outcome(call, outcome)
