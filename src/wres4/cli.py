@@ -6,8 +6,9 @@ pinned `engine_value` the row still prints, 1 when a new mismatch
 appears, 2 on usage errors.  `parse_args` reads argv from two tables,
 `VERBS` and `FLAGS`, without argparse, gettext or locale (3 ms a call):
 `--flag value` and `--flag=value` both work, the last repeat wins, and no
-flag is abbreviated.  A usage error writes the usage and a `wres4: error:`
-line to stderr and exits 2; `-h` writes the usage to stdout and exits 0.
+flag is abbreviated.  A usage error (an `--out` path that cannot be
+written too) writes the usage and a `wres4: error:` line to stderr and
+exits 2; `-h` writes the usage to stdout and exits 0.
 
 Every call is a fresh interpreter, so each verb imports only the modules
 it runs: the suites and `_entry` import their engine names when called,
@@ -276,8 +277,11 @@ def run(argv: Optional[List[str]] = None) -> int:
     }
     text = _RENDER[args["format"]](payload)
     if args["out"]:
-        with open(args["out"], "w") as fh:
-            fh.write(text)
+        try:
+            with open(args["out"], "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            _usage_error(f"argument --out: {err.strerror}: {args['out']!r}")
     else:
         sys.stdout.write(text)
     return status

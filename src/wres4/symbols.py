@@ -11,9 +11,9 @@ to |xi'| = 1 only re-keys W**p as (xi_n - i)**p (xi_n + i)**p; on-shell
 coefficients are reduced on the sphere when they are compared.  Spatial
 behaviour at the base point is encoded by first-order jet rules: the collar
 metric scales the tangential coframe, W picks up h'(0)|xi'|^2 under the
-normal derivative (this module is that rule's one home), and f contributes
-its first and second jets.  Second x-derivatives are rejected; the
-computation never needs them.
+normal derivative (every derivative of W, along xi or x_n, is the one rule
+`_w_half`), and f contributes its first and second jets.  Second
+x-derivatives are rejected; the computation never needs them.
 """
 
 from __future__ import annotations
@@ -127,10 +127,7 @@ class BoundarySymbol:
         return BoundarySymbol(self.shell, t, max(self.xder, other.xder))
 
     def __neg__(self) -> "BoundarySymbol":
-        return BoundarySymbol(self.shell,
-                              {k: {d: -e for d, e in p.items()}
-                               for k, p in self.terms.items()},
-                              self.xder)
+        return self.scale(-1)
 
     def __sub__(self, other: "BoundarySymbol") -> "BoundarySymbol":
         return self + (-other)
@@ -235,7 +232,7 @@ def derive(s: BoundarySymbol, x=(), xi=()) -> BoundarySymbol:
         jet, slot = d_x_parts(s, j)
         s = jet + slot
     for i in xi:
-        s = _d_xin(s) if i == 4 else _d_xi_tangent(s, i)
+        s = _d_xi(s, i)
     return s
 
 
@@ -249,36 +246,35 @@ def _acc(t: dict, key, num: dict) -> None:
             into[d] = into[d] + e if d in into else e
 
 
-def _d_xin(s: BoundarySymbol) -> BoundarySymbol:
+def _d_xi(s: BoundarySymbol, i: int) -> BoundarySymbol:
+    """d_{xi_i} s, i in 1..4: per key the numerator half, then the W half
+    off shell or the (xi_n -+ i) pole half on shell."""
     t: dict = {}
     for key, poly in s.terms.items():
-        d_poly = {d - 1: e.scale(ScalarExpr.const(d))
-                  for d, e in poly.items() if d}
-        if s.shell == OFF:
-            p = key
-            _acc(t, p, d_poly)
-            if p:
-                # d(W^-p) = -p * 2 xi_n / W^(p+1)
-                c = ScalarExpr.const(-2 * p)
-                _acc(t, p + 1, {d + 1: e.scale(c) for d, e in poly.items()})
+        if i == 4:
+            _acc(t, key, {d - 1: e.scale(ScalarExpr.const(d))
+                          for d, e in poly.items() if d})
         else:
-            a, b = key
-            _acc(t, (a, b), d_poly)
-            if a:
-                # d (xi_n - i)^-a = -a (xi_n - i)^-(a+1)
-                _acc(t, (a + 1, b), _scaled(poly, ScalarExpr.const(-a)))
-            if b:
-                _acc(t, (a, b + 1), _scaled(poly, ScalarExpr.const(-b)))
+            _acc(t, key, {d: e.xi_derivative(i) for d, e in poly.items()})
+        if s.shell == OFF:
+            _w_half(t, key, poly, {1: 2} if i == 4 else {0: 2 * xi(i)})
+            continue
+        a, b = key
+        # d (xi_n - i)^-a = -a (xi_n - i)^-(a+1)
+        if a:
+            _acc(t, (a + 1, b), _scaled(poly, ScalarExpr.const(-a)))
+        if b:
+            _acc(t, (a, b + 1), _scaled(poly, ScalarExpr.const(-b)))
     return BoundarySymbol(s.shell, t, s.xder)
 
 
-def _d_xi_tangent(s: BoundarySymbol, i: int) -> BoundarySymbol:
-    t: dict = {}
-    for p, poly in s.terms.items():
-        _acc(t, p, {d: e.xi_derivative(i) for d, e in poly.items()})
-        if p:
-            _acc(t, p + 1, _scaled(poly, ScalarExpr.const(-2 * p) * xi(i)))
-    return BoundarySymbol(OFF, t, s.xder)
+def _w_half(t: dict, p: int, poly: dict, dw: dict) -> None:
+    """Add -p dW poly / W**(p+1), the W half of a derivative of poly / W**p,
+    into t; dW is a {xi_n degree: scalar} numerator, {} where W is constant."""
+    if p:
+        for k, w in dw.items():
+            c = ScalarExpr.const(-p) * w
+            _acc(t, p + 1, {d + k: e.scale(c) for d, e in poly.items()})
 
 
 def d_x_parts(s: BoundarySymbol,
@@ -289,10 +285,7 @@ def d_x_parts(s: BoundarySymbol,
     slot: dict = {}
     for p, poly in s.terms.items():
         _acc(jet, p, {d: e.x_derivative(j) for d, e in poly.items()})
-        if p and j == 4:
-            # d_{x_n} W = h'(0) |xi'|^2
-            c = ScalarExpr.const(-p) * HP * usq()
-            _acc(slot, p + 1, _scaled(poly, c))
+        _w_half(slot, p, poly, {0: HP * usq()} if j == 4 else {})
     return (BoundarySymbol(OFF, jet, s.xder + 1),
             BoundarySymbol(OFF, slot, s.xder + 1))
 

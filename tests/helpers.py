@@ -8,29 +8,34 @@ pi+.  So are the two inverses of the half-plane layer's steps: the
 lower-contour line integral, -2*pi*i times the residue at -i that the
 partial fractions give (the engine reads only +i), and the recombined
 partial fractions.  `assert_outcome` checks the guards that no verb
-reaches."""
+reaches, and `xi_rule_defect` holds derive's xi-rules against central
+differences of the symbols' values, read off shell by `eval_off_shell`
+(the referee lowers on-shell symbols only)."""
 
 import cmath
 import functools
 import math
+import random
 
 import pytest
 
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem, _cmul_into
 from wres4.errors import MissingBinding
-from wres4.halfplane import (PoleDecomposition, _canonical_term,
+from wres4.halfplane import (PoleDecomposition, _canonical_term, pi_plus,
                              partial_fractions)
 from wres4.oracle import (
     CompiledSymbol,
     LoweredSymbol,
+    NumericContext,
     _horner,
     _monomials,
     eval_scalar,
 )
 from wres4.scalars import GAUSS_I, NAMES, PI_SYM, ScalarExpr
-from wres4.symbols import (ON, BoundarySymbol, _mul_into, _pole_factor,
-                           _w_power, _xin)
+from wres4.symbols import (D, DTILDE, ON, BoundarySymbol, _mul_into,
+                           _pole_factor, _w_power, _xin, build_sigma, derive,
+                           restrict_on_shell, sandwich)
 
 
 def eval_clifford(a: CliffordElem, ctx, point=None):
@@ -79,6 +84,71 @@ def eval_symbol(s: BoundarySymbol, ctx, point):
     if point is None or point[1] is None:
         raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
     return MatrixSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
+
+
+def eval_off_shell(s: BoundarySymbol, ctx, point):
+    """An off-shell symbol's 4x4 value at a full point (xi', xi_n): each
+    coefficient by eval_clifford, times xi_n**d / W**p with W = |xi'|^2 +
+    xi_n^2."""
+    xi_prime, xi_n = point
+    w = sum(x * x for x in xi_prime) + xi_n * xi_n
+    out = [[0j] * 4 for _ in range(4)]
+    for p, poly in s.terms.items():
+        for d, e in poly.items():
+            weight = xi_n ** d / w ** p
+            for row, mat_row in zip(out, eval_clifford(e, ctx, point)):
+                for j, m in enumerate(mat_row):
+                    row[j] += weight * m
+    return tuple(map(tuple, out))
+
+
+# the symbols whose xi-derivatives are held against central differences:
+# off shell along xi_1..xi_4, on shell along xi_n at a unit xi'
+XI_RULE_OFF_SHELL = {
+    "-1-D": lambda: build_sigma(D, -1),
+    "-2-D": lambda: build_sigma(D, -2),
+    "-1-Dtilde": lambda: build_sigma(DTILDE, -1),
+    "-2-Dtilde": lambda: build_sigma(DTILDE, -2),
+    "sandwich": lambda: sandwich(CliffordElem.c_df()),
+}
+XI_RULE_ON_SHELL = {
+    "pi+-1-Dtilde": lambda: pi_plus(restrict_on_shell(
+        build_sigma(DTILDE, -1))),
+    "on-2-D": lambda: restrict_on_shell(build_sigma(D, -2)),
+    "on-2-Dtilde": lambda: restrict_on_shell(build_sigma(DTILDE, -2)),
+}
+XI_RULE_CASES = ([(name, i) for name in XI_RULE_OFF_SHELL
+                  for i in (1, 2, 3, 4)]
+                 + [(name, 4) for name in XI_RULE_ON_SHELL])
+
+
+def xi_rule_defect(name: str, i: int, seeds=(42, 7), h=1e-5) -> float:
+    """The worst relative gap, over one seeded point per seed, between
+    derive(s, xi=(i,)) and the central difference of s along xi_i with step
+    h, s the symbol `name` of XI_RULE_CASES: the largest entry gap over the
+    largest entry of the derivative.  Each seed also draws the bindings."""
+    on = name in XI_RULE_ON_SHELL
+    s = (XI_RULE_ON_SHELL if on else XI_RULE_OFF_SHELL)[name]()
+    value = eval_symbol if on else eval_off_shell
+    worst = 0.0
+    for seed in seeds:
+        ctx, rng = NumericContext(seed), random.Random(seed)
+        xi_prime = [rng.uniform(-1.5, 1.5) for _ in range(3)]
+        if on:
+            xi_prime = [x / math.hypot(*xi_prime) for x in xi_prime]
+        point = [*xi_prime, rng.uniform(-1.5, 1.5)]
+
+        def at(sym, t=0.0):
+            moved = [x + t * (k == i - 1) for k, x in enumerate(point)]
+            return value(sym, ctx, (tuple(moved[:3]), moved[3]))
+
+        exact = at(derive(s, xi=(i,)))
+        gaps = [abs((u - d) / (2 * h) - z)
+                for rows in zip(at(s, h), at(s, -h), exact)
+                for u, d, z in zip(*rows)]
+        size = max(abs(z) for row in exact for z in row)
+        worst = max(worst, max(gaps) / size)
+    return worst
 
 
 def quad_contour_pi_plus(h, xi0: float) -> complex:

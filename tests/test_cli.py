@@ -380,6 +380,18 @@ class TestFormats:
         doc = json.loads(target.read_text())
         assert doc["command"] == "verify-traces"
 
+    @pytest.mark.parametrize("name", ["missing/x.json", "."],
+                             ids=["missing-dir", "a-directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, capsys, name):
+        # exit 1 is kept for a new mismatch, so a path that cannot be
+        # written is refused as a bad argument
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-traces", "--out", str(tmp_path / name)])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1].startswith(
+            "wres4: error: argument --out: ")
+
 
 class TestCrosscheck:
     def test_seed42_matches_golden(self, capsys):

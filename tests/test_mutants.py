@@ -2,9 +2,9 @@
 
 Each mutant monkeypatches one engine name, or one field of an operator's
 data, and clears the caches that would otherwise keep the unmutated
-values.  A row names the verb and the rows that kill its mutant.  A
-mutant that no gate kills is a strict xfail citing the ROADMAP item meant
-to kill it."""
+values.  A row names the verb and the rows that kill its mutant, or the
+finite-difference cases of tests/helpers.py that do.  A mutant that no
+gate kills is a strict xfail citing the ROADMAP item meant to kill it."""
 
 import inspect
 import json
@@ -18,6 +18,9 @@ from wres4.clifford import CliffordElem
 from wres4.errors import DecayViolation
 from wres4.scalars import GAUSS_I, ScalarExpr, fi
 from wres4.symbols import D, OFF, ON, BoundarySymbol
+
+from helpers import (XI_RULE_CASES, XI_RULE_OFF_SHELL, XI_RULE_ON_SHELL,
+                     xi_rule_defect)
 
 
 def _clear_case_caches():
@@ -211,10 +214,17 @@ def _w_rule_without_2(real):
     return mutant
 
 
+def on_xi_n(rule):
+    """symbols._d_xi with rule, a mutant of the xi_n-derivative, in place
+    of direction 4; directions 1..3 keep the real rule."""
+    real = symbols._d_xi
+    mutant = rule(lambda s: real(s, 4))
+    return lambda s, i: mutant(s) if i == 4 else real(s, i)
+
+
 def test_pole_rule_with_plus_a_fails_compute_phi(fresh_caches, monkeypatch,
                                                  capsys):
-    monkeypatch.setattr(symbols, "_d_xin",
-                        _pole_rule_with_plus_a(symbols._d_xin))
+    monkeypatch.setattr(symbols, "_d_xi", on_xi_n(_pole_rule_with_plus_a))
     status, failed = _failed_rows(capsys)
     assert status == 1
     assert {"case_a2", "case_a3", "case_b", "case_c", "phi.b_plus_c",
@@ -225,12 +235,24 @@ def test_w_rule_without_2_fails_compute_phi(fresh_caches, monkeypatch,
                                             capsys):
     # the case factors take their xi_n-derivatives after the restriction,
     # so only audit rows fail
-    monkeypatch.setattr(symbols, "_d_xin", _w_rule_without_2(symbols._d_xin))
+    monkeypatch.setattr(symbols, "_d_xi", on_xi_n(_w_rule_without_2))
     status, failed = _failed_rows(capsys)
     assert status == 1
     assert failed == {"4.10", "4.11[1]", "4.11[2]", "4.11[3]", "4.14",
                       "4.22", "4.24", "4.25", "4.27", "4.42", "4.43",
                       "4.44", "4.46", "4.48", "4.49"}
+
+
+@pytest.mark.parametrize("rule, names", [
+    (_pole_rule_with_plus_a, XI_RULE_ON_SHELL),
+    (_w_rule_without_2, XI_RULE_OFF_SHELL),
+], ids=["pole_rule", "w_rule"])
+def test_xi_n_mutants_fail_the_difference_check(fresh_caches, monkeypatch,
+                                                rule, names):
+    # each rule moves every xi_n case of its shell and nothing else
+    monkeypatch.setattr(symbols, "_d_xi", on_xi_n(rule))
+    assert {(name, i) for name, i in XI_RULE_CASES
+            if xi_rule_defect(name, i) > 1e-6} == {(n, 4) for n in names}
 
 
 def test_restriction_keyed_at_plus_i_alone_fails_compute_phi(fresh_caches,
@@ -253,6 +275,6 @@ def test_restriction_keyed_at_plus_i_alone_fails_compute_phi(fresh_caches,
                          ids=["pole_rule", "w_rule"])
 def test_xi_n_mutants_fail_crosscheck(fresh_caches, monkeypatch, capsys,
                                       rule):
-    monkeypatch.setattr(symbols, "_d_xin", rule(symbols._d_xin))
+    monkeypatch.setattr(symbols, "_d_xi", on_xi_n(rule))
     capsys.readouterr()
     assert run(["crosscheck", "--seed", "42", "--format", "json"]) == 1

@@ -64,8 +64,9 @@ def test_no_module_imports_numpy_or_scipy(path):
 
 # the symbol layer's rules: a reference may borrow the layer's types and
 # shared helpers (sandwich, c_xi_poly), never a rule it checks
-BUILDERS = {"sigma0_dirac", "derive", "d_x_parts", "build_sigma",
-            "parametrix", "compose_orders", "restrict_on_shell"}
+BUILDERS = {"sigma0_dirac", "derive", "_d_xi", "_w_half", "d_x_parts",
+            "build_sigma", "parametrix", "compose_orders",
+            "restrict_on_shell"}
 # the calculus a reference spells out instead of running: the jet rule and
 # the two helpers built from it, c(df^-1) and the f-jet middle factor
 CALCULUS = {"derivative", "x_derivative", "xi_derivative", "c_dfinv",
@@ -244,7 +245,7 @@ def test_engine_enumerates_the_case_labels_in_order():
 
 # -- the size of the program -------------------------------------------------
 
-LINE_BUDGET = 2936
+LINE_BUDGET = 2933
 
 
 def test_sources_stay_within_the_line_budget():

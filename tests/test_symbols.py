@@ -37,7 +37,8 @@ from wres4.symbols import (
     sigma0_dirac,
 )
 
-from helpers import against_str, assert_outcome, mul_shell, mul_w
+from helpers import (XI_RULE_CASES, against_str, assert_outcome, mul_shell,
+                     mul_w, xi_rule_defect)
 
 # D + c(df): a third operator, which no closed form covers
 P_V = Operator("P_V", 1, CliffordElem.c_df())
@@ -286,6 +287,18 @@ class TestDerivation:
             want = {d: e.scale(c) for d, e in poly.items()}
             assert (BoundarySymbol(OFF, {p + 1: slot.terms[p + 1]})
                     == BoundarySymbol(OFF, {p + 1: want})), p
+
+
+class TestXiRulesAgainstDifferences:
+    # derive's xi-rules, numerator, W and pole halves alike, against a
+    # central difference of the symbol's numeric value, h = 1e-5: sigma_-1
+    # and sigma_-2 of D and Dtilde and sandwich(c(df)) off shell in each
+    # direction, and pi+ sigma_-1(Dtilde) and the restricted sigma_-2 along
+    # xi_n on shell
+    @pytest.mark.parametrize("name, i", XI_RULE_CASES,
+                             ids=[f"{n}-xi{i}" for n, i in XI_RULE_CASES])
+    def test_xi_derivative_is_the_central_difference(self, name, i):
+        assert xi_rule_defect(name, i) <= 1e-6
 
 
 class TestGoldenForms:

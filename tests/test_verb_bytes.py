@@ -11,9 +11,14 @@ in the hash with the ids and verdicts: it is the exact case value summed
 in the engine's term order, so it pins that order.  Every other run is
 hashed as printed.
 
-After a deliberate change of output, rewrite the manifest with
+After a deliberate change of output, rewrite the manifest and the three
+report goldens that tests/test_cli.py compares byte for byte (report.json,
+report.txt and report.tex) with
 
     PYTHONPATH=src python tests/test_verb_bytes.py
+
+crosscheck_seed42.json is not rewritten: its quadrature floats are
+compared within a bound, so a rewrite would only move their low bits.
 """
 
 import contextlib
@@ -27,7 +32,9 @@ import pytest
 from wres4 import CASE_LABELS
 from wres4.cli import run
 
-MANIFEST = Path(__file__).resolve().parent / "golden" / "verbs.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+MANIFEST = GOLDEN / "verbs.json"
+REPORTS = {"json": "report.json", "text": "report.txt", "latex": "report.tex"}
 ARGVS = (("report",), ("compute-phi",),
          *(("compute-phi", "--case", label) for label in CASE_LABELS),
          ("compute-interior",), ("verify-traces",), ("verify-lemma41",),
@@ -66,3 +73,5 @@ def test_stdout_matches_the_manifest(run_id):
 if __name__ == "__main__":
     MANIFEST.write_text(json.dumps({r: fingerprint(r) for r in RUNS},
                                    indent=2) + "\n")
+    for fmt, name in REPORTS.items():
+        run(["report", "--format", fmt, "--out", str(GOLDEN / name)])
