@@ -6,9 +6,10 @@ pinned `engine_value` the row still prints, 1 when a new mismatch
 appears, 2 on usage errors.  `parse_args` reads argv from two tables,
 `VERBS` and `FLAGS`, without argparse, gettext or locale (3 ms a call):
 `--flag value` and `--flag=value` both work, the last repeat wins, and no
-flag is abbreviated.  A usage error (an `--out` path that cannot be
-written too) writes the usage and a `wres4: error:` line to stderr and
-exits 2; `-h` writes the usage to stdout and exits 0.
+flag is abbreviated.  A usage error writes the usage and a `wres4: error:`
+line to stderr and exits 2; so does an `--out` path that cannot be opened
+for writing, which is refused before the verb runs.  `-h` writes the usage
+to stdout and exits 0.
 
 Every call is a fresh interpreter, so each verb imports only the modules
 it runs: the suites and `_entry` import their engine names when called,
@@ -257,6 +258,18 @@ def parse_args(argv: List[str]) -> Dict:
 
 def run(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    if not args["out"]:
+        return _emit(args, sys.stdout)
+    try:  # refused before the verb runs
+        out = open(args["out"], "w")
+    except OSError as err:
+        _usage_error(f"argument --out: {err.strerror}: {args['out']!r}")
+    with out:
+        return _emit(args, out)
+
+
+def _emit(args: Dict, out) -> int:
+    """Run the verb, write its rendering to out and return the exit code."""
     ledger = load_discrepancies()
     pins = {d["id"]: d.get("engine_value") for d in ledger["discrepancies"]}
     results = VERBS[args["verb"]](args)
@@ -275,15 +288,7 @@ def run(argv: Optional[List[str]] = None) -> int:
         "discrepancies": ledger["discrepancies"],
         "exit": status,
     }
-    text = _RENDER[args["format"]](payload)
-    if args["out"]:
-        try:
-            with open(args["out"], "w") as fh:
-                fh.write(text)
-        except OSError as err:
-            _usage_error(f"argument --out: {err.strerror}: {args['out']!r}")
-    else:
-        sys.stdout.write(text)
+    out.write(_RENDER[args["format"]](payload))
     return status
 
 

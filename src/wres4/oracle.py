@@ -14,10 +14,10 @@ the two factors' denominators.  A case's pairs share their pole orders, so
 the referee contracts the sum of their traces once, in point-monomial
 space, and takes one sphere pass per case: at each node one table of the
 point's powers gives the polynomial's coefficients.  A line node costs two
-calls of the factors' compiled reciprocal denominators (dict hits after
-their first xi_n) and a Horner evaluation that the imaginary-part pass
-reuses; the line rule sweeps each 21-node panel in one call, at nodes and
-secants tabulated once per process.
+calls of the factors' compiled reciprocal denominators (hits in each
+one's own memo after its first xi_n) and a Horner evaluation that the
+imaginary-part pass reuses; the line rule sweeps each 21-node panel in one
+call, at nodes and secants tabulated once per process.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ class NumericContext:
 
     HP, F, the f-jets, and S draw uniformly from [0.5, 2] (keeping F well
     away from 0 so f^-3 terms stay conditioned); OMEGA is bound to 4*pi
-    and PI to pi.  The xi-variables stay unbound and must be supplied as
-    an evaluation point.
+    and PI to pi.  The xi-variables stay unbound: the referee lowers
+    XI1, XI2 and XI3 as the point's variables, and xi_n is no scalar name.
     """
 
     def __init__(self, seed: int, rep: Optional[GammaRep] = None):
@@ -122,14 +122,11 @@ def _bind(mono, bindings: Dict[str, complex], weight,
     return weight, tuple(exps)
 
 
-def eval_scalar(e: ScalarExpr, ctx: NumericContext,
-                point=None) -> complex:
-    bindings = dict(ctx.assignment)
-    if point is not None:  # XI1, XI2, XI3 of (xi', xi_n); no scalar holds xi_n
-        bindings.update(zip(_POINT_NAMES, point[0]))
-    total = sum(complex(coeff) * _bind(mono, bindings, 1, {})[0]
+def eval_scalar(e: ScalarExpr, ctx: NumericContext) -> complex:
+    """e with every name bound by ctx's assignment."""
+    total = sum(complex(coeff) * _bind(mono, ctx.assignment, 1, {})[0]
                 for mono, coeff in e.num.terms.items())
-    return total / bindings["F"] ** e.fpow
+    return total / ctx.assignment["F"] ** e.fpow
 
 
 # -- quadrature --------------------------------------------------------------
@@ -374,11 +371,9 @@ class LoweredSymbol:
     is a polynomial in xi_n over that one scalar.  `lift` maps each (xi_n
     power, exponents of XI1, XI2, XI3) to its flattened 4x4 matrix
     coefficient, with the bound weights, the gamma basis matrices and the
-    numerators over the common denominator folded in.  The reciprocal
-    denominator depends on xi_n alone, and `recips` keeps it per xi_n for
-    every CompiledSymbol of this factor.  An off-shell symbol raises
-    ShellViolation, and a coefficient holding a name the context leaves
-    unbound raises MissingBinding.
+    numerators over the common denominator folded in, and `poles` is
+    (A, B).  An off-shell symbol raises ShellViolation, and a coefficient
+    holding a name the context leaves unbound raises MissingBinding.
     """
 
     def __init__(self, s: BoundarySymbol, ctx: NumericContext):
@@ -404,7 +399,6 @@ class LoweredSymbol:
                         for f, m in flat[basis]:
                             vec[f] += w * m
         self.lift = lift
-        self.recips: Dict[complex, complex] = {}
 
 
 def _numerators(keys: list):
@@ -432,12 +426,12 @@ def _numerators(keys: list):
 class CompiledSymbol:
     """A lowered symbol's reciprocal common denominator, compiled once per
     case: a call at xi_n returns 1/((xi_n - i)**A (xi_n + i)**B).  It
-    depends on xi_n alone, so it is kept in the LoweredSymbol's `recips`
-    and shared by all its instances and every sphere node."""
+    depends on xi_n alone, so each instance keeps it per xi_n, and every
+    sphere node of the case reads the first call's value."""
 
     def __init__(self, lowered: LoweredSymbol):
         self.lowered = lowered
-        self._recips = lowered.recips
+        self._recips: Dict[complex, complex] = {}
 
     def __call__(self, xi_n: complex) -> complex:
         try:

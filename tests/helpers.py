@@ -1,19 +1,22 @@
 """Helpers the tests share.  Most are not checks themselves: one numeric
-evaluator for every symbolic type, the ledger's ids, the W-power and
-pole-factor products, the one-key on-shell symbol and the pure-Dirac
-limit.  The referee's matrix-valued evaluators and its contour form of
-pi+ live here too, since no verb runs them; they are checks, against
-which the tests hold the referee's scalar trace path and the engine's
-pi+.  So are the two inverses of the half-plane layer's steps: the
-lower-contour line integral, -2*pi*i times the residue at -i that the
-partial fractions give (the engine reads only +i), and the recombined
-partial fractions.  `assert_outcome` checks the guards that no verb
-reaches, and `xi_rule_defect` holds derive's xi-rules against central
-differences of the symbols' values, read off shell by `eval_off_shell`
-(the referee lowers on-shell symbols only)."""
+evaluator for every symbolic type, the seeded random Clifford elements and
+one-key scalar symbols, the ledger's ids, the W-power and pole-factor
+products, the one-key on-shell symbol and the pure-Dirac limit.  The
+evaluator takes from the referee only its context and `eval_scalar`:
+`symbol_at` reads a symbol of either shell at one xi' as each
+coefficient's 4x4 matrix times xi_n**d over its key's denominator, so the
+tests hold the referee's lift, its trace path and the engine's pi+
+against values that do not come from the lift.  The referee's contour form
+of pi+ lives here too, since no verb runs it; it is a check.  So are the
+two inverses of the half-plane layer's steps: the lower-contour line
+integral, -2*pi*i times the residue at -i that the partial fractions give
+(the engine reads only +i), and the recombined partial fractions.
+`assert_outcome` checks the guards that no verb reaches, and
+`xi_rule_defect` holds derive's xi-rules against central differences of
+the symbols' values."""
 
 import cmath
-import functools
+import copy
 import math
 import random
 
@@ -24,82 +27,82 @@ from wres4.clifford import CliffordElem, _cmul_into
 from wres4.errors import MissingBinding
 from wres4.halfplane import (PoleDecomposition, _canonical_term, pi_plus,
                              partial_fractions)
-from wres4.oracle import (
-    CompiledSymbol,
-    LoweredSymbol,
-    NumericContext,
-    _horner,
-    _monomials,
-    eval_scalar,
-)
+from wres4.oracle import NumericContext, eval_scalar
 from wres4.scalars import GAUSS_I, NAMES, PI_SYM, ScalarExpr
-from wres4.symbols import (D, DTILDE, ON, BoundarySymbol, _mul_into,
+from wres4.symbols import (D, DTILDE, OFF, ON, BoundarySymbol, _mul_into,
                            _pole_factor, _w_power, _xin, build_sigma, derive,
                            restrict_on_shell, sandwich)
 
 
-def eval_clifford(a: CliffordElem, ctx, point=None):
+def at_point(ctx: NumericContext, xi_prime) -> NumericContext:
+    """A copy of ctx that also binds XI1, XI2, XI3 to xi' = (x1, x2, x3)."""
+    bound = copy.copy(ctx)
+    bound.assignment = dict(ctx.assignment)
+    bound.assignment.update(zip(("XI1", "XI2", "XI3"), xi_prime))
+    return bound
+
+
+def eval_clifford(a: CliffordElem, ctx):
     """a as a 4x4 matrix (a tuple of rows of complex) in ctx's gamma
     representation, each coefficient evaluated by eval_scalar."""
     out = [[0j] * 4 for _ in range(4)]
     for basis, coeff in a.terms.items():
-        w = eval_scalar(coeff, ctx, point)
+        w = eval_scalar(coeff, ctx)
         for row, mat_row in zip(out, ctx.rep.basis_matrix(basis)):
             for j, m in enumerate(mat_row):
                 row[j] += w * m
     return tuple(map(tuple, out))
 
 
-class MatrixSymbol(CompiledSymbol):
-    """A compiled symbol at one tangential covector xi' = (x1, x2, x3)
-    that also gives its 4x4 value: `matrix(xi_n)` is the numerator's
-    coefficients at this point (computed on first use) by Horner's rule in
-    xi_n, times the shared reciprocal denominator."""
+def symbol_at(s: BoundarySymbol, ctx, xi_prime):
+    """The symbol's 4x4 value at xi' as a function of xi_n: each
+    coefficient's matrix, computed once here by eval_clifford, times
+    xi_n**d over its key's denominator, W**p with W = |xi'|^2 + xi_n^2 off
+    shell and (xi_n - i)**a (xi_n + i)**b on shell."""
+    bound = at_point(ctx, xi_prime)
+    w = sum(x * x for x in xi_prime)
+    terms = [(key, d, eval_clifford(e, bound))
+             for key, poly in s.terms.items() for d, e in poly.items()]
 
-    def __init__(self, lowered: LoweredSymbol, xi_prime):
-        super().__init__(lowered)
-        self.point = xi_prime
+    def value(xi_n: complex):
+        out = [[0j] * 4 for _ in range(4)]
+        for key, d, mat in terms:
+            den = ((w + xi_n * xi_n) ** key if s.shell == OFF
+                   else (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1])
+            weight = xi_n ** d / den
+            for row, mat_row in zip(out, mat):
+                for j, m in enumerate(mat_row):
+                    row[j] += weight * m
+        return tuple(map(tuple, out))
 
-    @functools.cached_property
-    def numerator(self):
-        """The flattened 4x4 coefficients of xi_n**0, xi_n**1, ... here."""
-        lift = self.lowered.lift
-        weights = _monomials(self.point, [exps for _, exps in lift])
-        coeffs = [[0j] * 16 for _ in range(1 + max((n for n, _ in lift),
-                                                   default=-1))]
-        for ((n, _), vec), w in zip(lift.items(), weights):
-            for f, v in enumerate(vec):
-                coeffs[n][f] += w * v
-        return coeffs
-
-    def matrix(self, xi_n: complex):
-        recip = self(xi_n)
-        flat = [recip * _horner([vec[f] for vec in self.numerator], xi_n)
-                for f in range(16)]
-        return tuple(tuple(flat[4 * i:4 * i + 4]) for i in range(4))
+    return value
 
 
 def eval_symbol(s: BoundarySymbol, ctx, point):
-    """An on-shell symbol's 4x4 value at a full point (xi', xi_n)."""
+    """A symbol's 4x4 value at a full point (xi', xi_n)."""
     if point is None or point[1] is None:
         raise MissingBinding("boundary symbols need a full (xi', xi_n) point")
-    return MatrixSymbol(LoweredSymbol(s, ctx), point[0]).matrix(point[1])
+    return symbol_at(s, ctx, point[0])(point[1])
 
 
-def eval_off_shell(s: BoundarySymbol, ctx, point):
-    """An off-shell symbol's 4x4 value at a full point (xi', xi_n): each
-    coefficient by eval_clifford, times xi_n**d / W**p with W = |xi'|^2 +
-    xi_n^2."""
-    xi_prime, xi_n = point
-    w = sum(x * x for x in xi_prime) + xi_n * xi_n
-    out = [[0j] * 4 for _ in range(4)]
-    for p, poly in s.terms.items():
-        for d, e in poly.items():
-            weight = xi_n ** d / w ** p
-            for row, mat_row in zip(out, eval_clifford(e, ctx, point)):
-                for j, m in enumerate(mat_row):
-                    row[j] += weight * m
-    return tuple(map(tuple, out))
+def rand_elem(rng, depth=3) -> CliffordElem:
+    """A sum of depth terms, each an integer in [-5, 5] times up to three
+    random generators."""
+    out = CliffordElem.zero()
+    for _ in range(depth):
+        term = CliffordElem.scalar(ScalarExpr.const(rng.randint(-5, 5)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * CliffordElem.gen(rng.randint(1, 4))
+        out = out + term
+    return out
+
+
+def scalar_term(coeffs: dict, a: int, b: int) -> BoundarySymbol:
+    """sum of c xi_n**d over (d, c) in coeffs, over (xi_n - i)**a
+    (xi_n + i)**b."""
+    poly = {d: CliffordElem.scalar(ScalarExpr.const(c))
+            for d, c in coeffs.items()}
+    return on_shell_term(poly, a, b)
 
 
 # the symbols whose xi-derivatives are held against central differences:
@@ -129,7 +132,6 @@ def xi_rule_defect(name: str, i: int, seeds=(42, 7), h=1e-5) -> float:
     largest entry of the derivative.  Each seed also draws the bindings."""
     on = name in XI_RULE_ON_SHELL
     s = (XI_RULE_ON_SHELL if on else XI_RULE_OFF_SHELL)[name]()
-    value = eval_symbol if on else eval_off_shell
     worst = 0.0
     for seed in seeds:
         ctx, rng = NumericContext(seed), random.Random(seed)
@@ -140,7 +142,7 @@ def xi_rule_defect(name: str, i: int, seeds=(42, 7), h=1e-5) -> float:
 
         def at(sym, t=0.0):
             moved = [x + t * (k == i - 1) for k, x in enumerate(point)]
-            return value(sym, ctx, (tuple(moved[:3]), moved[3]))
+            return eval_symbol(sym, ctx, (tuple(moved[:3]), moved[3]))
 
         exact = at(derive(s, xi=(i,)))
         gaps = [abs((u - d) / (2 * h) - z)
@@ -173,13 +175,15 @@ def quad_contour_pi_plus(h, xi0: float) -> complex:
 
 def evaluate(sym, ctx, point=None):
     """Dispatch on the symbolic type; 4x4 matrices (tuples of rows of
-    complex) for Clifford-valued data, complex scalars for ScalarExpr."""
-    if isinstance(sym, ScalarExpr):
-        return eval_scalar(sym, ctx, point)
-    if isinstance(sym, CliffordElem):
-        return eval_clifford(sym, ctx, point)
+    complex) for Clifford-valued data, complex scalars for ScalarExpr.  A
+    point (xi', xi_n) binds XI1, XI2, XI3 to xi'."""
     if isinstance(sym, BoundarySymbol):
         return eval_symbol(sym, ctx, point)
+    bound = ctx if point is None else at_point(ctx, point[0])
+    if isinstance(sym, ScalarExpr):
+        return eval_scalar(sym, bound)
+    if isinstance(sym, CliffordElem):
+        return eval_clifford(sym, bound)
     raise TypeError(f"cannot evaluate {type(sym).__name__}")
 
 

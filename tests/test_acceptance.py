@@ -31,7 +31,6 @@ from wres4.interior import (
 )
 from wres4.oracle import (
     GammaRep,
-    LoweredSymbol,
     NumericContext,
     crosscheck_case,
     eval_scalar,
@@ -59,13 +58,15 @@ from wres4.symbols import (
 )
 
 from helpers import (
-    MatrixSymbol,
+    at_point,
     evaluate,
     known_ids,
     line_integral_lower,
-    on_shell_term,
     pure_dirac_limit,
     quad_contour_pi_plus,
+    rand_elem,
+    scalar_term,
+    symbol_at,
 )
 
 SEEDS = (11, 23, 42, 101, 977)
@@ -92,22 +93,6 @@ def crosschecks():
     return out
 
 
-def scalar_term(coeffs, a, b):
-    poly = {d: CliffordElem.scalar(ScalarExpr.const(c))
-            for d, c in coeffs.items()}
-    return on_shell_term(poly, a, b)
-
-
-def rand_clifford(rng, depth=3):
-    out = CliffordElem.zero()
-    for _ in range(depth):
-        term = CliffordElem.scalar(ScalarExpr.const(rng.randint(-5, 5)))
-        for _ in range(rng.randint(0, 3)):
-            term = term * CliffordElem.gen(rng.randint(1, 4))
-        out = out + term
-    return out
-
-
 def test_criterion1_trace_suite():
     start = time.monotonic()
     cxp = CliffordElem.c_xi_prime()
@@ -120,7 +105,7 @@ def test_criterion1_trace_suite():
     assert reduce_sphere(spin_trace(dcxp * cxp)) == ScalarExpr.const(-2) * HP
     rng = random.Random(3)
     for _ in range(500):
-        a, b = rand_clifford(rng), rand_clifford(rng)
+        a, b = rand_elem(rng), rand_elem(rng)
         assert spin_trace(a * b) == spin_trace(b * a)
         assert spin_trace(a + b) == spin_trace(a) + spin_trace(b)
     assert time.monotonic() - start < 1.0
@@ -163,11 +148,10 @@ def test_criterion3_projection_anchors():
     full = restrict_on_shell(build_sigma(D, -1))
     xp = (0.28, -0.96, 0.0)
     # bound to ctx and xp once; each contour node is then one call
-    compiled = MatrixSymbol(LoweredSymbol(full, ctx), xp)
+    value = symbol_at(full, ctx, xp)
     for k in range(10):
         xi0 = -2.2 + 0.5 * k
-        num = quad_contour_pi_plus(
-            lambda z: np.asarray(compiled.matrix(z)), xi0)
+        num = quad_contour_pi_plus(lambda z: np.asarray(value(z)), xi0)
         sym = evaluate(engine_419, ctx, (xp, xi0))
         scale = max(1.0, float(np.abs(sym).max()))
         assert np.abs(num - sym).max() / scale < 1e-8
@@ -213,9 +197,9 @@ def test_criterion4_cross_integral_certified_value():
     assert val == -PI
     ctx = NumericContext(42)
     xp = (0.6, 0.64, math.sqrt(1 - 0.36 - 0.4096))
+    s_at, t_at = symbol_at(s, ctx, xp), symbol_at(t, ctx, xp)
     num = quad_line(lambda xi_n: np.trace(
-        np.asarray(evaluate(s, ctx, (xp, xi_n)))
-        @ np.asarray(evaluate(t, ctx, (xp, xi_n)))))
+        np.asarray(s_at(xi_n)) @ np.asarray(t_at(xi_n))))
     assert abs(num - (-math.pi)) < 1e-9
 
 
@@ -324,7 +308,7 @@ def test_criterion8_sphere_moments():
     for p in polys[:20]:
         exact = eval_scalar(integrate_sphere(p), ctx)
         num = quad_sphere(
-            lambda x, y, z: eval_scalar(p, ctx, ((x, y, z), None)))
+            lambda x, y, z: eval_scalar(p, at_point(ctx, (x, y, z))))
         assert abs(num - exact) < 1e-10 * max(1.0, abs(exact))
 
 
@@ -334,7 +318,7 @@ def test_criterion9_oracle_soundness():
     rng = random.Random(17)
     pt = ((0.1, -0.7, 0.6), 0.9)
     for _ in range(200):
-        a, b = rand_clifford(rng), rand_clifford(rng)
+        a, b = rand_elem(rng), rand_elem(rng)
         lhs = np.asarray(evaluate(a * b, ctx, pt))
         rhs = np.asarray(evaluate(a, ctx, pt)) @ np.asarray(
             evaluate(b, ctx, pt))

@@ -392,6 +392,23 @@ class TestFormats:
         assert err.splitlines()[-1].startswith(
             "wres4: error: argument --out: ")
 
+    def test_unwritable_out_is_refused_before_the_suite_runs(
+            self, tmp_path, capsys, monkeypatch):
+        # the path is opened first, so a bad --out costs no referee run
+        import wres4.cli as cli
+
+        def suite(seed, case):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "crosscheck_suite", suite)
+        with pytest.raises(SystemExit) as exc:
+            run(["crosscheck", "--out", str(tmp_path / "missing/x.json")])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "wres4: error: argument --out: No such file or directory: "
+            f"{str(tmp_path / 'missing/x.json')!r}")
+
 
 class TestCrosscheck:
     def test_seed42_matches_golden(self, capsys):

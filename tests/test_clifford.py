@@ -15,17 +15,7 @@ from wres4.clifford import CliffordElem, _basis_mul, spin_trace
 from wres4.oracle import GammaRep
 from wres4.scalars import NAMES, GaussianRational, ScalarExpr, reduce_sphere
 
-from helpers import against_str, assert_outcome
-
-
-def rand_elem(rng, depth=3):
-    out = CliffordElem.zero()
-    for _ in range(depth):
-        term = CliffordElem.scalar(ScalarExpr.const(rng.randint(-5, 5)))
-        for _ in range(rng.randint(0, 3)):
-            term = term * CliffordElem.gen(rng.randint(1, 4))
-        out = out + term
-    return out
+from helpers import against_str, assert_outcome, rand_elem
 
 
 class TestRelations:

@@ -35,16 +35,11 @@ from helpers import (
     mul_w,
     on_shell_term,
     recombine,
+    scalar_term,
 )
 
 PI = ScalarExpr.var("PI")
 I = ScalarExpr.i_unit()
-
-
-def scalar_term(coeffs, a, b):
-    poly = {d: CliffordElem.scalar(ScalarExpr.const(c))
-            for d, c in coeffs.items()}
-    return on_shell_term(poly, a, b)
 
 
 class TestPartialFractions:

@@ -44,23 +44,13 @@ from wres4.symbols import (
 )
 
 from helpers import (
-    MatrixSymbol,
-    eval_clifford,
     eval_symbol,
     evaluate,
     on_shell_term,
     quad_contour_pi_plus,
+    rand_elem,
+    symbol_at,
 )
-
-
-def rand_elem(rng, depth=3):
-    out = CliffordElem.zero()
-    for _ in range(depth):
-        term = CliffordElem.scalar(ScalarExpr.const(rng.randint(-5, 5)))
-        for _ in range(rng.randint(0, 3)):
-            term = term * CliffordElem.gen(rng.randint(1, 4))
-        out = out + term
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -166,16 +156,16 @@ class TestEvaluate:
             evaluate("bogus", ctx)
 
 
-def reference_symbol(s, ctx, xi_prime, xi_n):
-    """eval_clifford of each coefficient times xi_n**deg over its on-shell
-    denominator, written out term by term."""
-    out = np.zeros((4, 4), dtype=complex)
-    for key, poly in s.terms.items():
-        den = (xi_n - 1j) ** key[0] * (xi_n + 1j) ** key[1]
-        for deg, coeff in poly.items():
-            out += (np.asarray(eval_clifford(coeff, ctx, (xi_prime, None)))
-                    * xi_n ** deg / den)
-    return out
+def lifted(low: LoweredSymbol, xi_prime, xi_n) -> np.ndarray:
+    """The lowered symbol's 4x4 value at (xi', xi_n), read off its lift:
+    each matrix coefficient times its xi_n power and point monomial, over
+    the common denominator (xi_n - i)**A (xi_n + i)**B of its poles."""
+    a, b = low.poles
+    x1, x2, x3 = xi_prime
+    num = sum((np.asarray(vec) * xi_n ** n * x1 ** e1 * x2 ** e2 * x3 ** e3
+               for (n, (e1, e2, e3)), vec in low.lift.items()),
+              np.zeros(16, dtype=complex))
+    return (num / ((xi_n - 1j) ** a * (xi_n + 1j) ** b)).reshape(4, 4)
 
 
 def case_factor_symbols():
@@ -203,16 +193,17 @@ class TestLoweredEvaluator:
     def check_against_reference(self, s, ctx, rng):
         # three points on the unit sphere, and one off it so that
         # XI1^2 + XI2^2 + XI3^2 is not 1
+        low = LoweredSymbol(s, ctx)
         for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0)):
             v = [rng.gauss(0.0, 1.0) for _ in range(3)]
             norm = math.sqrt(sum(x * x for x in v))
             xp = tuple(radius * x / norm for x in v)
-            compiled = MatrixSymbol(LoweredSymbol(s, ctx), xp)
+            reference = symbol_at(s, ctx, xp)
             for xi_n in (rng.uniform(-3.0, 3.0),
                          complex(rng.uniform(-2.0, 2.0),
                                  rng.uniform(-0.5, 0.5))) + XI_N:
-                got = np.asarray(compiled.matrix(xi_n))
-                ref = reference_symbol(s, ctx, xp, xi_n)
+                got = lifted(low, xp, xi_n)
+                ref = np.asarray(reference(xi_n))
                 scale = max(1.0, float(np.abs(ref).max()))
                 assert got.shape == (4, 4)
                 assert np.abs(got - ref).max() <= 1e-13 * scale
@@ -229,81 +220,42 @@ class TestLoweredEvaluator:
 
     def test_off_shell_symbols_are_rejected(self, ctx):
         # every factor the referee is given is on shell, so it lowers no
-        # other; a full point does not change that
+        # other
         for make in OFF_SHELL.values():
             s = make()
             assert s.shell == OFF
             with pytest.raises(ShellViolation):
                 LoweredSymbol(s, ctx)
-            with pytest.raises(ShellViolation):
-                eval_symbol(s, ctx, ((0.6, 0.0, 0.8), 0.5))
 
-    def check_shared_against_fresh(self, s, ctx, rng):
-        # instances of one lowered symbol at five points, three on the unit
-        # sphere and two off it, called in turn so that on shell they share
-        # the reciprocal denominators, against a fresh lowering per point
-        low = LoweredSymbol(s, ctx)
-        points = []
-        for radius in (1.0, 1.0, 1.0, rng.uniform(0.5, 2.0),
-                       rng.uniform(0.5, 2.0)):
-            v = [rng.gauss(0.0, 1.0) for _ in range(3)]
-            norm = math.sqrt(sum(x * x for x in v))
-            points.append(tuple(radius * x / norm for x in v))
-        shared = [MatrixSymbol(low, xp) for xp in points]
-        for xi_n in (rng.uniform(-3.0, 3.0),
-                     complex(rng.uniform(-2.0, 2.0),
-                             rng.uniform(-0.5, 0.5))) + XI_N:
-            for xp, compiled in zip(points, shared):
-                fresh = MatrixSymbol(LoweredSymbol(s, ctx), xp)
-                assert compiled(xi_n) == fresh(xi_n)
-                assert compiled.matrix(xi_n) == fresh.matrix(xi_n)
-        return low
-
-    def test_case_factors_share_reciprocals_across_points(self, ctx):
-        factors = case_factor_symbols()
-        assert len(factors) == 14
-        rng = random.Random(89)
-        for s in factors:
-            low = self.check_shared_against_fresh(s, ctx, rng)
-            # one memo for all points: 10 xi_n values
-            assert len(low.recips) == 10
+    def test_repeated_xi_n_returns_the_first_reciprocal(self, ctx):
+        # a compiled factor keeps its reciprocal denominator per xi_n: a
+        # repeated xi_n returns the first call's object, equal to a fresh
+        # CompiledSymbol's value
+        for s in case_factor_symbols():
+            compiled = CompiledSymbol(LoweredSymbol(s, ctx))
+            for xi_n in (0.7, complex(0.4, -0.3)) + XI_N:
+                first = compiled(xi_n)
+                assert compiled(xi_n) is first
+                assert CompiledSymbol(LoweredSymbol(s, ctx))(xi_n) == first
 
     @pytest.mark.parametrize("shell", ["on"])
     def test_zero_symbol(self, ctx, shell):
         got = eval_symbol(BoundarySymbol.zero(shell), ctx,
                           ((0.6, 0.0, 0.8), 0.5))
         assert np.array_equal(got, np.zeros((4, 4)))
-        compiled = MatrixSymbol(
-            LoweredSymbol(BoundarySymbol.zero(shell), ctx), (0.3, 0.4, 1.2))
+        low = LoweredSymbol(BoundarySymbol.zero(shell), ctx)
         for xi_n in XI_N:
-            assert np.array_equal(compiled.matrix(xi_n), np.zeros((4, 4)))
-
-    @pytest.mark.parametrize("make", [lambda: case_factor_symbols()[-1]],
-                             ids=["case factor"])
-    def test_shared_reciprocal_is_fresh(self, ctx, make):
-        # a repeated xi_n returns the first call's reciprocal denominator,
-        # equal to a fresh evaluation and shared by every instance of the
-        # lowered symbol, at any point, and the matrix built on it is
-        # immutable
-        low = LoweredSymbol(make(), ctx)
-        xp, other = (0.36, -0.48, 0.8), (0.6, 0.0, 1.6)
-        compiled = MatrixSymbol(low, xp)
-        for xi_n in (0.7, complex(0.4, -0.3)):
-            first = compiled(xi_n)
-            assert compiled(xi_n) is first
-            assert CompiledSymbol(LoweredSymbol(make(), ctx))(xi_n) == first
-            assert CompiledSymbol(low)(xi_n) is first
-            assert MatrixSymbol(low, other)(xi_n) is first
-            assert low.recips[xi_n] is first
-            assert type(compiled.matrix(xi_n)) is tuple
+            assert np.array_equal(lifted(low, (0.3, 0.4, 1.2), xi_n),
+                                  np.zeros((4, 4)))
 
     def test_trace_polynomial_matches_matrix_trace(self, ctx):
         # at each sphere node the summed tr(L R) of a case's pairs, which
         # share their pole orders, is one xi_n-polynomial, contracted once
         # per case, over one pair's reciprocal denominators; against the
-        # sum of the traces of the two matrices' products, for every factor
-        # pair of every case on its own and for each case's pairs together
-        # (a1's three), at real and complex xi_n
+        # sum of the traces of the two matrices' products, read by the
+        # tests' own evaluator, for every factor pair of every case on its
+        # own and for each case's pairs together (a1's three), at real and
+        # complex xi_n
         from wres4.boundary import case_factors, enumerate_cases
 
         c = _gauss_legendre(12)[0][4]
@@ -313,24 +265,25 @@ class TestLoweredEvaluator:
                  for k in range(0, 24, 5)] + [(0.3, -1.1, 0.5)]
         sums = []
         for spec in enumerate_cases():
-            pairs = [(LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
-                     for left, right in case_factors(spec, DTILDE)]
-            assert len({(lo.poles, ro.poles) for lo, ro in pairs}) == 1
-            sums += [[pair] for pair in pairs] + [pairs]
+            factors = case_factors(spec, DTILDE)
+            sums += [[pair] for pair in factors] + [factors]
         assert sorted(map(len, sums)) == [1] * 11 + [3]
-        for pairs in sums:
+        for factors in sums:
+            pairs = [(LoweredSymbol(left, ctx), LoweredSymbol(right, ctx))
+                     for left, right in factors]
+            assert len({(lo.poles, ro.poles) for lo, ro in pairs}) == 1
             trace_at = _trace_coefficients(pairs)
             lc, rc = (CompiledSymbol(low) for low in pairs[0])
             for xp in nodes:
                 coeffs = trace_at(*xp)
                 assert {type(x) for x in coeffs} == {complex}
-                factors = [(MatrixSymbol(low_l, xp), MatrixSymbol(low_r, xp))
-                           for low_l, low_r in pairs]
+                values = [(symbol_at(left, ctx, xp), symbol_at(right, ctx, xp))
+                          for left, right in factors]
                 for xi_n in (0.7, -2.5, complex(0.4, -0.3)):
                     got = _horner(coeffs, xi_n) * lc(xi_n) * rc(xi_n)
-                    ref = sum(np.trace(np.asarray(ml.matrix(xi_n))
-                                       @ np.asarray(mr.matrix(xi_n)))
-                              for ml, mr in factors)
+                    ref = sum(np.trace(np.asarray(vl(xi_n))
+                                       @ np.asarray(vr(xi_n)))
+                              for vl, vr in values)
                     assert abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name", ["XIN", "W"])
@@ -341,7 +294,8 @@ class TestLoweredEvaluator:
         # xi_n and |xi|^2 are no scalar names: xi_n is the numerator degree
         # and |xi|^2 the term key. A coefficient that holds HP, under a
         # context that leaves HP unbound, must name it wherever it sits,
-        # not read a stale or default value
+        # not read a stale or default value, in the referee's lowering and
+        # in the tests' evaluator alike
         partial = NumericContext(42)
         del partial.assignment["HP"]
         c = CliffordElem.scalar(ScalarExpr.var("HP"))
@@ -350,8 +304,11 @@ class TestLoweredEvaluator:
         else:
             s = make({0: c}, 1)
         with pytest.raises(MissingBinding, match="HP"):
+            LoweredSymbol(s, partial)
+        with pytest.raises(MissingBinding, match="HP"):
             eval_symbol(s, partial, ((0.6, 0.0, 0.8), 0.5))
         # the same symbol lowers once HP is bound
+        LoweredSymbol(s, NumericContext(42))
         eval_symbol(s, NumericContext(42), ((0.6, 0.0, 0.8), 0.5))
 
 
@@ -508,24 +465,24 @@ class TestWorkGuard:
                 CountingDict.stores += 1
                 super().__setitem__(key, value)
 
-        cls = oracle.LoweredSymbol
-        init, call = cls.__init__, oracle.CompiledSymbol.__call__
-        lowered, calls = [], [0]
+        cls = oracle.CompiledSymbol
+        init, call = cls.__init__, cls.__call__
+        memos, calls = [], [0]
 
         def counting_init(self, *args):
             init(self, *args)
-            self.recips = CountingDict()
-            lowered.append(self)
+            self._recips = CountingDict()
+            memos.append(self._recips)
 
         def counting_call(self, xi_n):
             calls[0] += 1
             return call(self, xi_n)
 
         monkeypatch.setattr(cls, "__init__", counting_init)
-        monkeypatch.setattr(oracle.CompiledSymbol, "__call__", counting_call)
+        monkeypatch.setattr(cls, "__call__", counting_call)
         (spec,) = [s for s in enumerate_cases() if s.label == "c"]
         rec = oracle.crosscheck_case(spec, NumericContext(42))
-        assert [len(low.recips) for low in lowered] == [63, 63]
+        assert list(map(len, memos)) == [63, 63]
         assert CountingDict.stores == 2 * 63
         assert calls[0] == 72576
         assert rec["abs_error"] <= 1e-8 * max(1.0, abs(rec["symbolic"]))
@@ -879,11 +836,10 @@ class TestQuadrature:
         proj = pi_plus(full)
         xp = (0.6, 0.0, 0.8)
         # bound to ctx and xp once; each contour node is then one call
-        compiled = MatrixSymbol(LoweredSymbol(full, ctx), xp)
+        value = symbol_at(full, ctx, xp)
         for k in range(10):
             xi0 = -2.0 + 0.45 * k
-            num = quad_contour_pi_plus(
-                lambda z: np.asarray(compiled.matrix(z)), xi0)
+            num = quad_contour_pi_plus(lambda z: np.asarray(value(z)), xi0)
             sym = evaluate(proj, ctx, (xp, xi0))
             assert np.abs(num - sym).max() < 1e-8
 

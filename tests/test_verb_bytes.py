@@ -11,14 +11,14 @@ in the hash with the ids and verdicts: it is the exact case value summed
 in the engine's term order, so it pins that order.  Every other run is
 hashed as printed.
 
-After a deliberate change of output, rewrite the manifest and the three
-report goldens that tests/test_cli.py compares byte for byte (report.json,
-report.txt and report.tex) with
+After a deliberate change of output, rewrite every CLI golden with
 
     PYTHONPATH=src python tests/test_verb_bytes.py
 
-crosscheck_seed42.json is not rewritten: its quadrature floats are
-compared within a bound, so a rewrite would only move their low bits.
+That is the manifest, the three report goldens that tests/test_cli.py
+compares byte for byte (report.json, report.txt and report.tex), and
+crosscheck_seed42.json, which tests/test_cli.py compares byte for byte but
+for its quadrature floats, held within a bound.
 """
 
 import contextlib
@@ -75,3 +75,5 @@ if __name__ == "__main__":
                                    indent=2) + "\n")
     for fmt, name in REPORTS.items():
         run(["report", "--format", fmt, "--out", str(GOLDEN / name)])
+    run(["crosscheck", "--seed", "42", "--format", "json",
+         "--out", str(GOLDEN / "crosscheck_seed42.json")])
