@@ -123,6 +123,8 @@ def _build_anchors() -> dict:
     # half-plane projection and with 4.23/4.40
     anchors["4.19"] = _on({(1, 0): {
         0: (cxp + c4.scale(_I)).scale(-half())}})
+    # the cross integral of 4.19 against 4.14, claimed to vanish
+    anchors["4.20"] = ScalarExpr.zero()
 
     # ---- case (a)(III) intermediates ----------------------------------
     anchors["4.22"] = _on({

@@ -142,6 +142,8 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.15"] = e15
         inter["4.16"] = pi_plus(restrict_on_shell(e15))
         inter["4.19"] = pi_plus(restrict_on_shell(s1d))
+        inter["4.20"] = line_integral(trace_symbol(
+            inter["4.19"], restrict_on_shell(inter["4.14"])))
     elif label == "a3":
         inter["4.22"] = restrict_on_shell(derive(s1d, x=(4,), xi=(4,)))
         x23 = derive(pi_plus(restrict_on_shell(s1d)), xi=(4,))
@@ -176,7 +178,7 @@ def intermediates(label: str) -> Dict[str, object]:
         inter["4.46"] = trace_symbol(e40, e42)
         inter["4.48"] = e48
         inter["4.49"] = trace_symbol(e40, e48)
-    if len(inter) != {"a1": 7, "a2": 4, "a3": 5, "b": 5, "c": 7}[label]:
+    if len(inter) != {"a1": 7, "a2": 5, "a3": 5, "b": 5, "c": 7}[label]:
         raise LookupError(f"case {label}: audit rows {sorted(inter)}")
     return inter
 

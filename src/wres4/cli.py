@@ -258,7 +258,7 @@ def parse_args(argv: List[str]) -> Dict:
 
 def run(argv: Optional[List[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
-    if not args["out"]:
+    if args["out"] is None:
         return _emit(args, sys.stdout)
     try:  # refused before the verb runs
         out = open(args["out"], "w")

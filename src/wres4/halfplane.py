@@ -13,20 +13,13 @@ rational decaying like xi_n^-2 is 2*pi*i times its residue at +i.
 from __future__ import annotations
 
 from math import comb
-from typing import Dict, NamedTuple
+from typing import Dict, Tuple
 
 from .clifford import (CliffordElem, _cmul_into, _cscalar_into, _elem,
                        spin_trace)
 from .errors import DecayViolation, ShellViolation
 from .scalars import GAUSS_I, GaussianRational, PI_SYM, ScalarExpr
 from .symbols import ON, BoundarySymbol
-
-
-class PoleDecomposition(NamedTuple):
-    """Exact split of a proper fraction into its principal parts at +-i."""
-
-    principal_plus: Dict[int, CliffordElem]
-    principal_minus: Dict[int, CliffordElem]
 
 
 def _canonical_term(s: BoundarySymbol, gap: int):
@@ -70,12 +63,13 @@ def _principal_part(num: dict, here: int, other: int,
     return out
 
 
-def partial_fractions(s: BoundarySymbol) -> PoleDecomposition:
-    """Exact decomposition of a decaying on-shell symbol into poles at
-    +-i."""
+def partial_fractions(s: BoundarySymbol) -> Tuple[Dict[int, CliffordElem],
+                                                   Dict[int, CliffordElem]]:
+    """(plus, minus): the principal parts {k: A_k} of a decaying on-shell
+    symbol at +i and at -i, in that order."""
     num, a, b = _canonical_term(s, 1)
-    return PoleDecomposition(_principal_part(num, a, b, GAUSS_I),
-                             _principal_part(num, b, a, -GAUSS_I))
+    return (_principal_part(num, a, b, GAUSS_I),
+            _principal_part(num, b, a, -GAUSS_I))
 
 
 def pi_plus(s: BoundarySymbol) -> BoundarySymbol:
@@ -85,9 +79,8 @@ def pi_plus(s: BoundarySymbol) -> BoundarySymbol:
     # computes the -i part too, but keeps report's path through the
     # halfplane.partial_fractions span that perfbench's per-layer metric
     # pins; a single _principal_part call waits for that metric to go.
-    dec = partial_fractions(s)
-    return BoundarySymbol(ON, {(k, 0): {0: elem}
-                               for k, elem in dec.principal_plus.items()},
+    plus, _ = partial_fractions(s)
+    return BoundarySymbol(ON, {(k, 0): {0: elem} for k, elem in plus.items()},
                           s.xder)
 
 

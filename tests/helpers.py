@@ -1,8 +1,9 @@
 """Helpers the tests share.  Most are not checks themselves: one numeric
 evaluator for every symbolic type, the seeded random Clifford elements and
 one-key scalar symbols, the ledger's ids, the W-power and pole-factor
-products, the one-key on-shell symbol and the pure-Dirac limit.  The
-evaluator takes from the referee only its context and `eval_scalar`:
+products, the one-key on-shell symbol, the pure-Dirac limit and the one
+reset of the engine's per-process caches.  The evaluator takes from the
+referee only its context and `eval_scalar`:
 `symbol_at` reads a symbol of either shell at one xi' as each
 coefficient's 4x4 matrix times xi_n**d over its key's denominator, so the
 tests hold the referee's lift, its trace path and the engine's pi+
@@ -22,11 +23,11 @@ import random
 
 import pytest
 
+from wres4 import anchor_table, anchors, boundary, interior, scalars, symbols
 from wres4.cli import load_discrepancies
 from wres4.clifford import CliffordElem, _cmul_into
 from wres4.errors import MissingBinding
-from wres4.halfplane import (PoleDecomposition, _canonical_term, pi_plus,
-                             partial_fractions)
+from wres4.halfplane import _canonical_term, pi_plus, partial_fractions
 from wres4.oracle import NumericContext, eval_scalar
 from wres4.scalars import GAUSS_I, NAMES, PI_SYM, ScalarExpr
 from wres4.symbols import (D, DTILDE, OFF, ON, BoundarySymbol, _mul_into,
@@ -192,6 +193,17 @@ def known_ids() -> frozenset:
     return frozenset(d["id"] for d in load_discrepancies()["discrepancies"])
 
 
+def clear_engine_caches():
+    """Forget every value the exact engine keeps per process, so that the
+    next assembly computes each stage from scratch, and a mutant patched
+    in meanwhile reaches every value built from it."""
+    for cached in (symbols._sigma, scalars._xi3_squared_power,
+                   boundary.case_factors, boundary._case_value,
+                   interior.compute_E_at_x0, anchors.lemma41,
+                   anchor_table._build_anchors):
+        cached.cache_clear()
+
+
 def mul_w(p: dict, k: int) -> dict:
     """The numerator p times W**k = (XI1^2 + XI2^2 + XI3^2 + xi_n^2)**k."""
     return _xin(_mul_into({}, p, _w_power(k), _cmul_into))
@@ -231,14 +243,16 @@ def line_integral_lower(s: BoundarySymbol) -> ScalarExpr:
     num, _, _ = _canonical_term(s, 2)
     if any(set(e.terms) - {()} for e in num.values()):
         raise ValueError("line_integral expects a scalar integrand")
-    res = partial_fractions(s).principal_minus.get(1, CliffordElem.zero())
+    res = partial_fractions(s)[1].get(1, CliffordElem.zero())
     return ScalarExpr.const(-2 * GAUSS_I) * PI_SYM * res.scalar_part()
 
 
-def recombine(dec: PoleDecomposition) -> BoundarySymbol:
-    """The on-shell symbol whose partial fractions are dec."""
-    terms = {(k, 0): {0: e} for k, e in dec.principal_plus.items()}
-    terms.update({(0, k): {0: e} for k, e in dec.principal_minus.items()})
+def recombine(pair) -> BoundarySymbol:
+    """The on-shell symbol whose partial fractions are pair = (plus,
+    minus)."""
+    plus, minus = pair
+    terms = {(k, 0): {0: e} for k, e in plus.items()}
+    terms.update({(0, k): {0: e} for k, e in minus.items()})
     return BoundarySymbol(ON, terms)
 
 

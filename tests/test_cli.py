@@ -40,13 +40,11 @@ class TestLedger:
         assert len(doc["discrepancies"]) >= 8
 
     def test_each_pin_is_the_engine_string_report_prints(self, capsys):
-        # 4.20 has no row in any verb, so it has no value to pin
         assert run(["report", "--format", "json"]) == 0
         printed = {r["id"]: r["engine"]
                    for r in json.loads(capsys.readouterr().out)["results"]}
         pins = {d["id"]: d.get("engine_value")
                 for d in load_discrepancies()["discrepancies"]}
-        assert "4.20" not in printed and pins.pop("4.20") is None
         assert pins == {ident: printed[ident] for ident in pins}
 
     def test_changed_value_under_a_ledgered_id_exits_one(self, capsys,
@@ -391,6 +389,18 @@ class TestFormats:
         assert (exc.value.code, out) == (2, "")
         assert err.splitlines()[-1].startswith(
             "wres4: error: argument --out: ")
+
+    @pytest.mark.parametrize("argv", [["--out="], ["--out", ""]],
+                             ids=["equals", "spaced"])
+    def test_empty_out_is_a_usage_error(self, capsys, argv):
+        # an empty path is opened and refused like any other, rather than
+        # read as no --out
+        with pytest.raises(SystemExit) as exc:
+            run(["verify-traces", *argv])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "wres4: error: argument --out: No such file or directory: ''")
 
     def test_unwritable_out_is_refused_before_the_suite_runs(
             self, tmp_path, capsys, monkeypatch):

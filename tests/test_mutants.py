@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from wres4 import anchor_table, anchors, boundary, halfplane, interior, symbols
+from wres4 import anchors, boundary, halfplane, interior, symbols
 from wres4.boundary import CaseSpec
 from wres4.cli import run
 from wres4.clifford import CliffordElem
@@ -20,21 +20,14 @@ from wres4.scalars import GAUSS_I, ScalarExpr, fi
 from wres4.symbols import D, OFF, ON, BoundarySymbol
 
 from helpers import (XI_RULE_CASES, XI_RULE_OFF_SHELL, XI_RULE_ON_SHELL,
-                     xi_rule_defect)
-
-
-def _clear_case_caches():
-    for cached in (symbols._sigma, boundary.case_factors,
-                   boundary._case_value, anchors.lemma41,
-                   anchor_table._build_anchors, interior.compute_E_at_x0):
-        cached.cache_clear()
+                     clear_engine_caches, xi_rule_defect)
 
 
 @pytest.fixture
 def fresh_caches():
-    _clear_case_caches()
+    clear_engine_caches()
     yield
-    _clear_case_caches()
+    clear_engine_caches()
 
 
 def _failed_rows(capsys, verb="compute-phi"):
@@ -87,7 +80,7 @@ def test_negated_sigma0_fails_verify_lemma41(fresh_caches, monkeypatch,
     # Lemma 4.1's reference spells sigma_0(D) out, so the mutant reaches
     # the engine's sigma_-2 only
     before = (symbols.build_sigma(D, -2), anchors.lemma41(D, -2))
-    _clear_case_caches()
+    clear_engine_caches()
     real = symbols.sigma0_dirac
     monkeypatch.setattr(symbols, "sigma0_dirac", lambda: -real())
     after = (symbols.build_sigma(D, -2), anchors.lemma41(D, -2))
